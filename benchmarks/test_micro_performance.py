@@ -542,6 +542,46 @@ def test_perf_infra_disabled_overhead(busy_channel):
     assert arq_overhead < 0.25
 
 
+def _steady_heap_run(pending: int, dispatches: int) -> Simulator:
+    """Keep ``pending`` self-rescheduling events in the heap (one per
+    slot of a 1 s period) and dispatch exactly ``dispatches`` of them."""
+    sim = Simulator()
+
+    def tick() -> None:
+        sim.schedule(1.0, tick)
+
+    for slot in range(pending):
+        sim.schedule(slot / pending, tick)
+    sim.run(dispatches // pending - 0.5 / pending)
+    return sim
+
+
+@pytest.mark.perf
+def test_perf_simulator_deep_heap_throughput():
+    """Event dispatch with ~5,000 events pending: every push and pop
+    sifts through ~12 heap levels, so this is where the cost of
+    comparing heap entries shows.  ``test_perf_simulator_event_throughput``
+    keeps the heap at depth 1 and cannot see it.  Gate: per-event cost
+    at depth 5,000 stays within 3x of the same loop at depth 1 (heap
+    entries compare as C-level tuples, never as Python objects)."""
+    depth, dispatches = 5_000, 50_000
+    assert _steady_heap_run(depth, dispatches).events_processed == dispatches
+    assert _steady_heap_run(1, dispatches).events_processed == dispatches
+
+    deep_s = _best_of(lambda: _steady_heap_run(depth, dispatches), repeats=5)
+    shallow_s = _best_of(lambda: _steady_heap_run(1, dispatches), repeats=5)
+    ratio = deep_s / shallow_s
+    _record_perf("simulator_deep_heap_5k_pending_50k_events", {
+        "deep_us_per_event": deep_s / dispatches * 1e6,
+        "shallow_us_per_event": shallow_s / dispatches * 1e6,
+        "deep_over_shallow": ratio,
+    })
+    print(f"\nsimulator 50k events: depth {depth} "
+          f"{deep_s / dispatches * 1e6:.2f} us/event, depth 1 "
+          f"{shallow_s / dispatches * 1e6:.2f} us/event ({ratio:.2f}x)")
+    assert ratio < 3.0
+
+
 @pytest.mark.perf
 def test_perf_goertzel_bank_vectorized_speedup():
     """The phasor-matrix bank must beat the scalar per-frequency loop

@@ -144,12 +144,18 @@ class FleetDispatcher:
         Two process-level failure shapes are survived, not propagated:
 
         * **a killed worker** (``os._exit``, OOM-kill, segfault) breaks
-          the whole ``ProcessPoolExecutor``; the dispatcher converts
-          the break into per-shard failed *attempts* (retried under the
-          usual budget), records one breaker failure per break event —
-          not one per casualty, or a single break would trip a
-          3-threshold breaker on its own — and rebuilds the pool once
-          per break (``dispatch.pool_rebuilds``);
+          the whole ``ProcessPoolExecutor`` and dooms every shard in
+          flight, so the break names no culprit.  A break with one
+          shard in flight is charged to that shard as a failed
+          *attempt* (retried under the usual budget).  A break that
+          dooms several shards refunds all of them and re-queues them
+          as *suspects*: a suspect waits for an empty pool and runs
+          alone, so an innocent co-runner of a poison shard never
+          spends its budget.  Either way the dispatcher records one
+          breaker failure per break event — not one per casualty, or a
+          single break would trip a 3-threshold breaker on its own —
+          and rebuilds the pool once per break
+          (``dispatch.pool_rebuilds``);
         * **a hung worker** would otherwise block ``wait`` forever;
           with ``shard_timeout`` set, a shard past its deadline is
           counted (``dispatch.shard_timeouts``), its worker killed
@@ -175,6 +181,8 @@ class FleetDispatcher:
         by_id = {shard.shard_id: shard for shard in shards}
         queue = list(shards)
         pending: dict = {}  # future -> (shard, deadline | None)
+        #: Shards doomed together by one break; each now runs alone.
+        suspects: set[int] = set()
 
         def _fail(shard: ShardSpec, error: str, fast: bool = False) -> None:
             failures.append(ShardFailure(
@@ -190,15 +198,27 @@ class FleetDispatcher:
             else:
                 _fail(shard, error)
 
+        def _refund(shard: ShardSpec) -> None:
+            self._m_casualties.inc()
+            attempts[shard.shard_id] -= 1
+            queue.append(by_id[shard.shard_id])
+
+        def _must_wait() -> bool:
+            """A suspect starts only on an empty pool, and nothing
+            starts beside it."""
+            if not (suspects and pending):
+                return False
+            return queue[0].shard_id in suspects or any(
+                shard.shard_id in suspects for shard, _d in pending.values()
+            )
+
         def _drain_casualties_and_rebuild() -> None:
             """Every still-pending future died with the pool; refund
             the innocents' attempts and put them back in line, then
             stand up a fresh pool."""
             nonlocal pool
-            for future, (shard, _deadline) in list(pending.items()):
-                self._m_casualties.inc()
-                attempts[shard.shard_id] -= 1
-                queue.append(by_id[shard.shard_id])
+            for shard, _deadline in pending.values():
+                _refund(shard)
             pending.clear()
             _terminate_pool(pool)
             pool = ProcessPoolExecutor(max_workers=workers)
@@ -209,7 +229,7 @@ class FleetDispatcher:
             while queue or pending:
                 # Keep at most `workers` in flight: pool breaks can
                 # then only hit work that was actually running.
-                while queue and len(pending) < workers:
+                while queue and len(pending) < workers and not _must_wait():
                     shard = queue.pop(0)
                     if not self.breaker.allow(self._clock()):
                         _fail(shard,
@@ -243,16 +263,16 @@ class FleetDispatcher:
                     wait_timeout = max(soonest - self._clock(), 0.0)
                 done, _ = wait(pending, timeout=wait_timeout,
                                return_when=FIRST_COMPLETED)
-                broken = False
+                broken: list[tuple[ShardSpec, str]] = []
                 for future in done:
                     shard, _deadline = pending.pop(future)
                     error = future.exception()
                     if error is None:
                         self.breaker.record_success(self._clock())
                         reports.append(future.result())
+                        suspects.discard(shard.shard_id)
                     elif isinstance(error, BrokenExecutor):
-                        broken = True
-                        _retry_or_fail(shard, repr(error))
+                        broken.append((shard, repr(error)))
                     else:
                         self.breaker.record_failure(self._clock())
                         _retry_or_fail(shard, repr(error))
@@ -260,6 +280,15 @@ class FleetDispatcher:
                     # One breaker failure per break *event*: the break
                     # is one fault, however many futures it doomed.
                     self.breaker.record_failure(self._clock())
+                    if len(broken) == 1 and not pending:
+                        # Alone in flight: the break is this shard's.
+                        _retry_or_fail(*broken[0])
+                    else:
+                        suspects.update(shard.shard_id for shard, _e in broken)
+                        suspects.update(shard.shard_id
+                                        for shard, _d in pending.values())
+                        for shard, _error in broken:
+                            _refund(shard)
                     _drain_casualties_and_rebuild()
                     continue
                 if shard_timeout is not None and pending:

@@ -32,16 +32,20 @@ class Match:
     protocol: Protocol | None = None
 
     def matches(self, packet: Packet, in_port: int) -> bool:
+        # Field by field, stopping at the first mismatch: this runs once
+        # per table entry per packet.
+        if self.in_port is not None and self.in_port != in_port:
+            return False
         flow = packet.flow
-        checks = (
-            (self.in_port, in_port),
-            (self.src_ip, flow.src_ip),
-            (self.dst_ip, flow.dst_ip),
-            (self.src_port, flow.src_port),
-            (self.dst_port, flow.dst_port),
-            (self.protocol, flow.protocol),
-        )
-        return all(want is None or want == got for want, got in checks)
+        if self.src_ip is not None and self.src_ip != flow.src_ip:
+            return False
+        if self.dst_ip is not None and self.dst_ip != flow.dst_ip:
+            return False
+        if self.src_port is not None and self.src_port != flow.src_port:
+            return False
+        if self.dst_port is not None and self.dst_port != flow.dst_port:
+            return False
+        return self.protocol is None or self.protocol == flow.protocol
 
     @classmethod
     def for_flow(cls, flow: FlowKey) -> "Match":

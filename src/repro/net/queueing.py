@@ -66,14 +66,16 @@ class PacketQueue:
 
     def enqueue(self, packet: Packet) -> bool:
         """Append a packet; returns False (and counts a drop) when full."""
-        if self.is_full:
+        items = self._items
+        if len(items) >= self.capacity:
             self.dropped += 1
             if self._obs is not None:
                 self._m_drops.inc()
             return False
-        self._items.append(packet)
+        items.append(packet)
         self.enqueued += 1
-        self.peak_length = max(self.peak_length, len(self._items))
+        if len(items) > self.peak_length:
+            self.peak_length = len(items)
         return True
 
     def dequeue(self) -> Packet | None:

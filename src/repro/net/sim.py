@@ -20,29 +20,53 @@ Two observability notes (DESIGN.md §5):
   latency histograms; ``run`` is wrapped in a ``sim.run`` trace span
   and the tracer is bound to this clock.  All of it costs one ``is
   not None`` check per event when disabled.
+
+Two layout notes for the event core:
+
+* The heap holds ``(time, sequence, Event)`` tuples, not bare events.
+  ``sequence`` is unique, so every sift is a C-level tuple compare that
+  settles on ``(time, sequence)`` and never reaches the :class:`Event`
+  (ties fire in scheduling order).  :meth:`Simulator.run` and
+  :meth:`Simulator.run_to_completion` share one dispatch loop.
+* :meth:`Simulator.schedule` routes through :meth:`Simulator.schedule_at`
+  rather than pushing onto the heap itself.  ``schedule_at`` is the one
+  public boundary every event crosses, so an outside tracer that wraps
+  it (the benchmark's per-layer ledger does) sees every event; a
+  shortcut in ``schedule`` would silently hide events from it.
 """
 
 from __future__ import annotations
 
-import heapq
 import itertools
+import math
 import time as _time
-from dataclasses import dataclass, field
+from heapq import heappop, heappush
 from typing import Any, Callable
 
 from .. import obs
 
 
-@dataclass(order=True)
 class Event:
-    """A scheduled callback.  Ordered by (time, sequence) so ties fire
-    in scheduling order."""
+    """A scheduled callback, as returned by :meth:`Simulator.schedule`.
 
-    time: float
-    sequence: int
-    callback: Callable[..., None] = field(compare=False)
-    args: tuple = field(compare=False, default=())
-    cancelled: bool = field(compare=False, default=False)
+    Ordering lives in the heap entry ``(time, sequence, event)``; the
+    event itself is never compared.
+    """
+
+    __slots__ = ("time", "sequence", "callback", "args", "cancelled")
+
+    def __init__(
+        self,
+        time: float,
+        sequence: int,
+        callback: Callable[..., None],
+        args: tuple,
+    ) -> None:
+        self.time = time
+        self.sequence = sequence
+        self.callback = callback
+        self.args = args
+        self.cancelled = False
 
     def cancel(self) -> None:
         """Prevent the event from firing (lazy removal from the heap)."""
@@ -61,7 +85,7 @@ class Simulator:
 
     def __init__(self) -> None:
         self.now = 0.0
-        self._heap: list[Event] = []
+        self._heap: list[tuple[float, int, Event]] = []
         self._sequence = itertools.count()
         self._events = obs.counter("sim.events_processed")
         self._obs = obs.get_registry()
@@ -87,6 +111,7 @@ class Simulator:
         """Run ``callback(*args)`` after ``delay`` seconds."""
         if delay < 0:
             raise ValueError(f"delay must be non-negative, got {delay}")
+        # Not a heap push of its own: schedule_at is the traced boundary.
         return self.schedule_at(self.now + delay, callback, *args)
 
     def schedule_at(
@@ -97,8 +122,9 @@ class Simulator:
             raise ValueError(
                 f"cannot schedule in the past (now={self.now}, requested={time})"
             )
-        event = Event(time, next(self._sequence), callback, args)
-        heapq.heappush(self._heap, event)
+        sequence = next(self._sequence)
+        event = Event(time, sequence, callback, args)
+        heappush(self._heap, (time, sequence, event))
         if self._obs is not None and len(self._heap) > self._heap_peak.value:
             self._heap_peak.set(len(self._heap))
         return event
@@ -133,40 +159,36 @@ class Simulator:
         """
         if until < self.now:
             raise ValueError(f"cannot run backwards (now={self.now}, until={until})")
-        observed = self._obs is not None
         with obs.span("sim.run", until=until):
-            while self._heap and self._heap[0].time <= until:
-                event = heapq.heappop(self._heap)
-                if event.cancelled:
-                    continue
-                self.now = event.time
-                self._events.inc()
-                if observed:
-                    self._dispatch_observed(event)
-                else:
-                    event.callback(*event.args)
+            self._dispatch(until, math.inf)
             self.now = until
 
     def run_to_completion(self, max_events: int = 1_000_000) -> None:
         """Drain the event heap entirely (bounded by ``max_events``)."""
-        remaining = max_events
+        self._dispatch(math.inf, max_events)
+        if self._heap:
+            raise RuntimeError(
+                f"simulation exceeded {max_events} events; likely a "
+                "timer loop that never stops"
+            )
+
+    def _dispatch(self, until: float, budget: float) -> None:
+        """Execute events due by ``until``, at most ``budget`` of them;
+        cancelled events are dropped without using the budget."""
+        heap = self._heap
+        events = self._events
         observed = self._obs is not None
-        while self._heap:
-            if remaining <= 0:
-                raise RuntimeError(
-                    f"simulation exceeded {max_events} events; likely a "
-                    "timer loop that never stops"
-                )
-            event = heapq.heappop(self._heap)
+        while budget > 0 and heap and heap[0][0] <= until:
+            time, _sequence, event = heappop(heap)
             if event.cancelled:
                 continue
-            self.now = event.time
-            self._events.inc()
+            self.now = time
+            events.value += 1
             if observed:
                 self._dispatch_observed(event)
             else:
                 event.callback(*event.args)
-            remaining -= 1
+            budget -= 1
 
     def _dispatch_observed(self, event: Event) -> None:
         """Execute one event with per-callback-site wall timing."""
@@ -184,7 +206,7 @@ class Simulator:
 
     def pending_events(self) -> int:
         """Number of not-yet-cancelled events still queued."""
-        return sum(1 for event in self._heap if not event.cancelled)
+        return sum(1 for entry in self._heap if not entry[2].cancelled)
 
 
 class PeriodicTimer:

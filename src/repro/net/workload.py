@@ -58,7 +58,7 @@ from .flowpop import (
     FlowPopulation,
 )
 from .host import Host
-from .packet import Packet, Protocol
+from .packet import FlowKey, Packet, Protocol
 from .sim import Simulator
 from .traffic import TrafficSource
 
@@ -357,6 +357,9 @@ class HostSink:
         self.host = host
         self.population = population
         self.packets_sent = 0
+        #: One key per static flow, built on its first packet: a static
+        #: flow's key never changes, so it is built and validated once.
+        self._static_keys: dict[int, FlowKey] = {}
 
     def emit_batch(self, times: np.ndarray, flow_idx: np.ndarray,
                    ks: np.ndarray, population: FlowPopulation) -> None:
@@ -366,8 +369,13 @@ class HostSink:
 
     def _send(self, i: int, k: int) -> None:
         population = self.population
+        key = self._static_keys.get(i)
+        if key is None:
+            key = population.flow_key(i, k)
+            if population.static[i]:
+                self._static_keys[i] = key
         packet = Packet(
-            population.flow_key(i, k),
+            key,
             size_bytes=int(population.packet_sizes[i]),
             created_at=self.host.sim.now,
         )

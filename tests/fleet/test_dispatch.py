@@ -204,6 +204,41 @@ def test_broken_pool_exhausting_attempts_is_a_counted_failure():
         failures[0].error.lower()
 
 
+def _exit_beside_co_runner(flag_dir: str, shard: ShardSpec) -> str:
+    """Shard 0 kills its worker while shard 1 is still running, every
+    time; shard 1 dawdles on its first attempt so the break catches it
+    in flight."""
+    started = os.path.join(flag_dir, "co-runner-started")
+    if shard.shard_id == 1 and not os.path.exists(started):
+        open(started, "w").close()
+        time.sleep(1.0)
+    if shard.shard_id == 0:
+        deadline = time.monotonic() + 10.0
+        while not os.path.exists(started) and time.monotonic() < deadline:
+            time.sleep(0.01)
+        os._exit(11)
+    return f"report-{shard.shard_id}"
+
+
+def test_break_with_co_runner_charges_only_the_lone_offender(tmp_path):
+    # Regression pin for the co-runner flake: one break dooms shards 0
+    # and 1 together.  Neither is charged; both re-run alone, where
+    # shard 0 breaks the pool by itself (charged, and with one attempt
+    # allowed, failed) and shard 1 completes.
+    dispatcher = FleetDispatcher(
+        breaker=CircuitBreaker("test.pool6", failure_threshold=10,
+                               recovery_timeout=60.0),
+        max_attempts=1,
+    )
+    runner = functools.partial(_exit_beside_co_runner, str(tmp_path))
+    reports, failures = dispatcher.run(SHARDS, runner, workers=2)
+    assert sorted(reports) == [f"report-{i}" for i in range(1, 4)]
+    assert [f.shard_id for f in failures] == [0]
+    assert failures[0].attempts == 1
+    assert dispatcher._m_casualties.value == 2
+    assert dispatcher._m_rebuilds.value == 2
+
+
 def test_hung_worker_is_timed_out_killed_and_retried(tmp_path):
     # Without shard_timeout this run would block forever on wait();
     # with it, the wedged worker is killed, counted, and the shard's

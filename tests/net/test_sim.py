@@ -1,8 +1,12 @@
 """Unit tests for the discrete-event simulator."""
 
-import pytest
+import itertools
 
-from repro.net import Simulator
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.net import Event, Simulator
 
 
 class TestScheduling:
@@ -183,3 +187,154 @@ class TestRunToCompletion:
         sim.schedule(0.0, forever)
         with pytest.raises(RuntimeError, match="exceeded"):
             sim.run_to_completion(max_events=100)
+
+
+class _ReferenceEvent:
+    def __init__(self, time, order, callback, args):
+        self.time, self.order = time, order
+        self.callback, self.args = callback, args
+        self.cancelled = False
+
+    def cancel(self):
+        self.cancelled = True
+
+
+class ReferenceSimulator:
+    """The event-order contract spelled out with a list scan: the next
+    event is the least ``(time, order of scheduling)``; cancelled events
+    are dropped when reached; periodic firings land on the
+    ``origin + n * interval`` grid and re-arm after their callback."""
+
+    def __init__(self):
+        self.now = 0.0
+        self.events_processed = 0
+        self._queue = []
+        self._order = itertools.count()
+
+    def schedule(self, delay, callback, *args):
+        return self.schedule_at(self.now + delay, callback, *args)
+
+    def schedule_at(self, time, callback, *args):
+        event = _ReferenceEvent(time, next(self._order), callback, args)
+        self._queue.append(event)
+        return event
+
+    def every(self, interval, callback, *args, start=None):
+        origin = self.now + interval if start is None else start
+        fired = [0]
+
+        def fire():
+            fired[0] += 1
+            callback(*args)
+            self.schedule_at(origin + fired[0] * interval, fire)
+
+        self.schedule_at(origin, fire)
+
+    def run(self, until):
+        while True:
+            due = [event for event in self._queue if event.time <= until]
+            if not due:
+                break
+            event = min(due, key=lambda e: (e.time, e.order))
+            self._queue.remove(event)
+            if event.cancelled:
+                continue
+            self.now = event.time
+            self.events_processed += 1
+            event.callback(*event.args)
+        self.now = until
+
+    def pending_events(self):
+        return sum(not event.cancelled for event in self._queue)
+
+
+# Few distinct, binary-exact times so ties (and exact grid hits) are
+# the common case rather than the exception.
+_TIMES = st.sampled_from([0.0, 0.25, 0.5, 1.0, 1.5])
+_ONE_SHOT = st.tuples(
+    st.sampled_from(["schedule", "schedule_at"]),
+    _TIMES,
+    # On firing: schedule a child at `now`, by either entry point.
+    st.sampled_from([None, "schedule", "schedule_at"]),
+    # On firing: cancel this one-shot handle (by index), if it exists.
+    st.one_of(st.none(), st.integers(min_value=0, max_value=24)),
+)
+_TIMER = st.tuples(
+    st.just("every"),
+    st.sampled_from([0.25, 0.5, 1.0]),
+    st.sampled_from([None, 0.0, 0.5]),
+)
+_PROGRAMS = st.lists(st.one_of(_ONE_SHOT, _TIMER), min_size=1, max_size=25)
+
+
+def _play(sim, program, cancels, mid, horizon):
+    """Drive ``sim`` through ``program``; returns what it observed."""
+    log = []
+    handles = []
+
+    def fire(label, child, target):
+        log.append(label)
+        if child == "schedule":
+            sim.schedule(0.0, log.append, label + "'")
+        elif child == "schedule_at":
+            sim.schedule_at(sim.now, log.append, label + "'")
+        if target is not None and target < len(handles):
+            handles[target].cancel()
+
+    for index, op in enumerate(program):
+        if op[0] == "every":
+            _kind, interval, start = op
+            sim.every(interval, log.append, f"T{index}", start=start)
+            continue
+        kind, time, child, target = op
+        entry = sim.schedule if kind == "schedule" else sim.schedule_at
+        handles.append(entry(time, fire, f"E{index}", child, target))
+    for index in cancels:
+        if index < len(handles):
+            handles[index].cancel()
+    sim.run(mid)
+    pending_mid = sim.pending_events()
+    sim.run(horizon)
+    return log, pending_mid, sim.pending_events(), sim.events_processed
+
+
+class TestEventOrderContract:
+    @settings(max_examples=150, deadline=None)
+    @given(_PROGRAMS,
+           st.sets(st.integers(min_value=0, max_value=24), max_size=6),
+           st.sampled_from([0.0, 0.25, 0.5, 1.0]))
+    def test_matches_reference_order(self, program, cancels, mid):
+        horizon = 2.0
+        log, pending_mid, pending_end, processed = _play(
+            Simulator(), program, cancels, mid, horizon)
+        expected = _play(ReferenceSimulator(), program, cancels, mid, horizon)
+        # Dispatch order is the reference sort by (time, scheduling order).
+        assert log == expected[0]
+        # pending_events() counts exactly the live, not-yet-run events.
+        assert (pending_mid, pending_end) == expected[1:3]
+        # Every dispatched event is counted once; cancelled ones never.
+        assert processed == expected[3] == len(log)
+
+    @pytest.mark.parametrize("entry", ["schedule", "schedule_at"])
+    def test_cancelling_a_returned_handle_suppresses_it(self, entry):
+        sim = Simulator()
+        log = []
+        handle = getattr(sim, entry)(0.5, log.append, "x")
+        sim.schedule(0.5, log.append, "y")
+        assert isinstance(handle, Event)
+        assert (handle.time, handle.callback, handle.args) == \
+            (0.5, log.append, ("x",))
+        assert handle.cancelled is False
+        handle.cancel()
+        assert handle.cancelled is True
+        assert sim.pending_events() == 1
+        sim.run(1.0)
+        assert log == ["y"]
+        assert sim.events_processed == 1
+        assert sim.pending_events() == 0
+
+    def test_sequence_numbers_follow_scheduling_order(self):
+        sim = Simulator()
+        first = sim.schedule(1.0, lambda: None)
+        second = sim.schedule_at(0.5, lambda: None)
+        assert second.sequence > first.sequence
