@@ -19,8 +19,11 @@ bench:
 # appended as JSON to .benchmarks/micro_perf.json (override with
 # MICRO_BENCH_JSON=path); the channel render timings are additionally
 # written to .benchmarks/BENCH_channel.json (override with
-# BENCH_CHANNEL_JSON=path).
+# BENCH_CHANNEL_JSON=path).  BLAS is pinned to one thread, as
+# bench/run.py pins it for its children: a multi-threaded OpenBLAS
+# oversubscribes a small host and swamps the Goertzel bank timings.
 bench-micro:
+	OPENBLAS_NUM_THREADS=1 \
 	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} $(PYTHON) -m pytest \
 		benchmarks/test_micro_performance.py -m perf -q -s
 

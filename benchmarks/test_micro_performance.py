@@ -670,42 +670,45 @@ def test_perf_workload_driver_vs_perflow_sources():
 
 @pytest.mark.perf
 def test_perf_fleet_supervisor_disabled_overhead():
-    """Acceptance gate for the self-healing layer: a supervised run
-    with no fault plan, no hedging and no deadlines must produce the
-    bit-identical fleet report within 5% of the plain serial driver's
-    wall-clock (recovery machinery must be free when unused)."""
+    """Acceptance gate for the self-healing loop: a serial ``run_fleet``
+    with no fault plan, no hedging, no deadline and no checkpoint dir
+    must produce the bit-identical fleet report within 5% of a bare
+    in-process loop over the shard executor (recovery machinery must
+    be free when unused)."""
     from repro.fleet import (
         FleetSpec,
-        SupervisorPolicy,
+        ShardJob,
+        build_fleet_report,
         run_fleet,
-        run_fleet_supervised,
+        run_shard_job,
     )
 
     spec = FleetSpec(num_rooms=6, switches_per_room=4,
                      horizon=1.0, seed=17)
-    policy = SupervisorPolicy(checkpoint=False)
 
-    plain = run_fleet(spec, num_shards=2, backend="serial")
-    supervised = run_fleet_supervised(spec, num_shards=2,
-                                      backend="serial", policy=policy)
+    def bare():
+        start = time.perf_counter()
+        shards = [run_shard_job(ShardJob(shard=shard))
+                  for shard in spec.shard_specs(2)]
+        return build_fleet_report(spec, "serial", 2, 1, shards, [],
+                                  time.perf_counter() - start)
+
+    supervised = run_fleet(spec, num_shards=2, backend="serial")
     assert (supervised.identity_signature()
-            == plain.identity_signature()), \
+            == bare().identity_signature()), \
         "idle supervisor changed the result"
 
-    plain_s = _best_of(
+    bare_s = _best_of(bare, repeats=3)
+    supervised_s = _best_of(
         lambda: run_fleet(spec, num_shards=2, backend="serial"),
         repeats=3)
-    supervised_s = _best_of(
-        lambda: run_fleet_supervised(spec, num_shards=2,
-                                     backend="serial", policy=policy),
-        repeats=3)
-    overhead = supervised_s / plain_s - 1.0
+    overhead = supervised_s / bare_s - 1.0
     _record_perf("fleet_supervisor_idle_overhead_6rooms_serial", {
-        "plain_ms": plain_s * 1e3,
+        "bare_ms": bare_s * 1e3,
         "supervised_ms": supervised_s * 1e3,
         "idle_overhead": overhead,
     })
     print(f"\nidle supervisor overhead 6 rooms serial: "
-          f"plain {plain_s*1e3:.1f} ms, "
-          f"supervised {supervised_s*1e3:.1f} ms ({overhead:+.1%})")
+          f"bare loop {bare_s*1e3:.1f} ms, "
+          f"run_fleet {supervised_s*1e3:.1f} ms ({overhead:+.1%})")
     assert overhead < 0.05

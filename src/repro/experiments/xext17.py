@@ -1,8 +1,8 @@
 """XEXT17 — chaos sweep: exact recovery under process-level faults.
 
 XEXT15 proved the fleet scales out; this experiment proves it scales
-out *on unreliable workers*.  The :class:`~repro.fleet.supervisor.
-FleetSupervisor` drives the same sharded fleet while
+out *on unreliable workers*.  The self-healing
+:func:`~repro.fleet.run_fleet` loop drives the same sharded fleet while
 :class:`~repro.faults.process.ProcessFaultPlan` injects the four
 canonical process faults — crashes (soft exceptions and hard
 ``os._exit`` pool breaks), stragglers, poisoned reports and duplicate
@@ -26,11 +26,12 @@ from __future__ import annotations
 
 import json
 import os
+import tempfile
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from ..faults.process import ProcessFaultPlan
-from ..fleet import FleetSpec, SupervisorPolicy, run_fleet, run_fleet_supervised
+from ..fleet import FleetReport, FleetSpec, SupervisorPolicy, run_fleet
 
 #: Seed for every xext17 fleet (PR sequence number, like XEXT15_SEED).
 XEXT17_SEED = 17
@@ -77,9 +78,10 @@ class Xext17Result:
     num_shards: int
     workers: int
     cpu_count: int
-    #: Plain (unsupervised) serial reference wall-clock.
+    #: Fault-free serial reference wall-clock (one shard, no spill).
     serial_wall_s: float
-    #: Supervised, fault-free wall-clock — the overhead denominator.
+    #: Fault-free process-pool wall-clock under the chaos policy and
+    #: checkpoint spill — the overhead denominator.
     baseline_wall_s: float
     #: The fault-free supervised run matched the serial reference.
     baseline_identical: bool
@@ -142,10 +144,17 @@ def chaos_experiment(smoke: bool = False,
         shard_deadline_s=30.0,
     )
 
-    baseline = run_fleet_supervised(
-        spec, num_shards=num_shards, backend="process", workers=workers,
-        policy=policy, seed=seed,
-    )
+    def supervised(plan: ProcessFaultPlan | None) -> FleetReport:
+        # A fresh spill directory per run, so no run resumes rooms
+        # another run finished.
+        with tempfile.TemporaryDirectory(prefix="repro-xext17-") as spill:
+            return run_fleet(
+                spec, num_shards=num_shards, backend="process",
+                workers=workers, faults=plan, policy=policy,
+                checkpoint_dir=spill, seed=seed,
+            )
+
+    baseline = supervised(None)
     baseline_wall = baseline.wall_s or 1e-9
     baseline_identical = baseline.identity_signature() == reference
 
@@ -165,10 +174,7 @@ def chaos_experiment(smoke: bool = False,
 
     points: list[ChaosPoint] = []
     for name, plan in mixes:
-        report = run_fleet_supervised(
-            spec, num_shards=num_shards, backend="process",
-            workers=workers, faults=plan, policy=policy, seed=seed,
-        )
+        report = supervised(plan)
         stats = report.supervisor
         points.append(ChaosPoint(
             name=name,

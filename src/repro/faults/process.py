@@ -12,7 +12,7 @@ crash             dies mid-shard — either by raising
                   :class:`SimulatedWorkerCrash` (the pool surfaces a
                   per-future exception) or, in ``hard`` mode, by
                   ``os._exit`` (the whole ``ProcessPoolExecutor``
-                  breaks, the worst case the dispatcher must survive)
+                  breaks, the worst case the fleet loop must survive)
 hang/straggler    sleeps ``straggler_delay_s`` of real wall time before
                   doing any work — the slow-worker shape hedging exists
                   for

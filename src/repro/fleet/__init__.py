@@ -7,11 +7,9 @@ with its own Simulator, AcousticChannel and MDNController) is cut into
 contiguous shards and executed either serially (the bit-identical
 reference) or on a process pool, with per-room metrics rolled up into
 one fleet-wide :class:`~repro.obs.MetricsRegistry` via the new merge
-support.  Dispatch rides the PR 6 infra primitives: token-bucket
-admission pacing and a circuit breaker that turns a poisoned pool into
-counted shard failures instead of a crashed run.
+support.
 
-Entry points::
+Entry point::
 
     from repro.fleet import FleetSpec, run_fleet
 
@@ -21,24 +19,22 @@ Entry points::
     assert serial.identity_signature() == fanned.identity_signature()
     print(fanned.metrics.report())
 
-The xext15 experiment (``python -m repro run xext15``) sweeps shard
-count against wall-clock over exactly this API.
-
-PR 10 adds the self-healing layer on top: a
-:class:`~repro.fleet.supervisor.FleetSupervisor` that survives
-crashing, hanging, poisoning and duplicating workers (see
-:mod:`repro.faults.process`) with hedged re-execution, room-granular
-checkpoint resume (:class:`~repro.fleet.checkpoint.CheckpointStore`),
-bounded retries and per-shard quarantine — while keeping
-``identity_signature()`` bit-identical to the fault-free serial
-reference.  The xext17 chaos sweep (``python -m repro run xext17``)
-measures exactly that contract.
+:func:`run_fleet` is the fleet's one execution loop
+(:mod:`repro.fleet.supervisor`), and it is self-healing on both
+backends: it survives crashing, hanging, poisoning and duplicating
+workers (see :mod:`repro.faults.process`) with hedged re-execution,
+room-granular checkpoint resume
+(:class:`~repro.fleet.checkpoint.CheckpointStore`), bounded retries
+and per-shard quarantine — while keeping ``identity_signature()``
+bit-identical to the fault-free serial reference.  The xext15
+experiment (``python -m repro run xext15``) sweeps shard count against
+wall-clock; the xext17 chaos sweep (``python -m repro run xext17``)
+measures the exactness contract under injected faults.
 """
 
 from __future__ import annotations
 
 from .checkpoint import CheckpointError, CheckpointStore
-from .dispatch import FleetDispatcher, ShardFailure
 from .room import RoomReport, run_room
 from .runner import (
     FLEET_GAUGE_POLICY,
@@ -46,14 +42,12 @@ from .runner import (
     ShardReport,
     build_fleet_report,
     merge_fleet_metrics,
-    run_fleet,
-    run_shard,
 )
 from .supervisor import (
-    FleetSupervisor,
+    ShardFailure,
     SupervisorPolicy,
     SupervisorStats,
-    run_fleet_supervised,
+    run_fleet,
     validate_shard_report,
 )
 from .worker import ShardJob, run_shard_job
@@ -76,10 +70,8 @@ __all__ = [
     "CheckpointStore",
     "FaultPlan",
     "FleetConfigError",
-    "FleetDispatcher",
     "FleetReport",
     "FleetSpec",
-    "FleetSupervisor",
     "RoomReport",
     "RoomSpec",
     "ShardFailure",
@@ -92,9 +84,7 @@ __all__ = [
     "ensure_picklable",
     "merge_fleet_metrics",
     "run_fleet",
-    "run_fleet_supervised",
     "run_room",
-    "run_shard",
     "run_shard_job",
     "validate_shard_report",
 ]

@@ -1,18 +1,12 @@
-"""The fleet driver: shard execution backends and merged observability.
+"""Fleet results: shard and fleet reports, merged observability.
 
-Two backends, same pattern as the channel's ``render_at`` /
-``render_at_reference`` pair:
-
-* ``backend="serial"`` — the in-process reference: every shard runs in
-  this interpreter, in shard order.  Slow, obviously correct.
-* ``backend="process"`` — a ``ProcessPoolExecutor`` fan-out through
-  :class:`~repro.fleet.dispatch.FleetDispatcher` (token-bucket paced,
-  circuit-breaker guarded).  Rooms are acoustically isolated, so
-  shards share no state and the pool is embarrassingly parallel.
-
-Both produce the same :class:`FleetReport`: per-room results merged in
-global room order, with the new ``MetricsRegistry.merge`` rolling every
-shard's simulation-deterministic metrics into one fleet-wide registry.
+Every execution — serial or process backend, any shard count, any
+recovered fault schedule — ends in the same :class:`FleetReport`,
+assembled by :func:`build_fleet_report` from the :class:`ShardReport`
+of every shard the loop in :mod:`repro.fleet.supervisor` merged.
+Per-room results are merged in global room order, with
+``MetricsRegistry.merge`` rolling every room's
+simulation-deterministic metrics into one fleet-wide registry.
 ``FleetReport.identity_signature()`` is the equality contract the
 tests pin: serial and process backends — at any shard count — must
 match it exactly.
@@ -21,13 +15,15 @@ match it exactly.
 from __future__ import annotations
 
 import os
-import time as _time
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from ..obs import MetricsRegistry
-from .dispatch import FleetDispatcher, ShardFailure
-from .room import RoomReport, run_room
-from .specs import FleetSpec, ShardSpec
+from .room import RoomReport
+from .specs import FleetSpec
+
+if TYPE_CHECKING:
+    from .supervisor import ShardFailure, SupervisorStats
 
 #: Gauges roll up with the peak policy fleet-wide (the one gauge the
 #: rooms emit is a peak; last-write across isolated rooms would be
@@ -48,9 +44,8 @@ class ShardReport:
     rooms: list[RoomReport]
     metrics: MetricsRegistry
     wall_s: float = 0.0
-    #: Rooms loaded from checkpoint spill instead of simulated (only
-    #: ever non-zero under the supervisor; execution detail, excluded
-    #: from identity).
+    #: Rooms loaded from checkpoint spill instead of simulated
+    #: (execution detail, excluded from identity).
     rooms_resumed: int = 0
     #: Which execution attempt produced this report (0 = first try).
     attempt: int = 0
@@ -73,25 +68,6 @@ class ShardReport:
         return self.delivered / emissions if emissions else 0.0
 
 
-def run_shard(spec: ShardSpec) -> ShardReport:
-    """Execute one shard's rooms sequentially (the worker entry point).
-
-    Must stay a module-level function: the process backend pickles it
-    by reference into every worker.
-    """
-    wall_start = _time.perf_counter()
-    rooms = [run_room(room_spec) for room_spec in spec.rooms]
-    metrics = MetricsRegistry()
-    for room in rooms:
-        metrics.merge(room.metrics, gauge_policy=FLEET_GAUGE_POLICY)
-    return ShardReport(
-        shard_id=spec.shard_id,
-        rooms=rooms,
-        metrics=metrics,
-        wall_s=_time.perf_counter() - wall_start,
-    )
-
-
 @dataclass
 class FleetReport:
     """The merged view of one fleet execution."""
@@ -106,11 +82,10 @@ class FleetReport:
     metrics: MetricsRegistry
     wall_s: float = 0.0
     cpu_count: int = field(default_factory=lambda: os.cpu_count() or 1)
-    #: Recovery accounting when the run was supervised (see
-    #: :class:`repro.fleet.supervisor.SupervisorStats`); ``None`` for
-    #: plain ``run_fleet`` executions.  Execution detail — excluded
+    #: The run's recovery accounting (``None`` only for a report
+    #: assembled outside ``run_fleet``).  Execution detail — excluded
     #: from the identity signature like every wall-clock field.
-    supervisor: object | None = None
+    supervisor: SupervisorStats | None = None
 
     @property
     def rooms(self) -> list[RoomReport]:
@@ -167,8 +142,7 @@ def merge_fleet_metrics(reports: list[ShardReport]) -> MetricsRegistry:
     per-shard rollups: float summation is non-associative, so a
     hierarchical rollup would make the merged histogram mean depend
     on the shard count in the last ulp — breaking the bit-identity
-    contract between shard counts (and between the plain and
-    supervised drivers, which share this helper for the same reason).
+    contract between shard counts.
     """
     metrics = MetricsRegistry()
     ordered = sorted(
@@ -188,11 +162,11 @@ def build_fleet_report(
     shards: list[ShardReport],
     failures: list[ShardFailure],
     wall_s: float,
-    supervisor: object | None = None,
+    supervisor: SupervisorStats | None = None,
 ) -> FleetReport:
-    """Assemble the merged report both drivers return (shards and
-    failures are re-sorted by shard id so caller completion order can
-    never leak into the result)."""
+    """Assemble the merged report (shards and failures are re-sorted
+    by shard id so completion order can never leak into the
+    result)."""
     shards = sorted(shards, key=lambda report: report.shard_id)
     failures = sorted(failures, key=lambda failure: failure.shard_id)
     return FleetReport(
@@ -205,57 +179,4 @@ def build_fleet_report(
         metrics=merge_fleet_metrics(shards),
         wall_s=wall_s,
         supervisor=supervisor,
-    )
-
-
-def run_fleet(
-    spec: FleetSpec,
-    num_shards: int = 1,
-    backend: str = "serial",
-    workers: int | None = None,
-    dispatcher: FleetDispatcher | None = None,
-    shard_timeout: float | None = None,
-) -> FleetReport:
-    """Partition the fleet into shards and execute them.
-
-    Parameters
-    ----------
-    spec:
-        The fleet topology.
-    num_shards:
-        How many contiguous room-groups to cut the fleet into.
-    backend:
-        ``"serial"`` (reference) or ``"process"`` (pool).
-    workers:
-        Pool width for the process backend; defaults to ``num_shards``.
-    dispatcher:
-        Guardrail configuration; a default (no admission pacing,
-        3-failure breaker, one retry) is built when omitted.
-    shard_timeout:
-        Optional per-shard wall-clock deadline for the process
-        backend: a worker hung past it is killed (pool rebuild) and
-        the shard retried/failed under the usual attempt accounting,
-        so one wedged worker can never block the run forever.  Default
-        ``None`` keeps the historical wait-forever behavior.
-    """
-    if backend not in ("serial", "process"):
-        raise ValueError(f"unknown fleet backend {backend!r}")
-    wall_start = _time.perf_counter()
-    shard_specs = spec.shard_specs(num_shards)
-    dispatcher = dispatcher or FleetDispatcher()
-    if backend == "serial":
-        reports, failures = dispatcher.run_serial(shard_specs, run_shard)
-    else:
-        reports, failures = dispatcher.run(
-            shard_specs, run_shard, workers=workers or num_shards,
-            shard_timeout=shard_timeout,
-        )
-    return build_fleet_report(
-        spec=spec,
-        backend=backend,
-        num_shards=num_shards,
-        workers=(workers or num_shards) if backend == "process" else 1,
-        shards=reports,
-        failures=failures,
-        wall_s=_time.perf_counter() - wall_start,
     )

@@ -1,11 +1,21 @@
-"""``FleetSupervisor`` — self-healing shard execution with exact recovery.
+"""``run_fleet`` — the fleet's one execution loop, self-healing and exact.
 
-The plain :class:`~repro.fleet.dispatch.FleetDispatcher` assumes a
-mostly well-behaved pool: it retries dead workers and fast-fails
-poisoned shards, but a *hung* worker stalls the run and every failure
-costs a full shard recompute.  The supervisor is the production
-answer, built from the same PR 6 primitives the acoustic links already
-ride:
+:func:`run_fleet` cuts a :class:`~repro.fleet.specs.FleetSpec` into
+contiguous shards and drives every attempt at every shard through a
+single event loop, on either backend:
+
+* ``backend="serial"`` — each attempt runs to completion in this
+  interpreter the moment it is submitted: the obviously-correct
+  reference.  Nothing ever races, so hedges and deadlines never fire,
+  and a hard crash is downgraded to the exception-shaped one (the
+  driver's own interpreter is not disposable);
+* ``backend="process"`` — a ``ProcessPoolExecutor`` with at most
+  ``workers`` attempts in flight, so a pool break can only ever doom
+  work that was actually running.
+
+The loop survives crashing, hanging, poisoning and duplicating
+workers (see :mod:`repro.faults.process`) with the same recovery on
+both backends:
 
 * **heartbeat/deadline straggler detection** — every in-flight attempt
   carries its submission time; one past ``hedge_after_s`` gets a
@@ -14,26 +24,33 @@ ride:
   ``hedges_wasted``, never merged), and one past ``shard_deadline_s``
   is abandoned: the pool is killed and rebuilt (checkpoints make the
   collateral cheap) and the shard retried;
-* **room-granular checkpointing** — workers spill every finished
-  :class:`~repro.fleet.room.RoomReport` through the
-  :class:`~repro.fleet.checkpoint.CheckpointStore`, so a retry of a
-  shard that died 9 rooms into 10 simulates one room, not ten
-  (``rooms_resumed`` counts the savings);
-* **bounded retries** — failed attempts re-enter the queue along a
-  :class:`~repro.infra.RetryPolicy` schedule (the same unified policy
-  ARQ retransmits under), capped by ``max_attempts``;
+* **pool breaks** — a killed worker (``os._exit``, OOM-kill, segfault)
+  breaks the whole pool and dooms every attempt in it, so the break
+  names no culprit.  A break that dooms one attempt charges that
+  attempt a crash.  A break that dooms several charges none of them:
+  each doomed shard becomes a *suspect* that re-runs alone, where a
+  break is unambiguously its own.  Either way the pool is rebuilt once
+  per break;
+* **room-granular checkpointing** — given a ``checkpoint_dir``,
+  workers spill every finished :class:`~repro.fleet.room.RoomReport`
+  through the :class:`~repro.fleet.checkpoint.CheckpointStore`, so a
+  retry of a shard that died 9 rooms into 10 simulates one room, not
+  ten (``rooms_resumed`` counts the savings);
+* **bounded retries** — failed attempts re-enter the queue along the
+  :data:`RETRY_POLICY` schedule (the same unified policy ARQ
+  retransmits under), capped by ``max_attempts``;
 * **quarantine** — each shard owns a :class:`~repro.infra.
   CircuitBreaker`; a repeat offender whose breaker trips is recorded
-  as a quarantined :class:`~repro.fleet.dispatch.ShardFailure` instead
-  of burning the remaining attempt budget;
+  as a quarantined :class:`ShardFailure` instead of burning the
+  remaining attempt budget;
 * **integrity validation** — a result is merged only if it is a
   well-formed :class:`ShardReport` for the right shard with exactly
   the right rooms; a poisoned result is a counted failure, never a
   corrupted fleet report.
 
 The headline guarantee is **exact recovery**: rooms are deterministic
-and the supervisor only ever re-executes, resumes, or discards them —
-so under *any* injected schedule of crashes, hangs, poisons and
+and the loop only ever re-executes, resumes, or discards them — so
+under *any* injected schedule of crashes, hangs, poisons and
 duplicates it recovers from, ``FleetReport.identity_signature()``
 equals the fault-free serial reference bit-for-bit.  Recovery changes
 wall-clock, never results.  XEXT17 sweeps exactly this contract.
@@ -45,29 +62,32 @@ instruments (zero-overhead-when-disabled as usual) and returned on
 
 from __future__ import annotations
 
-import shutil
-import tempfile
 import time as _time
 from concurrent.futures import (
     FIRST_COMPLETED,
     BrokenExecutor,
+    Future,
     ProcessPoolExecutor,
     wait,
 )
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .. import obs
-from ..faults.process import (
-    ProcessFaultPlan,
-    SimulatedWorkerCrash,
-    shard_fault_decision,
-)
+from ..faults.process import ProcessFaultPlan, shard_fault_decision
 from ..infra import CircuitBreaker, RetryPolicy
-from .dispatch import ShardFailure, _terminate_pool
 from .room import RoomReport
 from .runner import FleetReport, ShardReport, build_fleet_report
 from .specs import FleetSpec, ShardSpec, ensure_picklable
 from .worker import ShardJob, run_shard_job
+
+#: Hedges allowed per shard (each consumes an attempt).
+MAX_HEDGES_PER_SHARD = 1
+
+#: Backoff schedule for retry *delays* (not counts — counts are
+#: ``max_attempts``).  Deadline generous: giving up is the attempt
+#: budget's job.
+RETRY_POLICY = RetryPolicy(initial_timeout=0.02, backoff=2.0,
+                           max_timeout=0.25, deadline=600.0)
 
 
 @dataclass(frozen=True)
@@ -81,24 +101,12 @@ class SupervisorPolicy:
     #: Age (seconds) past which a sole in-flight attempt gets a hedged
     #: re-execution.  ``None`` disables hedging.
     hedge_after_s: float | None = None
-    #: Hedges allowed per shard (each consumes an attempt).
-    max_hedges_per_shard: int = 1
     #: Hard per-attempt deadline: an attempt older than this is
     #: abandoned and its worker killed.  ``None`` disables.
     shard_deadline_s: float | None = None
-    #: Backoff schedule for retry *delays* (not counts — counts are
-    #: ``max_attempts``).  Deadline generous by default: giving up is
-    #: the attempt budget's job.
-    retry_policy: RetryPolicy = field(default_factory=lambda: RetryPolicy(
-        initial_timeout=0.02, backoff=2.0, max_timeout=0.25, deadline=600.0,
-    ))
     #: Consecutive failures that quarantine a shard (its breaker's
     #: failure threshold).
     quarantine_threshold: int = 4
-    #: Spill finished rooms so retries resume instead of recomputing.
-    checkpoint: bool = True
-    #: Event-loop wake interval when nothing sooner is scheduled.
-    poll_interval_s: float = 0.05
 
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
@@ -108,11 +116,6 @@ class SupervisorPolicy:
         if self.hedge_after_s is not None and self.hedge_after_s <= 0:
             raise ValueError(
                 f"hedge_after_s must be positive, got {self.hedge_after_s}"
-            )
-        if self.max_hedges_per_shard < 0:
-            raise ValueError(
-                f"max_hedges_per_shard must be >= 0, "
-                f"got {self.max_hedges_per_shard}"
             )
         if self.shard_deadline_s is not None and self.shard_deadline_s <= 0:
             raise ValueError(
@@ -124,17 +127,12 @@ class SupervisorPolicy:
                 f"quarantine_threshold must be >= 1, "
                 f"got {self.quarantine_threshold}"
             )
-        if self.poll_interval_s <= 0:
-            raise ValueError(
-                f"poll_interval_s must be positive, "
-                f"got {self.poll_interval_s}"
-            )
 
 
 @dataclass
 class SupervisorStats:
-    """Recovery accounting for one supervised run (execution detail —
-    never part of the identity signature)."""
+    """Recovery accounting for one run (execution detail — never part
+    of the identity signature)."""
 
     backend: str = "process"
     workers: int = 1
@@ -152,6 +150,18 @@ class SupervisorStats:
     pool_rebuilds: int = 0
     shards_quarantined: int = 0
     shards_failed: int = 0
+
+
+@dataclass
+class ShardFailure:
+    """One shard that never produced a report."""
+
+    shard_id: int
+    error: str
+    attempts: int
+    #: True when the shard's breaker tripped (a repeat offender)
+    #: rather than its attempt budget running out.
+    quarantined: bool = False
 
 
 def validate_shard_report(report: object, shard: ShardSpec) -> str | None:
@@ -173,6 +183,44 @@ def validate_shard_report(report: object, shard: ShardSpec) -> str | None:
     return None
 
 
+def _terminate_pool(pool) -> None:
+    """Shut a pool down even if its workers are wedged.
+
+    ``shutdown(wait=True)`` on a pool with a hung worker blocks
+    forever, so the workers are terminated first; joining the corpses
+    afterwards is prompt.  Reaches into ``_processes`` — a CPython
+    implementation detail, but the only eviction mechanism
+    ``ProcessPoolExecutor`` has, and guarded so a future stdlib rename
+    degrades to a plain (possibly blocking) shutdown rather than a
+    crash.
+    """
+    processes = getattr(pool, "_processes", None) or {}
+    for process in list(processes.values()):
+        try:
+            if process.is_alive():
+                process.terminate()
+        except Exception:  # pragma: no cover - best-effort teardown
+            pass
+    pool.shutdown(wait=True, cancel_futures=True)
+
+
+class _InlineExecutor:
+    """The serial backend's pool: ``submit`` runs the job to completion
+    in this interpreter and hands back a finished future, so one loop
+    drives both backends."""
+
+    def submit(self, fn, job) -> Future:
+        future = Future()
+        try:
+            future.set_result(fn(job))
+        except Exception as exc:  # a worker's death, as the pool reports it
+            future.set_exception(exc)
+        return future
+
+    def shutdown(self, wait: bool = True, cancel_futures: bool = False) -> None:
+        pass
+
+
 class _Flight:
     """One in-flight execution attempt."""
 
@@ -191,20 +239,26 @@ class _Flight:
 
 
 class _ShardState:
-    """Supervisor-side bookkeeping for one shard."""
+    """Loop-side bookkeeping for one shard."""
 
     __slots__ = ("spec", "attempts", "hedges", "report", "failure",
                  "schedule", "breaker", "inflight", "ready_at",
                  "exhausted_error")
 
-    def __init__(self, spec: ShardSpec, breaker: CircuitBreaker) -> None:
+    def __init__(self, spec: ShardSpec, quarantine_threshold: int) -> None:
         self.spec = spec
         self.attempts = 0          # executions started (hedges included)
         self.hedges = 0
         self.report: ShardReport | None = None
         self.failure: ShardFailure | None = None
         self.schedule = None       # RetrySchedule, lazily created
-        self.breaker = breaker
+        # Recovery timeout far beyond any run length: quarantine is
+        # final for the run, there is no half-open re-probe of a shard.
+        self.breaker = CircuitBreaker(
+            f"fleet.shard{spec.shard_id}",
+            failure_threshold=quarantine_threshold,
+            recovery_timeout=86_400.0,
+        )
         self.inflight = 0
         self.ready_at: float | None = 0.0   # next submission time
         self.exhausted_error: str | None = None
@@ -214,504 +268,417 @@ class _ShardState:
         return self.report is not None or self.failure is not None
 
 
-class FleetSupervisor:
-    """Self-healing driver over both fleet backends.
+class _FleetLoop:
+    """One run's shard states, executor and recovery decisions."""
 
-    ``backend="process"`` is the real thing: a worker pool with
-    hedging, deadlines, pool rebuilds and checkpoint resume.
-    ``backend="serial"`` runs the same fault model, validation,
-    retry/quarantine and checkpoint machinery in-process — no hedging
-    or deadlines (there is nobody to race), hard crashes downgraded to
-    soft (the driver's interpreter is not disposable) — which is what
-    makes property tests over fault schedules cheap.
-    """
-
-    def __init__(self, policy: SupervisorPolicy | None = None,
-                 checkpoint_dir: str | None = None) -> None:
-        self.policy = policy or SupervisorPolicy()
+    def __init__(self, shard_specs: tuple[ShardSpec, ...], backend: str,
+                 workers: int, faults: ProcessFaultPlan | None,
+                 policy: SupervisorPolicy, checkpoint_dir: str | None,
+                 seed: int) -> None:
+        self.policy = policy
+        self.process = backend == "process"
+        #: In-flight cap: the pool width (one at a time when serial).
+        self.width = workers if self.process else 1
+        self.faults = faults
+        self.seed = seed
         self.checkpoint_dir = checkpoint_dir
-        self._m_crashes = obs.counter("fleet.supervisor.crashes_detected")
-        self._m_hedged = obs.counter("fleet.supervisor.stragglers_hedged")
-        self._m_hedges_wasted = obs.counter("fleet.supervisor.hedges_wasted")
-        self._m_resumed = obs.counter("fleet.supervisor.rooms_resumed")
-        self._m_poisoned = obs.counter("fleet.supervisor.poisoned_reports")
-        self._m_dup_dropped = obs.counter(
-            "fleet.supervisor.duplicates_dropped")
-        self._m_retries = obs.counter("fleet.supervisor.retries")
-        self._m_deadline_kills = obs.counter(
-            "fleet.supervisor.deadline_kills")
-        self._m_rebuilds = obs.counter("fleet.supervisor.pool_rebuilds")
-        self._m_quarantined = obs.counter(
-            "fleet.supervisor.shards_quarantined")
-
-    # ------------------------------------------------------------------
-
-    def run(
-        self,
-        spec: FleetSpec,
-        num_shards: int = 1,
-        backend: str = "process",
-        workers: int | None = None,
-        faults: ProcessFaultPlan | None = None,
-        seed: int | None = None,
-    ) -> FleetReport:
-        """Execute the fleet under supervision and return the merged
-        report (``report.supervisor`` carries the recovery stats)."""
-        if backend not in ("serial", "process"):
-            raise ValueError(f"unknown fleet backend {backend!r}")
-        wall_start = _time.perf_counter()
-        seed = spec.seed if seed is None else seed
-        shard_specs = spec.shard_specs(num_shards)
-        workers = workers or num_shards
-        stats = SupervisorStats(backend=backend, workers=workers)
-        ckpt_dir, ckpt_is_temp = self._checkpoint_dir()
-        try:
-            if backend == "serial":
-                reports, failures = self._run_serial(
-                    shard_specs, faults, seed, ckpt_dir, stats)
-            else:
-                reports, failures = self._run_process(
-                    shard_specs, workers, faults, seed, ckpt_dir, stats)
-        finally:
-            if ckpt_is_temp and ckpt_dir is not None:
-                shutil.rmtree(ckpt_dir, ignore_errors=True)
-        stats.shards_failed = len(failures)
-        return build_fleet_report(
-            spec=spec,
-            backend=backend,
-            num_shards=num_shards,
-            workers=workers if backend == "process" else 1,
-            shards=reports,
-            failures=failures,
-            wall_s=_time.perf_counter() - wall_start,
-            supervisor=stats,
-        )
-
-    def _checkpoint_dir(self) -> tuple[str | None, bool]:
-        if not self.policy.checkpoint:
-            return None, False
-        if self.checkpoint_dir is not None:
-            return str(self.checkpoint_dir), False
-        return tempfile.mkdtemp(prefix="repro-fleet-ckpt-"), True
-
-    def _breaker(self, shard_id: int) -> CircuitBreaker:
-        # Recovery timeout far beyond any run length: quarantine is
-        # final for the run, there is no half-open re-probe of a shard.
-        return CircuitBreaker(
-            f"fleet.shard{shard_id}",
-            failure_threshold=self.policy.quarantine_threshold,
-            recovery_timeout=86_400.0,
-        )
-
-    # ------------------------------------------------------------------
-    # serial backend
-    # ------------------------------------------------------------------
-
-    def _run_serial(self, shard_specs, faults, seed, ckpt_dir, stats):
-        policy = self.policy
-        reports: list[ShardReport] = []
-        failures: list[ShardFailure] = []
-        for shard in shard_specs:
-            state = _ShardState(shard, self._breaker(shard.shard_id))
-            while not state.resolved:
-                now = _time.monotonic()
-                if not state.breaker.allow(now):
-                    stats.shards_quarantined += 1
-                    self._m_quarantined.inc()
-                    state.failure = ShardFailure(
-                        shard_id=shard.shard_id,
-                        error=f"quarantined after "
-                              f"{state.breaker.consecutive_failures} "
-                              f"consecutive failures",
-                        attempts=state.attempts,
-                        quarantined=True,
-                    )
-                    break
-                if state.attempts >= policy.max_attempts:
-                    state.failure = ShardFailure(
-                        shard_id=shard.shard_id,
-                        error=state.exhausted_error
-                              or "attempt budget exhausted",
-                        attempts=state.attempts,
-                    )
-                    break
-                job = ShardJob(
-                    shard=shard, attempt=state.attempts, seed=seed,
-                    faults=faults, checkpoint_dir=ckpt_dir,
-                    hard_crash_ok=False,
-                )
-                attempt = state.attempts
-                state.attempts += 1
-                stats.attempts_total += 1
-                try:
-                    result = run_shard_job(job)
-                except SimulatedWorkerCrash as exc:
-                    stats.crashes_detected += 1
-                    self._m_crashes.inc()
-                    self._note_retry(state, repr(exc), stats)
-                    continue
-                error = validate_shard_report(result, shard)
-                if error is not None:
-                    stats.poisoned_reports += 1
-                    self._m_poisoned.inc()
-                    self._note_retry(state, error, stats)
-                    continue
-                state.breaker.record_success(_time.monotonic())
-                state.report = result
-                stats.rooms_resumed += result.rooms_resumed
-                self._m_resumed.inc(result.rooms_resumed)
-                decision = shard_fault_decision(
-                    faults, seed, shard.shard_id, attempt)
-                if decision.duplicate:
-                    # An at-least-once queue redelivers: run the very
-                    # same attempt again (cheap — it resumes every
-                    # room from checkpoint) and let dedup drop it.
-                    stats.duplicates_injected += 1
-                    stats.attempts_total += 1
-                    try:
-                        echo = run_shard_job(job)
-                    except SimulatedWorkerCrash:
-                        echo = None
-                    if echo is not None:
-                        stats.duplicates_dropped += 1
-                        self._m_dup_dropped.inc()
-            if state.report is not None:
-                reports.append(state.report)
-            elif state.failure is not None:
-                failures.append(state.failure)
-        return reports, failures
-
-    def _note_retry(self, state: _ShardState, error: str,
-                    stats: SupervisorStats) -> None:
-        """Serial-path failure bookkeeping: breaker + retry intent.
-
-        Serial execution has no event loop to wait on, so the retry
-        *delay* is skipped — only the schedule's accounting is
-        exercised; counts and outcomes match the process path."""
-        state.breaker.record_failure(_time.monotonic())
-        state.exhausted_error = error
-        stats.retries_scheduled += 1
-        self._m_retries.inc()
-
-    # ------------------------------------------------------------------
-    # process backend
-    # ------------------------------------------------------------------
-
-    def _run_process(self, shard_specs, workers, faults, seed, ckpt_dir,
-                     stats):
-        policy = self.policy
-        for shard in shard_specs:
-            ensure_picklable(shard,
-                             f"ShardSpec(shard_id={shard.shard_id})")
-        states = {
-            shard.shard_id: _ShardState(shard, self._breaker(shard.shard_id))
+        self.stats = SupervisorStats(backend=backend, workers=workers)
+        self.states = {
+            shard.shard_id: _ShardState(shard, policy.quarantine_threshold)
             for shard in shard_specs
         }
-        inflight: dict = {}  # future -> _Flight
-        pool = ProcessPoolExecutor(max_workers=workers)
+        self.inflight: dict[Future, _Flight] = {}
+        #: Shards doomed together by one pool break; each runs alone.
+        self.suspects: set[int] = set()
+        self._counters: dict = {}
+        self.pool = self._new_pool()
 
-        def _now() -> float:
-            return _time.monotonic()
+    def _new_pool(self):
+        if self.process:
+            return ProcessPoolExecutor(max_workers=self.width)
+        return _InlineExecutor()
 
-        def _submit(state: _ShardState, hedge: bool = False,
-                    duplicate: bool = False,
-                    attempt: int | None = None) -> None:
-            nonlocal pool
-            if attempt is None:
-                attempt = state.attempts
-                state.attempts += 1
-            job = ShardJob(
-                shard=state.spec, attempt=attempt, seed=seed,
-                faults=faults, checkpoint_dir=ckpt_dir,
-                hard_crash_ok=True, hedge=hedge,
-            )
-            stats.attempts_total += 1
-            flight = _Flight(state.spec.shard_id, attempt, _now(),
-                             hedge=hedge, duplicate=duplicate)
-            try:
-                future = pool.submit(run_shard_job, job)
-            except BrokenExecutor:
-                # Break discovered at submit time: rebuild and retry
-                # this one submission on the fresh pool.
-                _terminate_pool(pool)
-                pool = ProcessPoolExecutor(max_workers=workers)
-                stats.pool_rebuilds += 1
-                self._m_rebuilds.inc()
-                future = pool.submit(run_shard_job, job)
-            inflight[future] = flight
-            state.inflight += 1
+    def _count(self, name: str, amount: int = 1) -> None:
+        """Bump one recovery counter, in the stats and under obs."""
+        setattr(self.stats, name, getattr(self.stats, name) + amount)
+        if name not in self._counters:
+            self._counters[name] = obs.counter(f"fleet.supervisor.{name}")
+        self._counters[name].inc(amount)
 
-        def _finalize_failure(state: _ShardState, error: str,
-                              quarantined: bool = False) -> None:
-            state.failure = ShardFailure(
-                shard_id=state.spec.shard_id, error=error,
-                attempts=state.attempts, quarantined=quarantined,
-            )
-            if quarantined:
-                stats.shards_quarantined += 1
-                self._m_quarantined.inc()
+    # ------------------------------------------------------------------
+    # the loop
+    # ------------------------------------------------------------------
 
-        def _handle_failure(state: _ShardState, error: str,
-                            kind: str) -> None:
-            """One attempt died; decide retry / quarantine / give up."""
-            now = _now()
-            state.breaker.record_failure(now)
-            if state.resolved:
-                return
-            with obs.span("fleet.supervisor.recover",
-                          shard=state.spec.shard_id, kind=kind):
-                if not state.breaker.allow(now):
-                    _finalize_failure(
-                        state,
-                        f"quarantined after "
-                        f"{state.breaker.consecutive_failures} consecutive "
-                        f"failures (last: {error})",
-                        quarantined=True,
-                    )
-                    return
-                if state.attempts >= policy.max_attempts:
-                    state.exhausted_error = error
-                    if state.inflight == 0 and state.ready_at is None:
-                        _finalize_failure(
-                            state, f"attempt budget exhausted ({error})")
-                    return
-                if state.ready_at is not None or state.inflight > 0:
-                    # A retry is already queued, or a sibling attempt
-                    # (hedge) is still racing — no extra submission.
-                    return
-                if state.schedule is None:
-                    state.schedule = policy.retry_policy.schedule(now)
-                retry_at = state.schedule.next_retry(now)
-                if retry_at is None:
-                    _finalize_failure(
-                        state, f"retry deadline exhausted ({error})")
-                    return
-                state.ready_at = retry_at
-                stats.retries_scheduled += 1
-                self._m_retries.inc()
-
-        def _accept(state: _ShardState, flight: _Flight,
-                    result: ShardReport) -> None:
-            state.report = result
-            state.breaker.record_success(_now())
-            stats.rooms_resumed += result.rooms_resumed
-            self._m_resumed.inc(result.rooms_resumed)
-            decision = shard_fault_decision(
-                faults, seed, state.spec.shard_id, flight.attempt)
-            if decision.duplicate and not flight.duplicate:
-                # Redeliver the same attempt once; dedup must drop it.
-                stats.duplicates_injected += 1
-                _submit(state, duplicate=True, attempt=flight.attempt)
-
-        def _drop_stale(flight: _Flight) -> None:
-            if flight.hedge:
-                stats.hedges_wasted += 1
-                self._m_hedges_wasted.inc()
-            elif flight.duplicate:
-                stats.duplicates_dropped += 1
-                self._m_dup_dropped.inc()
-            else:
-                stats.late_results_dropped += 1
-
-        def _kill_and_requeue_innocents(expired_ids: set[int]) -> None:
-            """The pool is about to die (hung worker / break): refund
-            every innocent in-flight attempt and line it up again."""
-            nonlocal pool
-            for future, flight in list(inflight.items()):
-                state = states[flight.shard_id]
-                state.inflight -= 1
-                if flight.shard_id in expired_ids or state.resolved:
-                    continue
-                if flight.duplicate:
-                    stats.duplicates_dropped += 1
-                    self._m_dup_dropped.inc()
-                    continue
-                state.attempts -= 1  # refund: casualty, not offender
-                stats.attempts_total -= 1
-                if state.ready_at is None:
-                    state.ready_at = _now()
-            inflight.clear()
-            _terminate_pool(pool)
-            pool = ProcessPoolExecutor(max_workers=workers)
-            stats.pool_rebuilds += 1
-            self._m_rebuilds.inc()
-
+    def run(self) -> tuple[list[ShardReport], list[ShardFailure]]:
         try:
-            while not all(state.resolved for state in states.values()):
-                now = _now()
-                # -- submissions whose time has come -------------------
-                for state in states.values():
-                    if state.resolved or state.ready_at is None:
-                        continue
-                    if state.ready_at <= now:
-                        state.ready_at = None
-                        _submit(state)
-                # -- stall guard (should be unreachable) ---------------
-                if not inflight and not any(
-                        state.ready_at is not None for state in
-                        states.values() if not state.resolved):
-                    for state in states.values():
-                        if not state.resolved:
-                            _finalize_failure(
-                                state,
-                                state.exhausted_error
-                                or "supervisor stalled with no live "
-                                   "attempt",
-                            )
-                    break
-                # -- how long may we sleep? ----------------------------
-                wake_at = now + policy.poll_interval_s
-                for state in states.values():
-                    if not state.resolved and state.ready_at is not None:
-                        wake_at = min(wake_at, state.ready_at)
-                if policy.hedge_after_s is not None:
-                    for flight in inflight.values():
-                        if not flight.hedged:
-                            wake_at = min(
-                                wake_at,
-                                flight.submitted_at + policy.hedge_after_s,
-                            )
-                if policy.shard_deadline_s is not None:
-                    for flight in inflight.values():
-                        wake_at = min(
-                            wake_at,
-                            flight.submitted_at + policy.shard_deadline_s,
-                        )
-                timeout = max(wake_at - now, 0.0)
-                if inflight:
-                    done, _ = wait(inflight, timeout=timeout,
-                                   return_when=FIRST_COMPLETED)
-                else:
+            while not all(state.resolved for state in self.states.values()):
+                now = _time.monotonic()
+                # Queued work takes free workers before any hedge does.
+                if not (self._submit_ready(now)
+                        and self._hedge_stragglers(now)):
+                    continue  # the pool broke at submit and was rebuilt
+                timeout = self._next_wake(now)
+                if not self.inflight:
+                    if timeout is None:
+                        self._stall()
+                        break
                     _time.sleep(timeout)
-                    done = ()
-                # -- completions ---------------------------------------
-                broken = False
-                for future in done:
-                    flight = inflight.pop(future)
-                    state = states[flight.shard_id]
-                    state.inflight -= 1
-                    error = future.exception()
-                    if error is not None and isinstance(error,
-                                                        BrokenExecutor):
-                        broken = True
-                        if not state.resolved and not flight.duplicate:
-                            stats.crashes_detected += 1
-                            self._m_crashes.inc()
-                            _handle_failure(state, repr(error), "crash")
-                        elif flight.duplicate:
-                            stats.duplicates_dropped += 1
-                            self._m_dup_dropped.inc()
-                        continue
-                    if error is not None:
-                        if state.resolved or flight.duplicate:
-                            _drop_stale(flight)
-                            continue
-                        stats.crashes_detected += 1
-                        self._m_crashes.inc()
-                        _handle_failure(state, repr(error), "crash")
-                        continue
-                    result = future.result()
-                    if state.resolved:
-                        _drop_stale(flight)
-                        continue
-                    invalid = validate_shard_report(result, state.spec)
-                    if invalid is not None:
-                        if flight.duplicate:
-                            _drop_stale(flight)
-                            continue
-                        stats.poisoned_reports += 1
-                        self._m_poisoned.inc()
-                        _handle_failure(state, invalid, "poison")
-                        continue
-                    if flight.duplicate:
-                        # The injected redelivery of an already-merged
-                        # result: dedup drops it, counted.
-                        stats.duplicates_dropped += 1
-                        self._m_dup_dropped.inc()
-                        continue
-                    _accept(state, flight, result)
-                if broken:
-                    _kill_and_requeue_innocents(set())
                     continue
-                # -- straggler detection / hedging ---------------------
-                if policy.hedge_after_s is not None:
-                    now = _now()
-                    for future, flight in list(inflight.items()):
-                        state = states[flight.shard_id]
-                        if (state.resolved or flight.hedged
-                                or flight.duplicate
-                                or state.inflight != 1
-                                or state.hedges
-                                >= policy.max_hedges_per_shard
-                                or state.attempts >= policy.max_attempts):
-                            continue
-                        if now - flight.submitted_at >= policy.hedge_after_s:
-                            flight.hedged = True
-                            state.hedges += 1
-                            stats.stragglers_hedged += 1
-                            self._m_hedged.inc()
-                            _submit(state, hedge=True)
-                # -- hard deadlines ------------------------------------
-                if policy.shard_deadline_s is not None and inflight:
-                    now = _now()
-                    expired = [
-                        (future, flight)
-                        for future, flight in inflight.items()
-                        if now - flight.submitted_at
-                        >= policy.shard_deadline_s and not future.done()
-                    ]
-                    if expired:
-                        expired_ids = set()
-                        for future, flight in expired:
-                            inflight.pop(future)
-                            state = states[flight.shard_id]
-                            state.inflight -= 1
-                            expired_ids.add(flight.shard_id)
-                            stats.deadline_kills += 1
-                            self._m_deadline_kills.inc()
-                            if not state.resolved and not flight.duplicate:
-                                _handle_failure(
-                                    state,
-                                    f"attempt exceeded "
-                                    f"{policy.shard_deadline_s:.3f} s "
-                                    f"deadline (worker killed)",
-                                    "deadline",
-                                )
-                        _kill_and_requeue_innocents(expired_ids)
+                done, _ = wait(self.inflight, timeout=timeout,
+                               return_when=FIRST_COMPLETED)
+                broken = None
+                for future in done:
+                    if future not in self.inflight:
+                        continue  # drained by a break at submit
+                    if isinstance(future.exception(), BrokenExecutor):
+                        broken = future
+                    else:
+                        self._complete(future)
+                if broken is not None and broken in self.inflight:
+                    self._pool_broke(repr(broken.exception()))
+                    continue
+                self._kill_expired()
         finally:
             # Hedge losers / duplicates may still be in flight; they
             # will never be used — count and kill them.
-            for flight in inflight.values():
-                _drop_stale(flight)
-            _terminate_pool(pool)
-        reports = [state.report for state in states.values()
-                   if state.report is not None]
-        failures = [state.failure for state in states.values()
-                    if state.failure is not None]
-        return reports, failures
+            for flight in self.inflight.values():
+                self._drop_stale(flight)
+            _terminate_pool(self.pool)
+        self.stats.shards_failed = sum(
+            state.failure is not None for state in self.states.values())
+        return ([state.report for state in self.states.values()
+                 if state.report is not None],
+                [state.failure for state in self.states.values()
+                 if state.failure is not None])
+
+    def _may_start(self, shard_id: int) -> bool:
+        """In-flight work is capped at the pool width, and a suspect
+        starts only on an empty pool with nothing beside it."""
+        if not self.inflight:
+            return True
+        if len(self.inflight) >= self.width or shard_id in self.suspects:
+            return False
+        return not any(flight.shard_id in self.suspects
+                       for flight in self.inflight.values())
+
+    def _submit_ready(self, now: float) -> bool:
+        """Start every shard whose time has come, in shard order, until
+        one may not start (so a waiting suspect is never overtaken).
+        False when the pool broke at submit."""
+        for state in self.states.values():
+            if state.resolved or state.ready_at is None \
+                    or state.ready_at > now:
+                continue
+            if not self._may_start(state.spec.shard_id):
+                break
+            if not self._submit(state):
+                return False
+            state.ready_at = None
+        return True
+
+    def _next_wake(self, now: float) -> float | None:
+        """Seconds until the next thing the loop scheduled for itself
+        (a retry, a hedge, a deadline), or ``None`` to block until a
+        completion.  Work that is due but may not start is left out:
+        only a completion can unblock it."""
+        times = [state.ready_at for state in self.states.values()
+                 if not state.resolved and state.ready_at is not None
+                 and state.ready_at > now]
+        hedge_after = self.policy.hedge_after_s
+        deadline = self.policy.shard_deadline_s
+        for flight in self.inflight.values():
+            if hedge_after is not None and self._hedgeable(flight):
+                times.append(flight.submitted_at + hedge_after)
+            if deadline is not None:
+                times.append(flight.submitted_at + deadline)
+        return max(min(times) - now, 0.0) if times else None
+
+    def _stall(self) -> None:
+        """Nothing in flight and nothing scheduled (should be
+        unreachable): fail whatever is left rather than spin."""
+        for state in self.states.values():
+            if not state.resolved:
+                self._resolve_failure(
+                    state, state.exhausted_error
+                    or "supervisor stalled with no live attempt")
+
+    # ------------------------------------------------------------------
+    # submissions and completions
+    # ------------------------------------------------------------------
+
+    def _submit(self, state: _ShardState, hedge: bool = False,
+                duplicate_of: int | None = None) -> bool:
+        """Start one attempt (``duplicate_of`` redelivers a finished
+        attempt instead).  False, with nothing started, when the pool
+        turned out to be broken."""
+        attempt = state.attempts if duplicate_of is None else duplicate_of
+        job = ShardJob(
+            shard=state.spec, attempt=attempt, seed=self.seed,
+            faults=self.faults, checkpoint_dir=self.checkpoint_dir,
+            hard_crash_ok=self.process, hedge=hedge,
+        )
+        try:
+            future = self.pool.submit(run_shard_job, job)
+        except BrokenExecutor as exc:
+            self._pool_broke(repr(exc))
+            return False
+        if duplicate_of is None:
+            state.attempts += 1
+        self.stats.attempts_total += 1
+        self.inflight[future] = _Flight(
+            state.spec.shard_id, attempt, _time.monotonic(),
+            hedge=hedge, duplicate=duplicate_of is not None)
+        state.inflight += 1
+        return True
+
+    def _complete(self, future: Future) -> None:
+        """Merge, reject or drop one finished (or failed) attempt."""
+        flight = self.inflight.pop(future)
+        state = self.states[flight.shard_id]
+        state.inflight -= 1
+        if state.resolved or flight.duplicate:
+            self._drop_stale(flight)
+            return
+        error = future.exception()
+        if error is not None:
+            self._count("crashes_detected")
+            self._fail(state, repr(error), "crash")
+            return
+        result = future.result()
+        invalid = validate_shard_report(result, state.spec)
+        if invalid is not None:
+            self._count("poisoned_reports")
+            self._fail(state, invalid, "poison")
+            return
+        state.report = result
+        state.breaker.record_success(_time.monotonic())
+        self.suspects.discard(flight.shard_id)
+        self._count("rooms_resumed", result.rooms_resumed)
+        decision = shard_fault_decision(
+            self.faults, self.seed, flight.shard_id, flight.attempt)
+        # An at-least-once queue redelivers the same attempt once
+        # (cheap with a checkpoint dir — it resumes every room); dedup
+        # must drop it.
+        if decision.duplicate and self._submit(state,
+                                               duplicate_of=flight.attempt):
+            self._count("duplicates_injected")
+
+    def _drop_stale(self, flight: _Flight) -> None:
+        if flight.hedge:
+            self._count("hedges_wasted")
+        elif flight.duplicate:
+            self._count("duplicates_dropped")
+        else:
+            self._count("late_results_dropped")
+
+    # ------------------------------------------------------------------
+    # failure handling
+    # ------------------------------------------------------------------
+
+    def _resolve_failure(self, state: _ShardState, error: str,
+                         quarantined: bool = False) -> None:
+        state.failure = ShardFailure(
+            shard_id=state.spec.shard_id, error=error,
+            attempts=state.attempts, quarantined=quarantined,
+        )
+        self.suspects.discard(state.spec.shard_id)
+        if quarantined:
+            self._count("shards_quarantined")
+
+    def _fail(self, state: _ShardState, error: str, kind: str) -> None:
+        """One attempt died; decide retry / quarantine / give up."""
+        now = _time.monotonic()
+        state.breaker.record_failure(now)
+        with obs.span("fleet.supervisor.recover",
+                      shard=state.spec.shard_id, kind=kind):
+            if not state.breaker.allow(now):
+                self._resolve_failure(
+                    state,
+                    f"quarantined after "
+                    f"{state.breaker.consecutive_failures} consecutive "
+                    f"failures (last: {error})",
+                    quarantined=True,
+                )
+                return
+            if state.attempts >= self.policy.max_attempts:
+                state.exhausted_error = error
+                if state.inflight == 0 and state.ready_at is None:
+                    self._resolve_failure(
+                        state, f"attempt budget exhausted ({error})")
+                return
+            if state.ready_at is not None or state.inflight > 0:
+                # A retry is already queued, or a sibling attempt
+                # (hedge) is still racing — no extra submission.
+                return
+            if state.schedule is None:
+                state.schedule = RETRY_POLICY.schedule(now)
+            retry_at = state.schedule.next_retry(now)
+            if retry_at is None:
+                self._resolve_failure(
+                    state, f"retry deadline exhausted ({error})")
+                return
+            state.ready_at = retry_at
+            self._count("retries_scheduled")
+
+    def _pool_broke(self, error: str) -> None:
+        """A killed worker broke the pool, dooming every attempt in it.
+        A lone doomed attempt is charged the crash; several doomed
+        together are all refunded and re-run alone as suspects."""
+        flights = list(self.inflight.items())
+        if len(flights) == 1:
+            future, flight = flights[0]
+            state = self.states[flight.shard_id]
+            if not state.resolved and not flight.duplicate:
+                del self.inflight[future]
+                state.inflight -= 1
+                self._count("crashes_detected")
+                self._fail(state, error, "crash")
+        self._requeue_and_rebuild(suspects=True)
+
+    def _requeue_and_rebuild(self, suspects: bool) -> None:
+        """The pool is dying: refund every innocent in-flight attempt
+        (a casualty, not an offender), line it up again, and stand up a
+        fresh pool."""
+        now = _time.monotonic()
+        for flight in self.inflight.values():
+            state = self.states[flight.shard_id]
+            state.inflight -= 1
+            if state.resolved or flight.duplicate:
+                self._drop_stale(flight)
+                continue
+            state.attempts -= 1
+            self.stats.attempts_total -= 1
+            if state.ready_at is None:
+                state.ready_at = now
+            if suspects:
+                self.suspects.add(flight.shard_id)
+        self.inflight.clear()
+        _terminate_pool(self.pool)
+        self.pool = self._new_pool()
+        self._count("pool_rebuilds")
+
+    # ------------------------------------------------------------------
+    # stragglers and deadlines
+    # ------------------------------------------------------------------
+
+    def _hedgeable(self, flight: _Flight) -> bool:
+        state = self.states[flight.shard_id]
+        return not (state.resolved or flight.hedged or flight.duplicate
+                    or state.inflight != 1
+                    or state.hedges >= MAX_HEDGES_PER_SHARD
+                    or state.attempts >= self.policy.max_attempts
+                    or not self._may_start(flight.shard_id))
+
+    def _hedge_stragglers(self, now: float) -> bool:
+        """Race a second attempt against every straggler a free worker
+        can take.  False when the pool broke at submit."""
+        if self.policy.hedge_after_s is None:
+            return True
+        for flight in list(self.inflight.values()):
+            if (now - flight.submitted_at >= self.policy.hedge_after_s
+                    and self._hedgeable(flight)):
+                state = self.states[flight.shard_id]
+                if not self._submit(state, hedge=True):
+                    return False
+                flight.hedged = True
+                state.hedges += 1
+                self._count("stragglers_hedged")
+        return True
+
+    def _kill_expired(self) -> None:
+        deadline = self.policy.shard_deadline_s
+        if deadline is None or not self.inflight:
+            return
+        now = _time.monotonic()
+        expired = [(future, flight)
+                   for future, flight in self.inflight.items()
+                   if now - flight.submitted_at >= deadline
+                   and not future.done()]
+        if not expired:
+            return
+        for future, flight in expired:
+            del self.inflight[future]
+            state = self.states[flight.shard_id]
+            state.inflight -= 1
+            self._count("deadline_kills")
+            if not state.resolved and not flight.duplicate:
+                self._fail(state,
+                           f"attempt exceeded {deadline:.3f} s deadline "
+                           f"(worker killed)", "deadline")
+        self._requeue_and_rebuild(suspects=False)
 
 
-def run_fleet_supervised(
+def run_fleet(
     spec: FleetSpec,
     num_shards: int = 1,
-    backend: str = "process",
+    backend: str = "serial",
     workers: int | None = None,
     faults: ProcessFaultPlan | None = None,
     policy: SupervisorPolicy | None = None,
     checkpoint_dir: str | None = None,
     seed: int | None = None,
 ) -> FleetReport:
-    """One-call supervised fleet execution (see :class:`FleetSupervisor`)."""
-    supervisor = FleetSupervisor(policy=policy,
-                                 checkpoint_dir=checkpoint_dir)
-    return supervisor.run(spec, num_shards=num_shards, backend=backend,
-                          workers=workers, faults=faults, seed=seed)
+    """Partition the fleet into shards and execute them.
+
+    Parameters
+    ----------
+    spec:
+        The fleet topology.
+    num_shards:
+        How many contiguous room-groups to cut the fleet into.
+    backend:
+        ``"serial"`` (reference) or ``"process"`` (pool).
+    workers:
+        Pool width for the process backend (the in-flight cap);
+        defaults to ``num_shards``.
+    faults:
+        Process-level chaos to inject (see
+        :class:`~repro.faults.process.ProcessFaultPlan`); ``None`` runs
+        clean.
+    policy:
+        Recovery knobs; the default allows five attempts per shard
+        with no hedging and no deadline.
+    checkpoint_dir:
+        Where workers spill finished rooms so a retry resumes instead
+        of recomputing; ``None`` spills nothing.
+    seed:
+        Seed of the fault schedule; defaults to ``spec.seed``.
+
+    The returned report's ``supervisor`` field carries the run's
+    :class:`SupervisorStats`.
+    """
+    if backend not in ("serial", "process"):
+        raise ValueError(f"unknown fleet backend {backend!r}")
+    workers = num_shards if workers is None else workers
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    wall_start = _time.perf_counter()
+    shard_specs = spec.shard_specs(num_shards)
+    if backend == "process":
+        for shard in shard_specs:
+            ensure_picklable(shard, f"ShardSpec(shard_id={shard.shard_id})")
+    loop = _FleetLoop(
+        shard_specs, backend, workers, faults, policy or SupervisorPolicy(),
+        None if checkpoint_dir is None else str(checkpoint_dir),
+        spec.seed if seed is None else seed,
+    )
+    reports, failures = loop.run()
+    return build_fleet_report(
+        spec=spec,
+        backend=backend,
+        num_shards=num_shards,
+        workers=workers if backend == "process" else 1,
+        shards=reports,
+        failures=failures,
+        wall_s=_time.perf_counter() - wall_start,
+        supervisor=loop.stats,
+    )
 
 
 __all__ = [
-    "FleetSupervisor",
+    "ShardFailure",
     "SupervisorPolicy",
     "SupervisorStats",
-    "run_fleet_supervised",
+    "run_fleet",
     "validate_shard_report",
 ]

@@ -1,10 +1,10 @@
-"""The supervised worker entry point: faultable, checkpoint-resuming
-shard execution.
+"""The shard executor: faultable, checkpoint-resuming shard execution.
 
-:func:`run_shard_job` is what the :class:`~repro.fleet.supervisor.
-FleetSupervisor` ships to pool workers instead of the bare
-:func:`~repro.fleet.runner.run_shard`.  It is the same computation
-wrapped in two things:
+:func:`run_shard_job` is the one function that runs a shard — what
+:func:`~repro.fleet.supervisor.run_fleet` calls in-process on the
+serial backend and ships to pool workers on the process backend.  It
+simulates the shard's rooms in order, merges their registries, and
+applies two things the job carries:
 
 * the **process fault model** — before and during the shard it honors
   the deterministic :func:`~repro.faults.process.shard_fault_decision`
@@ -15,10 +15,8 @@ wrapped in two things:
   re-execution loads whatever its predecessors finished and simulates
   only the rest.
 
-With no fault plan and no checkpoint directory the wrapper reduces to
-exactly ``run_shard``'s behavior (same rooms, same merged registry,
-same report), which is what keeps the supervised fault-free fleet
-bit-identical to the plain one.
+With no fault plan and no checkpoint directory it is the plain
+computation: same rooms, same merged registry, same report.
 
 Everything here must stay module-level and picklable — jobs cross the
 process boundary by value, the function by reference.
@@ -65,10 +63,9 @@ class ShardJob:
 def run_shard_job(job: ShardJob) -> ShardReport | PoisonedShardReport:
     """Execute one (possibly fault-fated, possibly resumed) attempt.
 
-    Room order and the merged-registry construction are identical to
-    :func:`~repro.fleet.runner.run_shard`; resumed rooms contribute
-    their checkpointed reports in place of fresh simulation, which is
-    the same values by determinism.
+    Rooms run in shard order and their registries merge in that order;
+    resumed rooms contribute their checkpointed reports in place of
+    fresh simulation, which is the same values by determinism.
     """
     wall_start = _time.perf_counter()
     decision = shard_fault_decision(

@@ -4,7 +4,7 @@ import pickle
 
 import pytest
 
-from repro.fleet import FleetSpec, run_room, run_shard
+from repro.fleet import FleetSpec, ShardJob, run_room, run_shard_job
 from repro.fleet.checkpoint import (
     MAGIC,
     CheckpointError,
@@ -33,7 +33,7 @@ def test_shard_report_pickle_preserves_registry_merge_order(rooms):
     # ShardReport crosses the process boundary whole; its merged
     # registry (room-order merge) must survive exactly, not just
     # approximately.
-    report = run_shard(SHARD)
+    report = run_shard_job(ShardJob(shard=SHARD))
     clone = pickle.loads(pickle.dumps(report, pickle.HIGHEST_PROTOCOL))
     assert clone.shard_id == report.shard_id
     assert clone.metrics.snapshot() == report.metrics.snapshot()

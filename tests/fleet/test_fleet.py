@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.fleet import FleetSpec, run_fleet
+from repro.fleet import FleetConfigError, FleetSpec, run_fleet
 
 #: Small fleet that still spans several rooms and shards.
 SPEC = FleetSpec(num_rooms=4, switches_per_room=6, horizon=0.5)
@@ -62,6 +62,19 @@ def test_delivery_ratio_stays_in_unit_interval(serial):
 def test_unknown_backend_rejected():
     with pytest.raises(ValueError, match="backend"):
         run_fleet(SPEC, backend="threads")
+
+
+def test_zero_workers_rejected():
+    for backend in ("serial", "process"):
+        with pytest.raises(ValueError, match="workers"):
+            run_fleet(SPEC, num_shards=2, backend=backend, workers=0)
+
+
+def test_unpicklable_shard_is_rejected_before_the_pool():
+    spec = FleetSpec(num_rooms=2, switches_per_room=2, horizon=0.5,
+                     scene=lambda sim, channel, rng: None)
+    with pytest.raises(FleetConfigError, match="shard_id=0"):
+        run_fleet(spec, num_shards=2, backend="process", workers=2)
 
 
 def test_rooms_property_restores_global_order(serial):

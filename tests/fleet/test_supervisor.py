@@ -1,4 +1,4 @@
-"""FleetSupervisor: exact recovery under every injected fault shape."""
+"""The fleet loop: exact recovery under every injected fault shape."""
 
 import pytest
 
@@ -8,7 +8,6 @@ from repro.fleet import (
     ShardReport,
     SupervisorPolicy,
     run_fleet,
-    run_fleet_supervised,
     validate_shard_report,
 )
 
@@ -27,15 +26,20 @@ def _policy(**overrides):
 
 
 # ----------------------------------------------------------------------
-# fault-free: supervised == plain, bit for bit
+# fault-free: every shard count and backend, bit for bit
 # ----------------------------------------------------------------------
 
-def test_plain_run_fleet_has_no_supervisor_stats():
-    assert run_fleet(SPEC, backend="serial").supervisor is None
+def test_fault_free_run_counts_one_attempt_per_shard():
+    stats = run_fleet(SPEC, num_shards=2, backend="serial").supervisor
+    assert stats.attempts_total == 2
+    assert stats.backend == "serial"
+    recovery = [value for name, value in vars(stats).items()
+                if name not in ("backend", "workers", "attempts_total")]
+    assert recovery and all(value == 0 for value in recovery)
 
 
 def test_clean_supervised_serial_is_bit_identical(reference):
-    report = run_fleet_supervised(SPEC, num_shards=2, backend="serial")
+    report = run_fleet(SPEC, num_shards=2, backend="serial")
     assert report.identity_signature() == reference
     assert report.supervisor.attempts_total == 2
     assert report.supervisor.crashes_detected == 0
@@ -43,8 +47,8 @@ def test_clean_supervised_serial_is_bit_identical(reference):
 
 
 def test_clean_supervised_process_is_bit_identical(reference):
-    report = run_fleet_supervised(SPEC, num_shards=2, backend="process",
-                                  workers=2)
+    report = run_fleet(SPEC, num_shards=2, backend="process",
+                       workers=2)
     assert report.identity_signature() == reference
     assert not report.failures
 
@@ -55,8 +59,8 @@ def test_clean_supervised_process_is_bit_identical(reference):
 
 def test_soft_crashes_recover_exactly_serial(reference):
     plan = ProcessFaultPlan(crash_rate=1.0, max_faulty_attempts=1)
-    report = run_fleet_supervised(SPEC, num_shards=2, backend="serial",
-                                  faults=plan, policy=_policy())
+    report = run_fleet(SPEC, num_shards=2, backend="serial",
+                       faults=plan, policy=_policy())
     assert not report.failures
     assert report.identity_signature() == reference
     stats = report.supervisor
@@ -66,12 +70,13 @@ def test_soft_crashes_recover_exactly_serial(reference):
     assert stats.retries_scheduled == 4
 
 
-def test_checkpoint_resume_skips_finished_rooms(reference):
+def test_checkpoint_resume_skips_finished_rooms(reference, tmp_path):
     # Both shards die mid-shard once; the retry must resume the rooms
     # the corpse already spilled rather than recompute them.
     plan = ProcessFaultPlan(crash_rate=1.0, max_faulty_attempts=0)
-    report = run_fleet_supervised(SPEC, num_shards=2, backend="serial",
-                                  faults=plan, policy=_policy())
+    report = run_fleet(SPEC, num_shards=2, backend="serial",
+                       faults=plan, policy=_policy(),
+                       checkpoint_dir=str(tmp_path))
     assert not report.failures
     assert report.identity_signature() == reference
     assert report.supervisor.rooms_resumed >= 1
@@ -81,9 +86,9 @@ def test_checkpoint_resume_skips_finished_rooms(reference):
 
 def test_checkpointing_can_be_disabled(reference):
     plan = ProcessFaultPlan(crash_rate=1.0, max_faulty_attempts=0)
-    report = run_fleet_supervised(
+    report = run_fleet(
         SPEC, num_shards=2, backend="serial", faults=plan,
-        policy=_policy(checkpoint=False))
+        policy=_policy(), checkpoint_dir=None)
     assert not report.failures
     assert report.identity_signature() == reference
     assert report.supervisor.rooms_resumed == 0
@@ -92,13 +97,35 @@ def test_checkpointing_can_be_disabled(reference):
 def test_hard_crashes_break_and_rebuild_the_pool_exactly(reference):
     plan = ProcessFaultPlan(crash_rate=1.0, hard_crash=True,
                             max_faulty_attempts=0)
-    report = run_fleet_supervised(SPEC, num_shards=2, backend="process",
-                                  workers=2, faults=plan, policy=_policy())
+    report = run_fleet(SPEC, num_shards=2, backend="process",
+                       workers=2, faults=plan, policy=_policy())
     assert not report.failures
     assert report.identity_signature() == reference
     stats = report.supervisor
     assert stats.crashes_detected >= 1
     assert stats.pool_rebuilds >= 1
+
+
+def test_break_with_co_runner_charges_only_the_lone_offender(reference):
+    # Fault seed 288 fates shard 0's first attempt to os._exit at once
+    # while shard 1's first attempt dawdles, so the break dooms both
+    # together.  Neither is charged; both re-run alone, where shard 0
+    # breaks the pool by itself (charged, and with one attempt
+    # allowed, failed) and shard 1 completes.  Shards 2 and 3 run
+    # clean and were never in flight when the pool broke.
+    plan = ProcessFaultPlan(crash_rate=0.5, hard_crash=True,
+                            straggler_rate=0.5, straggler_delay_s=0.5,
+                            max_faulty_attempts=0)
+    report = run_fleet(SPEC, num_shards=4, backend="process", workers=2,
+                       faults=plan, policy=_policy(max_attempts=1),
+                       seed=288)
+    assert [f.shard_id for f in report.failures] == [0]
+    assert report.failures[0].attempts == 1
+    assert ([room.identity_signature() for room in report.rooms]
+            == reference["rooms"][1:])
+    stats = report.supervisor
+    assert stats.crashes_detected == 1
+    assert stats.pool_rebuilds == 2
 
 
 # ----------------------------------------------------------------------
@@ -107,8 +134,8 @@ def test_hard_crashes_break_and_rebuild_the_pool_exactly(reference):
 
 def test_poisoned_reports_are_rejected_never_merged(reference):
     plan = ProcessFaultPlan(poison_rate=1.0, max_faulty_attempts=1)
-    report = run_fleet_supervised(SPEC, num_shards=2, backend="serial",
-                                  faults=plan, policy=_policy())
+    report = run_fleet(SPEC, num_shards=2, backend="serial",
+                       faults=plan, policy=_policy())
     assert not report.failures
     assert report.identity_signature() == reference
     assert report.supervisor.poisoned_reports == 4
@@ -116,8 +143,8 @@ def test_poisoned_reports_are_rejected_never_merged(reference):
 
 def test_duplicate_deliveries_are_deduped_serial(reference):
     plan = ProcessFaultPlan(duplicate_rate=1.0, max_faulty_attempts=0)
-    report = run_fleet_supervised(SPEC, num_shards=2, backend="serial",
-                                  faults=plan, policy=_policy())
+    report = run_fleet(SPEC, num_shards=2, backend="serial",
+                       faults=plan, policy=_policy())
     assert not report.failures
     assert report.identity_signature() == reference
     stats = report.supervisor
@@ -127,8 +154,8 @@ def test_duplicate_deliveries_are_deduped_serial(reference):
 
 def test_duplicate_deliveries_are_deduped_process(reference):
     plan = ProcessFaultPlan(duplicate_rate=1.0, max_faulty_attempts=0)
-    report = run_fleet_supervised(SPEC, num_shards=2, backend="process",
-                                  workers=2, faults=plan, policy=_policy())
+    report = run_fleet(SPEC, num_shards=2, backend="process",
+                       workers=2, faults=plan, policy=_policy())
     assert not report.failures
     assert report.identity_signature() == reference
     stats = report.supervisor
@@ -143,7 +170,7 @@ def test_duplicate_deliveries_are_deduped_process(reference):
 def test_stragglers_get_hedged_and_results_stay_exact(reference):
     plan = ProcessFaultPlan(straggler_rate=1.0, straggler_delay_s=0.8,
                             max_faulty_attempts=0)
-    report = run_fleet_supervised(
+    report = run_fleet(
         SPEC, num_shards=2, backend="process", workers=3, faults=plan,
         policy=_policy(hedge_after_s=0.15))
     assert not report.failures
@@ -155,13 +182,27 @@ def test_stragglers_get_hedged_and_results_stay_exact(reference):
             >= 0)
 
 
+def test_hedges_wait_for_a_free_worker(reference):
+    # In-flight work is capped at the pool width: with its one worker
+    # busy, a hedge could only queue behind the straggler it races.
+    plan = ProcessFaultPlan(straggler_rate=1.0, straggler_delay_s=0.5,
+                            max_faulty_attempts=0)
+    report = run_fleet(
+        SPEC, num_shards=1, backend="process", workers=1, faults=plan,
+        policy=_policy(hedge_after_s=0.1))
+    assert not report.failures
+    assert report.identity_signature() == reference
+    assert report.supervisor.stragglers_hedged == 0
+    assert report.supervisor.attempts_total == 1
+
+
 def test_deadline_kills_a_wedged_attempt_and_recovers(reference):
     # A straggler sleeping far past the deadline is indistinguishable
     # from a hang; the supervisor must kill it and retry (attempt 1
     # runs clean), not wait out the sleep.
     plan = ProcessFaultPlan(straggler_rate=1.0, straggler_delay_s=120.0,
                             max_faulty_attempts=0)
-    report = run_fleet_supervised(
+    report = run_fleet(
         SPEC, num_shards=2, backend="process", workers=2, faults=plan,
         policy=_policy(hedge_after_s=None, shard_deadline_s=0.5))
     assert not report.failures
@@ -177,7 +218,7 @@ def test_deadline_kills_a_wedged_attempt_and_recovers(reference):
 
 def test_repeat_offender_is_quarantined():
     plan = ProcessFaultPlan(crash_rate=1.0, max_faulty_attempts=50)
-    report = run_fleet_supervised(
+    report = run_fleet(
         SPEC, num_shards=2, backend="serial", faults=plan,
         policy=_policy(max_attempts=50, quarantine_threshold=2))
     assert len(report.failures) == 2
@@ -191,7 +232,7 @@ def test_repeat_offender_is_quarantined():
 
 def test_attempt_budget_exhaustion_is_a_counted_failure():
     plan = ProcessFaultPlan(crash_rate=1.0, max_faulty_attempts=50)
-    report = run_fleet_supervised(
+    report = run_fleet(
         SPEC, num_shards=2, backend="serial", faults=plan,
         policy=_policy(max_attempts=2, quarantine_threshold=50))
     assert len(report.failures) == 2
@@ -201,7 +242,7 @@ def test_attempt_budget_exhaustion_is_a_counted_failure():
 
 def test_process_backend_gives_up_boundedly_too():
     plan = ProcessFaultPlan(crash_rate=1.0, max_faulty_attempts=50)
-    report = run_fleet_supervised(
+    report = run_fleet(
         SPEC, num_shards=2, backend="process", workers=2, faults=plan,
         policy=_policy(max_attempts=2, quarantine_threshold=50))
     assert len(report.failures) == 2
@@ -216,8 +257,8 @@ def test_validate_shard_report_rejects_poison_and_mismatches():
     shard = SPEC.shard_specs(2)[0]
     assert validate_shard_report(PoisonedShardReport(shard_id=0), shard)
     assert validate_shard_report("garbage", shard)
-    real = run_fleet_supervised(SPEC, num_shards=2,
-                                backend="serial").shards[0]
+    real = run_fleet(SPEC, num_shards=2,
+                      backend="serial").shards[0]
     assert validate_shard_report(real, shard) is None
     wrong_shard = SPEC.shard_specs(2)[1]
     assert validate_shard_report(real, wrong_shard)
@@ -235,7 +276,5 @@ def test_policy_validation():
         SupervisorPolicy(shard_deadline_s=-1.0)
     with pytest.raises(ValueError, match="quarantine_threshold"):
         SupervisorPolicy(quarantine_threshold=0)
-    with pytest.raises(ValueError, match="poll_interval_s"):
-        SupervisorPolicy(poll_interval_s=0.0)
     with pytest.raises(ValueError, match="backend"):
-        run_fleet_supervised(SPEC, backend="quantum")
+        run_fleet(SPEC, backend="quantum")

@@ -16,8 +16,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from repro.faults.process import ProcessFaultPlan  # noqa: E402
-from repro.fleet import FleetSpec, run_fleet, run_fleet_supervised  # noqa: E402
-from repro.fleet.supervisor import SupervisorPolicy  # noqa: E402
+from repro.fleet import FleetSpec, SupervisorPolicy, run_fleet  # noqa: E402
 
 SPEC = FleetSpec(num_rooms=3, switches_per_room=2, horizon=0.25, seed=17)
 
@@ -58,7 +57,7 @@ def test_any_recoverable_schedule_recovers_exactly(
         max_attempts=max_faulty + 2,      # a clean attempt always exists
         quarantine_threshold=max_faulty + 2,  # quarantine out of reach
     )
-    report = run_fleet_supervised(
+    report = run_fleet(
         SPEC, num_shards=num_shards, backend="serial", faults=plan,
         policy=policy, seed=fault_seed,
     )
