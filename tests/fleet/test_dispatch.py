@@ -1,260 +1,130 @@
-"""Dispatch guardrails: admission pacing, breaker, retries, pickling."""
+"""Dispatch guardrails on ``run_fleet``: retries, pool breaks, deadlines.
 
-import functools
-import os
+Each test fates one shard through a seeded :class:`ProcessFaultPlan`;
+the fault seed (``run_fleet(seed=...)``) only picks the schedule, never
+what a room computes, so every recovered run still matches the
+fault-free serial reference.
+"""
+
 import time
 
 import pytest
 
-from repro.fleet import (
-    FleetDispatcher,
-    FleetConfigError,
-    FleetSpec,
-    RoomSpec,
-    ShardSpec,
-)
-from repro.infra import CircuitBreaker, TokenBucket
+from repro.faults.process import ProcessFaultPlan
+from repro.fleet import FleetSpec, SupervisorPolicy, run_fleet
 
-SHARDS = FleetSpec(num_rooms=4, switches_per_room=2).shard_specs(4)
+SPEC = FleetSpec(num_rooms=4, switches_per_room=2, horizon=0.5, seed=17)
 
 
-class ManualTime:
-    """Injectable clock + sleep pair: sleeping advances the clock."""
-
-    def __init__(self) -> None:
-        self.now = 0.0
-        self.slept: list[float] = []
-
-    def clock(self) -> float:
-        return self.now
-
-    def sleep(self, seconds: float) -> None:
-        self.slept.append(seconds)
-        self.now += seconds
+@pytest.fixture(scope="module")
+def reference():
+    return run_fleet(SPEC, backend="serial").identity_signature()
 
 
-def _stub_runner(shard: ShardSpec) -> str:
-    return f"report-{shard.shard_id}"
+def _policy(max_attempts, **overrides):
+    return SupervisorPolicy(max_attempts=max_attempts,
+                            quarantine_threshold=10, **overrides)
 
 
-def test_admission_paces_dispatch_without_real_sleeping():
-    time = ManualTime()
-    dispatcher = FleetDispatcher(
-        admission=TokenBucket(2.0, 1.0, name="test.fleet"),
-        clock=time.clock, sleep=time.sleep,
-    )
-    reports, failures = dispatcher.run_serial(SHARDS, _stub_runner)
-    assert reports == [f"report-{i}" for i in range(4)]
-    assert not failures
-    # burst of 1 admits the first shard at t=0; the remaining three wait
-    # out the 2/s refill — ~0.5 s apart on the injected clock.
-    assert time.slept  # pacing happened
-    assert time.now == pytest.approx(1.5, abs=0.1)
+def test_transient_failure_gets_one_retry(reference):
+    # Fault seed 6 crashes shard 0's first attempt only.
+    plan = ProcessFaultPlan(crash_rate=0.5, max_faulty_attempts=0)
+    report = run_fleet(SPEC, num_shards=4, backend="serial", faults=plan,
+                       policy=_policy(2), seed=6)
+    assert not report.failures
+    assert report.identity_signature() == reference
+    # failed once, retried, succeeded
+    assert [shard.attempt for shard in report.shards] == [1, 0, 0, 0]
+    stats = report.supervisor
+    assert stats.crashes_detected == 1
+    assert stats.retries_scheduled == 1
+    assert stats.attempts_total == 5
 
 
-def test_no_admission_means_no_pacing():
-    time = ManualTime()
-    dispatcher = FleetDispatcher(clock=time.clock, sleep=time.sleep)
-    reports, _ = dispatcher.run_serial(SHARDS, _stub_runner)
-    assert len(reports) == 4
-    assert time.slept == []
-
-
-def test_breaker_trips_on_poisoned_runner_and_fast_fails_the_rest():
-    time = ManualTime()
-    calls = []
-
-    def poisoned(shard):
-        calls.append(shard.shard_id)
-        raise RuntimeError("poison")
-
-    dispatcher = FleetDispatcher(
-        breaker=CircuitBreaker("test.pool", failure_threshold=2,
-                               recovery_timeout=60.0),
-        max_attempts=1, clock=time.clock, sleep=time.sleep,
-    )
-    reports, failures = dispatcher.run_serial(SHARDS, poisoned)
-    assert reports == []
-    assert len(failures) == 4
-    # two real executions trip the breaker; shards 2 and 3 never run
-    assert calls == [0, 1]
-    assert [f.fast_failed for f in failures] == [False, False, True, True]
-    assert all("breaker" in f.error for f in failures if f.fast_failed)
-
-
-def test_transient_failure_gets_one_retry():
-    time = ManualTime()
-    attempts = {}
-
-    def flaky(shard):
-        attempts[shard.shard_id] = attempts.get(shard.shard_id, 0) + 1
-        if attempts[shard.shard_id] == 1 and shard.shard_id == 0:
-            raise OSError("worker died")
-        return f"report-{shard.shard_id}"
-
-    dispatcher = FleetDispatcher(max_attempts=2,
-                                 clock=time.clock, sleep=time.sleep)
-    reports, failures = dispatcher.run_serial(SHARDS, flaky)
-    assert len(reports) == 4
-    assert not failures
-    assert attempts[0] == 2  # failed once, retried, succeeded
-
-
-def test_exhausted_attempts_become_a_counted_failure():
-    time = ManualTime()
-
-    def always_down(shard):
-        if shard.shard_id == 1:
-            raise OSError("worker keeps dying")
-        return f"report-{shard.shard_id}"
-
-    dispatcher = FleetDispatcher(
-        breaker=CircuitBreaker("test.pool2", failure_threshold=10,
-                               recovery_timeout=60.0),
-        max_attempts=2, clock=time.clock, sleep=time.sleep,
-    )
-    reports, failures = dispatcher.run_serial(SHARDS, always_down)
-    assert len(reports) == 3
-    assert [f.shard_id for f in failures] == [1]
-    assert failures[0].attempts == 2
-    assert not failures[0].fast_failed
-
-
-def test_unpicklable_shard_is_rejected_before_the_pool():
-    shard = ShardSpec(shard_id=0, rooms=(
-        RoomSpec(room_id=0, num_switches=2,
-                 scene=lambda sim, channel, rng: None),
-    ))
-    dispatcher = FleetDispatcher()
-    with pytest.raises(FleetConfigError, match="shard_id=0"):
-        dispatcher.run((shard,), _stub_runner, workers=1)
-
-
-def test_constructor_validation():
-    with pytest.raises(ValueError, match="max_attempts"):
-        FleetDispatcher(max_attempts=0)
-    dispatcher = FleetDispatcher()
-    with pytest.raises(ValueError, match="workers"):
-        dispatcher.run(SHARDS, _stub_runner, workers=0)
-    with pytest.raises(ValueError, match="shard_timeout"):
-        dispatcher.run(SHARDS, _stub_runner, workers=1, shard_timeout=0.0)
+def test_exhausted_attempts_become_a_counted_failure(reference):
+    # Fault seed 76 crashes every attempt of shard 1; the rest run clean.
+    plan = ProcessFaultPlan(crash_rate=0.5, max_faulty_attempts=50)
+    report = run_fleet(SPEC, num_shards=4, backend="serial", faults=plan,
+                       policy=_policy(2), seed=76)
+    assert [shard.shard_id for shard in report.shards] == [0, 2, 3]
+    assert [f.shard_id for f in report.failures] == [1]
+    assert report.failures[0].attempts == 2
+    assert not report.failures[0].quarantined
+    assert "exhausted" in report.failures[0].error
 
 
 # ----------------------------------------------------------------------
-# process-level failure shapes (real pool, module-level workers)
+# process-level failure shapes (real pool, os._exit and wedged workers)
 # ----------------------------------------------------------------------
 
-def _exit_once_runner(flag_dir: str, shard: ShardSpec) -> str:
-    """Kills its worker with ``os._exit`` the first time shard 0 runs —
-    the ungraceful death (OOM-kill, segfault) that breaks the whole
-    ``ProcessPoolExecutor``, not just one future."""
-    flag = os.path.join(flag_dir, f"died-{shard.shard_id}")
-    if shard.shard_id == 0 and not os.path.exists(flag):
-        open(flag, "w").close()
-        os._exit(11)
-    return f"report-{shard.shard_id}"
+def test_broken_pool_becomes_counted_retry_and_one_rebuild(reference):
+    # Regression pin: a worker calling os._exit (fault seed 6 fates
+    # shard 0's first attempt to it) must surface as a failed attempt
+    # that is retried plus a pool rebuild, never an uncaught
+    # BrokenProcessPool.
+    plan = ProcessFaultPlan(crash_rate=0.5, hard_crash=True,
+                            max_faulty_attempts=0)
+    report = run_fleet(SPEC, num_shards=4, backend="process", workers=2,
+                       faults=plan, policy=_policy(2), seed=6)
+    assert not report.failures
+    assert report.identity_signature() == reference
+    stats = report.supervisor
+    assert stats.crashes_detected == 1
+    assert stats.retries_scheduled == 1
+    assert stats.pool_rebuilds >= 1
 
 
-def _hang_once_runner(flag_dir: str, shard: ShardSpec) -> str:
-    """Wedges (sleeps far past any test deadline) the first time
-    shard 0 runs — the hung-worker shape only a timeout can evict."""
-    flag = os.path.join(flag_dir, f"hung-{shard.shard_id}")
-    if shard.shard_id == 0 and not os.path.exists(flag):
-        open(flag, "w").close()
-        time.sleep(300.0)
-    return f"report-{shard.shard_id}"
+def test_broken_pool_exhausting_attempts_is_a_counted_failure(reference):
+    # A shard whose *every* attempt kills its worker (fault seed 6
+    # with no clean attempts left for shard 0) must end as a counted
+    # ShardFailure, never a crashed or hung run.
+    plan = ProcessFaultPlan(crash_rate=0.5, hard_crash=True,
+                            max_faulty_attempts=50)
+    report = run_fleet(SPEC, num_shards=4, backend="process", workers=2,
+                       faults=plan, policy=_policy(2), seed=6)
+    assert ([room.identity_signature() for room in report.rooms]
+            == reference["rooms"][1:])
+    assert [f.shard_id for f in report.failures] == [0]
+    assert report.failures[0].attempts == 2
+    assert "BrokenProcessPool" in report.failures[0].error
 
 
-def test_broken_pool_becomes_counted_retry_and_one_rebuild(tmp_path):
-    # Regression pin: a worker calling os._exit used to surface as an
-    # uncaught BrokenProcessPool from wait(); now it is a failed
-    # attempt (retried) plus exactly one pool rebuild per break.
-    dispatcher = FleetDispatcher(
-        breaker=CircuitBreaker("test.pool3", failure_threshold=10,
-                               recovery_timeout=60.0),
-        max_attempts=2,
-    )
-    runner = functools.partial(_exit_once_runner, str(tmp_path))
-    reports, failures = dispatcher.run(SHARDS, runner, workers=2)
-    assert sorted(reports) == [f"report-{i}" for i in range(4)]
-    assert not failures
-    assert dispatcher._m_rebuilds.value >= 1
+def test_break_with_co_runner_charges_only_the_lone_offender(reference):
+    # Fault seed 288 fates shard 0's first attempt to os._exit at once
+    # while shard 1's first attempt dawdles, so the break dooms both
+    # together.  Neither is charged; both re-run alone, where shard 0
+    # breaks the pool by itself (charged, and with one attempt
+    # allowed, failed) and shard 1 completes.  Shards 2 and 3 run
+    # clean and were never in flight when the pool broke.
+    plan = ProcessFaultPlan(crash_rate=0.5, hard_crash=True,
+                            straggler_rate=0.5, straggler_delay_s=0.5,
+                            max_faulty_attempts=0)
+    report = run_fleet(SPEC, num_shards=4, backend="process", workers=2,
+                       faults=plan, policy=_policy(1), seed=288)
+    assert [f.shard_id for f in report.failures] == [0]
+    assert report.failures[0].attempts == 1
+    assert ([room.identity_signature() for room in report.rooms]
+            == reference["rooms"][1:])
+    stats = report.supervisor
+    assert stats.crashes_detected == 1
+    assert stats.pool_rebuilds == 2
 
 
-def _exit_always_runner(shard: ShardSpec) -> str:
-    if shard.shard_id == 0:
-        os._exit(11)
-    return f"report-{shard.shard_id}"
-
-
-def test_broken_pool_exhausting_attempts_is_a_counted_failure():
-    # A shard whose *every* attempt kills its worker must end as a
-    # counted ShardFailure, never a crashed or hung run.
-    dispatcher = FleetDispatcher(
-        breaker=CircuitBreaker("test.pool4", failure_threshold=10,
-                               recovery_timeout=60.0),
-        max_attempts=2,
-    )
-    reports, failures = dispatcher.run(
-        SHARDS, _exit_always_runner, workers=2)
-    assert sorted(reports) == [f"report-{i}" for i in range(1, 4)]
-    assert [f.shard_id for f in failures] == [0]
-    assert failures[0].attempts == 2
-    assert "BrokenProcessPool" in failures[0].error or "broken" in \
-        failures[0].error.lower()
-
-
-def _exit_beside_co_runner(flag_dir: str, shard: ShardSpec) -> str:
-    """Shard 0 kills its worker while shard 1 is still running, every
-    time; shard 1 dawdles on its first attempt so the break catches it
-    in flight."""
-    started = os.path.join(flag_dir, "co-runner-started")
-    if shard.shard_id == 1 and not os.path.exists(started):
-        open(started, "w").close()
-        time.sleep(1.0)
-    if shard.shard_id == 0:
-        deadline = time.monotonic() + 10.0
-        while not os.path.exists(started) and time.monotonic() < deadline:
-            time.sleep(0.01)
-        os._exit(11)
-    return f"report-{shard.shard_id}"
-
-
-def test_break_with_co_runner_charges_only_the_lone_offender(tmp_path):
-    # Regression pin for the co-runner flake: one break dooms shards 0
-    # and 1 together.  Neither is charged; both re-run alone, where
-    # shard 0 breaks the pool by itself (charged, and with one attempt
-    # allowed, failed) and shard 1 completes.
-    dispatcher = FleetDispatcher(
-        breaker=CircuitBreaker("test.pool6", failure_threshold=10,
-                               recovery_timeout=60.0),
-        max_attempts=1,
-    )
-    runner = functools.partial(_exit_beside_co_runner, str(tmp_path))
-    reports, failures = dispatcher.run(SHARDS, runner, workers=2)
-    assert sorted(reports) == [f"report-{i}" for i in range(1, 4)]
-    assert [f.shard_id for f in failures] == [0]
-    assert failures[0].attempts == 1
-    assert dispatcher._m_casualties.value == 2
-    assert dispatcher._m_rebuilds.value == 2
-
-
-def test_hung_worker_is_timed_out_killed_and_retried(tmp_path):
-    # Without shard_timeout this run would block forever on wait();
-    # with it, the wedged worker is killed, counted, and the shard's
-    # retry (which does not hang) completes the run.
-    dispatcher = FleetDispatcher(
-        breaker=CircuitBreaker("test.pool5", failure_threshold=10,
-                               recovery_timeout=60.0),
-        max_attempts=2,
-    )
-    runner = functools.partial(_hang_once_runner, str(tmp_path))
+def test_hung_worker_is_timed_out_killed_and_retried(reference):
+    # Fault seed 28 wedges shard 0's first attempt far past any test
+    # deadline.  Without shard_deadline_s this run would sit out the
+    # sleep; with it, the wedged worker is killed, counted, and the
+    # shard's retry (which does not hang) completes the run.
+    plan = ProcessFaultPlan(straggler_rate=0.5, straggler_delay_s=120.0,
+                            max_faulty_attempts=0)
     start = time.monotonic()
-    reports, failures = dispatcher.run(
-        SHARDS, runner, workers=2, shard_timeout=1.0)
+    report = run_fleet(SPEC, num_shards=4, backend="process", workers=2,
+                       faults=plan, policy=_policy(2, shard_deadline_s=2.0),
+                       seed=28)
     wall = time.monotonic() - start
-    assert sorted(reports) == [f"report-{i}" for i in range(4)]
-    assert not failures
-    assert dispatcher._m_timed_out.value == 1
-    assert dispatcher._m_rebuilds.value >= 1
+    assert not report.failures
+    assert report.identity_signature() == reference
+    stats = report.supervisor
+    assert stats.deadline_kills == 1
+    assert stats.pool_rebuilds >= 1
     assert wall < 60.0  # evicted the hang, did not sit out the sleep

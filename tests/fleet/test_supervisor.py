@@ -106,28 +106,6 @@ def test_hard_crashes_break_and_rebuild_the_pool_exactly(reference):
     assert stats.pool_rebuilds >= 1
 
 
-def test_break_with_co_runner_charges_only_the_lone_offender(reference):
-    # Fault seed 288 fates shard 0's first attempt to os._exit at once
-    # while shard 1's first attempt dawdles, so the break dooms both
-    # together.  Neither is charged; both re-run alone, where shard 0
-    # breaks the pool by itself (charged, and with one attempt
-    # allowed, failed) and shard 1 completes.  Shards 2 and 3 run
-    # clean and were never in flight when the pool broke.
-    plan = ProcessFaultPlan(crash_rate=0.5, hard_crash=True,
-                            straggler_rate=0.5, straggler_delay_s=0.5,
-                            max_faulty_attempts=0)
-    report = run_fleet(SPEC, num_shards=4, backend="process", workers=2,
-                       faults=plan, policy=_policy(max_attempts=1),
-                       seed=288)
-    assert [f.shard_id for f in report.failures] == [0]
-    assert report.failures[0].attempts == 1
-    assert ([room.identity_signature() for room in report.rooms]
-            == reference["rooms"][1:])
-    stats = report.supervisor
-    assert stats.crashes_detected == 1
-    assert stats.pool_rebuilds == 2
-
-
 # ----------------------------------------------------------------------
 # poison + duplicates
 # ----------------------------------------------------------------------
