@@ -66,7 +66,8 @@ figures:
 examples:
 	@for script in examples/*.py; do \
 		echo "== $$script"; \
-		$(PYTHON) $$script > /dev/null && echo OK || exit 1; \
+		PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} $(PYTHON) $$script \
+			> /dev/null && echo OK || exit 1; \
 	done
 
 render-all:

@@ -28,7 +28,6 @@ from .fft import (
     bandpass_filter,
     hann_taper,
     power_spectrogram,
-    power_spectrogram_reference,
 )
 from .goertzel import GoertzelBank, GoertzelResult, goertzel_magnitude
 from .mel import (
@@ -127,7 +126,6 @@ __all__ = [
     "office_ambience",
     "pink_noise",
     "power_spectrogram",
-    "power_spectrogram_reference",
     "propagation_loss_db",
     "raised_cosine_envelope",
     "read_wav",

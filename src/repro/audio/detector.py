@@ -21,7 +21,6 @@ import time as _time
 from dataclasses import dataclass
 
 from .. import obs
-from ..infra.cache import spectrum_fingerprint
 from .fft import Spectrum, SpectrumAnalyzer
 from .goertzel import GoertzelBank, GoertzelResult
 from .signal import AudioSignal
@@ -110,14 +109,6 @@ class FrequencyDetector:
         occupancy from spectra the detector already paid for, with no
         extra FFTs.  ``None`` (the default) costs a single ``is not
         None`` check per window.
-    spectra_cache:
-        Optional :class:`repro.infra.SpectraCache`: window spectra are
-        memoized by content fingerprint, so a second detector analyzing
-        the same capture (co-located listeners sharing a microphone)
-        reuses the transform instead of recomputing it.  FFT backend
-        only; ``None`` (the default) costs one ``is not None`` check
-        per window.  The sink still fires per *detect call*, cached or
-        not — every consumer sees every window.
     """
 
     def __init__(
@@ -129,7 +120,6 @@ class FrequencyDetector:
         backend: str = "fft",
         analyzer: SpectrumAnalyzer | None = None,
         spectrum_sink=None,
-        spectra_cache=None,
     ) -> None:
         if not watched_frequencies:
             raise ValueError("watched_frequencies must not be empty")
@@ -144,15 +134,9 @@ class FrequencyDetector:
         self.backend = backend
         self._analyzer = analyzer or SpectrumAnalyzer(zero_pad_factor=2)
         self.spectrum_sink = spectrum_sink
-        self.spectra_cache = spectra_cache
         if spectrum_sink is not None and backend != "fft":
             raise ValueError(
                 "spectrum_sink requires the fft backend (the Goertzel "
-                "bank computes no full spectrum)"
-            )
-        if spectra_cache is not None and backend != "fft":
-            raise ValueError(
-                "spectra_cache requires the fft backend (the Goertzel "
                 "bank computes no full spectrum)"
             )
         self._goertzel = GoertzelBank(self.watched) if backend == "goertzel" else None
@@ -243,14 +227,7 @@ class FrequencyDetector:
         return events
 
     def _detect_fft(self, window: AudioSignal, time: float) -> list[DetectionEvent]:
-        if self.spectra_cache is not None:
-            key = spectrum_fingerprint(window, time, self._analyzer)
-            spectrum = self.spectra_cache.get(key, time)
-            if spectrum is None:
-                spectrum = self._analyzer.analyze(window)
-                self.spectra_cache.put(key, spectrum, time)
-        else:
-            spectrum = self._analyzer.analyze(window)
+        spectrum = self._analyzer.analyze(window)
         if self.spectrum_sink is not None:
             self.spectrum_sink(spectrum, time)
         return self._events_from_spectrum(spectrum, time)

@@ -290,7 +290,7 @@ def run_xext13(args: argparse.Namespace) -> None:
 
 def run_xext14(args: argparse.Namespace) -> None:
     result = experiments.infra_experiment(smoke=getattr(args, "smoke", False))
-    wedged, storm, shared = result.wedged, result.storm, result.shared
+    wedged, storm = result.wedged, result.storm
 
     def _latency(value):
         return f"{value:.2f} s" if value is not None else "never"
@@ -322,20 +322,6 @@ def run_xext14(args: argparse.Namespace) -> None:
              f"peak in-flight {storm.limited_peak_in_flight} "
              f"(bound {storm.admitted_bound:.0f})  "
              f"admitted {storm.arq_admitted}, shed {storm.arq_shed}"),
-            ("controller ingest",
-             f"{storm.controller_detections} detections = "
-             f"{storm.controller_dispatched} dispatched + "
-             f"{storm.controller_shed} shed "
-             f"(conserved: {storm.conservation_holds})"),
-        ])
-    _print_table(
-        f"XEXT14c: two controllers, one microphone, one spectra cache "
-        f"({shared.windows_each} windows each)", [
-            ("cache", f"{shared.cache_hits} hits / "
-             f"{shared.cache_misses} misses  "
-             f"(hit rate {shared.hit_rate:.1%})"),
-            ("events", f"{shared.events_a} vs {shared.events_b}, "
-             f"identical: {shared.events_identical}"),
         ])
 
 
@@ -486,8 +472,7 @@ EXPERIMENTS: dict[str, tuple[str, Callable[[argparse.Namespace], None]]] = {
     "xext": ("extensions (relay, DDoS, ultrasound, modem)", run_xext),
     "xext12": ("resilience (fault injection, ARQ, failover)", run_xext12),
     "xext13": ("spectrum agility (interference replanning)", run_xext13),
-    "xext14": ("infra hardening (breaker, admission, spectra cache)",
-               run_xext14),
+    "xext14": ("infra hardening (breaker, admission)", run_xext14),
     "xext15": ("fleet scale-out (sharded rooms, merged observability)",
                run_xext15),
     "xext16": ("workload generator (mixes -> precision/recall, scale)",
@@ -580,25 +565,29 @@ def build_parser() -> argparse.ArgumentParser:
 
     subparsers.add_parser("list", help="list runnable experiments")
 
-    run_parser = subparsers.add_parser("run", help="run experiments")
+    # The experiment flags, shared by ``run`` and ``obs``.
+    flags = argparse.ArgumentParser(add_help=False)
+    flags.add_argument("--song", action="store_true",
+                       help="add the pop-song interferer (fig4*)")
+    flags.add_argument("--noise", action="store_true",
+                       help="add background noise (fig2a)")
+    flags.add_argument("--switches", type=int, default=5,
+                       help="switch count for fig2a")
+    flags.add_argument("--samples", type=int, default=1000,
+                       help="sample count for fig2b")
+    flags.add_argument("--smoke", action="store_true",
+                       help="shrink sweeps for CI (xext12-xext17)")
+    flags.add_argument(
+        "--workload", choices=sorted(_workload_mix_names()), default=None,
+        help="drive fig4*/fig5ab/xbase with a named seeded workload mix",
+    )
+
+    run_parser = subparsers.add_parser("run", parents=[flags],
+                                       help="run experiments")
     run_parser.add_argument(
         "experiment",
         choices=sorted(EXPERIMENTS) + ["all"],
         help="which figure/study to regenerate",
-    )
-    run_parser.add_argument("--song", action="store_true",
-                            help="add the pop-song interferer (fig4*)")
-    run_parser.add_argument("--noise", action="store_true",
-                            help="add background noise (fig2a)")
-    run_parser.add_argument("--switches", type=int, default=5,
-                            help="switch count for fig2a")
-    run_parser.add_argument("--samples", type=int, default=1000,
-                            help="sample count for fig2b")
-    run_parser.add_argument("--smoke", action="store_true",
-                            help="shrink sweeps for CI (xext12-xext16)")
-    run_parser.add_argument(
-        "--workload", choices=sorted(_workload_mix_names()), default=None,
-        help="drive fig4*/fig5ab/xbase with a named seeded workload mix",
     )
 
     render_parser = subparsers.add_parser(
@@ -609,26 +598,13 @@ def build_parser() -> argparse.ArgumentParser:
     render_parser.add_argument("output", help="output .wav path")
 
     obs_parser = subparsers.add_parser(
-        "obs", help="run one experiment under the observability layer"
+        "obs", parents=[flags],
+        help="run one experiment under the observability layer",
     )
     obs_parser.add_argument(
         "experiment",
         choices=sorted(EXPERIMENTS),
         help="which figure/study to run instrumented",
-    )
-    obs_parser.add_argument("--song", action="store_true",
-                            help="add the pop-song interferer (fig4*)")
-    obs_parser.add_argument("--noise", action="store_true",
-                            help="add background noise (fig2a)")
-    obs_parser.add_argument("--switches", type=int, default=5,
-                            help="switch count for fig2a")
-    obs_parser.add_argument("--samples", type=int, default=1000,
-                            help="sample count for fig2b")
-    obs_parser.add_argument("--smoke", action="store_true",
-                            help="shrink sweeps for CI (xext12-xext16)")
-    obs_parser.add_argument(
-        "--workload", choices=sorted(_workload_mix_names()), default=None,
-        help="drive fig4*/fig5ab/xbase with a named seeded workload mix",
     )
     return parser
 

@@ -25,7 +25,6 @@ from .. import obs
 from ..audio.channel import AcousticChannel
 from ..audio.detector import DetectionEvent, FrequencyDetector
 from ..audio.devices import Microphone
-from ..infra import SpectraCache, TokenBucket
 from ..net.controlplane import ControlChannel, ControllerBase, FlowMod, PacketIn
 from ..net.sim import PeriodicTimer, Simulator
 
@@ -57,18 +56,6 @@ class MDNController(ControllerBase):
         room-scale propagation allowance), so a margin of 0 can never
         drop a tone whose reflections are still audible.  0 disables
         pruning (e.g. when another listener needs deep look-back).
-    ingest_limiter:
-        Optional :class:`repro.infra.TokenBucket` on event dispatch: a
-        detection storm (many simultaneous tones, every window) sheds
-        excess events with a counted drop (``events_shed``) instead of
-        flooding every subscriber.  Onset suppression still sees every
-        physical detection — admission gates *dispatch*, not physics —
-        so ``detections == dispatched + shed`` always holds.
-    spectra_cache:
-        Optional :class:`repro.infra.SpectraCache` shared with the
-        detector (FFT backend): identical capture windows — e.g. two
-        co-located controllers sharing one microphone — are transformed
-        once.  Survives detector rebuilds.
 
     Co-located listeners (several controllers, or a controller next to
     a :class:`~repro.core.array.MicrophoneArray` station) share the
@@ -88,16 +75,9 @@ class MDNController(ControllerBase):
         control_channel: ControlChannel | None = None,
         prune_every: int = 600,
         prune_margin: float = 30.0,
-        ingest_limiter: TokenBucket | None = None,
-        spectra_cache: SpectraCache | None = None,
     ) -> None:
         if listen_interval <= 0:
             raise ValueError("listen_interval must be positive")
-        if spectra_cache is not None and backend != "fft":
-            raise ValueError(
-                "spectra_cache requires the fft backend (the Goertzel "
-                "bank computes no full spectrum)"
-            )
         self.sim = sim
         self.channel = channel
         self.microphone = microphone
@@ -108,8 +88,6 @@ class MDNController(ControllerBase):
         self.control_channel = control_channel
         self.prune_every = prune_every
         self.prune_margin = prune_margin
-        self.ingest_limiter = ingest_limiter
-        self.spectra_cache = spectra_cache
         if control_channel is not None:
             control_channel.register_controller(self)
 
@@ -147,7 +125,6 @@ class MDNController(ControllerBase):
         self._m_detections = obs.counter("controller.detections")
         self._m_onsets = obs.counter("controller.onsets")
         self._m_tones_pruned = obs.counter("controller.tones_pruned")
-        self._m_events_shed = obs.counter("controller.events_shed")
         self._obs = obs.get_registry()
         if self._obs is not None:
             self._m_window_ms = self._obs.register(
@@ -176,11 +153,6 @@ class MDNController(ControllerBase):
     def tones_pruned(self) -> int:
         """Channel tones dropped by this controller's periodic prune."""
         return self._m_tones_pruned.value
-
-    @property
-    def events_shed(self) -> int:
-        """Detections dropped before dispatch by the ingest limiter."""
-        return self._m_events_shed.value
 
     # ------------------------------------------------------------------
     # Subscription
@@ -379,7 +351,6 @@ class MDNController(ControllerBase):
             min_level_db=self.min_level_db,
             backend=self.backend,
             spectrum_sink=sink,
-            spectra_cache=self.spectra_cache,
         )
 
     def _translate_events(
@@ -427,20 +398,8 @@ class MDNController(ControllerBase):
                 events = self._translate_events(events)
             self._m_windows.inc()
             self._m_detections.inc(len(events))
-
-            # Onset suppression tracks every *physical* detection; the
-            # ingest limiter gates what is dispatched, not what exists,
-            # so detections == dispatched + shed and a shed tone can't
-            # re-fire a spurious onset next window.
             present = {event.frequency for event in events}
-            if self.ingest_limiter is not None:
-                dispatch = [event for event in events
-                            if self.ingest_limiter.admit(end)]
-                if len(dispatch) < len(events):
-                    self._m_events_shed.inc(len(events) - len(dispatch))
-            else:
-                dispatch = events
-            for event in dispatch:
+            for event in events:
                 for callback in self._detection_subscribers.get(event.frequency, ()):
                     callback(event)
                 if event.frequency not in self._previous_window:
@@ -448,7 +407,7 @@ class MDNController(ControllerBase):
                     for callback in self._onset_subscribers.get(event.frequency, ()):
                         callback(event)
             for callback in self._any_window_subscribers:
-                callback(dispatch, start)
+                callback(events, start)
             self._previous_window = present
             if self.prune_every and self.windows_processed % self.prune_every == 0:
                 self._m_tones_pruned.inc(

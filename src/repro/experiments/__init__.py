@@ -64,12 +64,10 @@ from .xext13 import (
     spectrum_agility_run,
 )
 from .xext14 import (
-    SharedSpectraResult,
     StormResult,
     WedgedLinkResult,
     Xext14Result,
     infra_experiment,
-    shared_spectra_experiment,
     storm_experiment,
     wedged_link_experiment,
 )
@@ -161,12 +159,10 @@ __all__ = [
     "SweepPoint",
     "Xext13Result",
     "bandwidth_sweep",
-    "SharedSpectraResult",
     "StormResult",
     "WedgedLinkResult",
     "Xext14Result",
     "infra_experiment",
-    "shared_spectra_experiment",
     "storm_experiment",
     "wedged_link_experiment",
     "FleetScalePoint",

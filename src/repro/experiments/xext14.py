@@ -2,7 +2,7 @@
 
 PR 4's reliability layer answered *lossy* links; this experiment
 answers *hostile load and wedged endpoints*, the two failure shapes
-ROADMAP item 3 calls out, in three episodes:
+ROADMAP item 3 calls out, in two episodes:
 
 1. **Wedged link** — a Pi crashes mid-run.  Deadline-only ARQ learns
    nothing until three consecutive frames have each ridden out their
@@ -14,17 +14,11 @@ ROADMAP item 3 calls out, in three episodes:
    each.  Half-open probes (paced by the breaker's
    :class:`~repro.infra.RetryPolicy`) bring the link back after the Pi
    restarts.
-2. **Ingest storm** — a send flood against a crashed Pi, and a
-   six-tone detection storm against the controller.  Without admission
-   control the ARQ ``_pending`` table grows with every send; with
-   :class:`~repro.infra.TokenBucket` buckets both ingest points shed
-   the excess as *counted* drops (``repro.obs``:``arq.mp_shed``,
-   ``controller.events_shed``) while ``in_flight`` stays bounded by
-   ``burst + rate × duration``.
-3. **Shared spectra** — two co-located controllers sharing one
-   microphone each pay a full FFT per window; with one
-   :class:`~repro.infra.SpectraCache` between them the window spectrum
-   is computed once and both see identical events, at a ~50 % hit rate.
+2. **Send storm** — a send flood against a crashed Pi.  Without
+   admission control the ARQ ``_pending`` table grows with every send;
+   with a :class:`~repro.infra.TokenBucket` in front the sender sheds
+   the excess as *counted* drops (``repro.obs``:``arq.mp_shed``) while
+   ``in_flight`` stays bounded by ``burst + rate × duration``.
 
 All timing is simulation time; every episode is deterministic.
 """
@@ -33,17 +27,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..audio import AcousticChannel, Microphone, Position
+from ..audio import AcousticChannel, Position
 from ..audio.devices import Speaker
 from ..core import (
-    MDNController,
     MpArqSender,
     MusicAgent,
     MusicProtocolMessage,
     PiBridge,
 )
 from ..core.apps.failover import FailoverManager, InbandFallback
-from ..infra import BreakerState, CircuitBreaker, SpectraCache, TokenBucket
+from ..infra import BreakerState, CircuitBreaker, TokenBucket
 from ..net.sim import Simulator
 from ..net.switch import Switch
 from .rigs import build_testbed
@@ -186,13 +179,13 @@ def wedged_link_experiment(
 
 
 # ----------------------------------------------------------------------
-# Episode 2: ingest storms — unbounded growth vs counted shedding
+# Episode 2: send storm — unbounded growth vs counted shedding
 # ----------------------------------------------------------------------
 
 @dataclass
 class StormResult:
-    """Send flood on a wedged ARQ link + detection storm on the
-    controller, with and without admission control."""
+    """Send flood on a wedged ARQ link, with and without admission
+    control."""
 
     storm_sends: int
     storm_duration: float
@@ -206,12 +199,6 @@ class StormResult:
     arq_shed: int
     #: burst + rate x duration — the analytic bound the peak must obey.
     admitted_bound: float
-    # Controller half:
-    controller_detections: int
-    controller_dispatched: int
-    controller_shed: int
-    #: detections == dispatched + shed (nothing silently lost).
-    conservation_holds: bool
 
 
 def storm_experiment(
@@ -219,14 +206,10 @@ def storm_experiment(
     storm_duration: float = 1.5,
     bucket_rate: float = 20.0,
     bucket_burst: float = 25.0,
-    tones: int = 6,
-    listen_duration: float = 3.0,
     seed: int = XEXT14_SEED,
 ) -> StormResult:
-    """Overload both ingest points and measure what bounds what."""
+    """Flood a crashed Pi's sender and measure what bounds what."""
     interval = storm_duration / sends
-
-    # -- ARQ half: flood a crashed Pi ----------------------------------
     sim, bridge = _pi_rig(seed)
     bridge.pi.crash()
     bare = MpArqSender(bridge)
@@ -236,35 +219,13 @@ def storm_experiment(
 
     sim, bridge = _pi_rig(seed)
     bridge.pi.crash()
-    bucket = TokenBucket(bucket_rate, bucket_burst, name="arq.s1")
+    bucket = TokenBucket(bucket_rate, bucket_burst)
     limited = MpArqSender(bridge, admission=bucket)
     for index in range(sends):
         sim.schedule_at(index * interval, limited.send_wire,
                         MESSAGE.marshal())
     sim.run(storm_duration + 3.0)
     limited_stats = limited.stats()
-
-    # -- controller half: six continuous tones, limited dispatch ------
-    sim = Simulator()
-    channel = AcousticChannel()
-    limiter = TokenBucket(10.0, 5.0, name="controller")
-    controller = MDNController(
-        sim, channel, Microphone(Position(), seed=seed),
-        ingest_limiter=limiter,
-    )
-    frequencies = [600.0 + 100.0 * i for i in range(tones)]
-    dispatched: list[float] = []
-    controller.watch(frequencies,
-                     on_detection=lambda e: dispatched.append(e.time))
-    for index, frequency in enumerate(frequencies):
-        agent = MusicAgent(sim, channel,
-                           Speaker(Position(0.5 + 0.1 * index, 0.0, 0.0)),
-                           name=f"storm{index}")
-        # One long tone per agent: every window of the run detects it.
-        agent.play(frequency, listen_duration, 72.0)
-    controller.start()
-    sim.run(listen_duration)
-
     return StormResult(
         storm_sends=sends,
         storm_duration=storm_duration,
@@ -275,76 +236,6 @@ def storm_experiment(
         arq_admitted=limited_stats.sent,
         arq_shed=limited_stats.shed,
         admitted_bound=bucket_burst + bucket_rate * storm_duration,
-        controller_detections=controller.detections,
-        controller_dispatched=len(dispatched),
-        controller_shed=controller.events_shed,
-        conservation_holds=(controller.detections
-                            == len(dispatched) + controller.events_shed),
-    )
-
-
-# ----------------------------------------------------------------------
-# Episode 3: co-located listeners sharing one spectra cache
-# ----------------------------------------------------------------------
-
-@dataclass
-class SharedSpectraResult:
-    """Two controllers, one microphone, one cache."""
-
-    windows_each: int
-    cache_hits: int
-    cache_misses: int
-    hit_rate: float
-    #: Both controllers saw the identical event stream.
-    events_identical: bool
-    events_a: int
-    events_b: int
-
-
-def shared_spectra_experiment(
-    duration: float = 3.0,
-    listen_interval: float = 0.1,
-    seed: int = XEXT14_SEED,
-) -> SharedSpectraResult:
-    """Two co-located controllers listen to the same air through one
-    microphone and one :class:`~repro.infra.SpectraCache`: each window
-    is transformed once, reused once, and both see the same tones."""
-    sim = Simulator()
-    channel = AcousticChannel()
-    microphone = Microphone(Position(), seed=seed)
-    cache = SpectraCache(capacity=16, ttl=2 * listen_interval)
-    events_a: list[tuple[float, float]] = []
-    events_b: list[tuple[float, float]] = []
-    controllers = []
-    for sink in (events_a, events_b):
-        controller = MDNController(
-            sim, channel, microphone,
-            listen_interval=listen_interval, spectra_cache=cache,
-        )
-        controller.watch(
-            [800.0, 1200.0],
-            on_detection=lambda e, s=sink: s.append((e.time, e.frequency)),
-        )
-        controllers.append(controller)
-    agent = MusicAgent(sim, channel, Speaker(Position(0.8, 0.0, 0.0)),
-                       name="beacon")
-    beat = 0.0
-    while beat < duration - 0.3:
-        sim.schedule_at(beat, agent.play, 800.0, 0.12, 70.0)
-        sim.schedule_at(beat + 0.15, agent.play, 1200.0, 0.12, 70.0)
-        beat += 0.4
-    for controller in controllers:
-        controller.start()
-    sim.run(duration)
-    windows = controllers[0].windows_processed
-    return SharedSpectraResult(
-        windows_each=windows,
-        cache_hits=cache.hits,
-        cache_misses=cache.misses,
-        hit_rate=cache.hit_rate,
-        events_identical=events_a == events_b,
-        events_a=len(events_a),
-        events_b=len(events_b),
     )
 
 
@@ -358,19 +249,12 @@ class Xext14Result:
 
     wedged: WedgedLinkResult
     storm: StormResult
-    shared: SharedSpectraResult
 
 
 def infra_experiment(smoke: bool = False,
                      seed: int = XEXT14_SEED) -> Xext14Result:
-    """The full XEXT14 stack; ``smoke`` shrinks the audio episodes for
-    CI (the wedged-link episode is pure packet simulation and runs at
-    full size either way)."""
+    """The full XEXT14 stack; ``smoke`` halves the send storm for CI
+    (the wedged-link episode runs at full size either way)."""
     wedged = wedged_link_experiment(seed=seed)
-    if smoke:
-        storm = storm_experiment(sends=150, listen_duration=1.6, seed=seed)
-        shared = shared_spectra_experiment(duration=1.6, seed=seed)
-    else:
-        storm = storm_experiment(seed=seed)
-        shared = shared_spectra_experiment(seed=seed)
-    return Xext14Result(wedged=wedged, storm=storm, shared=shared)
+    storm = storm_experiment(sends=150 if smoke else 300, seed=seed)
+    return Xext14Result(wedged=wedged, storm=storm)

@@ -1,6 +1,6 @@
 """``repro.infra`` — production-hardening primitives for the MDN stack.
 
-Four small, deterministic, sim-time-driven building blocks that the
+Three small, deterministic, sim-time-driven building blocks that the
 core layers (ARQ, spectrum agility, failover, controller) delegate to
 instead of hand-rolling their own copies:
 
@@ -9,19 +9,17 @@ instead of hand-rolling their own copies:
 * :class:`CircuitBreaker` — trip/fast-fail/half-open protection around
   each per-Pi ARQ link, feeding failover verdicts faster than frame
   deadlines can;
-* :class:`TokenBucket` — admission control that turns ingest storms
-  into counted shedding instead of unbounded queue growth;
-* :class:`SpectraCache` — TTL/LRU memo so identical capture windows
-  are transformed once and shared by every consumer.
+* :class:`TokenBucket` — the one rate limiter: admission control that
+  turns an ARQ send flood into counted shedding instead of unbounded
+  queue growth, and the switch meter that polices a metered flow entry.
 
-All of it wires into :mod:`repro.obs` with the usual
-zero-overhead-when-disabled pattern, and none of it touches a wall
-clock — callers pass sim time in.
+The breaker wires into :mod:`repro.obs` with the usual
+zero-overhead-when-disabled pattern; a bucket's callers count what it
+sheds.  None of it touches a wall clock — callers pass sim time in.
 """
 
 from .admission import TokenBucket
 from .breaker import BreakerState, BreakerTransition, CircuitBreaker
-from .cache import SpectraCache, spectrum_fingerprint
 from .retry import RetryPolicy, RetrySchedule
 
 __all__ = [
@@ -30,7 +28,5 @@ __all__ = [
     "CircuitBreaker",
     "RetryPolicy",
     "RetrySchedule",
-    "SpectraCache",
     "TokenBucket",
-    "spectrum_fingerprint",
 ]

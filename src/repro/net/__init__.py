@@ -26,7 +26,6 @@ from .flowpop import (
 from .flowtable import Action, ActionType, FlowEntry, FlowTable, Match
 from .host import ByteCounterSampler, Host
 from .link import Link, LinkDirection, Node
-from .meter import TokenBucket
 from .packet import FlowKey, Packet, Protocol
 from .queueing import DEFAULT_CAPACITY, PacketQueue, QueueBands
 from .routing import (
@@ -146,7 +145,6 @@ __all__ = [
     "Simulator",
     "Switch",
     "TimeSeries",
-    "TokenBucket",
     "Topology",
     "TrafficSource",
     "linear_topology",

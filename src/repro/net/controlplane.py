@@ -32,8 +32,9 @@ class FlowMod:
     """A flow-table modification pushed to a switch.
 
     ``meter_rate_pps`` attaches a token-bucket policer to the installed
-    entry (the switch instantiates the bucket on its own clock) — how
-    the §6 congestion loop rate-limits in-network.
+    entry (the switch builds a :class:`~repro.infra.TokenBucket` and
+    feeds it its own sim time) — how the §6 congestion loop rate-limits
+    in-network.
     """
 
     match: Match

@@ -120,9 +120,10 @@ _entry_ids = itertools.count(1)
 class FlowEntry:
     """One row of a flow table, with OpenFlow-style counters.
 
-    ``meter`` (a :class:`~repro.net.meter.TokenBucket`) polices matched
-    traffic: packets exceeding the configured rate are dropped at the
-    switch, the in-network actuator of §6's congestion-control loop.
+    ``meter`` (a :class:`~repro.infra.TokenBucket` in packets/s, fed
+    the switch's sim time) polices matched traffic: packets exceeding
+    the configured rate are dropped at the switch, the in-network
+    actuator of §6's congestion-control loop.
     """
 
     match: Match

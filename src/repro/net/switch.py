@@ -18,6 +18,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Callable
 
 from .. import obs
+from ..infra import TokenBucket
 from .flowtable import Action, ActionType, FlowEntry, FlowTable, Match
 from .link import Node
 from .packet import Packet
@@ -101,7 +102,7 @@ class Switch(Node):
         entry = self.flow_table.lookup(packet, in_port)
         if entry is not None:
             entry.account(packet)
-            if entry.meter is not None and not entry.meter.allow(packet):
+            if entry.meter is not None and not entry.meter.admit(self.sim.now):
                 self.packets_policed.increment()
                 self.packets_dropped.increment()
                 return
@@ -156,13 +157,12 @@ class Switch(Node):
     def apply_flow_mod(self, flow_mod: "FlowMod") -> None:
         """Apply a FlowMod received from the control channel."""
         from .controlplane import FlowModCommand
-        from .meter import TokenBucket
 
         if flow_mod.command is FlowModCommand.ADD:
             assert flow_mod.action is not None  # validated at construction
             meter = None
             if flow_mod.meter_rate_pps is not None:
-                meter = TokenBucket(self.sim, flow_mod.meter_rate_pps,
+                meter = TokenBucket(flow_mod.meter_rate_pps,
                                     flow_mod.meter_burst)
             self.flow_table.install(
                 flow_mod.match, flow_mod.action, flow_mod.priority, meter

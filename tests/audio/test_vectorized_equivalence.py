@@ -18,10 +18,10 @@ from repro.audio import (
     chirp,
     goertzel_magnitude,
     power_spectrogram,
-    power_spectrogram_reference,
     sine_tone,
     white_noise,
 )
+from repro.audio.fft import power_spectrogram_reference
 
 TOLERANCE = 1e-9
 

@@ -38,12 +38,6 @@ class TestTokenBucket:
         assert bucket.admitted <= 25.0 + 20.0 * duration
         assert bucket.admitted >= 25.0 + 20.0 * duration - 2
 
-    def test_cost_spends_multiple_tokens(self):
-        bucket = TokenBucket(rate=1.0, burst=4.0)
-        assert bucket.admit(0.0, cost=3.0)
-        assert not bucket.admit(0.0, cost=2.0)
-        assert bucket.admit(0.0, cost=1.0)
-
     def test_peek_spends_nothing(self):
         bucket = TokenBucket(rate=1.0, burst=2.0)
         assert bucket.peek(0.0) == 2.0

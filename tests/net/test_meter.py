@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.infra import TokenBucket
 from repro.net import (
     Action,
     FlowKey,
@@ -10,7 +11,6 @@ from repro.net import (
     Match,
     Packet,
     Simulator,
-    TokenBucket,
     single_switch_topology,
 )
 
@@ -21,43 +21,36 @@ def packet():
 
 class TestTokenBucket:
     def test_validation(self):
-        sim = Simulator()
         with pytest.raises(ValueError):
-            TokenBucket(sim, rate_pps=0)
+            TokenBucket(rate=0, burst=10)
         with pytest.raises(ValueError):
-            TokenBucket(sim, rate_pps=10, burst=0)
+            TokenBucket(rate=10, burst=0)
 
     def test_burst_allowed_then_policed(self):
-        sim = Simulator()
-        bucket = TokenBucket(sim, rate_pps=10, burst=5)
-        outcomes = [bucket.allow(packet()) for _ in range(8)]
+        bucket = TokenBucket(rate=10, burst=5)
+        outcomes = [bucket.admit(0.0) for _ in range(8)]
         assert outcomes == [True] * 5 + [False] * 3
-        assert bucket.policed == 3
+        assert bucket.shed == 3
 
     def test_tokens_refill_over_time(self):
-        sim = Simulator()
-        bucket = TokenBucket(sim, rate_pps=10, burst=5)
+        bucket = TokenBucket(rate=10, burst=5)
         for _ in range(5):
-            bucket.allow(packet())
-        assert not bucket.allow(packet())
-        sim.run(0.5)  # +5 tokens
-        assert bucket.tokens == pytest.approx(5.0, abs=0.1)
-        assert bucket.allow(packet())
+            bucket.admit(0.0)
+        assert not bucket.admit(0.0)
+        # 0.5 s at 10 pps = +5 tokens.
+        assert bucket.peek(0.5) == pytest.approx(5.0, abs=0.1)
+        assert bucket.admit(0.5)
 
     def test_bucket_caps_at_burst(self):
-        sim = Simulator()
-        bucket = TokenBucket(sim, rate_pps=100, burst=5)
-        sim.run(10.0)
-        assert bucket.tokens == 5.0
+        bucket = TokenBucket(rate=100, burst=5)
+        assert bucket.peek(10.0) == 5.0
 
     def test_sustained_rate_enforced(self):
         """Over a long window, conformant packets ~= rate * time."""
-        sim = Simulator()
-        bucket = TokenBucket(sim, rate_pps=50, burst=5)
+        bucket = TokenBucket(rate=50, burst=5)
         allowed = 0
         for step in range(1000):  # 100 pps offered for 10 s
-            sim.run(step * 0.01)
-            if bucket.allow(packet()):
+            if bucket.admit(step * 0.01):
                 allowed += 1
         assert allowed == pytest.approx(50 * 10, rel=0.05)
 
@@ -68,7 +61,7 @@ class TestMeteredEntries:
         topo = single_switch_topology(sim, 2)
         s1 = topo.switches["s1"]
         port = topo.port_towards("s1", "h2")
-        meter = TokenBucket(sim, rate_pps=10, burst=2)
+        meter = TokenBucket(rate=10, burst=2)
         s1.flow_table.install(Match(dst_port=80), Action.forward(port),
                               priority=50, meter=meter)
         for _ in range(5):
@@ -92,7 +85,8 @@ class TestMeteredEntries:
         sim.run(0.01)
         entry = s1.flow_table.lookup(packet(), 1)
         assert entry.meter is not None
-        assert entry.meter.rate_pps == 10.0
+        assert entry.meter.rate == 10.0
+        assert entry.meter.burst == 2.0
 
     def test_flow_mod_meter_validation(self):
         with pytest.raises(ValueError):
