@@ -29,8 +29,8 @@ bench-micro:
 
 # Fleet scaling curve (XEXT15): 1000 switches across 50 sharded rooms,
 # serial reference vs process pool, shard sweep + identity checks.
-# Writes .benchmarks/BENCH_fleet.json (override with
-# BENCH_FLEET_JSON=path; SMOKE=1 runs the shrunken CI fleet).
+# Writes .benchmarks/BENCH_fleet.json (SMOKE=1 runs the shrunken CI
+# fleet).
 bench-fleet:
 	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} $(PYTHON) -m repro run \
 		xext15 $(if $(SMOKE),--smoke)
@@ -38,8 +38,7 @@ bench-fleet:
 # Workload benchmark (XEXT16): seeded traffic mixes swept into detector
 # precision/recall, vectorized-driver scale points (up to 10^6 flows)
 # and the >=10x speedup check against the per-flow reference.  Writes
-# .benchmarks/BENCH_workload.json (override with
-# BENCH_WORKLOAD_JSON=path; SMOKE=1 shrinks the mixes for CI).
+# .benchmarks/BENCH_workload.json (SMOKE=1 shrinks the mixes for CI).
 bench-workload:
 	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} $(PYTHON) -m repro run \
 		xext16 $(if $(SMOKE),--smoke)
@@ -48,8 +47,8 @@ bench-workload:
 # breaks, stragglers, poison, duplicates) against the supervised
 # fleet; verifies exact recovery (bit-identical to the fault-free
 # serial reference) and reports recovery overhead per fault mix.
-# Writes .benchmarks/BENCH_chaos.json (override with
-# BENCH_CHAOS_JSON=path; SMOKE=1 shrinks the fleet and sleeps for CI).
+# Writes .benchmarks/BENCH_chaos.json (SMOKE=1 shrinks the fleet and
+# sleeps for CI).
 bench-chaos:
 	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} $(PYTHON) -m repro run \
 		xext17 $(if $(SMOKE),--smoke)

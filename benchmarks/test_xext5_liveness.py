@@ -2,18 +2,24 @@
 
 The §1 management-task list ("device booting, restart ...") and §7's
 powered-off-server anecdote motivate knowing a box's true state out of
-band.  Every switch chirps a per-device heartbeat; the controller
-declares a device down after two missed beats.  Also includes the
-RED-vs-DCTCP marking ablation for the in-band comparators.
+band.  Every switch chirps a per-device heartbeat; the controller's
+channel-health monitor declares a device DEAD after two missed beats.
+Also includes the RED-vs-DCTCP marking ablation for the in-band
+comparators.
 """
 
 from conftest import report
 
+from repro.core import ChannelHealth
 from repro.core.apps import build_liveness_mesh
 from repro.experiments.rigs import build_testbed
 
 
 def test_xext5_device_death_detected(run_once):
+    def devices_down(monitor):
+        return sorted(device for device, state in monitor.states().items()
+                      if state is ChannelHealth.DEAD)
+
     def run():
         testbed = build_testbed("rhombus")
         chirpers, monitor = build_liveness_mesh(
@@ -21,24 +27,25 @@ def test_xext5_device_death_detected(run_once):
         )
         testbed.controller.start()
         testbed.sim.run(4.0)
-        alive_at_4 = list(monitor.devices_down())
+        alive_at_4 = devices_down(monitor)
         chirpers["s_top"].kill()
         death_time = testbed.sim.now
         testbed.sim.run(12.0)
-        alert = next(a for a in monitor.alerts if a.device == "s_top")
-        return alive_at_4, death_time, alert, monitor.devices_down()
+        dead = next(t for t in monitor.transitions
+                    if t.emitter == "s_top" and t.state is ChannelHealth.DEAD)
+        return alive_at_4, death_time, dead, devices_down(monitor)
 
-    alive_at_4, death_time, alert, down = run_once(run)
+    alive_at_4, death_time, dead, down = run_once(run)
     report("XEXT5: acoustic liveness monitoring (4 switches)", [
         ("false alarms before failure", alive_at_4),
         ("s_top killed at", f"{death_time:.1f} s"),
-        ("declared down at", f"{alert.time:.1f} s"),
-        ("detection latency", f"{alert.time - death_time:.1f} s"),
+        ("declared down at", f"{dead.time:.1f} s"),
+        ("detection latency", f"{dead.time - death_time:.1f} s"),
         ("down set at end", down),
     ])
     assert alive_at_4 == []
     assert down == ["s_top"]
-    assert alert.time - death_time < 3.5
+    assert dead.time - death_time < 3.5
 
 
 def test_xext5_red_vs_dctcp_marking(run_once):

@@ -3,7 +3,6 @@
 from .ecn import ECNMarker, ECNReceiver, ECNSourceObserver, EchoRecord
 from .inband import (
     MANAGEMENT_PORT,
-    AcousticHeartbeat,
     HeartbeatMonitor,
     HeartbeatSender,
     HeartbeatStats,
@@ -12,7 +11,6 @@ from .red import REDMarker
 from .sketch import CountMinSketch, SketchHeavyHitterDetector
 
 __all__ = [
-    "AcousticHeartbeat",
     "CountMinSketch",
     "ECNMarker",
     "ECNReceiver",

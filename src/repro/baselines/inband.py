@@ -123,41 +123,3 @@ class HeartbeatMonitor:
             mean_latency=sum(latencies) / len(latencies) if latencies else float("nan"),
         )
 
-
-class AcousticHeartbeat:
-    """The out-of-band counterpart: a periodic tone instead of a packet.
-
-    Pairs a :class:`~repro.core.agent.MusicAgent` chirp with an
-    arrival log on the listening side (wire the controller's onset
-    callback to :meth:`heard`).  Used by XBASE3 to show delivery
-    continuing through data-plane congestion and failure.
-    """
-
-    def __init__(self, sim: Simulator, agent, frequency: float,
-                 period: float = 0.5, tone_duration: float = 0.08) -> None:
-        if period <= 0:
-            raise ValueError("period must be positive")
-        self.sim = sim
-        self.agent = agent
-        self.frequency = frequency
-        self.period = period
-        self.tone_duration = tone_duration
-        self.emitted = 0
-        self.heard_log: list[float] = []
-        self._timer = sim.every(period, self._beat, start=sim.now)
-
-    def _beat(self) -> None:
-        self.emitted += 1
-        self.agent.play(self.frequency, self.tone_duration)
-
-    def heard(self, event) -> None:
-        """Onset callback for the MDN controller."""
-        self.heard_log.append(event.time)
-
-    def delivery_rate(self) -> float:
-        if self.emitted == 0:
-            return 0.0
-        return min(1.0, len(self.heard_log) / self.emitted)
-
-    def stop(self) -> None:
-        self._timer.stop()

@@ -2,13 +2,7 @@
 controller, state machines and the six paper applications."""
 
 from .agent import MusicAgent
-from .arq import (
-    AckToneResponder,
-    ArqConfig,
-    ArqStats,
-    MpArqSender,
-    ToneArqSender,
-)
+from .arq import ArqConfig, ArqStats, MpArqSender
 from .array import ArrayDetection, MicrophoneArray
 from .controller import MDNController
 from .health import (
@@ -60,7 +54,6 @@ from .relay import ToneRelay, build_relay_chain
 from .telemetry import IntervalCounts, ToneCounter
 
 __all__ = [
-    "AckToneResponder",
     "AcousticMessageService",
     "Allocation",
     "ArqConfig",
@@ -70,7 +63,6 @@ __all__ = [
     "ChannelHealthMonitor",
     "HealthTransition",
     "MpArqSender",
-    "ToneArqSender",
     "DEFAULT_BAND",
     "DEFAULT_GUARD_HZ",
     "FSMError",

@@ -1,6 +1,5 @@
 """The six Music-Defined Networking applications from the paper."""
 
-from .discovery import BOOT_TUNE, BootAnnouncer, BootAnnouncement, DiscoveryApp
 from .evaluation import (
     PrecisionRecall,
     heavy_hitter_curve,
@@ -24,12 +23,7 @@ from .heavy_hitter import (
     HeavyHitterDetectorApp,
     HeavyHitterEmitter,
 )
-from .liveness import (
-    HeartbeatChirper,
-    LivenessAlert,
-    LivenessMonitorApp,
-    build_liveness_mesh,
-)
+from .liveness import HeartbeatChirper, build_liveness_mesh
 from .load_balancer import LoadBalancerApp, SplitRule
 from .melody_auth import Melody, MelodyAuthenticator
 from .port_knocking import KnockConfig, KnockEmitter, PortKnockingApp
@@ -62,13 +56,9 @@ from .queue_monitor import (
 
 __all__ = [
     "AddressToneMapper",
-    "BOOT_TUNE",
-    "BootAnnouncer",
-    "BootAnnouncement",
     "BandToneMap",
     "ChordEmitter",
     "CHIRP_PERIOD",
-    "DiscoveryApp",
     "FIG5_BAND_FREQUENCIES",
     "FailoverEvent",
     "FailoverManager",
@@ -80,8 +70,6 @@ __all__ = [
     "HeavyHitterDetectorApp",
     "HeavyHitterEmitter",
     "HeartbeatChirper",
-    "LivenessAlert",
-    "LivenessMonitorApp",
     "KnockConfig",
     "KnockEmitter",
     "LoadBalancerApp",

@@ -5,19 +5,18 @@ diagnostics among the management tasks an out-of-band channel should
 carry, and §7's UPS anecdote shows why knowing a box's true power state
 matters.  This app is the *active* counterpart of the fan watchdog:
 each monitored device chirps a per-device heartbeat tone on a fixed
-period; the controller tracks arrivals and raises an alert when a
-device misses ``miss_threshold`` consecutive beats — a crash, power
-loss or speaker failure, detected with zero packets.
+period; the controller's :class:`~repro.core.health.ChannelHealthMonitor`
+declares a device DEAD when it misses ``dead_misses`` consecutive beats
+— a crash, power loss or speaker failure, detected with zero packets.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from ...net.sim import PeriodicTimer, Simulator
 from ..agent import MusicAgent
 from ..controller import MDNController
 from ..frequency_plan import FrequencyPlan
+from ..health import ChannelHealthMonitor
 
 
 class HeartbeatChirper:
@@ -71,118 +70,18 @@ class HeartbeatChirper:
         self._timer.stop()
 
 
-@dataclass(frozen=True)
-class LivenessAlert:
-    """A monitored device declared down."""
-
-    device: str
-    time: float
-    last_heard: float
-    missed_beats: int
-
-
-class LivenessMonitorApp:
-    """Controller-side half: per-device beat tracking.
-
-    Parameters
-    ----------
-    devices:
-        ``{device_name: heartbeat_frequency}``.
-    period:
-        The agreed heartbeat period.
-    miss_threshold:
-        Consecutive missed beats before the device is declared down
-        (2 tolerates one lost window; the paper's channel is lossy air).
-    """
-
-    def __init__(
-        self,
-        controller: MDNController,
-        devices: dict[str, float],
-        period: float = 1.0,
-        miss_threshold: int = 2,
-    ) -> None:
-        if not devices:
-            raise ValueError("need at least one device")
-        if miss_threshold < 1:
-            raise ValueError("miss_threshold must be >= 1")
-        self.controller = controller
-        self.devices = dict(devices)
-        self.period = period
-        self.miss_threshold = miss_threshold
-        self._frequency_to_device = {
-            frequency: name for name, frequency in devices.items()
-        }
-        if len(self._frequency_to_device) != len(devices):
-            raise ValueError("device frequencies must be unique")
-        self.last_heard: dict[str, float] = {}
-        self.down: dict[str, LivenessAlert] = {}
-        self.alerts: list[LivenessAlert] = []
-        # The chirper emits on a PeriodicTimer's absolute grid, so the
-        # monitor anchors its deadline to that grid too: the first
-        # heard beat fixes the origin, and every later beat snaps to
-        # the nearest slot.  Detection jitter (a beat surfacing a
-        # window late) must not slide the miss deadline.
-        self._origin: dict[str, float] = {}
-        self._last_slot: dict[str, int] = {}
-        controller.watch(list(devices.values()), on_onset=self._on_beat)
-        controller.on_window(self._on_window)
-
-    def _on_beat(self, event) -> None:
-        device = self._frequency_to_device[event.frequency]
-        self.last_heard[device] = event.time
-        origin = self._origin.get(device)
-        if origin is None:
-            self._origin[device] = event.time
-            self._last_slot[device] = 0
-        else:
-            slot = round((event.time - origin) / self.period)
-            if slot > self._last_slot[device]:
-                self._last_slot[device] = slot
-        if device in self.down:
-            # Device came back: clear the down state (the alert stays
-            # in the history).
-            del self.down[device]
-
-    def _reference(self, device: str) -> float:
-        """Grid-snapped time of the last beat credited to ``device``
-        (grace window before the first beat is ever heard)."""
-        origin = self._origin.get(device)
-        if origin is None:
-            return -self.period / 2
-        return origin + self._last_slot[device] * self.period
-
-    def _on_window(self, events, time: float) -> None:
-        deadline = self.period * self.miss_threshold + self.period / 2
-        for device in sorted(self.devices):
-            if device in self.down:
-                continue
-            reference = self._reference(device)
-            silence = time - reference
-            if silence > deadline:
-                missed = int(silence / self.period)
-                alert = LivenessAlert(device, time, reference, missed)
-                self.down[device] = alert
-                self.alerts.append(alert)
-
-    def is_down(self, device: str) -> bool:
-        return device in self.down
-
-    def devices_down(self) -> list[str]:
-        return sorted(self.down)
-
-
 def build_liveness_mesh(
     controller: MDNController,
     agents: dict[str, MusicAgent],
     plan: FrequencyPlan,
     period: float = 1.0,
     miss_threshold: int = 2,
-) -> tuple[dict[str, HeartbeatChirper], LivenessMonitorApp]:
+) -> tuple[dict[str, HeartbeatChirper], ChannelHealthMonitor]:
     """Give every agent a heartbeat frequency and wire the monitor.
 
-    Returns ``(chirpers_by_device, monitor)``.  Call before
-    ``controller.start()``.
+    Returns ``(chirpers_by_device, monitor)``; a device is down when its
+    monitor state is ``ChannelHealth.DEAD``, i.e. after
+    ``miss_threshold`` missed beats.  Call before ``controller.start()``.
     """
     devices: dict[str, float] = {}
     chirpers: dict[str, HeartbeatChirper] = {}
@@ -197,5 +96,6 @@ def build_liveness_mesh(
             controller.sim, agents[name], frequency, period,
             phase=(index * period) / max(len(names), 1) % period,
         )
-    monitor = LivenessMonitorApp(controller, devices, period, miss_threshold)
+    monitor = ChannelHealthMonitor(controller, devices, period,
+                                   dead_misses=miss_threshold)
     return chirpers, monitor

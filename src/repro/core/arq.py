@@ -2,42 +2,34 @@
 
 ChirpCast-style acoustic links (arXiv:1508.07099) only become reliable
 with acknowledgement and redundancy; the same holds for MDN's two lossy
-hops.  This module adds a stop-and-wait-per-frame ARQ mode to both:
+hops.  This module adds a stop-and-wait-per-frame ARQ mode to the
+**wire** hop (switch → Pi): :class:`MpArqSender` frames each MP message
+with a 16-bit sequence number (``b"MD" + seq + wire``); the Pi
+acknowledges a cleanly-unmarshalled frame with ``b"MA" + seq`` on
+:data:`~repro.core.pi.MP_ACK_PORT`.  Unacknowledged frames are
+retransmitted with exponential backoff until a per-frame delivery
+deadline expires.  The legacy bare 12-byte path is untouched — ARQ is
+opt-in per sender.  The **air** hop's reliability comes from repetition
+instead: periodic chirps plus the channel-health failover layer.
 
-* :class:`MpArqSender` — the **wire** hop (switch → Pi).  Each MP
-  message is framed with a 16-bit sequence number
-  (``b"MD" + seq + wire``); the Pi acknowledges a cleanly-unmarshalled
-  frame with ``b"MA" + seq`` on :data:`~repro.core.pi.MP_ACK_PORT`.
-  Unacknowledged frames are retransmitted with exponential backoff
-  until a per-frame delivery deadline expires.  The legacy bare
-  12-byte path is untouched — ARQ is opt-in per sender.
-* :class:`ToneArqSender` / :class:`AckToneResponder` — the **air** hop,
-  literal tone repetition + ACK-tone: the sender plays its data tone,
-  listens for the controller's ACK tone, and replays with backoff
-  until acknowledged or the deadline passes.
-
-Both senders share :class:`ArqConfig`; all timing is simulation time,
+The policy lives in :class:`ArqConfig`; all timing is simulation time,
 so every retransmission schedule is reproducible.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .. import obs
-from ..audio.detector import DEFAULT_TOLERANCE_HZ, FrequencyDetector
-from ..audio.devices import Microphone
 from ..infra import CircuitBreaker, RetryPolicy, RetrySchedule, TokenBucket
 from ..net.packet import Packet
-from ..net.sim import Simulator
-from .agent import MusicAgent
 from .pi import ARQ_ACK_MAGIC, ARQ_ACK_SIZE, ARQ_DATA_MAGIC, MP_ACK_PORT, PiBridge
 from .protocol import MusicProtocolMessage
 
 
 @dataclass(frozen=True)
 class ArqConfig:
-    """Retransmission policy shared by the wire and air ARQ modes.
+    """Retransmission policy of the wire ARQ mode.
 
     The first retransmission waits ``initial_timeout``; each subsequent
     wait doubles (``backoff``) up to ``max_timeout``.  A frame still
@@ -321,137 +313,3 @@ class MpArqSender:
             shed=self._shed,
         )
 
-
-class AckToneResponder:
-    """Controller-side half of the acoustic ARQ: answer every data-tone
-    onset with an ACK tone from the controller's own speaker.
-
-    ``ack_map`` maps each watched data frequency to the ACK frequency
-    the responder answers it with.  Must be constructed before
-    ``controller.start()`` (it subscribes via ``watch``).
-
-    Onset frequencies resolve against the map within ``tolerance_hz``
-    (guard/2, like the detector and the frequency plan) rather than by
-    exact float equality — a bin-quantized or plan-migrated onset must
-    never crash the responder.  Unresolvable onsets are counted in
-    ``acks_skipped``; :meth:`rebind` follows plan migrations.
-    """
-
-    def __init__(self, controller, agent: MusicAgent,
-                 ack_map: dict[float, float],
-                 tone_duration: float = 0.05,
-                 tone_level_db: float = 72.0,
-                 tolerance_hz: float = DEFAULT_TOLERANCE_HZ) -> None:
-        if not ack_map:
-            raise ValueError("ack_map must not be empty")
-        self.agent = agent
-        self.ack_map = {float(freq): ack for freq, ack in ack_map.items()}
-        self.tone_duration = tone_duration
-        self.tone_level_db = tone_level_db
-        self.tolerance_hz = tolerance_hz
-        self.acks_played = 0
-        self.acks_skipped = 0
-        controller.watch(list(self.ack_map), on_onset=self._on_onset)
-
-    def rebind(self, old_frequency: float, new_frequency: float) -> None:
-        """Follow a plan migration: answer ``new_frequency`` with the
-        ACK tone previously bound to ``old_frequency``."""
-        self.ack_map[float(new_frequency)] = self.ack_map.pop(
-            float(old_frequency)
-        )
-
-    def _resolve(self, frequency: float) -> float | None:
-        """The ACK frequency for an onset, within tolerance."""
-        ack = self.ack_map.get(frequency)
-        if ack is not None:
-            return ack
-        nearest = min(self.ack_map, key=lambda f: abs(f - frequency))
-        if abs(nearest - frequency) <= self.tolerance_hz:
-            return self.ack_map[nearest]
-        return None
-
-    def _on_onset(self, event) -> None:
-        ack_frequency = self._resolve(event.frequency)
-        if ack_frequency is None:
-            self.acks_skipped += 1
-            return
-        if self.agent.play(ack_frequency, self.tone_duration,
-                           self.tone_level_db):
-            self.acks_played += 1
-
-
-class ToneArqSender:
-    """Device-side half of the acoustic ARQ: tone repetition until the
-    ACK tone is heard.
-
-    Plays the data tone, then records its own microphone over an ACK
-    listening window; if the ACK frequency is absent, replays the data
-    tone after an exponentially backed-off wait, until acknowledged or
-    past the config deadline.
-    """
-
-    def __init__(self, sim: Simulator, channel, agent: MusicAgent,
-                 microphone: Microphone, data_frequency: float,
-                 ack_frequency: float, config: ArqConfig | None = None,
-                 tone_duration: float = 0.08, ack_window: float = 0.45,
-                 tone_level_db: float = 70.0) -> None:
-        self.sim = sim
-        self.channel = channel
-        self.agent = agent
-        self.microphone = microphone
-        self.data_frequency = data_frequency
-        self.ack_frequency = ack_frequency
-        self.config = config or ArqConfig()
-        self.tone_duration = tone_duration
-        self.ack_window = ack_window
-        self.tone_level_db = tone_level_db
-        self.attempts = 0
-        self.delivered = False
-        self.expired = False
-        self.delivered_at: float | None = None
-        self._deadline = 0.0
-        self._schedule: RetrySchedule | None = None
-        self._detector = FrequencyDetector([ack_frequency])
-        self._m_attempts = obs.counter("arq.tone_attempts")
-        self._m_delivered = obs.counter("arq.tone_delivered")
-        self._m_expired = obs.counter("arq.tone_expired")
-
-    def send(self) -> None:
-        """Start one reliable delivery (restartable after completion)."""
-        self.attempts = 0
-        self.delivered = False
-        self.expired = False
-        self.delivered_at = None
-        self._schedule = self.config.schedule(self.sim.now)
-        self._deadline = self._schedule.deadline
-        self._attempt()
-
-    def _attempt(self) -> None:
-        if self.delivered or self.expired:
-            return
-        self.attempts += 1
-        self._m_attempts.inc()
-        self.agent.play(self.data_frequency, self.tone_duration,
-                        self.tone_level_db)
-        listen_start = self.sim.now + self.tone_duration
-        self.sim.schedule_at(listen_start + self.ack_window,
-                             self._check_ack, listen_start)
-
-    def _check_ack(self, listen_start: float) -> None:
-        capture = self.microphone.record(self.channel, listen_start,
-                                         self.sim.now)
-        if self._detector.detect(capture, listen_start):
-            self.delivered = True
-            self.delivered_at = self.sim.now
-            self._m_delivered.inc()
-            return
-        # A retry only counts if the replayed tone and its ACK listening
-        # window also fit before the deadline — that sum is the margin.
-        retry_at = self._schedule.next_retry(
-            self.sim.now, margin=self.tone_duration + self.ack_window
-        )
-        if retry_at is not None:
-            self.sim.schedule_at(retry_at, self._attempt)
-        else:
-            self.expired = True
-            self._m_expired.inc()

@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..baselines import (
-    AcousticHeartbeat,
     ECNMarker,
     ECNReceiver,
     ECNSourceObserver,
@@ -21,6 +20,7 @@ from ..baselines import (
 from ..core.apps import (
     BandToneMap,
     FlowToneMapper,
+    HeartbeatChirper,
     HeavyHitterDetectorApp,
     HeavyHitterEmitter,
     QueueChirper,
@@ -246,9 +246,10 @@ def inband_vs_oob(
                              period=0.5)
     monitor = HeartbeatMonitor(topo.hosts["h2"], sender)
 
-    heartbeat = AcousticHeartbeat(testbed.sim, testbed.agents["s1"],
-                                  frequency=1500.0, period=0.5)
-    testbed.controller.watch([1500.0], on_onset=heartbeat.heard)
+    chirper = HeartbeatChirper(testbed.sim, testbed.agents["s1"],
+                               frequency=1500.0, period=0.5)
+    heard: list[float] = []
+    testbed.controller.watch([1500.0], on_onset=lambda e: heard.append(e.time))
     testbed.controller.start()
 
     def cut_network() -> None:
@@ -261,5 +262,5 @@ def inband_vs_oob(
     return InbandVsOobResult(
         inband_delivery_rate=stats.delivery_rate,
         inband_max_gap=stats.max_gap,
-        acoustic_delivery_rate=heartbeat.delivery_rate(),
+        acoustic_delivery_rate=min(1.0, len(heard) / chirper.beats_emitted),
     )

@@ -24,17 +24,17 @@ Results land in ``.benchmarks/BENCH_fleet.json``.
 
 from __future__ import annotations
 
-import json
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from ..fleet import FleetReport, FleetSpec, run_fleet
+from .artifact import export_json
 
 #: Seed for every xext15 fleet (PR sequence number, like XEXT14_SEED).
 XEXT15_SEED = 15
 
-#: Default artifact path (override with the BENCH_FLEET_JSON env var).
+#: Default artifact path.
 BENCH_PATH = Path(".benchmarks") / "BENCH_fleet.json"
 
 
@@ -81,14 +81,9 @@ class Xext15Result:
     def best_speedup(self) -> float:
         return max((p.speedup for p in self.points), default=1.0)
 
-    def export(self, path: str | Path | None = None) -> Path:
+    def export(self, path: str | Path = BENCH_PATH) -> Path:
         """Write the scaling record to ``BENCH_fleet.json``."""
-        target = Path(path or os.environ.get("BENCH_FLEET_JSON", BENCH_PATH))
-        target.parent.mkdir(parents=True, exist_ok=True)
-        payload = asdict(self)
-        payload["best_speedup"] = self.best_speedup
-        target.write_text(json.dumps(payload, indent=2) + "\n")
-        return target
+        return export_json(self, path, ("best_speedup",))
 
 
 def fleet_experiment(

@@ -27,10 +27,8 @@ Results land in ``.benchmarks/BENCH_workload.json``.
 
 from __future__ import annotations
 
-import json
-import os
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from ..core.apps import (
@@ -57,11 +55,12 @@ from ..net.workload import (
     build_workload,
     launch_reference_sources,
 )
+from .artifact import export_json
 
 #: Seed for every xext16 workload (the PR sequence number).
 XEXT16_SEED = 16
 
-#: Default artifact path (override with the BENCH_WORKLOAD_JSON env var).
+#: Default artifact path.
 BENCH_PATH = Path(".benchmarks") / "BENCH_workload.json"
 
 #: Presence grid = the emitter rate-limit period = the listen window.
@@ -131,15 +130,9 @@ class Xext16Result:
     def max_flows_sustained(self) -> int:
         return max((point.num_flows for point in self.scale), default=0)
 
-    def export(self, path: str | Path | None = None) -> Path:
+    def export(self, path: str | Path = BENCH_PATH) -> Path:
         """Write the record to ``BENCH_workload.json``."""
-        target = Path(path or os.environ.get("BENCH_WORKLOAD_JSON",
-                                             BENCH_PATH))
-        target.parent.mkdir(parents=True, exist_ok=True)
-        payload = asdict(self)
-        payload["max_flows_sustained"] = self.max_flows_sustained
-        target.write_text(json.dumps(payload, indent=2) + "\n")
-        return target
+        return export_json(self, path, ("max_flows_sustained",))
 
 
 def _run_mix(name: str, num_flows: int, duration: float,

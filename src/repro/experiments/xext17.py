@@ -24,19 +24,19 @@ Results land in ``.benchmarks/BENCH_chaos.json``.
 
 from __future__ import annotations
 
-import json
 import os
 import tempfile
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from ..faults.process import ProcessFaultPlan
 from ..fleet import FleetReport, FleetSpec, SupervisorPolicy, run_fleet
+from .artifact import export_json
 
 #: Seed for every xext17 fleet (PR sequence number, like XEXT15_SEED).
 XEXT17_SEED = 17
 
-#: Default artifact path (override with the BENCH_CHAOS_JSON env var).
+#: Default artifact path.
 BENCH_PATH = Path(".benchmarks") / "BENCH_chaos.json"
 
 
@@ -99,15 +99,9 @@ class Xext17Result:
     def worst_overhead(self) -> float:
         return max((p.recovery_overhead for p in self.points), default=1.0)
 
-    def export(self, path: str | Path | None = None) -> Path:
+    def export(self, path: str | Path = BENCH_PATH) -> Path:
         """Write the chaos record to ``BENCH_chaos.json``."""
-        target = Path(path or os.environ.get("BENCH_CHAOS_JSON", BENCH_PATH))
-        target.parent.mkdir(parents=True, exist_ok=True)
-        payload = asdict(self)
-        payload["all_exact"] = self.all_exact
-        payload["worst_overhead"] = self.worst_overhead
-        target.write_text(json.dumps(payload, indent=2) + "\n")
-        return target
+        return export_json(self, path, ("all_exact", "worst_overhead"))
 
 
 def chaos_experiment(smoke: bool = False,

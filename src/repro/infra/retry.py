@@ -2,14 +2,14 @@
 
 ChirpCast (arXiv:1508.07099) frames acoustic reliability as *policy* —
 acknowledgement, redundancy, and giving up at the right time — rather
-than per-call-site heroics.  Before this module the repo had three
-hand-rolled copies of the same exponential-backoff-with-deadline loop
-(the MP ARQ sender, the acoustic tone ARQ, and the spectrum-agility
-prepare retry), each advancing its own ``timeout = min(timeout *
-backoff, cap)`` state.  :class:`RetryPolicy` is the single description
-of that schedule and :class:`RetrySchedule` the single stateful walker
-over it, so a retransmission timeline is computed one way everywhere —
-and is reproducible, including the optional seeded jitter.
+than per-call-site heroics.  Before this module each retransmitting
+layer (the MP ARQ sender, the spectrum-agility prepare retry)
+hand-rolled the same exponential-backoff-with-deadline loop, each
+advancing its own ``timeout = min(timeout * backoff, cap)`` state.
+:class:`RetryPolicy` is the single description of that schedule and
+:class:`RetrySchedule` the single stateful walker over it, so a
+retransmission timeline is computed one way everywhere — and is
+reproducible, including the optional seeded jitter.
 """
 
 from __future__ import annotations
@@ -71,8 +71,8 @@ class RetrySchedule:
 
     ``next_retry(now)`` returns the absolute time of the next
     retransmission, or ``None`` once that retry (plus the caller's
-    ``margin`` — e.g. a tone length and ACK listening window that must
-    also fit) would not complete strictly before the deadline.
+    ``margin`` — e.g. the attempt's own duration, which must also fit)
+    would not complete strictly before the deadline.
     """
 
     __slots__ = ("policy", "start", "deadline", "retries_planned",

@@ -1,12 +1,13 @@
 """Unit tests for the in-band management baseline and its acoustic
-counterpart."""
+counterpart (the liveness app's heartbeat chirper)."""
 
 import pytest
 
 from repro.audio import AcousticChannel, Microphone, Position, Speaker
-from repro.baselines import AcousticHeartbeat, HeartbeatMonitor, HeartbeatSender
+from repro.baselines import HeartbeatMonitor, HeartbeatSender
 from repro.core import MDNController
 from repro.core.agent import MusicAgent
+from repro.core.apps import HeartbeatChirper
 from repro.net import ConstantRateSource, Simulator, linear_topology
 
 
@@ -75,27 +76,29 @@ class TestAcousticHeartbeat:
         agent = MusicAgent(sim, channel, Speaker(Position(0.5, 0, 0)))
         controller = MDNController(sim, channel, Microphone(Position()),
                                    listen_interval=0.1)
-        heartbeat = AcousticHeartbeat(sim, agent, frequency=1500.0, period=0.5)
-        controller.watch([1500.0], on_onset=heartbeat.heard)
+        heartbeat = HeartbeatChirper(sim, agent, frequency=1500.0, period=0.5)
+        heard = []
+        controller.watch([1500.0], on_onset=lambda e: heard.append(e.time))
         controller.start()
         sim.run(3.0)
         for link in topo.links:
             link.fail()
         sim.run(10.0)
-        assert heartbeat.delivery_rate() > 0.9
+        assert len(heard) / heartbeat.beats_emitted > 0.9
 
     def test_validation(self):
         sim = Simulator()
         agent = MusicAgent(sim, AcousticChannel(), Speaker())
         with pytest.raises(ValueError):
-            AcousticHeartbeat(sim, agent, 1000.0, period=0)
+            HeartbeatChirper(sim, agent, 1000.0, period=0)
 
     def test_stop(self):
         sim = Simulator()
         agent = MusicAgent(sim, AcousticChannel(), Speaker())
-        heartbeat = AcousticHeartbeat(sim, agent, 1000.0, period=0.5)
+        heartbeat = HeartbeatChirper(sim, agent, 1000.0, period=0.5)
         sim.run(2.0)
         heartbeat.stop()
-        emitted = heartbeat.emitted
+        emitted = heartbeat.beats_emitted
+        assert emitted > 0
         sim.run(5.0)
-        assert heartbeat.emitted == emitted
+        assert heartbeat.beats_emitted == emitted

@@ -1,12 +1,11 @@
-"""Tests for acoustic device liveness monitoring."""
+"""Tests for acoustic device liveness monitoring: per-device heartbeat
+chirpers feeding the controller's channel-health monitor, where a
+device is down once its state is ``ChannelHealth.DEAD``."""
 
 import pytest
 
-from repro.core.apps import (
-    HeartbeatChirper,
-    LivenessMonitorApp,
-    build_liveness_mesh,
-)
+from repro.core import ChannelHealth, ChannelHealthMonitor
+from repro.core.apps import HeartbeatChirper, build_liveness_mesh
 from repro.experiments.rigs import build_testbed
 
 
@@ -19,23 +18,33 @@ def mesh():
     return testbed, chirpers, monitor
 
 
+def devices_down(monitor):
+    return sorted(device for device, state in monitor.states().items()
+                  if state is ChannelHealth.DEAD)
+
+
+def dead_transitions(monitor, device):
+    return [t for t in monitor.transitions
+            if t.emitter == device and t.state is ChannelHealth.DEAD]
+
+
 class TestValidation:
     def test_needs_devices(self):
         testbed = build_testbed("single")
         with pytest.raises(ValueError):
-            LivenessMonitorApp(testbed.controller, {})
+            build_liveness_mesh(testbed.controller, {}, testbed.plan)
 
     def test_unique_frequencies_required(self):
         testbed = build_testbed("single")
         with pytest.raises(ValueError, match="unique"):
-            LivenessMonitorApp(testbed.controller,
-                               {"a": 500.0, "b": 500.0})
+            ChannelHealthMonitor(testbed.controller,
+                                 {"a": 500.0, "b": 500.0}, period=1.0)
 
     def test_miss_threshold(self):
         testbed = build_testbed("single")
         with pytest.raises(ValueError):
-            LivenessMonitorApp(testbed.controller, {"a": 500.0},
-                               miss_threshold=0)
+            build_liveness_mesh(testbed.controller, testbed.agents,
+                                testbed.plan, miss_threshold=0)
 
     def test_chirper_phase_validation(self):
         testbed = build_testbed("single")
@@ -46,42 +55,52 @@ class TestValidation:
 
 class TestLiveness:
     def test_all_devices_alive(self, mesh):
+        """Every device heard on its grid: no DEAD (a never-heard device
+        reads DEAD once its start-up grace passes) and no DEGRADED."""
         testbed, _chirpers, monitor = mesh
         testbed.sim.run(6.0)
-        assert monitor.devices_down() == []
-        assert set(monitor.last_heard) == set(monitor.devices)
+        assert devices_down(monitor) == []
+        assert monitor.transitions == []
 
-    def test_dead_device_detected(self, mesh):
-        testbed, chirpers, monitor = mesh
+    def test_dead_device_detected(self):
+        testbed = build_testbed("rhombus")
+        chirpers, monitor = build_liveness_mesh(testbed.controller,
+                                                testbed.agents, testbed.plan)
+        heard = []
+        testbed.controller.watch([chirpers["s_top"].frequency],
+                                 on_detection=lambda e: heard.append(e.time))
+        testbed.controller.start()
         testbed.sim.run(4.0)
         chirpers["s_top"].kill()
         testbed.sim.run(10.0)
-        assert monitor.devices_down() == ["s_top"]
-        alert = monitor.alerts[-1]
-        assert alert.device == "s_top"
-        assert alert.missed_beats >= 2
+        assert devices_down(monitor) == ["s_top"]
+        dead = monitor.transitions[-1]
+        assert dead.emitter == "s_top"
+        assert dead.state is ChannelHealth.DEAD
+        assert dead.time - heard[-1] >= 2 * monitor.period
 
     def test_detection_latency_bounded(self, mesh):
-        """Alert within miss_threshold + 1 periods of the death."""
+        """DEAD within dead_misses + 1 periods of the death."""
         testbed, chirpers, monitor = mesh
         testbed.sim.run(4.0)
         chirpers["s_in"].kill()
         death = testbed.sim.now
         testbed.sim.run(12.0)
-        alert = next(a for a in monitor.alerts if a.device == "s_in")
-        assert alert.time - death < (monitor.miss_threshold + 1) * monitor.period + 0.5
+        dead = dead_transitions(monitor, "s_in")[0]
+        bound = (monitor.dead_misses + 1) * monitor.period + 0.5
+        assert dead.time - death < bound
 
     def test_revived_device_clears(self, mesh):
         testbed, chirpers, monitor = mesh
         testbed.sim.run(4.0)
         chirpers["s_bottom"].kill()
         testbed.sim.run(10.0)
-        assert monitor.is_down("s_bottom")
+        assert monitor.state_of("s_bottom") is ChannelHealth.DEAD
         chirpers["s_bottom"].revive()
         testbed.sim.run(14.0)
-        assert not monitor.is_down("s_bottom")
-        # The historical alert is retained.
-        assert any(a.device == "s_bottom" for a in monitor.alerts)
+        assert monitor.state_of("s_bottom") is not ChannelHealth.DEAD
+        # The historical DEAD transition is retained.
+        assert dead_transitions(monitor, "s_bottom")
 
     def test_multiple_simultaneous_deaths(self, mesh):
         testbed, chirpers, monitor = mesh
@@ -89,7 +108,7 @@ class TestLiveness:
         chirpers["s_top"].kill()
         chirpers["s_out"].kill()
         testbed.sim.run(11.0)
-        assert monitor.devices_down() == ["s_out", "s_top"]
+        assert devices_down(monitor) == ["s_out", "s_top"]
 
     def test_beats_staggered(self, mesh):
         """The mesh staggers device phases so beats land in different

@@ -1,18 +1,14 @@
-"""Unit tests for the MP and acoustic ARQ modes."""
+"""Unit tests for the MP wire ARQ."""
 
 import pytest
 
-from repro.audio import AcousticChannel, Microphone, Position, Speaker
-from repro.audio.detector import DetectionEvent
+from repro.audio import AcousticChannel, Position, Speaker
 from repro.core import (
-    AckToneResponder,
     ArqConfig,
-    MDNController,
     MpArqSender,
     MusicAgent,
     MusicProtocolMessage,
     PiBridge,
-    ToneArqSender,
 )
 from repro.faults import FaultHarness
 from repro.net.sim import Simulator
@@ -107,64 +103,6 @@ class TestMpArqSender:
         sender.send(MESSAGE)
         sim.run(1.0)
         assert len(bridge.pi.mp_seen_seqs) == 1
-
-
-class TestToneArq:
-    def _rig(self):
-        sim = Simulator()
-        channel = AcousticChannel()
-        device_position = Position(1.0, 0.0, 0.0)
-        device = MusicAgent(sim, channel, Speaker(device_position), "dev")
-        device_mic = Microphone(device_position, seed=21)
-        controller = MDNController(sim, channel,
-                                   Microphone(Position(), seed=11))
-        station = MusicAgent(sim, channel,
-                             Speaker(Position(0.2, 0.0, 0.0)), "station")
-        responder = AckToneResponder(controller, station,
-                                     {1000.0: 1400.0})
-        sender = ToneArqSender(sim, channel, device, device_mic,
-                               data_frequency=1000.0,
-                               ack_frequency=1400.0)
-        return sim, channel, controller, responder, sender
-
-    def test_delivered_first_try_on_clean_air(self):
-        sim, channel, controller, responder, sender = self._rig()
-        controller.start()
-        sim.schedule_at(0.2, sender.send)
-        sim.run(3.0)
-        assert sender.delivered
-        assert sender.attempts == 1
-        assert responder.acks_played >= 1
-
-    def test_repetition_covers_speaker_dropout(self):
-        sim, channel, controller, responder, sender = self._rig()
-        air = FaultHarness(sim, seed=3).acoustic(channel)
-        air.drop_speaker(Position(1.0, 0.0, 0.0), 0.0, 1.0)
-        controller.start()
-        sim.schedule_at(0.2, sender.send)
-        sim.run(4.0)
-        assert sender.delivered
-        assert sender.attempts > 1
-        assert sender.delivered_at > 1.0
-
-    def test_expires_when_ack_path_dead(self):
-        sim, channel, controller, responder, sender = self._rig()
-        air = FaultHarness(sim, seed=3).acoustic(channel)
-        air.drop_speaker(Position(0.2, 0.0, 0.0), 0.0, 100.0)  # station
-        controller.start()
-        sim.schedule_at(0.2, sender.send)
-        sim.run(5.0)
-        assert sender.expired
-        assert not sender.delivered
-
-    def test_responder_requires_map(self):
-        sim = Simulator()
-        channel = AcousticChannel()
-        controller = MDNController(sim, channel,
-                                   Microphone(Position(), seed=11))
-        station = MusicAgent(sim, channel, Speaker(Position()))
-        with pytest.raises(ValueError):
-            AckToneResponder(controller, station, {})
 
 
 class TestPerInstanceStats:
@@ -264,45 +202,3 @@ class TestRetrySchedulePinned:
         assert expired_at == [2.0]
         assert sender.stats().retransmits >= 6
 
-
-class TestAckToneTolerance:
-    def _responder(self):
-        sim = Simulator()
-        channel = AcousticChannel()
-        controller = MDNController(sim, channel,
-                                   Microphone(Position(), seed=11))
-        station = MusicAgent(sim, channel,
-                             Speaker(Position(0.2, 0.0, 0.0)), "station")
-        responder = AckToneResponder(controller, station, {1000.0: 1400.0})
-        return sim, responder
-
-    @staticmethod
-    def _onset(frequency):
-        return DetectionEvent(frequency=frequency,
-                              measured_frequency=frequency,
-                              level_db=60.0, time=0.5)
-
-    def test_quantized_onset_still_acked(self):
-        """Regression: a bin-quantized onset (1004 Hz for the 1000 Hz
-        entry) used to raise KeyError out of the dispatch loop."""
-        sim, responder = self._responder()
-        responder._on_onset(self._onset(1004.0))
-        assert responder.acks_played == 1
-        assert responder.acks_skipped == 0
-
-    def test_far_onset_skipped_not_crashed(self):
-        sim, responder = self._responder()
-        responder._on_onset(self._onset(1050.0))
-        assert responder.acks_played == 0
-        assert responder.acks_skipped == 1
-
-    def test_rebind_follows_migration_then_acks(self):
-        """After a plan migration the responder answers the relocated
-        frequency (and its quantized neighbours), not the old one."""
-        sim, responder = self._responder()
-        responder.rebind(1000.0, 1150.0)
-        responder._on_onset(self._onset(1147.0))
-        assert responder.acks_played == 1
-        responder._on_onset(self._onset(1000.0))
-        assert responder.acks_skipped == 1
-        assert responder.ack_map == {1150.0: 1400.0}

@@ -78,24 +78,17 @@ class TestArtifact:
             assert {"threshold", "precision", "recall"} <= set(
                 mix["port_scan_curve"][0])
 
-    def test_env_override(self, smoke_result, tmp_path, monkeypatch):
-        target = tmp_path / "custom.json"
-        monkeypatch.setenv("BENCH_WORKLOAD_JSON", str(target))
-        assert smoke_result.export() == target
-        assert target.exists()
-
 
 class TestCli:
     def test_run_xext16_smoke(self, tmp_path, monkeypatch, capsys):
         from repro.cli import main
 
-        monkeypatch.setenv("BENCH_WORKLOAD_JSON",
-                           str(tmp_path / "BENCH_workload.json"))
+        monkeypatch.chdir(tmp_path)
         assert main(["run", "xext16", "--smoke"]) == 0
         out = capsys.readouterr().out
         assert "XEXT16" in out
         assert "speedup" in out
-        assert (tmp_path / "BENCH_workload.json").exists()
+        assert (tmp_path / ".benchmarks" / "BENCH_workload.json").exists()
 
     def test_workload_choices_listed(self):
         from repro.cli import build_parser
