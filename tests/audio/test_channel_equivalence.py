@@ -1,12 +1,11 @@
 """Equivalence suite: vectorized channel rendering vs the scalar loop.
 
-``AcousticChannel.render_at`` (interval index + batched synthesis +
+``AcousticChannel.render_at`` (interval index + flat synthesis +
 window memo) must reproduce ``render_at_reference`` (the original
-per-tone scalar loop) within 1e-9 — the same contract the listening
-side's vectorized paths honour (DESIGN.md §5) — across window seams,
-echo taps, partial overlaps, pruned histories, and loop/non-loop noise
-beds.  In practice the two paths are bit-identical: they evaluate the
-same IEEE operations per sample, in the same accumulation order.
+per-tone scalar loop) bit for bit across window seams, echo taps,
+partial overlaps, fault models, pruned histories, and loop/non-loop
+noise beds: both paths evaluate the same IEEE operations per sample and
+sum overlapping segments in the same (tone, tap) order.
 """
 
 import numpy as np
@@ -19,6 +18,8 @@ from repro.audio import (
     ToneSpec,
     white_noise,
 )
+from repro.faults import FaultHarness
+from repro.net.sim import Simulator
 
 TOLERANCE = 1e-9
 
@@ -29,9 +30,7 @@ def _assert_paths_match(channel, listener, start, end):
     fast = channel.render_at(listener, start, end)
     reference = channel.render_at_reference(listener, start, end)
     assert len(fast) == len(reference)
-    np.testing.assert_allclose(
-        fast.samples, reference.samples, atol=TOLERANCE
-    )
+    np.testing.assert_array_equal(fast.samples, reference.samples)
     return fast
 
 
@@ -106,6 +105,36 @@ class TestToneEquivalence:
                               Position(0.5 + start, 0.0, 0.0))
         for window in [(0.0, 0.4), (0.3, 0.8), (0.9, 1.5)]:
             _assert_paths_match(channel, LISTENER, *window)
+
+
+class TestBusyWindowIdentity:
+    """Many overlapping segments of different lengths in one window,
+    each tone with two echo taps, under a fault model that mutes some
+    emitters and degrades others: every sample of the fast path must
+    equal the reference loop's."""
+
+    def _faulted_busy_channel(self):
+        channel = busy_channel(echo_taps=((0.013, 9.0), (0.031, 14.0)))
+        air = FaultHarness(Simulator(), seed=5).acoustic(channel)
+        positions = sorted({tone.position for tone in channel.scheduled_tones},
+                           key=lambda p: (p.x, p.y))
+        for position in positions[::4]:
+            air.drop_speaker(position, 0.3, 1.1)
+        for position in positions[1::3]:
+            air.degrade_speaker(position, 0.0, 2.0, loss_db=7.5)
+        return channel
+
+    @pytest.mark.parametrize(("start", "end"), [
+        (0.0, 0.05), (0.3, 0.35), (0.62, 0.7), (1.0, 1.25), (1.5, 1.55),
+    ])
+    def test_faulted_echo_windows_are_bit_identical(self, start, end):
+        _assert_paths_match(self._faulted_busy_channel(), LISTENER, start, end)
+
+    def test_fifty_ms_sweep_is_bit_identical(self):
+        channel = busy_channel(echo_taps=((0.013, 9.0),))
+        for tick in range(40):
+            _assert_paths_match(channel, LISTENER, tick * 0.05,
+                                (tick + 1) * 0.05)
 
 
 class TestSeams:
@@ -188,8 +217,8 @@ class TestPruneEquivalence:
         reference_before = channel.render_at_reference(LISTENER, 2.5, 2.7)
         channel.prune(before=2.5, margin=0.1)
         window = _assert_paths_match(channel, LISTENER, 2.5, 2.7)
-        np.testing.assert_allclose(
-            window.samples, reference_before.samples, atol=TOLERANCE
+        np.testing.assert_array_equal(
+            window.samples, reference_before.samples
         )
 
     def test_prune_keeps_audible_echo_tail(self):
