@@ -4,7 +4,11 @@ import pickle
 
 import pytest
 
+from repro.audio import AcousticChannel, FrequencyDetector
 from repro.fleet import FaultPlan, RoomSpec, run_room
+from tests.audio.test_vectorized_equivalence import (
+    reference_events_from_spectrum,
+)
 
 #: Small-but-real room: 8 switches for ~0.5 s keeps the test quick
 #: while exercising the full chirp/listen/attribute path.
@@ -75,3 +79,29 @@ def test_faults_degrade_delivery_deterministically(report):
 def test_report_is_picklable(report):
     clone = pickle.loads(pickle.dumps(report))
     assert clone.identity_signature() == report.identity_signature()
+
+
+def test_listen_path_matches_the_reference_loops(monkeypatch):
+    """A dense room on the array render/detect path, then again with
+    the scalar reference render and detect loops patched in: every
+    window's events, and so the identity signature, must be equal."""
+    spec = RoomSpec(room_id=0, num_switches=50, horizon=3.0)
+    heard = []
+    detect = FrequencyDetector.detect
+
+    def recording_detect(self, window, time=0.0):
+        events = detect(self, window, time)
+        heard.append(events)
+        return events
+
+    monkeypatch.setattr(FrequencyDetector, "detect", recording_detect)
+    fast = run_room(spec)
+    fast_events, heard[:] = list(heard), []
+    monkeypatch.setattr(AcousticChannel, "render_at",
+                        AcousticChannel.render_at_reference)
+    monkeypatch.setattr(FrequencyDetector, "_events_from_spectrum",
+                        reference_events_from_spectrum)
+    reference = run_room(spec)
+    assert sum(map(len, fast_events)) > 0
+    assert heard == fast_events
+    assert reference.identity_signature() == fast.identity_signature()
