@@ -652,6 +652,38 @@ def test_perf_workload_driver_vs_perflow_sources():
 
 
 @pytest.mark.perf
+def test_perf_departures_between():
+    """Per-window cost of the columnar departure layer on the
+    ``telemetry-flows`` bench population: ``scan-churn``, 10^5 flows,
+    seed 11, 20 s in 80 batch windows of 0.25 s.  Records the per-window
+    p50/p90 and pins the exact departure total (the bench's
+    ``workload.packets``)."""
+    from repro.net import build_workload
+
+    population = build_workload("scan-churn", num_flows=100_000, seed=11,
+                                duration=20.0).build()
+    windows = [(index * 0.25, (index + 1) * 0.25) for index in range(80)]
+    total = sum(len(population.departures_between(t0, t1)[0])
+                for t0, t1 in windows)
+    assert total == 365_490
+    per_window_s = []
+    for _ in range(3):
+        for t0, t1 in windows:
+            start = time.perf_counter()
+            population.departures_between(t0, t1)
+            per_window_s.append(time.perf_counter() - start)
+    p50_us, p90_us = np.percentile(per_window_s, [50, 90]) * 1e6
+    _record_perf("departures_between_100k_flows_250ms", {
+        "p50_us": p50_us,
+        "p90_us": p90_us,
+        "windows": len(per_window_s),
+        "departures": total,
+    })
+    print(f"\nFlowPopulation.departures_between 100k flows/0.25 s: "
+          f"p50 {p50_us:.1f} us, p90 {p90_us:.1f} us, {total} departures")
+
+
+@pytest.mark.perf
 def test_perf_fleet_supervisor_disabled_overhead():
     """Acceptance gate for the self-healing loop: a serial ``run_fleet``
     with no fault plan, no hedging, no deadline and no checkpoint dir

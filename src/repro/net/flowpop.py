@@ -33,9 +33,11 @@ can be scored as precision/recall instead of eyeballed.
 
 from __future__ import annotations
 
+from itertools import compress
+
 import numpy as np
 
-from .packet import FlowKey, Protocol
+from .packet import FlowKey, Protocol, stable_flow_hash
 
 #: Ground-truth labels (the ``labels`` column).
 LABEL_MOUSE = 0
@@ -62,6 +64,7 @@ VARY_DST_PORT = 1   #: port scan — dst port cycles ``base + k % span``
 VARY_DST_IP = 2     #: fan-out — dst address cycles through ``span`` hosts
 VARY_SRC_IP = 3     #: fan-in — spoofed src address cycles likewise
 
+_MAX_PORT = 65_535
 _MASK64 = (1 << 64) - 1
 #: Exact power-of-two scale mapping a 53-bit hash to [0, 1).
 _U53_SCALE = 1.0 / float(1 << 53)
@@ -157,17 +160,29 @@ class FlowPopulation:
             raise ValueError("all phases must be non-negative")
         if n and np.any((self.variation != VARY_NONE) & (self.vary_span < 1)):
             raise ValueError("varying flows need vary_span >= 1")
+        for name in ("src_ports", "dst_ports"):
+            ports = getattr(self, name)
+            if not np.all((ports >= 0) & (ports <= _MAX_PORT)):
+                raise ValueError(f"{name} out of range [0, {_MAX_PORT}]")
+        sweep_last = self.vary_base + self.vary_span - 1
+        if np.any((self.variation == VARY_DST_PORT)
+                  & ((self.vary_base < 0) | (sweep_last > _MAX_PORT))):
+            raise ValueError(f"dst_port sweep out of range [0, {_MAX_PORT}]")
 
         #: True where the flow's key is constant across packets.
         self.static = self.variation == VARY_NONE
-        #: Cached :meth:`FlowKey.stable_hash` per static flow (0 for
-        #: varying flows, whose key — and hence hash — changes with
-        #: ``k``).  One blake2b per flow, paid once at build.
+        #: :func:`stable_flow_hash` per static flow (0 for varying
+        #: flows, whose key — and hence hash — changes with ``k``).
+        #: One blake2b per flow, paid once at build, streamed straight
+        #: into the column without a :class:`FlowKey` per row.
         self.stable_hashes = np.zeros(n, dtype=np.uint64)
-        for i in np.nonzero(self.static)[0]:
-            self.stable_hashes[i] = np.uint64(
-                self.flow_key(int(i), 0).stable_hash()
-            )
+        columns = (self.src_ips, self.dst_ips, self.src_ports, self.dst_ports,
+                   self.protocols)
+        self.stable_hashes[self.static] = np.fromiter(
+            map(stable_flow_hash,
+                *(compress(column, self.static) for column in columns)),
+            dtype=np.uint64, count=int(np.count_nonzero(self.static)),
+        )
 
     def __len__(self) -> int:
         return self.n
@@ -290,30 +305,44 @@ class FlowPopulation:
         """All departures with ``t0 <= t < t1``, vectorized.
 
         Returns ``(times, flow_indices, candidate_ordinals)`` sorted by
-        time (ties broken by flow index, then ordinal).  Candidate
-        ranges are widened by one on each side and exact-filtered on
-        ``t``, so float rounding at window edges can never drop or
-        duplicate a departure across adjacent windows.
+        time (ties broken by flow index, then ordinal).  Each flow's
+        candidate range is widened by one on each side and
+        exact-filtered on ``t``, so float rounding at window edges can
+        never drop or duplicate a departure across adjacent windows.
+
+        The cost is a few whole-column passes plus work per departure:
+        every flow's lower candidate is stepped forward to its first
+        departure time at or after the window (``t`` never decreases as
+        ``k`` grows, so this ends after a pass or two), and only the
+        flows whose first candidate departs inside the window are
+        expanded into per-candidate arrays.
         """
+        phases, rates = self.phases, self.rates
         lo = np.maximum(t0, self.starts)
         hi = np.minimum(t1, self.stops)
-        k_lo = np.ceil((lo - self.phases) * self.rates) - 1.0
-        np.maximum(k_lo, 0.0, out=k_lo)
-        k_hi = np.ceil((hi - self.phases) * self.rates) + 1.0
-        counts = np.where(hi > lo, k_hi - k_lo, 0.0)
-        counts = np.maximum(counts, 0.0).astype(np.int64)
-        total = int(counts.sum())
+        k_first = np.ceil((lo - phases) * rates) - 1.0
+        np.maximum(k_first, 0.0, out=k_first)
+        k_hi = np.ceil((hi - phases) * rates) + 1.0
+        t_first = phases + k_first / rates
+        # k_hi caps the walk of flows with nothing left in the window.
+        early = (t_first < lo) & (k_first < k_hi)
+        while early.any():
+            k_first += early
+            t_first = phases + k_first / rates
+            early = (t_first < lo) & (k_first < k_hi)
+
+        live = np.flatnonzero((t_first < hi) & (k_first < k_hi))
         empty = (np.empty(0, dtype=np.float64), np.empty(0, dtype=np.int64),
                  np.empty(0, dtype=np.int64))
-        if total == 0:
+        if not len(live):
             return empty
-
-        flow_idx = np.repeat(np.arange(self.n, dtype=np.int64), counts)
+        k_lo = k_first[live].astype(np.int64)
+        counts = k_hi[live].astype(np.int64) - k_lo
+        total = int(counts.sum())
+        flow_idx = np.repeat(live.astype(np.int64), counts)
         offsets = np.cumsum(counts) - counts
-        ks = (np.arange(total, dtype=np.int64)
-              - np.repeat(offsets, counts)
-              + np.repeat(k_lo.astype(np.int64), counts))
-        t = self.phases[flow_idx] + ks.astype(np.float64) / self.rates[flow_idx]
+        ks = np.arange(total, dtype=np.int64) + np.repeat(k_lo - offsets, counts)
+        t = phases[flow_idx] + ks.astype(np.float64) / rates[flow_idx]
 
         mask = (t >= t0) & (t < t1)
         mask &= (t >= self.starts[flow_idx]) & (t < self.stops[flow_idx])

@@ -26,6 +26,24 @@ class Protocol(IntEnum):
     UDP = 17
 
 
+#: Wire encoding of the numeric tail of a 5-tuple: ports, protocol.
+_PORTS_PROTOCOL = struct.Struct("!HHB")
+
+
+def stable_flow_hash(src_ip: str, dst_ip: str, src_port: int,
+                     dst_port: int, protocol: int) -> int:
+    """The 64-bit stable hash of a 5-tuple.
+
+    This is the one definition of the flow-hash encoding, shared by
+    :meth:`FlowKey.stable_hash` and the columnar flow tables
+    (:class:`repro.net.flowpop.FlowPopulation`).
+    """
+    encoded = (f"{src_ip}|{dst_ip}|".encode()
+               + _PORTS_PROTOCOL.pack(src_port, dst_port, protocol))
+    digest = hashlib.blake2b(encoded, digest_size=8).digest()
+    return int.from_bytes(digest, "big")
+
+
 @dataclass(frozen=True)
 class FlowKey:
     """The classic 5-tuple identifying a flow.
@@ -58,12 +76,8 @@ class FlowKey:
         frequency; determinism is what makes the acoustic encoding
         decodable by an independent listener.
         """
-        encoded = (
-            self.src_ip.encode() + b"|" + self.dst_ip.encode() + b"|"
-            + struct.pack("!HHB", self.src_port, self.dst_port, int(self.protocol))
-        )
-        digest = hashlib.blake2b(encoded, digest_size=8).digest()
-        return int.from_bytes(digest, "big")
+        return stable_flow_hash(self.src_ip, self.dst_ip, self.src_port,
+                                self.dst_port, self.protocol)
 
     def __str__(self) -> str:
         return (

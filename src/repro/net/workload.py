@@ -487,8 +487,9 @@ class VectorizedFlowDriver:
 
     One sim event per ``batch_window`` computes every departure of the
     whole population inside that window and hands them to the sink —
-    per-event cost is O(population) numpy work, not O(packets) Python
-    callbacks.
+    per-event cost is a few whole-column numpy passes plus array work
+    per departure (see :meth:`FlowPopulation.departures_between`), not
+    one Python callback per packet.
     """
 
     def __init__(

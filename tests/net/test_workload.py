@@ -54,6 +54,56 @@ def _population(spec: WorkloadSpec) -> FlowPopulation:
     return population
 
 
+def reference_departures_between(population, t0, t1):
+    """Every active flow's whole widened candidate range, expanded and
+    exact-filtered — the reference :meth:`FlowPopulation.departures_between`
+    must match array for array (same values, dtypes and order)."""
+    lo = np.maximum(t0, population.starts)
+    hi = np.minimum(t1, population.stops)
+    k_lo = np.ceil((lo - population.phases) * population.rates) - 1.0
+    np.maximum(k_lo, 0.0, out=k_lo)
+    k_hi = np.ceil((hi - population.phases) * population.rates) + 1.0
+    counts = np.where(hi > lo, k_hi - k_lo, 0.0)
+    counts = np.maximum(counts, 0.0).astype(np.int64)
+    total = int(counts.sum())
+    empty = (np.empty(0, dtype=np.float64), np.empty(0, dtype=np.int64),
+             np.empty(0, dtype=np.int64))
+    if total == 0:
+        return empty
+
+    flow_idx = np.repeat(np.arange(population.n, dtype=np.int64), counts)
+    offsets = np.cumsum(counts) - counts
+    ks = (np.arange(total, dtype=np.int64)
+          - np.repeat(offsets, counts)
+          + np.repeat(k_lo.astype(np.int64), counts))
+    t = (population.phases[flow_idx]
+         + ks.astype(np.float64) / population.rates[flow_idx])
+
+    mask = (t >= t0) & (t < t1)
+    mask &= (t >= population.starts[flow_idx]) & (t < population.stops[flow_idx])
+    rel = t - population.starts[flow_idx]
+    period = (population.on_durations[flow_idx]
+              + population.off_durations[flow_idx])
+    mask &= np.mod(rel, period) < population.on_durations[flow_idx]
+    if population.diurnal_amplitude > 0.0:
+        mask &= (population._thinning_u(flow_idx, ks)
+                 < population._modulation(t))
+
+    if not mask.any():
+        return empty
+    flow_idx, ks, t = flow_idx[mask], ks[mask], t[mask]
+    order = np.lexsort((ks, flow_idx, t))
+    return t[order], flow_idx[order], ks[order]
+
+
+def assert_departures_match_reference(population, t0, t1):
+    got = population.departures_between(t0, t1)
+    want = reference_departures_between(population, t0, t1)
+    for name, g, w in zip(("times", "flow_idx", "ks"), got, want):
+        assert g.dtype == w.dtype, (name, t0, t1)
+        np.testing.assert_array_equal(g, w, err_msg=f"{name} [{t0}, {t1})")
+
+
 def _drive(population, duration, batch_window=0.25):
     sim = Simulator()
     sink = CountingSink(population)
@@ -152,6 +202,34 @@ class TestDepartureModel:
         assert np.all(times >= population.starts[flow_idx])
         assert np.all(times < population.stops[flow_idx])
 
+    def test_port_sweep_past_65535_rejected(self):
+        # The per-flow path rejects the same key: flow_key(0, 10) would
+        # carry dst_port 65540.
+        spec = WorkloadSpec(patterns=(
+            PortScanPattern(first_port=65530, num_ports=20),))
+        with pytest.raises(ValueError, match="dst_port"):
+            spec.build()
+        top = WorkloadSpec(patterns=(
+            PortScanPattern(first_port=65516, num_ports=20),)).build()
+        assert top.dst_ports_for(np.zeros(20, dtype=np.int64),
+                                 np.arange(20)).max() == 65535
+
+    @pytest.mark.parametrize("column", ["src_ports", "dst_ports"])
+    @pytest.mark.parametrize("port", [-1, 65536])
+    def test_static_ports_range_checked(self, column, port):
+        population = WorkloadSpec(seed=SEED, patterns=(
+            ElephantMicePattern(num_mice=5),)).build()
+        ports = getattr(population, column).copy()
+        ports[3] = port
+        columns = {name: getattr(population, name) for name in (
+            "src_ips", "dst_ips", "src_ports", "dst_ports", "protocols",
+            "rates", "phases", "starts", "stops", "on_durations",
+            "off_durations", "labels", "variation", "vary_base",
+            "vary_span", "vary_prefix", "packet_sizes")}
+        columns[column] = ports
+        with pytest.raises(ValueError, match=column):
+            FlowPopulation(**columns)
+
     def test_labels_and_counts(self):
         population = build_workload("scan-churn", num_flows=500,
                                     seed=SEED).build()
@@ -219,6 +297,65 @@ class TestScalarVectorEquivalence:
             assert population.accept(int(i), int(k), float(t))
 
 
+class TestWindowedDepartures:
+    """:meth:`FlowPopulation.departures_between` expands only the flows
+    that depart in the window; its output must equal the full-range
+    reference expansion bit for bit, on any window."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**31 - 1),
+           num_flows=st.integers(1, 40),
+           duration=st.floats(0.5, 4.0),
+           diurnal_amplitude=st.sampled_from([0.0, 0.6]),
+           data=st.data())
+    def test_departures_match_reference(self, seed, num_flows, duration,
+                                        diurnal_amplitude, data):
+        population = WorkloadSpec(
+            seed=seed, duration=duration,
+            patterns=(
+                ElephantMicePattern(num_mice=num_flows,
+                                    num_elephants=num_flows // 8 + 1,
+                                    mouse_rate_range=(0.5, 20.0)),
+                ChurnPattern(num_flows=num_flows,
+                             lifetime_range=(0.05, duration / 2)),
+                OnOffPattern(num_flows=num_flows // 2 + 1,
+                             on_range=(0.05, 0.4), off_range=(0.05, 0.4)),
+                PortScanPattern(probe_rate=30.0, start=duration * 0.25),
+            ),
+            diurnal_amplitude=diurnal_amplitude, diurnal_period=duration,
+        ).build()
+        times, _flow_idx, _ks = reference_departures_between(
+            population, 0.0, duration)
+        assert len(times)
+        edges = np.concatenate([
+            [0.0, duration], times, population.starts,
+            population.stops[np.isfinite(population.stops)],
+        ])
+        edge = (st.sampled_from(edges.tolist())
+                | st.floats(0.0, duration, allow_nan=False))
+        one_ulp = st.sampled_from(times.tolist()).map(
+            lambda t: (t, float(np.nextafter(t, np.inf))))
+        # Arbitrary (t0, t1) pairs: overlapping, out of order, empty,
+        # reversed and one-ulp windows, edges exactly on departures,
+        # starts and stops; then the whole-horizon call the truth
+        # scorers make.
+        windows = data.draw(st.lists(st.tuples(edge, edge) | one_ulp,
+                                     min_size=1, max_size=12))
+        windows.append((0.0, duration))
+        for t0, t1 in windows:
+            assert_departures_match_reference(population, t0, t1)
+
+    @pytest.mark.parametrize("mix", ["mice", "elephants-mice", "scan-churn",
+                                     "bursty-diurnal"])
+    def test_named_mix_windows_match_reference(self, mix):
+        population = build_workload(mix, num_flows=400, seed=SEED,
+                                    duration=4.0).build()
+        for start in np.arange(0.0, 4.0, 0.25):
+            assert_departures_match_reference(population, float(start),
+                                              float(start) + 0.25)
+        assert_departures_match_reference(population, 0.0, 4.0)
+
+
 class TestSinks:
     def test_host_sink_sends_real_packets(self):
         sim = Simulator()
@@ -241,8 +378,9 @@ class TestSinks:
         retargeted = population.retarget("10.0.0.2")
         assert set(retargeted.dst_ips) == {"10.0.0.2"}
         assert retargeted.flow_key(0).dst_ip == "10.0.0.2"
-        assert retargeted.stable_hashes[0] == \
-            np.uint64(retargeted.flow_key(0).stable_hash())
+        for i in np.flatnonzero(retargeted.static):
+            assert retargeted.stable_hashes[i] == \
+                np.uint64(retargeted.flow_key(int(i)).stable_hash())
         # Same traffic model, different keys.
         np.testing.assert_array_equal(population.rates, retargeted.rates)
         assert not np.array_equal(population.stable_hashes,
