@@ -3,7 +3,7 @@ controller, state machines and the six paper applications."""
 
 from .agent import MusicAgent
 from .arq import ArqConfig, ArqStats, MpArqSender
-from .array import ArrayDetection, MicrophoneArray
+from .array import MicrophoneArray
 from .controller import MDNController
 from .health import (
     ChannelHealth,
@@ -58,7 +58,6 @@ __all__ = [
     "Allocation",
     "ArqConfig",
     "ArqStats",
-    "ArrayDetection",
     "ChannelHealth",
     "ChannelHealthMonitor",
     "HealthTransition",

@@ -5,40 +5,24 @@ microphones listening to different groups of switches."
 
 :class:`MicrophoneArray` does that coordination: several stations, each
 a microphone placed near one group of switches, polled on a common
-clock.  Per window, each station's capture is run through a shared
-detector; events are merged across stations (a tone heard by several
-microphones is reported once, from the station that heard it loudest)
-and dispatched exactly like :class:`~repro.core.controller.MDNController`
-events.  Switches too far from any single central microphone become
+clock.  It is an :class:`~repro.core.controller.MDNController` that
+hears with every station: a tone heard by several microphones is
+reported once, from the station that heard it loudest, and the rest is
+the controller's own listen loop — so every controller app runs over an
+array.  Switches too far from any single central microphone become
 audible again through their local station.
 """
 
 from __future__ import annotations
 
-import time as _time
-from dataclasses import dataclass
-from typing import Callable
-
-from .. import obs
 from ..audio.channel import AcousticChannel
-from ..audio.detector import DetectionEvent, FrequencyDetector
+from ..audio.detector import DetectionEvent
 from ..audio.devices import Microphone
-from ..net.sim import PeriodicTimer, Simulator
+from ..net.sim import Simulator
+from .controller import MDNController
 
 
-@dataclass(frozen=True)
-class ArrayDetection:
-    """A merged detection: the event plus which station won it."""
-
-    event: DetectionEvent
-    station: str
-    stations_heard: tuple[str, ...]
-
-
-ArrayCallback = Callable[[ArrayDetection], None]
-
-
-class MicrophoneArray:
+class MicrophoneArray(MDNController):
     """A coordinated set of listening stations.
 
     Parameters
@@ -51,12 +35,10 @@ class MicrophoneArray:
         redundant capsules) also share the channel's per-window render
         memo: the air is mixed once per ``(position, window)`` and each
         capsule only adds its own self-noise.
-    listen_interval:
-        Common capture window length.
-    prune_every:
-        Every this-many processed windows, drop channel tones that
-        ended more than ``prune_margin`` seconds ago (the channel keeps
-        its echo tail alive past that cutoff).  0 disables pruning.
+
+    The rest are :class:`MDNController`'s.  Subscribers get plain
+    ``DetectionEvent`` objects; :attr:`coverage` and :attr:`heard_by` say
+    which station won a tone and which heard it.
     """
 
     def __init__(
@@ -72,116 +54,31 @@ class MicrophoneArray:
     ) -> None:
         if not stations:
             raise ValueError("need at least one station")
-        self.sim = sim
-        self.channel = channel
-        self.stations = dict(stations)
-        self.listen_interval = listen_interval
-        self.threshold_db = threshold_db
-        self.min_level_db = min_level_db
-        self.prune_every = prune_every
-        self.prune_margin = prune_margin
-        self._subscribers: dict[float, list[ArrayCallback]] = {}
-        self._onset_subscribers: dict[float, list[ArrayCallback]] = {}
-        self._detector: FrequencyDetector | None = None
-        self._timer: PeriodicTimer | None = None
-        self._previous: set[float] = set()
-        #: frequency -> station that last reported it (coverage map).
-        self.coverage: dict[float, str] = {}
-        # Registry-backed, API-compatible counters (repro.obs).
-        self._m_windows = obs.counter("array.windows_processed")
-        self._m_tones_pruned = obs.counter("array.tones_pruned")
-        self._m_merged = obs.counter("array.merged_detections")
-        self._obs = obs.get_registry()
-        if self._obs is not None:
-            self._m_window_ms = self._obs.register(
-                obs.Histogram("array.window_ms")
-            )
-
-    @property
-    def windows_processed(self) -> int:
-        """Common-clock windows processed across all stations."""
-        return self._m_windows.value
-
-    @property
-    def tones_pruned(self) -> int:
-        """Channel tones dropped by the array's periodic prune."""
-        return self._m_tones_pruned.value
-
-    def watch(
-        self,
-        frequencies: list[float],
-        on_detection: ArrayCallback | None = None,
-        on_onset: ArrayCallback | None = None,
-    ) -> None:
-        """Subscribe to frequencies across the whole array."""
-        if self._timer is not None:
-            raise RuntimeError("watch() must be called before start()")
-        if on_detection is None and on_onset is None:
-            raise ValueError("need at least one callback")
-        for frequency in frequencies:
-            key = float(frequency)
-            if on_detection is not None:
-                self._subscribers.setdefault(key, []).append(on_detection)
-            if on_onset is not None:
-                self._onset_subscribers.setdefault(key, []).append(on_onset)
-
-    @property
-    def watched_frequencies(self) -> list[float]:
-        return sorted(set(self._subscribers) | set(self._onset_subscribers))
-
-    def start(self) -> None:
-        if self._timer is not None:
-            raise RuntimeError("array already started")
-        if not self.watched_frequencies:
-            raise RuntimeError("nothing to watch; call watch() first")
-        self._detector = FrequencyDetector(
-            self.watched_frequencies,
-            threshold_db=self.threshold_db,
-            min_level_db=self.min_level_db,
+        # No single microphone: _hear records every station instead.
+        super().__init__(
+            sim, channel, None, listen_interval=listen_interval,
+            threshold_db=threshold_db, min_level_db=min_level_db,
+            prune_every=prune_every, prune_margin=prune_margin,
         )
-        self._timer = self.sim.every(self.listen_interval, self._listen_once)
+        self.stations = dict(stations)
+        #: frequency -> station that last won it (coverage map).
+        self.coverage: dict[float, str] = {}
+        #: frequency -> stations that heard it in the latest window, in
+        #: station-name order.
+        self.heard_by: dict[float, list[str]] = {}
 
-    def stop(self) -> None:
-        if self._timer is not None:
-            self._timer.stop()
-            self._timer = None
-
-    def _listen_once(self) -> None:
-        assert self._detector is not None
-        observed = self._obs is not None
-        wall_start = _time.perf_counter() if observed else 0.0
-        end = self.sim.now
-        start = end - self.listen_interval
-        # frequency -> (best event, best station, all stations that heard)
-        merged: dict[float, tuple[DetectionEvent, str, list[str]]] = {}
-        with obs.span("array.window", start=start,
-                      stations=len(self.stations)):
-            for name in sorted(self.stations):
-                capture = self.stations[name].record(self.channel, start, end)
-                for event in self._detector.detect(capture, start):
-                    current = merged.get(event.frequency)
-                    if current is None:
-                        merged[event.frequency] = (event, name, [name])
-                    else:
-                        best_event, best_station, heard = current
-                        heard.append(name)
-                        if event.level_db > best_event.level_db:
-                            merged[event.frequency] = (event, name, heard)
-        self._m_windows.inc()
-        self._m_merged.inc(len(merged))
-        if observed:
-            self._m_window_ms.observe((_time.perf_counter() - wall_start) * 1e3)
-        if self.prune_every and self.windows_processed % self.prune_every == 0:
-            self._m_tones_pruned.inc(self.channel.prune(start, self.prune_margin))
-
-        present = set(merged)
-        for frequency in sorted(merged):
-            event, station, heard = merged[frequency]
-            self.coverage[frequency] = station
-            detection = ArrayDetection(event, station, tuple(heard))
-            for callback in self._subscribers.get(frequency, ()):
-                callback(detection)
-            if frequency not in self._previous:
-                for callback in self._onset_subscribers.get(frequency, ()):
-                    callback(detection)
-        self._previous = present
+    def _hear(self, start: float, end: float) -> list[DetectionEvent]:
+        """Record every station and keep the loudest event per
+        frequency; ties go to the first station name in sorted order."""
+        loudest: dict[float, DetectionEvent] = {}
+        heard_by: dict[float, list[str]] = {}
+        for name in sorted(self.stations):
+            capture = self.stations[name].record(self.channel, start, end)
+            for event in self._detector.detect(capture, start):
+                heard_by.setdefault(event.frequency, []).append(name)
+                best = loudest.get(event.frequency)
+                if best is None or event.level_db > best.level_db:
+                    loudest[event.frequency] = event
+                    self.coverage[event.frequency] = name
+        self.heard_by = heard_by
+        return [loudest[frequency] for frequency in sorted(loudest)]

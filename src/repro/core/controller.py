@@ -57,10 +57,11 @@ class MDNController(ControllerBase):
         drop a tone whose reflections are still audible.  0 disables
         pruning (e.g. when another listener needs deep look-back).
 
-    Co-located listeners (several controllers, or a controller next to
-    a :class:`~repro.core.array.MicrophoneArray` station) share the
-    channel's per-window render memo: the air is mixed once per
-    ``(position, window)``.
+    Each window is heard by :meth:`_hear` (record + detect) and then
+    dispatched by the one listen loop below; listeners with other ears
+    (:class:`~repro.core.array.MicrophoneArray`) override only
+    :meth:`_hear`.  Co-located listeners share the channel's per-window
+    render memo: the air is mixed once per ``(position, window)``.
     """
 
     def __init__(
@@ -384,16 +385,21 @@ class MDNController(ControllerBase):
                 merged[event.frequency] = event
         return sorted(merged.values(), key=lambda e: e.frequency)
 
+    def _hear(self, start: float, end: float) -> list[DetectionEvent]:
+        """Record ``[start, end)`` and detect: the window's events,
+        sorted by frequency."""
+        window = self.microphone.record(self.channel, start, end)
+        return self._detector.detect(window, start)
+
     def _listen_once(self) -> None:
-        """Capture the window that just elapsed and dispatch events."""
+        """Hear the window that just elapsed and dispatch events."""
         observed = self._obs is not None
         wall_start = _time.perf_counter() if observed else 0.0
         end = self.sim.now
         start = end - self.listen_interval
         with obs.span("controller.window", start=start):
-            window = self.microphone.record(self.channel, start, end)
             assert self._detector is not None
-            events = self._detector.detect(window, start)
+            events = self._hear(start, end)
             if self._aliases or self.epoch:
                 events = self._translate_events(events)
             self._m_windows.inc()

@@ -19,11 +19,12 @@ repeaters in radio systems.
 from __future__ import annotations
 
 from ..audio.channel import AcousticChannel
-from ..audio.detector import FrequencyDetector
+from ..audio.detector import DetectionEvent
 from ..audio.devices import Microphone, Speaker
 from ..audio.synth import ToneSpec
-from ..net.sim import PeriodicTimer, Simulator
+from ..net.sim import Simulator
 from ..net.stats import Counter
+from .controller import MDNController
 from .frequency_plan import Allocation
 
 
@@ -36,7 +37,10 @@ class ToneRelay:
         Shared clock and air.
     microphone, speaker:
         The relay's own ears and voice (place them at the relay's
-        position).
+        position).  The microphone feeds :attr:`ears`, an
+        :class:`~repro.core.controller.MDNController` watching the
+        uplink block whose onsets are forwarded; it never prunes the
+        channel (the relay is a guest in the room, not its controller).
     uplink, downlink:
         Frequency blocks of equal size; a tone heard at
         ``uplink.frequency_for(i)`` is re-emitted at
@@ -74,32 +78,26 @@ class ToneRelay:
             raise ValueError("uplink and downlink blocks must be disjoint")
         self.sim = sim
         self.channel = channel
-        self.microphone = microphone
         self.speaker = speaker
         self.uplink = uplink
         self.downlink = downlink
-        self.listen_interval = listen_interval
         self.tone_duration = tone_duration
         self.gain_db = gain_db
         self.refractory = refractory
         self.name = name
         self.relayed = Counter(f"{name}.relayed")
-        self._detector = FrequencyDetector(
-            list(uplink.frequencies), min_level_db=min_level_db
-        )
-        self._previous: set[float] = set()
         self._last_relay: dict[float, float] = {}
-        self._timer: PeriodicTimer | None = None
+        self.ears = MDNController(
+            sim, channel, microphone, listen_interval=listen_interval,
+            min_level_db=min_level_db, prune_every=0,
+        )
+        self.ears.watch(list(uplink.frequencies), on_onset=self._forward)
 
     def start(self) -> None:
-        if self._timer is not None:
-            raise RuntimeError("relay already started")
-        self._timer = self.sim.every(self.listen_interval, self._listen_once)
+        self.ears.start()
 
     def stop(self) -> None:
-        if self._timer is not None:
-            self._timer.stop()
-            self._timer = None
+        self.ears.stop()
 
     def translate(self, uplink_frequency: float) -> float:
         """The downlink frequency an uplink tone maps to."""
@@ -107,29 +105,22 @@ class ToneRelay:
             self.uplink.index_of(uplink_frequency)
         )
 
-    def _listen_once(self) -> None:
-        end = self.sim.now
-        window = self.microphone.record(
-            self.channel, end - self.listen_interval, end
+    def _forward(self, event: DetectionEvent) -> None:
+        """Re-emit an uplink onset on the downlink, amplified, unless the
+        same slot was relayed within the refractory period."""
+        now = self.sim.now
+        last = self._last_relay.get(event.frequency)
+        if last is not None and now - last < self.refractory:
+            return
+        self._last_relay[event.frequency] = now
+        out_level = min(event.level_db + self.gain_db,
+                        self.speaker.max_level_db)
+        self.speaker.play(
+            self.channel, now,
+            ToneSpec(self.translate(event.frequency),
+                     self.tone_duration, out_level),
         )
-        events = self._detector.detect(window, end - self.listen_interval)
-        present = {event.frequency for event in events}
-        for event in events:
-            if event.frequency in self._previous:
-                continue  # tone continuing, already relayed its onset
-            last = self._last_relay.get(event.frequency)
-            if last is not None and end - last < self.refractory:
-                continue
-            self._last_relay[event.frequency] = end
-            out_level = min(event.level_db + self.gain_db,
-                            self.speaker.max_level_db)
-            self.speaker.play(
-                self.channel, end,
-                ToneSpec(self.translate(event.frequency),
-                         self.tone_duration, out_level),
-            )
-            self.relayed.increment()
-        self._previous = present
+        self.relayed.increment()
 
 
 def build_relay_chain(

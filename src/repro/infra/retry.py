@@ -70,9 +70,8 @@ class RetrySchedule:
     """One delivery attempt's walk along a :class:`RetryPolicy`.
 
     ``next_retry(now)`` returns the absolute time of the next
-    retransmission, or ``None`` once that retry (plus the caller's
-    ``margin`` — e.g. the attempt's own duration, which must also fit)
-    would not complete strictly before the deadline.
+    retransmission, or ``None`` once that retry would not fall strictly
+    before the deadline.
     """
 
     __slots__ = ("policy", "start", "deadline", "retries_planned",
@@ -88,7 +87,7 @@ class RetrySchedule:
         self._rng = (random.Random(0 if seed is None else seed)
                      if policy.jitter > 0 else None)
 
-    def next_retry(self, now: float, margin: float = 0.0) -> float | None:
+    def next_retry(self, now: float) -> float | None:
         """Absolute time of the next retry after ``now``, or ``None``
         when the deadline leaves no room for another attempt (the
         caller should then arrange expiry at :attr:`deadline`)."""
@@ -98,7 +97,7 @@ class RetrySchedule:
         if self._rng is not None:
             delay *= 1.0 - self.policy.jitter * self._rng.random()
         retry_at = now + delay
-        if not retry_at + margin < self.deadline:
+        if not retry_at < self.deadline:
             return None
         self.retries_planned += 1
         return retry_at

@@ -11,6 +11,7 @@ from repro.audio import (
     ToneSpec,
 )
 from repro.core import FrequencyPlan, MicrophoneArray
+from repro.core.apps import BandToneMap, QueueMonitorApp
 from repro.net import Simulator
 
 
@@ -57,10 +58,11 @@ class TestCoverage:
         (sim, channel, _plan, group_a, group_b,
          speaker_a, speaker_b, stations) = far_groups
         array = MicrophoneArray(sim, channel, stations)
-        heard = []
+        heard = []  # (frequency, winning station) per onset
         array.watch(
             list(group_a.frequencies) + list(group_b.frequencies),
-            on_onset=heard.append,
+            on_onset=lambda event: heard.append(
+                (event.frequency, array.coverage[event.frequency])),
         )
         array.start()
         sim.schedule_at(0.5, lambda: speaker_a.play(
@@ -70,11 +72,11 @@ class TestCoverage:
             channel, sim.now, ToneSpec(group_b.frequency_for(0), 0.2, 65.0)
         ))
         sim.run(2.0)
-        frequencies = {d.event.frequency for d in heard}
+        frequencies = {frequency for frequency, _ in heard}
         assert frequencies == {group_a.frequency_for(0),
                                group_b.frequency_for(0)}
         # Each tone was won by its local station.
-        by_frequency = {d.event.frequency: d.station for d in heard}
+        by_frequency = dict(heard)
         assert by_frequency[group_a.frequency_for(0)] == "station-a"
         assert by_frequency[group_b.frequency_for(0)] == "station-b"
 
@@ -106,17 +108,19 @@ class TestCoverage:
             "far": Microphone(Position(5.0, 0.0, 0.0), seed=32),
         }
         array = MicrophoneArray(sim, channel, stations)
-        heard = []
-        array.watch(list(group_a.frequencies), on_onset=heard.append)
+        heard = []  # (winning station, hearers) per onset
+        array.watch(list(group_a.frequencies), on_onset=lambda event:
+                    heard.append((array.coverage[event.frequency],
+                                  array.heard_by[event.frequency])))
         array.start()
         sim.schedule_at(0.45, lambda: speaker_a.play(
             channel, sim.now, ToneSpec(group_a.frequency_for(0), 0.1, 75.0)
         ))
         sim.run(1.0)
         assert len(heard) == 1
-        detection = heard[0]
-        assert detection.station == "near"
-        assert set(detection.stations_heard) == {"near", "far"}
+        station, hearers = heard[0]
+        assert station == "near"
+        assert set(hearers) == {"near", "far"}
 
     def test_coverage_map(self, far_groups):
         (sim, channel, _plan, group_a, group_b,
@@ -124,7 +128,7 @@ class TestCoverage:
         array = MicrophoneArray(sim, channel, stations)
         array.watch(
             list(group_a.frequencies) + list(group_b.frequencies),
-            on_detection=lambda d: None,
+            on_detection=lambda event: None,
         )
         array.start()
         sim.schedule_at(0.5, lambda: speaker_a.play(
@@ -132,3 +136,27 @@ class TestCoverage:
         ))
         sim.run(1.5)
         assert array.coverage[group_a.frequency_for(1)] == "station-a"
+
+
+class TestAppsOverArray:
+    def test_queue_monitor_hears_through_local_station(self, far_groups):
+        """An unmodified controller app runs over an array: the switch
+        chirps next to station-a and 78 m from station-b, and the app
+        tracks its queue band from the events the array dispatches."""
+        (sim, channel, _plan, _group_a, _group_b,
+         speaker_a, _speaker_b, stations) = far_groups
+        array = MicrophoneArray(sim, channel, stations)
+        tones = BandToneMap(500.0, 600.0, 700.0)
+        app = QueueMonitorApp(array, "s1", tones)
+        hearers = []
+        array.watch(tones.frequencies(), on_onset=lambda event:
+                    hearers.append(array.heard_by[event.frequency]))
+        array.start()
+        for when, frequency in ((0.5, tones.low), (1.0, tones.high)):
+            sim.schedule_at(when, lambda f=frequency: speaker_a.play(
+                channel, sim.now, ToneSpec(f, 0.08, 65.0)))
+        sim.run(1.5)
+        assert [band for _, band in app.band_history] == ["low", "high"]
+        assert app.is_congested
+        assert array.coverage[tones.high] == "station-a"
+        assert hearers == [["station-a"], ["station-a"]]

@@ -1,5 +1,7 @@
 """Unit/integration tests for the multi-hop tone relay (§8 extension)."""
 
+from dataclasses import asdict
+
 import pytest
 
 from repro.audio import (
@@ -11,6 +13,7 @@ from repro.audio import (
     ToneSpec,
 )
 from repro.core import FrequencyPlan, ToneRelay, build_relay_chain
+from repro.experiments import relay_experiment
 from repro.net import Simulator
 
 
@@ -165,3 +168,15 @@ class TestRelayChain:
         ))
         sim.run(3.0)
         assert heard == []
+
+    def test_relay_experiment_result_pinned(self):
+        """XEXT1 end to end, pinned to the last bit: two relays carry
+        the tone 90 m, one forward each, 0.6 s source to listener."""
+        assert asdict(relay_experiment()) == {
+            "num_hops": 3,
+            "source_to_listener_m": 90.0,
+            "direct_heard": False,
+            "relayed_heard": True,
+            "end_to_end_latency": 0.6000000000000001,
+            "per_relay_counts": [1.0, 1.0],
+        }

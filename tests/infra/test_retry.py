@@ -62,19 +62,6 @@ class TestScheduleProperties:
         assert all(t < schedule.deadline for t in times)
         assert schedule.retries_planned == len(times)
 
-    @given(policy=policies, start=starts, seed=seeds,
-           margin=st.floats(min_value=0.0, max_value=1.0))
-    def test_margin_also_fits_before_deadline(self, policy, start, seed,
-                                              margin):
-        schedule = policy.schedule(start, seed=seed)
-        now = start
-        for _ in range(MAX_WALK):
-            retry_at = schedule.next_retry(now, margin=margin)
-            if retry_at is None:
-                break
-            assert retry_at + margin < schedule.deadline
-            now = retry_at
-
     @given(policy=policies, start=starts, seed=seeds)
     def test_identical_seeds_identical_schedules(self, policy, start, seed):
         _, first = _walk(policy, start, seed)

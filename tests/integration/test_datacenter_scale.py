@@ -50,8 +50,10 @@ class TestArrayLiveness:
         for name in sorted(agents):
             allocation = plan.allocate(name, 1)
             frequencies[name] = allocation.frequency_for(0)
-        heard = []
-        array.watch(list(frequencies.values()), on_onset=heard.append)
+        heard = []  # (frequency, winning station) per onset
+        array.watch(list(frequencies.values()), on_onset=lambda event:
+                    heard.append((event.frequency,
+                                  array.coverage[event.frequency])))
         array.start()
         # Staggered chirps, one per switch.
         for index, name in enumerate(sorted(agents)):
@@ -60,10 +62,10 @@ class TestArrayLiveness:
                 lambda n=name: agents[n].play(frequencies[n], 0.12, 65.0),
             )
         sim.run(3.0)
-        heard_frequencies = {d.event.frequency for d in heard}
-        assert heard_frequencies == set(frequencies.values())
+        assert {frequency for frequency, _ in heard} == \
+            set(frequencies.values())
         # Station attribution matches aisle geography.
-        station_of = {d.event.frequency: d.station for d in heard}
+        station_of = dict(heard)
         assert station_of[frequencies["leaf2"]] == "aisle-leaf"
         assert station_of[frequencies["spine1"]] == "aisle-spine"
 
