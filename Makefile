@@ -13,15 +13,15 @@ test:
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only
 
-# Before/after timings of the vectorized listening hot path (Goertzel
-# bank, batched spectrogram) and the vectorized acoustic render path
-# (interval-indexed channel, 50/200-emitter sweeps).  Results are
-# appended as JSON to .benchmarks/micro_perf.json (override with
-# MICRO_BENCH_JSON=path); the channel render timings are additionally
-# written to .benchmarks/BENCH_channel.json (override with
-# BENCH_CHANNEL_JSON=path).  BLAS is pinned to one thread, as
+# Before/after timings of the vectorized listening hot path (batched
+# spectrogram, per-window FFT detect) and the vectorized acoustic
+# render path (interval-indexed channel, 50/200-emitter sweeps).
+# Results are appended as JSON to .benchmarks/micro_perf.json
+# (override with MICRO_BENCH_JSON=path); the channel render timings
+# are additionally written to .benchmarks/BENCH_channel.json (override
+# with BENCH_CHANNEL_JSON=path).  BLAS is pinned to one thread, as
 # bench/run.py pins it for its children: a multi-threaded OpenBLAS
-# oversubscribes a small host and swamps the Goertzel bank timings.
+# oversubscribes a small host and swamps the timings.
 bench-micro:
 	OPENBLAS_NUM_THREADS=1 \
 	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} $(PYTHON) -m pytest \

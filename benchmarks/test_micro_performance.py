@@ -24,12 +24,10 @@ import pytest
 from repro.audio import (
     AcousticChannel,
     FrequencyDetector,
-    GoertzelBank,
     Microphone,
     Position,
     SpectrumAnalyzer,
     ToneSpec,
-    goertzel_magnitude,
     mel_spectrogram,
     power_spectrogram,
     sine_tone,
@@ -78,15 +76,6 @@ def test_perf_detector_fft_busy_window(benchmark, busy_channel):
     window = Microphone(Position(), seed=1).record(busy_channel, 0.1, 0.2)
     events = benchmark(detector.detect, window)
     assert len(events) == 10
-
-
-def test_perf_detector_goertzel(benchmark, busy_channel):
-    plan = FrequencyPlan(low_hz=500.0, guard_hz=40.0)
-    watched = list(plan.allocate("all", 10).frequencies)
-    detector = FrequencyDetector(watched, backend="goertzel")
-    window = Microphone(Position(), seed=1).record(busy_channel, 0.1, 0.2)
-    events = benchmark(detector.detect, window)
-    assert len(events) >= 8
 
 
 def test_perf_mel_spectrogram(benchmark):
@@ -563,37 +552,6 @@ def test_perf_detector_fft():
     print(f"\nFrequencyDetector.detect 50f/50ms: p50 {p50_us:.1f} us, "
           f"p90 {p90_us:.1f} us (paper budget 350 us), "
           f"{sum(heard) / len(windows):.1f} events/window")
-
-
-@pytest.mark.perf
-def test_perf_goertzel_bank_vectorized_speedup():
-    """The phasor-matrix bank must beat the scalar per-frequency loop
-    by >= 5x on the paper's workload: a 16-frequency watch list over a
-    50 ms capture window."""
-    rng = np.random.default_rng(3)
-    window = sine_tone(740.0, 0.05, level_db=62.0).mix(
-        white_noise(0.05, level_db=45.0, rng=rng)
-    )
-    frequencies = [500.0 + 40.0 * index for index in range(16)]
-    bank = GoertzelBank(frequencies)
-
-    vectorized = np.array([r.magnitude for r in bank.analyze(window)])
-    reference = np.array([goertzel_magnitude(window, f) for f in frequencies])
-    np.testing.assert_allclose(vectorized, reference, atol=1e-9)
-
-    vectorized_s = _best_of(lambda: bank.analyze(window))
-    scalar_s = _best_of(
-        lambda: [goertzel_magnitude(window, f) for f in frequencies]
-    )
-    speedup = scalar_s / vectorized_s
-    _record_perf("goertzel_bank_16f_50ms", {
-        "scalar_us": scalar_s * 1e6,
-        "vectorized_us": vectorized_s * 1e6,
-        "speedup": speedup,
-    })
-    print(f"\nGoertzelBank.analyze 16f/50ms: scalar {scalar_s*1e6:.1f} us, "
-          f"vectorized {vectorized_s*1e6:.1f} us, speedup {speedup:.1f}x")
-    assert speedup >= 5.0
 
 
 @pytest.mark.perf

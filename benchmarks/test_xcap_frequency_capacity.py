@@ -1,16 +1,15 @@
-"""XCAP — frequency capacity and detector ablations.
+"""XCAP — frequency capacity.
 
 * §5's "~1000 distinct frequencies" capacity claim, as plan math and as
   a live concurrency sweep.
 * §3's 20 Hz separability floor, swept to find where it breaks.
-* DESIGN.md §5's backend ablation: FFT vs Goertzel accuracy and cost.
+* Detection under room multipath.
 """
 
 from conftest import report
 
 from repro.core import FrequencyPlan
 from repro.experiments import (
-    backend_ablation,
     concurrency_sweep,
     guard_spacing_sweep,
     multipath_sweep,
@@ -65,24 +64,3 @@ def test_xcap_multipath_robustness(run_once):
         assert point.recall == 1.0
         assert point.false_positives == 0
 
-
-def test_xcap_backend_ablation(run_once):
-    comparisons = run_once(backend_ablation)
-    rows = [("watch size", "fft recall", "fft ms", "goertzel recall",
-             "goertzel ms")]
-    for comparison in comparisons:
-        rows.append((
-            comparison.watch_size,
-            f"{comparison.fft_recall:.2f}",
-            f"{comparison.fft_ms_per_window:.2f}",
-            f"{comparison.goertzel_recall:.2f}",
-            f"{comparison.goertzel_ms_per_window:.2f}",
-        ))
-    report("XCAP: FFT vs Goertzel backend", rows)
-    for comparison in comparisons:
-        assert comparison.fft_recall == 1.0
-        assert comparison.goertzel_recall == 1.0
-    # The FFT cost is flat in watch size; the Goertzel bank is linear.
-    assert comparisons[-1].goertzel_ms_per_window > (
-        2 * comparisons[0].goertzel_ms_per_window
-    )

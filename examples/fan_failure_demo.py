@@ -52,48 +52,9 @@ def failure_detection() -> None:
         assert result.detected
 
 
-def find_the_beeper() -> None:
-    """The §7 footnote, closed out: 'we heard a misconfigured server
-    beeping for weeks' — the microphone array walks straight to it."""
-    from repro.audio import AcousticChannel, Microphone, Position, Speaker, ToneSpec
-    from repro.core import TdoaLocalizer
-    from repro.fans import Server
-
-    print()
-    print("=" * 64)
-    print("Bonus: which rack is beeping? (TDOA localization)")
-    print("=" * 64)
-    channel = AcousticChannel()
-    neighbour = Server("healthy-but-loud")
-    neighbour.position = Position(2.0, 8.0, 0.0)
-    neighbour.attach_to_channel(channel, 3.0)
-    culprit = Position(9.0, 2.0, 0.0)
-    Speaker(culprit).play(channel, 1.0, ToneSpec(4000, 0.4, 75.0))
-
-    stations = {
-        "nw": Microphone(Position(0.0, 10.0, 0.0), seed=2),
-        "ne": Microphone(Position(12.0, 10.0, 0.0), seed=3),
-        "s": Microphone(Position(6.0, -2.0, 0.0), seed=4),
-        "w": Microphone(Position(-2.0, 0.0, 0.0), seed=5),
-    }
-    result = TdoaLocalizer(stations).locate(channel, 1.0, 1.5,
-                                            band=(3700.0, 4300.0))
-    print(f"\n  a 4 kHz beep rang out somewhere in the 12 x 12 m room...")
-    print(f"  true rack:  ({culprit.x:.0f}, {culprit.y:.0f})")
-    print(f"  estimated:  ({result.position.x:.1f}, {result.position.y:.1f})"
-          f"  (error {result.position.distance_to(culprit):.2f} m)")
-    if result.excluded:
-        print(f"  stations gated out (drowned by a loud neighbour): "
-              f"{', '.join(result.excluded)}")
-    assert result.position.distance_to(culprit) < 1.5
-
-
 def main() -> None:
     spectrogram_summary()
     failure_detection()
-    find_the_beeper()
-    print("\nfailures detected in both rooms, no false alarms, "
-          "and the beeper was found.")
 
 
 if __name__ == "__main__":

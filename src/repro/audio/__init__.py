@@ -20,7 +20,6 @@ from .detector import (
     FrequencyDetector,
 )
 from .devices import DeviceCapabilityError, Microphone, Speaker
-from .exposure import ExposureMeter, ExposureReport
 from .fft import (
     SpectralPeak,
     Spectrum,
@@ -29,7 +28,7 @@ from .fft import (
     hann_taper,
     power_spectrogram,
 )
-from .goertzel import GoertzelBank, GoertzelResult, goertzel_magnitude
+from .goertzel import goertzel_magnitude
 from .mel import (
     dominant_mel_track,
     hz_to_mel,
@@ -84,16 +83,12 @@ __all__ = [
     "DEFAULT_TOLERANCE_HZ",
     "DetectionEvent",
     "DeviceCapabilityError",
-    "ExposureMeter",
-    "ExposureReport",
     "FULL_SCALE_DB",
     "FrequencyDetector",
     "FskReceiver",
     "FskTransmitter",
     "ModemConfig",
     "ModemError",
-    "GoertzelBank",
-    "GoertzelResult",
     "Microphone",
     "NoiseBed",
     "Position",

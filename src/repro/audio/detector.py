@@ -4,28 +4,20 @@ The MDN controller always listens for a *known* set of frequencies —
 its frequency plan tells it which tones each switch may play (§3: "Each
 switch in our testbed was assigned a unique set of frequencies").  The
 :class:`FrequencyDetector` matches spectral energy in a capture window
-against that watch list and reports :class:`DetectionEvent`s.
-
-Two interchangeable backends exercise the ablation described in
-DESIGN.md §5:
-
-* ``"fft"`` — one windowed FFT per capture, peaks matched against the
-  watch list within a tolerance;
-* ``"goertzel"`` — a Goertzel bank evaluated only at the watched
-  frequencies (cheaper for small watch lists).
+against that watch list and reports :class:`DetectionEvent`s: one
+windowed FFT per capture, with its peaks matched against the watch list
+within a tolerance.
 """
 
 from __future__ import annotations
 
 import time as _time
 from dataclasses import dataclass
-from itertools import compress
 
 import numpy as np
 
 from .. import obs
 from .fft import Spectrum, SpectrumAnalyzer
-from .goertzel import GoertzelBank, GoertzelResult
 from .signal import AudioSignal, amplitude_to_db
 
 #: The paper's empirical separability limit between adjacent tones.
@@ -98,15 +90,9 @@ class FrequencyDetector:
         can never both claim one peak.
     threshold_db:
         Required prominence above the window's noise floor.
-    backend:
-        ``"fft"`` or ``"goertzel"``.  The Goertzel bank evaluates only
-        the watched bins and has no peak structure to reject smear
-        with, so tones cut by window boundaries can bleed into a 20 Hz
-        neighbour's bin; plans driving a Goertzel deployment should use
-        a 40 Hz guard (the FFT backend resolves 20 Hz).
     spectrum_sink:
         Optional ``callback(spectrum, time)`` invoked with every window
-        spectrum the FFT backend computes during :meth:`detect` —
+        spectrum the detector computes during :meth:`detect` —
         *before* events are returned.  This is how the interference
         sentinel (:mod:`repro.core.spectrum`) estimates per-band noise
         occupancy from spectra the detector already paid for, with no
@@ -120,7 +106,6 @@ class FrequencyDetector:
         tolerance_hz: float = DEFAULT_TOLERANCE_HZ,
         threshold_db: float = DEFAULT_THRESHOLD_DB,
         min_level_db: float = DEFAULT_MIN_LEVEL_DB,
-        backend: str = "fft",
         analyzer: SpectrumAnalyzer | None = None,
         spectrum_sink=None,
     ) -> None:
@@ -128,22 +113,13 @@ class FrequencyDetector:
             raise ValueError("watched_frequencies must not be empty")
         if tolerance_hz <= 0:
             raise ValueError("tolerance_hz must be positive")
-        if backend not in ("fft", "goertzel"):
-            raise ValueError(f"unknown backend {backend!r}")
         self.watched = sorted(set(float(f) for f in watched_frequencies))
         self._watched_array = np.array(self.watched)
         self.tolerance_hz = tolerance_hz
         self.threshold_db = threshold_db
         self.min_level_db = min_level_db
-        self.backend = backend
         self._analyzer = analyzer or SpectrumAnalyzer(zero_pad_factor=2)
         self.spectrum_sink = spectrum_sink
-        if spectrum_sink is not None and backend != "fft":
-            raise ValueError(
-                "spectrum_sink requires the fft backend (the Goertzel "
-                "bank computes no full spectrum)"
-            )
-        self._goertzel = GoertzelBank(self.watched) if backend == "goertzel" else None
         # Observability (repro.obs).  Detectors are rebuilt whenever the
         # watch list changes, so the instruments are get-or-create on the
         # registry (shared across rebuilds) rather than per-instance.
@@ -162,14 +138,9 @@ class FrequencyDetector:
         if len(window) == 0:
             return []
         if self._obs is None:
-            if self.backend == "goertzel":
-                return self._detect_goertzel(window, time)
             return self._detect_fft(window, time)
         wall_start = _time.perf_counter()
-        if self.backend == "goertzel":
-            events = self._detect_goertzel(window, time)
-        else:
-            events = self._detect_fft(window, time)
+        events = self._detect_fft(window, time)
         self._m_detect_ms.observe((_time.perf_counter() - wall_start) * 1e3)
         self._m_windows.inc()
         self._m_events.inc(len(events))
@@ -187,47 +158,27 @@ class FrequencyDetector:
         The streaming counterpart of framing ``signal`` yourself and
         calling :meth:`detect` per frame — same events, same order —
         but all frames are analyzed in one batch: a strided frame
-        matrix feeds either one 2-D rfft (FFT backend) or one Goertzel
-        matmul plus one floor-probe matmul (Goertzel backend), and the
-        taper/phasor caches are shared across the whole stream.  Event
-        times are ``start_time`` plus each frame's offset; the trailing
-        partial frame is dropped, like :meth:`AudioSignal.frames`.
+        matrix feeds one 2-D rfft, and the taper cache is shared across
+        the whole stream.  Event times are ``start_time`` plus each
+        frame's offset; the trailing partial frame is dropped, like
+        :meth:`AudioSignal.frames`.
         """
         times, frames = signal.frame_matrix(frame_duration, hop_duration)
         if len(times) == 0 or frames.shape[1] == 0:
             return []
         events: list[DetectionEvent] = []
-        if self.backend == "goertzel":
-            assert self._goertzel is not None
-            magnitudes = self._goertzel.analyze_block(frames, signal.sample_rate)
-            floors = self._goertzel.floor_block(frames, signal.sample_rate)
-            watched = self._goertzel.frequencies
-            for index, offset in enumerate(times):
-                threshold = (
-                    max(float(floors[index]), 1e-12)
-                    * 10.0 ** (self.threshold_db / 20.0)
-                )
-                hits = [
-                    GoertzelResult(freq, float(mag))
-                    for freq, mag in zip(watched, magnitudes[index])
-                    if mag >= threshold
-                ]
-                events.extend(
-                    self._events_from_hits(hits, start_time + float(offset))
-                )
-        else:
-            frequencies, magnitudes = self._analyzer.analyze_block(
-                frames, signal.sample_rate
+        frequencies, magnitudes = self._analyzer.analyze_block(
+            frames, signal.sample_rate
+        )
+        window_duration = frames.shape[1] / signal.sample_rate
+        for index, offset in enumerate(times):
+            spectrum = Spectrum(
+                frequencies, magnitudes[index], signal.sample_rate,
+                window_duration,
             )
-            window_duration = frames.shape[1] / signal.sample_rate
-            for index, offset in enumerate(times):
-                spectrum = Spectrum(
-                    frequencies, magnitudes[index], signal.sample_rate,
-                    window_duration,
-                )
-                events.extend(
-                    self._events_from_spectrum(spectrum, start_time + float(offset))
-                )
+            events.extend(
+                self._events_from_spectrum(spectrum, start_time + float(offset))
+            )
         return events
 
     def _detect_fft(self, window: AudioSignal, time: float) -> list[DetectionEvent]:
@@ -259,30 +210,6 @@ class FrequencyDetector:
             if existing is None or level > existing.level_db:
                 events[watched] = DetectionEvent(watched, measured, level, time)
         return sorted(events.values(), key=lambda e: e.frequency)
-
-    def _detect_goertzel(
-        self, window: AudioSignal, time: float
-    ) -> list[DetectionEvent]:
-        assert self._goertzel is not None
-        hits = self._goertzel.detect(window, self.threshold_db)
-        return self._events_from_hits(hits, time)
-
-    def _events_from_hits(
-        self, hits: list[GoertzelResult], time: float
-    ) -> list[DetectionEvent]:
-        # The bank only evaluates watched frequencies, so sidelobe
-        # leakage from a loud neighbour shows up *at* a watched bin;
-        # apply the same relative rejection by level.
-        hits = [
-            hit for hit in sorted(hits, key=lambda h: h.magnitude, reverse=True)
-            if hit.level_db >= self.min_level_db
-        ]
-        heard = _unshadowed(np.array([hit.frequency for hit in hits]),
-                            np.array([hit.level_db for hit in hits]))
-        return [
-            DetectionEvent(hit.frequency, hit.frequency, hit.level_db, time)
-            for hit in sorted(compress(hits, heard), key=lambda h: h.frequency)
-        ]
 
     def _match(self, measured: np.ndarray) -> np.ndarray:
         """Per measured frequency, the index into ``watched`` of the

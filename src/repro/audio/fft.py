@@ -27,8 +27,9 @@ def hann_taper(count: int) -> tuple[np.ndarray, float]:
     The listening loop analyzes a stream of identically sized capture
     windows, so the taper and its coherent gain (``sum(taper)/count``,
     the factor that keeps magnitudes RMS-calibrated) are computed once
-    per length and shared by the FFT and Goertzel backends.  The
-    returned array is read-only; callers must not mutate it.
+    per length and shared by the FFT analyzer and
+    :func:`~repro.audio.goertzel.goertzel_magnitude`.  The returned
+    array is read-only; callers must not mutate it.
     """
     taper = np.hanning(count)
     taper.setflags(write=False)
@@ -290,8 +291,8 @@ def bandpass_filter(
 ) -> AudioSignal:
     """Zero-phase FFT brick-wall band-pass.
 
-    Keeps only ``[low_hz, high_hz]``; used to isolate a known tone
-    (e.g. before TDOA correlation) without introducing group delay.
+    Keeps only ``[low_hz, high_hz]`` without introducing group delay;
+    the fault injector uses it to band-limit a narrowband interferer.
     """
     if not 0 <= low_hz < high_hz:
         raise ValueError(f"invalid band [{low_hz}, {high_hz}]")

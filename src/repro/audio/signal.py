@@ -213,8 +213,8 @@ class AudioSignal:
         The vectorized counterpart of :meth:`frames`: the same frame
         boundaries (trailing partial frame dropped), but returned as a
         zero-copy ``(T, N)`` view built with ``sliding_window_view`` so
-        batch analysis (one 2-D FFT, one Goertzel matmul) can process
-        every frame without a Python loop.
+        batch analysis (one 2-D FFT) can process every frame without a
+        Python loop.
 
         Returns
         -------

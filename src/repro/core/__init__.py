@@ -40,21 +40,11 @@ from .spectrum import (
     replan,
     shadowed_slots,
 )
-from .localize import (
-    LocalizationResult,
-    TdoaLocalizer,
-    envelope_delay,
-    gcc_phat_delay,
-    onset_quality,
-    tone_onset_time,
-)
-from .messaging import AcousticMessageService, ReceivedFrame
 from .pi import MP_ACK_PORT, MP_PORT, PiBridge, RaspberryPi
 from .relay import ToneRelay, build_relay_chain
 from .telemetry import IntervalCounts, ToneCounter
 
 __all__ = [
-    "AcousticMessageService",
     "Allocation",
     "ArqConfig",
     "ArqStats",
@@ -68,7 +58,6 @@ __all__ = [
     "FrequencyPlan",
     "FrequencyPlanError",
     "IntervalCounts",
-    "LocalizationResult",
     "MAX_DURATION_S",
     "MAX_FREQUENCY_HZ",
     "MAX_INTENSITY_DB",
@@ -93,16 +82,10 @@ __all__ = [
     "SpectrumAgilityManager",
     "replan",
     "shadowed_slots",
-    "ReceivedFrame",
     "StateMachine",
-    "TdoaLocalizer",
     "ToneRelay",
     "ToneCounter",
     "WIRE_SIZE",
     "build_relay_chain",
-    "envelope_delay",
-    "gcc_phat_delay",
-    "onset_quality",
-    "tone_onset_time",
     "sequence_machine",
 ]

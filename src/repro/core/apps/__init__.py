@@ -25,19 +25,12 @@ from .heavy_hitter import (
 )
 from .liveness import HeartbeatChirper, build_liveness_mesh
 from .load_balancer import LoadBalancerApp, SplitRule
-from .melody_auth import Melody, MelodyAuthenticator
 from .port_knocking import KnockConfig, KnockEmitter, PortKnockingApp
 from .port_scan import (
     PortScanDetectorApp,
     PortScanEmitter,
     PortToneMapper,
     ScanAlert,
-)
-from .rate_control import RateControlApp, RateControlPolicy
-from .secure_chirp import (
-    RollingCode,
-    SecureQueueChirper,
-    SecureQueueMonitorApp,
 )
 from .superspreader import (
     AddressToneMapper,
@@ -73,8 +66,6 @@ __all__ = [
     "KnockConfig",
     "KnockEmitter",
     "LoadBalancerApp",
-    "Melody",
-    "MelodyAuthenticator",
     "PortKnockingApp",
     "PortScanDetectorApp",
     "PrecisionRecall",
@@ -87,13 +78,8 @@ __all__ = [
     "PortScanEmitter",
     "PortToneMapper",
     "QueueChirper",
-    "RateControlApp",
-    "RollingCode",
-    "RateControlPolicy",
     "QueueMonitorApp",
     "ScanAlert",
-    "SecureQueueChirper",
-    "SecureQueueMonitorApp",
     "SplitRule",
     "SpreaderAlert",
     "SuperspreaderDetectorApp",

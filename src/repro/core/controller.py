@@ -44,8 +44,6 @@ class MDNController(ControllerBase):
     listen_interval:
         Window length (and polling period), seconds.  100 ms resolves
         the 20 Hz plan grid (10 Hz FFT bins).
-    backend:
-        Detection backend, ``"fft"`` or ``"goertzel"``.
     control_channel:
         Optional SDN southbound channel for Flow-MODs.
     prune_every:
@@ -70,7 +68,6 @@ class MDNController(ControllerBase):
         channel: AcousticChannel,
         microphone: Microphone,
         listen_interval: float = 0.1,
-        backend: str = "fft",
         threshold_db: float = 10.0,
         min_level_db: float = 30.0,
         control_channel: ControlChannel | None = None,
@@ -83,7 +80,6 @@ class MDNController(ControllerBase):
         self.channel = channel
         self.microphone = microphone
         self.listen_interval = listen_interval
-        self.backend = backend
         self.threshold_db = threshold_db
         self.min_level_db = min_level_db
         self.control_channel = control_channel
@@ -193,14 +189,9 @@ class MDNController(ControllerBase):
 
     def add_spectrum_sink(self, callback: Callable) -> None:
         """Subscribe ``callback(spectrum, time)`` to every window
-        spectrum the detector computes (FFT backend only) — the
-        interference sentinel's tap.  No extra FFT is performed; the
-        sink sees the same spectrum detection already uses."""
-        if self.backend != "fft":
-            raise ValueError(
-                "spectrum sinks require the fft backend (the Goertzel "
-                "bank computes no full spectrum)"
-            )
+        spectrum the detector computes — the interference sentinel's
+        tap.  No extra FFT is performed; the sink sees the same spectrum
+        detection already uses."""
         self._spectrum_sinks.append(callback)
         self._rebuild_live()
 
@@ -350,7 +341,6 @@ class MDNController(ControllerBase):
             sorted(watch),
             threshold_db=self.threshold_db,
             min_level_db=self.min_level_db,
-            backend=self.backend,
             spectrum_sink=sink,
         )
 

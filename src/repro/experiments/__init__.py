@@ -90,11 +90,9 @@ from .xext17 import (
     chaos_experiment,
 )
 from .xcap import (
-    BackendComparison,
     ConcurrencyPoint,
     GuardPoint,
     MultipathPoint,
-    backend_ablation,
     concurrency_sweep,
     guard_spacing_sweep,
     multipath_sweep,
@@ -102,7 +100,6 @@ from .xcap import (
 
 __all__ = [
     "ArqPoint",
-    "BackendComparison",
     "ConcurrencyPoint",
     "EcnVsMdnResult",
     "Fig2AResult",
@@ -128,7 +125,6 @@ __all__ = [
     "UltrasoundResult",
     "Xext12Result",
     "arq_loss_sweep",
-    "backend_ablation",
     "build_testbed",
     "concurrency_sweep",
     "ecn_vs_mdn",

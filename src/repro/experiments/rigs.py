@@ -63,14 +63,13 @@ def build_testbed(
     plan_guard: float = 20.0,
     plan_low_hz: float = 400.0,
     bandwidth_bps: float = 2_000_000.0,
-    backend: str = "fft",
     mic_seed: int = 11,
 ) -> Testbed:
     """Assemble a testbed with one MusicAgent per switch.
 
     Parameters mirror the paper's knobs: topology shape (``"single"``
-    or ``"rhombus"``), the plan's guard spacing (§3's 20 Hz), the
-    listening window, and the detection backend.
+    or ``"rhombus"``), the plan's guard spacing (§3's 20 Hz) and the
+    listening window.
     """
     sim = Simulator()
     if shape == "single":
@@ -94,6 +93,5 @@ def build_testbed(
     controller = MDNController(
         sim, channel, Microphone(Position(), seed=mic_seed),
         listen_interval=listen_interval, control_channel=control,
-        backend=backend,
     )
     return Testbed(sim, topo, channel, plan, control, controller, agents)

@@ -1,16 +1,13 @@
-"""Capacity and detector ablations (XCAP in DESIGN.md).
+"""Detector capacity sweeps (XCAP in DESIGN.md).
 
-Two questions the paper raises:
-
-* §5: "we could distinguish up to 1000 distinct frequencies played
-  simultaneously" — how does detection accuracy scale with the number
-  of concurrent tones, and where does the 20 Hz guard break down?
-* DESIGN.md §5: FFT vs Goertzel backend — accuracy and CPU cost.
+§5: "we could distinguish up to 1000 distinct frequencies played
+simultaneously" — how does detection accuracy scale with the number of
+concurrent tones, where does the 20 Hz guard break down, and how do
+room reflections affect it?
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -160,65 +157,3 @@ def multipath_sweep(
                                       len(detected - played)))
     return results
 
-
-@dataclass
-class BackendComparison:
-    """FFT vs Goertzel on the same watch list and windows."""
-
-    watch_size: int
-    fft_recall: float
-    goertzel_recall: float
-    fft_ms_per_window: float
-    goertzel_ms_per_window: float
-
-
-def backend_ablation(
-    watch_sizes: tuple[int, ...] = (4, 16, 64),
-    trials: int = 20,
-    window_duration: float = 0.15,
-    seed: int = 7,
-) -> list[BackendComparison]:
-    """Compare the two detector backends (DESIGN.md §5 ablation).
-
-    The Goertzel bank costs O(K·N) for K watched frequencies, the FFT
-    O(N log N) regardless of K — the crossover shows in the timings.
-    """
-    results = []
-    for watch_size in watch_sizes:
-        plan = FrequencyPlan(low_hz=500.0, guard_hz=40.0)
-        allocation = plan.allocate("all", watch_size)
-        rng = np.random.default_rng(seed + watch_size)
-
-        recalls = {"fft": 0, "goertzel": 0}
-        timings = {"fft": 0.0, "goertzel": 0.0}
-        detectors = {
-            backend: FrequencyDetector(list(allocation.frequencies),
-                                       backend=backend)
-            for backend in ("fft", "goertzel")
-        }
-        for trial in range(trials):
-            frequency = allocation.frequency_for(
-                int(rng.integers(0, watch_size))
-            )
-            channel = AcousticChannel()
-            channel.play_tone(
-                0.0, ToneSpec(frequency, window_duration + 0.05, 68.0),
-                Position(0.7, 0.0, 0.0),
-            )
-            window = Microphone(Position(), seed=seed + trial).record(
-                channel, 0.02, 0.02 + window_duration
-            )
-            for backend, detector in detectors.items():
-                start = time.perf_counter()
-                events = detector.detect(window)
-                timings[backend] += time.perf_counter() - start
-                if any(event.frequency == frequency for event in events):
-                    recalls[backend] += 1
-        results.append(BackendComparison(
-            watch_size=watch_size,
-            fft_recall=recalls["fft"] / trials,
-            goertzel_recall=recalls["goertzel"] / trials,
-            fft_ms_per_window=timings["fft"] / trials * 1000.0,
-            goertzel_ms_per_window=timings["goertzel"] / trials * 1000.0,
-        ))
-    return results

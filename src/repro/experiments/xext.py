@@ -20,6 +20,7 @@ from ..audio import (
     FskReceiver,
     FskTransmitter,
     Microphone,
+    ModemError,
     Position,
     Speaker,
     ToneSpec,
@@ -224,7 +225,7 @@ def modem_experiment(payload: bytes = b"MDN alert: rack 7 fan failure") -> Modem
                                                         end + 0.3)
         try:
             decoded = FskReceiver(config).decode(capture, 0.0)
-        except Exception:
+        except ModemError:
             return False, end - 0.5
         return decoded == payload, end - 0.5
 

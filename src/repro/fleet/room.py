@@ -94,7 +94,7 @@ def _build_room(spec: RoomSpec) -> _RoomRig:
                             seed=int(rng.integers(0, 2**31 - 1)))
     controller = MDNController(
         sim, channel, microphone,
-        listen_interval=spec.listen_interval, backend=spec.backend,
+        listen_interval=spec.listen_interval,
     )
     # Every room reuses the same plan band: rooms are acoustically
     # isolated, so spatial reuse is free — the fleet's whole point.

@@ -121,7 +121,6 @@ class RoomSpec:
     level_db: float = 70.0
     low_hz: float = 420.0
     guard_hz: float = 120.0
-    backend: str = "fft"
     faults: FaultPlan | None = None
     scene: SceneHook | None = None
 
@@ -201,7 +200,6 @@ class FleetSpec:
     level_db: float = 70.0
     low_hz: float = 420.0
     guard_hz: float = 120.0
-    backend: str = "fft"
     faults: FaultPlan | None = None
     scene: SceneHook | None = None
 

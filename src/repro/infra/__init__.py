@@ -11,7 +11,7 @@ instead of hand-rolling their own copies:
   deadlines can;
 * :class:`TokenBucket` — the one rate limiter: admission control that
   turns an ARQ send flood into counted shedding instead of unbounded
-  queue growth, and the switch meter that polices a metered flow entry.
+  queue growth.
 
 The breaker wires into :mod:`repro.obs` with the usual
 zero-overhead-when-disabled pattern; a bucket's callers count what it

@@ -5,9 +5,7 @@ teleorchestra measurements (arXiv:1808.09399) show control-loop delay
 budgets only hold when admission control bounds what enters the loop:
 in front of the per-Pi ARQ send queue a bucket turns a send flood into
 *counted shedding* (``arq.mp_shed``) instead of unbounded ``_pending``
-growth.  Carried by a flow entry it is the switch's meter (§6's
-in-network actuator, the OpenFlow meter-table equivalent), policing
-matched packets above the configured rate (``packets_policed``).
+growth.
 
 Lazy refill against caller-supplied sim time keeps the bucket exact and
 deterministic: tokens accrue continuously at ``rate`` up to ``burst``,

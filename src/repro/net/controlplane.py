@@ -29,20 +29,12 @@ class FlowModCommand(Enum):
 
 @dataclass(frozen=True)
 class FlowMod:
-    """A flow-table modification pushed to a switch.
-
-    ``meter_rate_pps`` attaches a token-bucket policer to the installed
-    entry (the switch builds a :class:`~repro.infra.TokenBucket` and
-    feeds it its own sim time) — how the §6 congestion loop rate-limits
-    in-network.
-    """
+    """A flow-table modification pushed to a switch."""
 
     match: Match
     action: Action | None = None
     priority: int = 0
     command: FlowModCommand = FlowModCommand.ADD
-    meter_rate_pps: float | None = None
-    meter_burst: float = 10.0
     #: Strict DELETE removes only entries whose priority also matches
     #: (OpenFlow DELETE_STRICT); non-strict ignores priority.
     strict: bool = False
@@ -50,8 +42,6 @@ class FlowMod:
     def __post_init__(self) -> None:
         if self.command is FlowModCommand.ADD and self.action is None:
             raise ValueError("FlowMod ADD requires an action")
-        if self.meter_rate_pps is not None and self.meter_rate_pps <= 0:
-            raise ValueError("meter_rate_pps must be positive")
 
 
 @dataclass(frozen=True)

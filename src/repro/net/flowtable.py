@@ -118,18 +118,11 @@ _entry_ids = itertools.count(1)
 
 @dataclass
 class FlowEntry:
-    """One row of a flow table, with OpenFlow-style counters.
-
-    ``meter`` (a :class:`~repro.infra.TokenBucket` in packets/s, fed
-    the switch's sim time) polices matched traffic: packets exceeding
-    the configured rate are dropped at the switch, the in-network
-    actuator of §6's congestion-control loop.
-    """
+    """One row of a flow table, with OpenFlow-style counters."""
 
     match: Match
     action: Action
     priority: int = 0
-    meter: object | None = None
     entry_id: int = field(default_factory=lambda: next(_entry_ids))
     packet_count: int = 0
     byte_count: int = 0
@@ -187,10 +180,9 @@ class FlowTable:
         match: Match,
         action: Action,
         priority: int = 0,
-        meter: object | None = None,
     ) -> FlowEntry:
         """Convenience wrapper around :meth:`add`."""
-        return self.add(FlowEntry(match, action, priority, meter))
+        return self.add(FlowEntry(match, action, priority))
 
     def remove(self, match: Match, priority: int | None = None) -> int:
         """Delete entries with this match (and priority, if given).

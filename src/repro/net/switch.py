@@ -18,7 +18,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Callable
 
 from .. import obs
-from ..infra import TokenBucket
 from .flowtable import Action, ActionType, FlowEntry, FlowTable, Match
 from .link import Node
 from .packet import Packet
@@ -63,7 +62,6 @@ class Switch(Node):
         self.packets_received = Counter(f"{name}.packets_received")
         self.packets_forwarded = Counter(f"{name}.packets_forwarded")
         self.packets_dropped = Counter(f"{name}.packets_dropped")
-        self.packets_policed = Counter(f"{name}.packets_policed")
         self.bytes_received = Counter(f"{name}.bytes_received")
         self._receive_hooks: list[PacketHook] = []
         self._forward_hooks: list[ForwardHook] = []
@@ -102,10 +100,6 @@ class Switch(Node):
         entry = self.flow_table.lookup(packet, in_port)
         if entry is not None:
             entry.account(packet)
-            if entry.meter is not None and not entry.meter.admit(self.sim.now):
-                self.packets_policed.increment()
-                self.packets_dropped.increment()
-                return
             action = entry.action
         else:
             action = self.default_action
@@ -160,12 +154,8 @@ class Switch(Node):
 
         if flow_mod.command is FlowModCommand.ADD:
             assert flow_mod.action is not None  # validated at construction
-            meter = None
-            if flow_mod.meter_rate_pps is not None:
-                meter = TokenBucket(flow_mod.meter_rate_pps,
-                                    flow_mod.meter_burst)
             self.flow_table.install(
-                flow_mod.match, flow_mod.action, flow_mod.priority, meter
+                flow_mod.match, flow_mod.action, flow_mod.priority
             )
         else:
             self.flow_table.remove(

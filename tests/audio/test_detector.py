@@ -1,4 +1,4 @@
-"""Unit tests for the known-frequency detector (both backends)."""
+"""Unit tests for the known-frequency detector."""
 
 import numpy as np
 import pytest
@@ -11,8 +11,6 @@ from repro.audio import (
     white_noise,
 )
 
-BACKENDS = ("fft", "goertzel")
-
 
 class TestConstruction:
     def test_requires_frequencies(self):
@@ -23,29 +21,24 @@ class TestConstruction:
         with pytest.raises(ValueError):
             FrequencyDetector([1000], tolerance_hz=0)
 
-    def test_rejects_unknown_backend(self):
-        with pytest.raises(ValueError):
-            FrequencyDetector([1000], backend="wavelet")
-
     def test_deduplicates_watch_list(self):
         detector = FrequencyDetector([1000, 1000.0, 2000])
         assert detector.watched == [1000.0, 2000.0]
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 class TestDetection:
-    def test_single_tone(self, backend):
-        detector = FrequencyDetector([500, 1000, 1500], backend=backend)
+    def test_single_tone(self):
+        detector = FrequencyDetector([500, 1000, 1500])
         events = detector.detect(sine_tone(1000, 0.1, level_db=60.0))
         assert [e.frequency for e in events] == [1000.0]
 
-    def test_level_reported(self, backend):
-        detector = FrequencyDetector([1000], backend=backend)
+    def test_level_reported(self):
+        detector = FrequencyDetector([1000])
         events = detector.detect(sine_tone(1000, 0.1, level_db=60.0))
         assert events[0].level_db == pytest.approx(60.0, abs=1.0)
 
-    def test_simultaneous_tones(self, backend):
-        detector = FrequencyDetector([500, 1000, 1500], backend=backend)
+    def test_simultaneous_tones(self):
+        detector = FrequencyDetector([500, 1000, 1500])
         mix = AudioSignal.from_components([
             sine_tone(500, 0.2, level_db=60.0),
             sine_tone(1500, 0.2, level_db=58.0),
@@ -53,49 +46,48 @@ class TestDetection:
         events = detector.detect(mix)
         assert [e.frequency for e in events] == [500.0, 1500.0]
 
-    def test_below_min_level_ignored(self, backend):
-        detector = FrequencyDetector([1000], min_level_db=30.0, backend=backend)
+    def test_below_min_level_ignored(self):
+        detector = FrequencyDetector([1000], min_level_db=30.0)
         events = detector.detect(sine_tone(1000, 0.1, level_db=20.0))
         assert events == []
 
-    def test_empty_window(self, backend):
-        detector = FrequencyDetector([1000], backend=backend)
+    def test_empty_window(self):
+        detector = FrequencyDetector([1000])
         assert detector.detect(AudioSignal(np.zeros(0))) == []
 
-    def test_silence(self, backend):
-        detector = FrequencyDetector([1000], backend=backend)
+    def test_silence(self):
+        detector = FrequencyDetector([1000])
         assert detector.detect(AudioSignal.silence(0.1)) == []
 
-    def test_noise_robustness(self, backend, rng):
-        detector = FrequencyDetector([800, 1200], backend=backend)
+    def test_noise_robustness(self, rng):
+        detector = FrequencyDetector([800, 1200])
         mix = sine_tone(1200, 0.2, level_db=65.0).mix(
             white_noise(0.2, level_db=45.0, rng=rng)
         )
         events = detector.detect(mix)
         assert [e.frequency for e in events] == [1200.0]
 
-    def test_song_noise_robustness(self, backend):
+    def test_song_noise_robustness(self):
         """The Figure 4b/4d condition: detection with a pop song in the
         room.  The watched tone must still be found and the song's own
         notes must not register as watched tones."""
-        detector = FrequencyDetector([3000, 3100], backend=backend)
+        detector = FrequencyDetector([3000, 3100])
         song = SongNoise(seed=4, level_db=55.0).render(0.3)
         mix = sine_tone(3000, 0.3, level_db=68.0).mix(song)
         events = detector.detect(mix)
         assert [e.frequency for e in events] == [3000.0]
 
-    def test_time_propagated(self, backend):
-        detector = FrequencyDetector([1000], backend=backend)
+    def test_time_propagated(self):
+        detector = FrequencyDetector([1000])
         events = detector.detect(sine_tone(1000, 0.1, level_db=60.0), time=42.5)
         assert events[0].time == 42.5
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 class TestDetectStream:
-    def test_tone_change_tracked_across_frames(self, backend):
+    def test_tone_change_tracked_across_frames(self):
         """A capture with two consecutive tones yields events for each
         tone stamped with the right frame times."""
-        detector = FrequencyDetector([500, 2000], backend=backend)
+        detector = FrequencyDetector([500, 2000])
         signal = sine_tone(500, 0.5, level_db=65.0).concat(
             sine_tone(2000, 0.5, level_db=65.0)
         )
@@ -105,24 +97,24 @@ class TestDetectStream:
         assert early == {500.0}
         assert late == {2000.0}
 
-    def test_start_time_offsets_event_times(self, backend):
-        detector = FrequencyDetector([1000], backend=backend)
+    def test_start_time_offsets_event_times(self):
+        detector = FrequencyDetector([1000])
         signal = sine_tone(1000, 0.3, level_db=65.0)
         events = detector.detect_stream(signal, frame_duration=0.1,
                                         start_time=7.0)
         assert [e.time for e in events] == pytest.approx([7.0, 7.1, 7.2])
 
-    def test_empty_signal(self, backend):
-        detector = FrequencyDetector([1000], backend=backend)
+    def test_empty_signal(self):
+        detector = FrequencyDetector([1000])
         assert detector.detect_stream(AudioSignal(np.zeros(0))) == []
 
-    def test_signal_shorter_than_one_frame(self, backend):
-        detector = FrequencyDetector([1000], backend=backend)
+    def test_signal_shorter_than_one_frame(self):
+        detector = FrequencyDetector([1000])
         short = sine_tone(1000, 0.01, level_db=65.0)
         assert detector.detect_stream(short, frame_duration=0.05) == []
 
-    def test_overlapping_hop(self, backend):
-        detector = FrequencyDetector([1000], backend=backend)
+    def test_overlapping_hop(self):
+        detector = FrequencyDetector([1000])
         signal = sine_tone(1000, 0.4, level_db=65.0)
         events = detector.detect_stream(signal, frame_duration=0.1,
                                         hop_duration=0.05)

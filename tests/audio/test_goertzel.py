@@ -1,21 +1,19 @@
-"""Unit tests for the Goertzel detection backend."""
+"""Unit tests for the single-bin Goertzel magnitude."""
 
 import numpy as np
 import pytest
 
 from repro.audio import (
     AudioSignal,
-    GoertzelBank,
     SpectrumAnalyzer,
     goertzel_magnitude,
     sine_tone,
-    white_noise,
 )
 
 
 class TestGoertzelMagnitude:
     def test_matches_fft_calibration(self):
-        """Goertzel and the FFT backend agree on a tone's level."""
+        """Goertzel and the FFT analyzer agree on a tone's level."""
         tone = sine_tone(1000, 0.1, level_db=60.0)
         fft_level = SpectrumAnalyzer().analyze(tone).level_at(1000)
         from repro.audio import amplitude_to_db
@@ -34,7 +32,7 @@ class TestGoertzelMagnitude:
     def test_dc_bin_not_inflated(self):
         """Regression: the one-sided x-sqrt(2) correction must not apply
         at DC — a constant offset of RMS r reports r, matching the FFT
-        backend bin for bin."""
+        analyzer bin for bin."""
         offset = AudioSignal(np.full(1600, 0.5))
         goertzel_mag = goertzel_magnitude(offset, 0.0)
         fft_mag = SpectrumAnalyzer().analyze(offset).magnitude_at(0.0)
@@ -58,71 +56,3 @@ class TestGoertzelMagnitude:
         with pytest.raises(ValueError):
             goertzel_magnitude(tone, 9000.0)
 
-
-class TestGoertzelBank:
-    def test_requires_frequencies(self):
-        with pytest.raises(ValueError):
-            GoertzelBank([])
-
-    def test_analyze_returns_all_watched(self):
-        bank = GoertzelBank([500, 1000, 1500])
-        results = bank.analyze(sine_tone(1000, 0.1, level_db=60.0))
-        assert [r.frequency for r in results] == [500, 1000, 1500]
-
-    def test_detect_picks_present_tone(self):
-        bank = GoertzelBank([500, 1000, 1500])
-        hits = bank.detect(sine_tone(1000, 0.1, level_db=60.0))
-        assert [h.frequency for h in hits] == [1000]
-
-    def test_detect_with_noise(self, rng):
-        bank = GoertzelBank([500, 1000, 1500])
-        mix = sine_tone(1500, 0.2, level_db=65.0).mix(
-            white_noise(0.2, level_db=40.0, rng=rng)
-        )
-        hits = bank.detect(mix)
-        assert [h.frequency for h in hits] == [1500]
-
-    def test_detect_multiple_simultaneous(self):
-        bank = GoertzelBank([500, 1000, 1500])
-        mix = AudioSignal.from_components([
-            sine_tone(500, 0.2, level_db=60.0),
-            sine_tone(1500, 0.2, level_db=62.0),
-        ])
-        hits = bank.detect(mix)
-        assert {h.frequency for h in hits} == {500, 1500}
-
-
-class TestFloorProbes:
-    def test_probes_clear_of_watched_frequencies(self):
-        """Every floor probe keeps its distance from the watch list —
-        including for low watch lists, where the legacy low-edge probe
-        (freqs[0] * 0.5 + 10 Hz) landed exactly on a 20 Hz tone."""
-        for watched in ([20.0], [20.0, 40.0], [500.0, 540.0, 580.0]):
-            bank = GoertzelBank(watched)
-            probes = bank.floor_probe_frequencies(16_000)
-            assert probes, watched
-            for probe in probes:
-                assert min(abs(probe - f) for f in watched) >= 20.0, (
-                    watched, probe
-                )
-
-    def test_low_frequency_plan_tone_detected(self):
-        """Regression: with a 20 Hz watch list, the on-tone low-edge
-        probe inflated the floor and suppressed the detection."""
-        bank = GoertzelBank([20.0])
-        tone = sine_tone(20.0, 0.5, level_db=60.0)
-        hits = bank.detect(tone)
-        assert [h.frequency for h in hits] == [20.0]
-
-    def test_low_frequency_plan_stays_quiet_on_silence(self):
-        """The relocated probes must still reject empty windows."""
-        bank = GoertzelBank([20.0, 40.0])
-        assert bank.detect(AudioSignal.silence(0.5)) == []
-
-    def test_midband_probe_set_unchanged_for_guarded_plans(self):
-        """A standard 40 Hz-guard plan keeps its legacy probe layout:
-        midpoints plus one probe below and one above the band."""
-        watched = [500.0 + 40.0 * i for i in range(4)]
-        bank = GoertzelBank(watched)
-        probes = bank.floor_probe_frequencies(16_000)
-        assert probes == [520.0, 560.0, 600.0, 260.0, 806.0]

@@ -1,7 +1,7 @@
 """Equivalence suite: vectorized hot paths vs their scalar references.
 
-The listening loop's vectorized implementations (the Goertzel phasor
-bank, the batched spectrogram, the streaming detector) must reproduce
+The listening loop's vectorized implementations (the batched
+spectrogram, the streaming detector) must reproduce
 the scalar/looped reference implementations within 1e-9 — the RMS
 calibration contract of DESIGN.md §5 — across window sizes, hop sizes
 and zero-pad factors, including non-divisible frame/hop combinations.
@@ -23,10 +23,8 @@ from repro.audio import (
     AudioSignal,
     DetectionEvent,
     FrequencyDetector,
-    GoertzelBank,
     SpectrumAnalyzer,
     chirp,
-    goertzel_magnitude,
     power_spectrogram,
     sine_tone,
     white_noise,
@@ -37,7 +35,6 @@ from repro.audio.detector import (
     _unshadowed,
 )
 from repro.audio.fft import SpectralPeak, Spectrum, power_spectrogram_reference
-from repro.audio.goertzel import GoertzelResult
 
 TOLERANCE = 1e-9
 
@@ -120,26 +117,6 @@ def reference_events_from_spectrum(detector, spectrum, time):
     return sorted(events.values(), key=lambda e: e.frequency)
 
 
-def reference_events_from_hits(detector, hits, time):
-    """The scalar ``FrequencyDetector._events_from_hits``."""
-    hits = sorted(hits, key=lambda h: h.magnitude, reverse=True)
-    kept = []
-    for hit in hits:
-        if hit.level_db < detector.min_level_db:
-            continue
-        shadowed = any(
-            abs(strong.frequency - hit.frequency) <= SIDELOBE_RADIUS_HZ
-            and strong.level_db - hit.level_db >= SIDELOBE_REJECTION_DB
-            for strong in kept
-        )
-        if not shadowed:
-            kept.append(hit)
-    return [
-        DetectionEvent(hit.frequency, hit.frequency, hit.level_db, time)
-        for hit in sorted(kept, key=lambda h: h.frequency)
-    ]
-
-
 @pytest.fixture(scope="module")
 def busy_signal():
     """One second of tones + noise: every bin has energy to compare."""
@@ -150,55 +127,6 @@ def busy_signal():
         chirp(1200, 2400, 1.0, level_db=55.0),
         white_noise(1.0, level_db=45.0, rng=rng),
     ])
-
-
-class TestGoertzelBankEquivalence:
-    @pytest.mark.parametrize("window_duration", [0.02, 0.05, 0.1, 0.0501])
-    def test_bank_matches_scalar_reference(self, busy_signal, window_duration):
-        """analyze() equals goertzel_magnitude per watched frequency."""
-        window = busy_signal.slice_time(0.1, 0.1 + window_duration)
-        frequencies = [500.0 + 40.0 * i for i in range(16)]
-        bank = GoertzelBank(frequencies)
-        vectorized = np.array([r.magnitude for r in bank.analyze(window)])
-        reference = np.array([
-            goertzel_magnitude(window, f) for f in frequencies
-        ])
-        np.testing.assert_allclose(vectorized, reference, atol=TOLERANCE)
-
-    def test_bank_matches_reference_at_odd_window_length(self, busy_signal):
-        """Odd sample counts exercise the no-Nyquist-bin phasor path."""
-        window = AudioSignal(busy_signal.samples[:801])
-        frequencies = [0.0, 440.0, 8000.0]
-        bank = GoertzelBank(frequencies)
-        vectorized = np.array([r.magnitude for r in bank.analyze(window)])
-        reference = np.array([
-            goertzel_magnitude(window, f) for f in frequencies
-        ])
-        np.testing.assert_allclose(vectorized, reference, atol=TOLERANCE)
-
-    @pytest.mark.parametrize(("frame_duration", "hop_duration"),
-                             [(0.05, None), (0.05, 0.02), (0.05, 0.037)])
-    def test_analyze_block_matches_per_window(self, busy_signal,
-                                              frame_duration, hop_duration):
-        """Batched frames produce the same magnitudes as one-at-a-time."""
-        bank = GoertzelBank([500.0, 940.0, 1500.0, 2400.0])
-        times, frames = busy_signal.frame_matrix(frame_duration, hop_duration)
-        block = bank.analyze_block(frames, busy_signal.sample_rate)
-        assert block.shape == (len(times), 4)
-        for index, (_start, frame) in enumerate(
-            busy_signal.frames(frame_duration, hop_duration)
-        ):
-            reference = np.array([r.magnitude for r in bank.analyze(frame)])
-            np.testing.assert_allclose(block[index], reference, atol=TOLERANCE)
-
-    def test_floor_block_matches_estimate_floor(self, busy_signal):
-        bank = GoertzelBank([500.0, 940.0, 1500.0])
-        times, frames = busy_signal.frame_matrix(0.05)
-        floors = bank.floor_block(frames, busy_signal.sample_rate)
-        for index, (_start, frame) in enumerate(busy_signal.frames(0.05)):
-            assert floors[index] == pytest.approx(
-                bank._estimate_floor(frame), abs=TOLERANCE
-            )
 
 
 class TestSpectrogramEquivalence:
@@ -242,12 +170,10 @@ class TestSpectrogramEquivalence:
 
 
 class TestDetectStreamEquivalence:
-    @pytest.mark.parametrize("backend", ["fft", "goertzel"])
     @pytest.mark.parametrize("hop_duration", [None, 0.03])
-    def test_stream_matches_manual_framing(self, busy_signal, backend,
-                                           hop_duration):
+    def test_stream_matches_manual_framing(self, busy_signal, hop_duration):
         """detect_stream == framing the signal yourself + detect per frame."""
-        detector = FrequencyDetector([500.0, 940.0, 1500.0], backend=backend)
+        detector = FrequencyDetector([500.0, 940.0, 1500.0])
         stream = detector.detect_stream(busy_signal, 0.05, hop_duration)
         manual = [
             event
@@ -375,17 +301,6 @@ class TestArrayDetectEquivalence:
                            np.array([p.level_db for p in ordered]))
         kept = [peak for peak, keep in zip(ordered, mask) if keep]
         assert kept == reference_reject_sidelobes(ordered)
-
-    @settings(max_examples=200, deadline=None)
-    @given(hits=st.lists(st.tuples(st.sampled_from(20.0 * np.arange(20)),
-                                   magnitude_values), max_size=12),
-           min_level_db=st.sampled_from([-200.0, 30.0, 60.0, 80.0]))
-    def test_goertzel_hits_match_scalar_loop(self, hits, min_level_db):
-        hits = [GoertzelResult(f, m) for f, m in dict(hits).items()]
-        detector = FrequencyDetector([100.0], backend="goertzel",
-                                     min_level_db=min_level_db)
-        assert (detector._events_from_hits(hits, 0.25)
-                == reference_events_from_hits(detector, hits, 0.25))
 
     def test_equal_peaks_keep_ascending_frequency_order(self):
         """A comb of peaks at three heights, longer than the 16 elements

@@ -35,7 +35,6 @@ def build_rig(
     listen_interval: float = 0.1,
     plan_guard: float = 20.0,
     bandwidth_bps: float = 2_000_000.0,
-    backend: str = "fft",
 ) -> Rig:
     """Assemble a testbed with one MusicAgent per switch.
 
@@ -70,6 +69,5 @@ def build_rig(
     controller = MDNController(
         sim, channel, Microphone(Position(), seed=11),
         listen_interval=listen_interval, control_channel=control,
-        backend=backend,
     )
     return Rig(sim, topo, channel, plan, control, controller, agents)

@@ -144,19 +144,6 @@ class TestDispatch:
         # Tone starts at 0.42 -> first window containing it is [0.4, 0.5).
         assert events[0].time == pytest.approx(0.4, abs=0.0501)
 
-    def test_goertzel_backend(self):
-        sim = Simulator()
-        channel = AcousticChannel()
-        agent = MusicAgent(sim, channel, Speaker(Position(0.5, 0, 0)))
-        controller = MDNController(sim, channel, Microphone(Position()),
-                                   listen_interval=0.1, backend="goertzel")
-        onsets = []
-        controller.watch([1200], on_onset=onsets.append)
-        controller.start()
-        sim.schedule_at(0.3, lambda: agent.play(1200, 0.2, 72))
-        sim.run(1.0)
-        assert len(onsets) == 1
-
     def test_flow_mod_without_channel_rejected(self, rig):
         _sim, _agent, controller = rig
         from repro.net import Action, FlowMod, Match

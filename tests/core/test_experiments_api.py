@@ -3,10 +3,12 @@ result invariants that the benchmarks (which use defaults) don't hit."""
 
 import pytest
 
+from repro.audio import FskReceiver
 from repro.experiments import (
     build_testbed,
     fan_spectrogram_panel,
     fft_latency_cdf,
+    modem_experiment,
     multiswitch_fft,
     superspreader_experiment,
 )
@@ -35,10 +37,6 @@ class TestBuildTestbed:
         agent = testbed.extra_agent("aux", SPEAKER_RING[-1])
         assert testbed.agents["aux"] is agent
 
-    def test_goertzel_backend_selectable(self):
-        testbed = build_testbed("single", backend="goertzel")
-        assert testbed.controller.backend == "goertzel"
-
 
 class TestExperimentValidation:
     def test_fan_panel_unknown_room(self):
@@ -48,6 +46,16 @@ class TestExperimentValidation:
     def test_superspreader_unknown_mode(self):
         with pytest.raises(ValueError, match="mode"):
             superspreader_experiment(mode="teardrop")
+
+    def test_modem_decoder_bug_is_not_a_failed_decode(self, monkeypatch):
+        """Only ``ModemError`` reads as "decoded: False"; any other
+        exception from the decoder is a bug and must propagate."""
+        def broken_decode(self, capture, start):
+            raise TypeError("decoder bug")
+
+        monkeypatch.setattr(FskReceiver, "decode", broken_decode)
+        with pytest.raises(TypeError, match="decoder bug"):
+            modem_experiment()
 
 
 class TestResultInvariants:

@@ -1,24 +1,13 @@
-"""Integration: tone spoofing — the §2 acoustic-insecurity surface,
-demonstrated and defended.
+"""Integration: tone spoofing — the §2 acoustic-insecurity surface.
 
 Attack: the plain queue-monitoring protocol trusts any tone at the
 right frequency; a rogue speaker convinces the controller the switch is
-congested.  Defense: rolling-code chords reject tones arriving without
-the next keyed code tone.
+congested.
 """
-
-import pytest
 
 from repro.audio import Position, Speaker, ToneSpec
 from repro.core.apps import BandToneMap, QueueChirper, QueueMonitorApp
-from repro.core.apps.secure_chirp import (
-    RollingCode,
-    SecureQueueChirper,
-    SecureQueueMonitorApp,
-)
 from repro.experiments.rigs import build_testbed
-
-KEY = b"shared-secret"
 
 
 class TestAttackOnPlainProtocol:
@@ -43,123 +32,3 @@ class TestAttackOnPlainProtocol:
         # ...yet the controller believed a congestion event happened.
         assert "high" in [band for _t, band in app.band_history]
 
-
-def build_secure(key=KEY):
-    testbed = build_testbed("single")
-    port = testbed.topo.port_towards("s1", "h2")
-    tones = BandToneMap.from_frequencies(
-        testbed.plan.allocate("s1/bands", 3).frequencies
-    )
-    code_block = testbed.plan.allocate("s1/code", 16)
-    code_agent = testbed.extra_agent("s1-code", Position(0.0, -0.9, 0.0))
-    chirper = SecureQueueChirper(
-        testbed.sim, testbed.topo.switches["s1"], port,
-        testbed.agents["s1"], code_agent, tones,
-        RollingCode(key, code_block),
-    )
-    app = SecureQueueMonitorApp(
-        testbed.controller, "s1", tones, RollingCode(key, code_block)
-    )
-    testbed.controller.start()
-    return testbed, tones, code_block, chirper, app
-
-
-class TestRollingCodeDefense:
-    def test_legitimate_chirps_still_tracked(self):
-        from repro.net import OnOffSource
-
-        testbed, _tones, _code_block, chirper, app = build_secure()
-        burst = OnOffSource(testbed.topo.hosts["h1"], "10.0.0.2", 80,
-                            rate_pps=500, on_duration=1.5,
-                            off_duration=30.0, start=1.0)
-        burst.launch()
-        testbed.sim.run(8.0)
-        bands = [band for _t, band in app.band_history]
-        assert "high" in bands
-        assert app.current_band == "low"
-
-    def test_spoofed_band_tone_rejected(self):
-        """The §2 attack against the secured protocol: the bare band
-        tone (no valid code) is counted as a spoof, not a congestion
-        event."""
-        testbed, tones, _code_block, _chirper, app = build_secure()
-        attacker = Speaker(Position(1.5, 1.5, 0.0))
-        testbed.sim.schedule_at(2.05, lambda: attacker.play(
-            testbed.channel, testbed.sim.now,
-            ToneSpec(tones.high, 0.2, 75.0)
-        ))
-        testbed.sim.run(4.0)
-        assert app.current_band != "high"
-        assert app.rejected_spoofs >= 1
-
-    def test_replayed_chord_rejected(self):
-        """Replay: the attacker captured a full (band, code) chord and
-        plays it back later.  The code has rolled on; rejected."""
-        testbed, tones, code_block, chirper, app = build_secure()
-        # Capture what the first chirp's code tone will be.
-        first_code = RollingCode(KEY, code_block).current_frequency("high")
-        attacker = Speaker(Position(1.5, 1.5, 0.0))
-
-        def replay() -> None:
-            now = testbed.sim.now
-            attacker.play(testbed.channel, now,
-                          ToneSpec(tones.high, 0.2, 75.0))
-            attacker.play(testbed.channel, now,
-                          ToneSpec(first_code, 0.2, 75.0))
-
-        # By t=3 the legitimate switch has chirped ~9 times; counter 0
-        # is far outside the lookahead window.
-        testbed.sim.schedule_at(3.05, replay)
-        testbed.sim.run(5.0)
-        assert app.current_band != "high"
-        assert app.rejected_spoofs >= 1
-
-    def test_wrong_key_cannot_forge(self):
-        """An attacker running the same algorithm with a guessed key
-        produces code tones that (almost) never validate."""
-        testbed, tones, code_block, _chirper, app = build_secure()
-        forger = RollingCode(b"wrong-guess", code_block)
-        attacker = Speaker(Position(1.5, 1.5, 0.0))
-
-        def forge() -> None:
-            now = testbed.sim.now
-            attacker.play(testbed.channel, now,
-                          ToneSpec(tones.high, 0.2, 75.0))
-            attacker.play(testbed.channel, now,
-                          ToneSpec(forger.current_frequency("high"), 0.2, 75.0))
-            forger.advance()
-
-        for delay in (2.05, 2.55, 3.05):
-            testbed.sim.schedule_at(delay, forge)
-        testbed.sim.run(5.0)
-        assert app.current_band != "high"
-
-    def test_survives_lost_chirps(self):
-        """The lookahead window resynchronizes after a silent speaker
-        beat (the busy-policy drop path)."""
-        testbed, _tones, _code_block, chirper, app = build_secure()
-        # Desynchronize: the switch advances its code twice without the
-        # controller hearing anything (simulates two lost chirps).
-        chirper.code.advance(2)
-        testbed.sim.run(3.0)
-        # The controller caught back up within the lookahead and is
-        # tracking the (idle -> low) state normally.
-        assert app.current_band == "low"
-
-    def test_resync_after_long_outage(self):
-        """Losing more than `lookahead` chirps (a loud forklift parks
-        in front of the speaker) must not desynchronize the protocol
-        forever: after `resync_after` rejections the monitor opens a
-        one-shot wide scan and re-locks."""
-        testbed, _tones, _code_block, chirper, app = build_secure()
-        # Simulate a 10-chirp outage: the switch's counter races ahead.
-        chirper.code.advance(10)
-        testbed.sim.run(6.0)
-        assert app.resyncs >= 1
-        assert app.current_band == "low"  # tracking again
-
-    def test_rejection_streak_resets_on_accept(self):
-        testbed, _tones, _code_block, _chirper, app = build_secure()
-        testbed.sim.run(3.0)
-        assert app._rejection_streak == 0
-        assert app.resyncs == 0

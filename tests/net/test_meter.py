@@ -1,22 +1,16 @@
-"""Tests for token-bucket metering and metered flow entries."""
+"""Tests for the token bucket and strict flow deletion."""
 
 import pytest
 
 from repro.infra import TokenBucket
 from repro.net import (
     Action,
-    FlowKey,
     FlowMod,
     FlowModCommand,
     Match,
-    Packet,
     Simulator,
     single_switch_topology,
 )
-
-
-def packet():
-    return Packet(FlowKey("10.0.0.1", "10.0.0.2", 1, 80))
 
 
 class TestTokenBucket:
@@ -55,43 +49,7 @@ class TestTokenBucket:
         assert allowed == pytest.approx(50 * 10, rel=0.05)
 
 
-class TestMeteredEntries:
-    def test_metered_entry_polices(self):
-        sim = Simulator()
-        topo = single_switch_topology(sim, 2)
-        s1 = topo.switches["s1"]
-        port = topo.port_towards("s1", "h2")
-        meter = TokenBucket(rate=10, burst=2)
-        s1.flow_table.install(Match(dst_port=80), Action.forward(port),
-                              priority=50, meter=meter)
-        for _ in range(5):
-            s1.receive(packet(), in_port=1)
-        assert s1.packets_policed.total == 3
-        assert s1.packets_forwarded.total == 2
-
-    def test_flow_mod_installs_meter(self):
-        from repro.net import ControlChannel
-
-        sim = Simulator()
-        topo = single_switch_topology(sim, 2)
-        s1 = topo.switches["s1"]
-        channel = ControlChannel(sim)
-        channel.register_switch(s1)
-        port = topo.port_towards("s1", "h2")
-        channel.send_flow_mod("s1", FlowMod(
-            Match(dst_port=80), Action.forward(port), priority=50,
-            meter_rate_pps=10.0, meter_burst=2.0,
-        ))
-        sim.run(0.01)
-        entry = s1.flow_table.lookup(packet(), 1)
-        assert entry.meter is not None
-        assert entry.meter.rate == 10.0
-        assert entry.meter.burst == 2.0
-
-    def test_flow_mod_meter_validation(self):
-        with pytest.raises(ValueError):
-            FlowMod(Match(), Action.drop(), meter_rate_pps=0.0)
-
+class TestStrictDelete:
     def test_strict_delete_spares_base_route(self):
         from repro.net import ControlChannel
 
@@ -104,7 +62,6 @@ class TestMeteredEntries:
         base_entries = len(s1.flow_table)
         channel.send_flow_mod("s1", FlowMod(
             Match(dst_ip="10.0.0.2"), Action.forward(port), priority=100,
-            meter_rate_pps=50.0,
         ))
         sim.run(0.01)
         assert len(s1.flow_table) == base_entries + 1
@@ -113,7 +70,7 @@ class TestMeteredEntries:
             command=FlowModCommand.DELETE, strict=True,
         ))
         sim.run(0.02)
-        # Only the metered overlay is gone; the base route survives.
+        # Only the priority-100 overlay is gone; the base route survives.
         assert len(s1.flow_table) == base_entries
         topo.hosts["h1"].send_to("10.0.0.2", 80)
         sim.run(0.1)
