@@ -7,11 +7,12 @@ PYTHON ?= python
 install:
 	$(PYTHON) -m pip install -e . || $(PYTHON) setup.py develop
 
+# Tier-1: the suite CI runs (tests/ via pyproject's testpaths).
 test:
-	$(PYTHON) -m pytest tests/
+	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} $(PYTHON) -m pytest -x -q
 
 bench:
-	$(PYTHON) -m pytest benchmarks/ --benchmark-only
+	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} $(PYTHON) -m pytest benchmarks/ --benchmark-only
 
 # Before/after timings of the vectorized listening hot path (batched
 # spectrogram, per-window FFT detect) and the vectorized acoustic
@@ -60,7 +61,7 @@ obs:
 		$(or $(FIG),fig5ab)
 
 figures:
-	$(PYTHON) -m pytest benchmarks/ --benchmark-only -s
+	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} $(PYTHON) -m pytest benchmarks/ --benchmark-only -s
 
 examples:
 	@for script in examples/*.py; do \
@@ -72,7 +73,7 @@ examples:
 render-all:
 	@mkdir -p renders
 	@for scene in knock chirps fan song; do \
-		$(PYTHON) -m repro render $$scene renders/$$scene.wav; \
+		PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} $(PYTHON) -m repro render $$scene renders/$$scene.wav; \
 	done
 
 clean:

@@ -614,7 +614,9 @@ def test_perf_departures_between():
     """Per-window cost of the columnar departure layer on the
     ``telemetry-flows`` bench population: ``scan-churn``, 10^5 flows,
     seed 11, 20 s in 80 batch windows of 0.25 s.  Records the per-window
-    p50/p90 and pins the exact departure total (the bench's
+    p50/p90 of consecutive windows (the driver's cursor path), the p50
+    of the same windows called in reverse order (every call re-seeks
+    the cursor), and pins the exact departure total (the bench's
     ``workload.packets``)."""
     from repro.net import build_workload
 
@@ -631,14 +633,22 @@ def test_perf_departures_between():
             population.departures_between(t0, t1)
             per_window_s.append(time.perf_counter() - start)
     p50_us, p90_us = np.percentile(per_window_s, [50, 90]) * 1e6
+    reseek_s = []
+    for t0, t1 in reversed(windows):
+        start = time.perf_counter()
+        population.departures_between(t0, t1)
+        reseek_s.append(time.perf_counter() - start)
+    reseek_p50_us = float(np.median(reseek_s)) * 1e6
     _record_perf("departures_between_100k_flows_250ms", {
         "p50_us": p50_us,
         "p90_us": p90_us,
+        "reseek_p50_us": reseek_p50_us,
         "windows": len(per_window_s),
         "departures": total,
     })
     print(f"\nFlowPopulation.departures_between 100k flows/0.25 s: "
-          f"p50 {p50_us:.1f} us, p90 {p90_us:.1f} us, {total} departures")
+          f"p50 {p50_us:.1f} us, p90 {p90_us:.1f} us, re-seek p50 "
+          f"{reseek_p50_us:.1f} us, {total} departures")
 
 
 @pytest.mark.perf

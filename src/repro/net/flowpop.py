@@ -8,6 +8,16 @@ numpy column (rates, phases, activity windows, on/off duty cycles,
 labels, key-variation rules) so a whole window of departures is
 generated in a handful of array operations.
 
+**Cost model.** The population keeps a departure cursor: each flow's
+first candidate at or after the end of the last window served, and
+that candidate's time (``inf`` once the flow is past its stop).  A
+window that starts where the last one ended costs one whole-column
+compare (which flows are due) plus work per departure: only the due
+flows are expanded and only their cursor entries advance.  Any other
+window — the first one, a repeat, a jump backwards or forwards —
+re-seeks every flow from the window start first, a few whole-column
+passes.
+
 **The departure model is deterministic and closed-form**, which is what
 makes the vectorized driver provably equivalent to a per-flow scalar
 reference (see ``tests/net/test_workload.py``):
@@ -68,6 +78,12 @@ _MAX_PORT = 65_535
 _MASK64 = (1 << 64) - 1
 #: Exact power-of-two scale mapping a 53-bit hash to [0, 1).
 _U53_SCALE = 1.0 / float(1 << 53)
+#: The numpy columns a :class:`FlowPopulation` is built from.
+_NUMPY_COLUMNS = (
+    "src_ports", "dst_ports", "rates", "phases", "starts", "stops",
+    "on_durations", "off_durations", "labels", "variation", "vary_base",
+    "vary_span", "packet_sizes",
+)
 
 
 def _mix64(x: np.ndarray) -> np.ndarray:
@@ -92,9 +108,12 @@ class FlowPopulation:
 
     Build one through :meth:`repro.net.workload.WorkloadSpec.build`
     rather than by hand; the constructor only validates and freezes the
-    columns.  All float columns are ``np.float64``; ``stops`` uses
-    ``inf`` for "never", and always-on flows carry ``on=inf, off=0``
-    (``x % inf == x``, so the duty-cycle gate passes them untouched).
+    columns (every numpy column is read-only, so the departure cursor
+    can never go stale under a write).  All float columns are
+    ``np.float64``; ``stops`` uses ``inf`` for "never", and always-on
+    flows carry ``on=inf, off=0`` (``x % inf == x``, so the duty-cycle
+    gate passes them untouched and is evaluated only on the
+    ``duty_cycled`` rows).
     """
 
     def __init__(
@@ -149,9 +168,7 @@ class FlowPopulation:
         for name in ("dst_ips", "protocols", "vary_prefix"):
             if len(getattr(self, name)) != n:
                 raise ValueError(f"column {name} has wrong length")
-        for name in ("src_ports", "dst_ports", "rates", "phases", "starts",
-                     "stops", "on_durations", "off_durations", "labels",
-                     "variation", "vary_base", "vary_span", "packet_sizes"):
+        for name in _NUMPY_COLUMNS:
             if len(getattr(self, name)) != n:
                 raise ValueError(f"column {name} has wrong length")
         if n and not np.all(self.rates > 0):
@@ -183,6 +200,24 @@ class FlowPopulation:
                 *(compress(column, self.static) for column in columns)),
             dtype=np.uint64, count=int(np.count_nonzero(self.static)),
         )
+        #: True where the flow has a finite ON burst; every other flow
+        #: passes the duty-cycle gate (``x % inf == x < inf``).
+        self.duty_cycled = np.isfinite(self.on_durations)
+
+        for name in _NUMPY_COLUMNS + ("static", "stable_hashes",
+                                      "duty_cycled"):
+            # A read-only view: frozen here without freezing the
+            # caller's array.
+            column = getattr(self, name).view()
+            column.setflags(write=False)
+            setattr(self, name, column)
+
+        # The departure cursor (see departures_between): per flow, the
+        # first candidate departing at or after ``_cursor_end`` and its
+        # time, inf once past the stop.  None until the first call.
+        self._cursor_end: float | None = None
+        self._k_next = np.empty(0, dtype=np.float64)
+        self._t_next = np.empty(0, dtype=np.float64)
 
     def __len__(self) -> int:
         return self.n
@@ -305,58 +340,88 @@ class FlowPopulation:
         """All departures with ``t0 <= t < t1``, vectorized.
 
         Returns ``(times, flow_indices, candidate_ordinals)`` sorted by
-        time (ties broken by flow index, then ordinal).  Each flow's
-        candidate range is widened by one on each side and
-        exact-filtered on ``t``, so float rounding at window edges can
-        never drop or duplicate a departure across adjacent windows.
+        time (ties broken by flow index, then ordinal).  Each due flow's
+        candidate range runs from its cursor to one past the window end
+        and is exact-filtered on ``t``, so float rounding at window
+        edges can never drop or duplicate a departure across adjacent
+        windows.
 
-        The cost is a few whole-column passes plus work per departure:
-        every flow's lower candidate is stepped forward to its first
-        departure time at or after the window (``t`` never decreases as
-        ``k`` grows, so this ends after a pass or two), and only the
-        flows whose first candidate departs inside the window are
-        expanded into per-candidate arrays.
+        The cost is one whole-column compare plus work per departure
+        when ``t0`` is where the previous call's window ended: the
+        cursor names the flows due before ``t1``, only those are
+        expanded into per-candidate arrays, and only their cursor
+        entries move.  Any other ``t0`` first re-seeks the cursor of
+        every flow to ``t0`` (a few whole-column passes: ``t`` never
+        decreases as ``k`` grows, so each flow's closed-form first
+        candidate is at most a step or two early).  An empty or
+        reversed window returns nothing and leaves the cursor alone.
         """
-        phases, rates = self.phases, self.rates
-        lo = np.maximum(t0, self.starts)
-        hi = np.minimum(t1, self.stops)
-        k_first = np.ceil((lo - phases) * rates) - 1.0
-        np.maximum(k_first, 0.0, out=k_first)
-        k_hi = np.ceil((hi - phases) * rates) + 1.0
-        t_first = phases + k_first / rates
-        # k_hi caps the walk of flows with nothing left in the window.
-        early = (t_first < lo) & (k_first < k_hi)
-        while early.any():
-            k_first += early
-            t_first = phases + k_first / rates
-            early = (t_first < lo) & (k_first < k_hi)
-
-        live = np.flatnonzero((t_first < hi) & (k_first < k_hi))
         empty = (np.empty(0, dtype=np.float64), np.empty(0, dtype=np.int64),
                  np.empty(0, dtype=np.int64))
-        if not len(live):
+        if not t1 > t0:
             return empty
-        k_lo = k_first[live].astype(np.int64)
-        counts = k_hi[live].astype(np.int64) - k_lo
-        total = int(counts.sum())
-        flow_idx = np.repeat(live.astype(np.int64), counts)
-        offsets = np.cumsum(counts) - counts
-        ks = np.arange(total, dtype=np.int64) + np.repeat(k_lo - offsets, counts)
-        t = phases[flow_idx] + ks.astype(np.float64) / rates[flow_idx]
+        if t0 != self._cursor_end:
+            self._k_next, self._t_next = self._first_departures(
+                slice(None), np.maximum(t0, self.starts), 0.0)
+        due = np.flatnonzero(self._t_next < t1)
+        k_lo = self._k_next[due]
+        phases, rates = self.phases[due], self.rates[due]
+        hi = np.minimum(t1, self.stops[due])
+        counts = (np.ceil((hi - phases) * rates) + 1.0 - k_lo).astype(np.int64)
+        # Advance the due flows' cursor entries to the first candidate
+        # at or after t1 (no flow is left before its start: each due
+        # flow's cursor time already lies in [start, t1)).
+        self._k_next[due], self._t_next[due] = self._first_departures(
+            due, t1, k_lo)
+        self._cursor_end = t1
 
-        mask = (t >= t0) & (t < t1)
-        mask &= (t >= self.starts[flow_idx]) & (t < self.stops[flow_idx])
-        rel = t - self.starts[flow_idx]
-        period = self.on_durations[flow_idx] + self.off_durations[flow_idx]
-        mask &= np.mod(rel, period) < self.on_durations[flow_idx]
+        total = int(counts.sum())
+        flow_idx = np.repeat(due.astype(np.int64), counts)
+        offsets = np.cumsum(counts) - counts
+        ks = (np.arange(total, dtype=np.int64)
+              + np.repeat(k_lo.astype(np.int64) - offsets, counts))
+        t = (np.repeat(phases, counts)
+             + ks.astype(np.float64) / np.repeat(rates, counts))
+
+        # Every candidate from the cursor on departs at or after
+        # max(t0, start); what is left to check is the far edge.
+        mask = t < np.repeat(hi, counts)
+        gated = np.flatnonzero(self.duty_cycled[flow_idx])
+        if len(gated):
+            rows = flow_idx[gated]
+            on = self.on_durations[rows]
+            period = on + self.off_durations[rows]
+            mask[gated] &= np.mod(t[gated] - self.starts[rows], period) < on
         if self.diurnal_amplitude > 0.0:
             mask &= self._thinning_u(flow_idx, ks) < self._modulation(t)
 
         if not mask.any():
             return empty
         flow_idx, ks, t = flow_idx[mask], ks[mask], t[mask]
-        order = np.lexsort((ks, flow_idx, t))
+        # Candidates were generated in (flow, k) order, so a stable
+        # sort on t breaks ties by flow index, then ordinal.
+        order = np.argsort(t, kind="stable")
         return t[order], flow_idx[order], ks[order]
+
+    def _first_departures(
+        self,
+        rows: np.ndarray | slice,
+        lo: float | np.ndarray,
+        k_min: float | np.ndarray,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Per flow in ``rows``: the first candidate ``k >= k_min``
+        departing at or after ``lo``, as a float ordinal, and its time
+        (``inf`` at or past the flow's stop)."""
+        phases, rates = self.phases[rows], self.rates[rows]
+        k = np.maximum(np.ceil((lo - phases) * rates) - 1.0, k_min)
+        t = phases + k / rates
+        early = t < lo
+        while early.any():
+            k += early
+            t = phases + k / rates
+            early = t < lo
+        t[t >= self.stops[rows]] = np.inf
+        return k, t
 
     # ------------------------------------------------------------------
     # Ground truth

@@ -230,6 +230,15 @@ class TestDepartureModel:
         with pytest.raises(ValueError, match=column):
             FlowPopulation(**columns)
 
+    def test_columns_are_frozen(self):
+        population = build_workload("bursty-diurnal", num_flows=50,
+                                    seed=SEED).build()
+        with pytest.raises(ValueError, match="read-only"):
+            population.rates[0] = 2.0
+        for name, value in vars(population).items():
+            if isinstance(value, np.ndarray) and not name.startswith("_"):
+                assert not value.flags.writeable, name
+
     def test_labels_and_counts(self):
         population = build_workload("scan-churn", num_flows=500,
                                     seed=SEED).build()
@@ -299,18 +308,15 @@ class TestScalarVectorEquivalence:
 
 class TestWindowedDepartures:
     """:meth:`FlowPopulation.departures_between` expands only the flows
-    that depart in the window; its output must equal the full-range
-    reference expansion bit for bit, on any window."""
+    its cursor names as due in the window; its output must equal the
+    full-range reference expansion bit for bit, on any window and
+    after any sequence of earlier windows."""
 
-    @settings(max_examples=30, deadline=None)
-    @given(seed=st.integers(0, 2**31 - 1),
-           num_flows=st.integers(1, 40),
-           duration=st.floats(0.5, 4.0),
-           diurnal_amplitude=st.sampled_from([0.0, 0.6]),
-           data=st.data())
-    def test_departures_match_reference(self, seed, num_flows, duration,
-                                        diurnal_amplitude, data):
-        population = WorkloadSpec(
+    @staticmethod
+    def _mixed_population(seed, num_flows, duration, diurnal_amplitude):
+        """Every pattern at once: steady, churning, duty-cycled and
+        varying-key flows, optionally diurnally thinned."""
+        return WorkloadSpec(
             seed=seed, duration=duration,
             patterns=(
                 ElephantMicePattern(num_mice=num_flows,
@@ -324,6 +330,17 @@ class TestWindowedDepartures:
             ),
             diurnal_amplitude=diurnal_amplitude, diurnal_period=duration,
         ).build()
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**31 - 1),
+           num_flows=st.integers(1, 40),
+           duration=st.floats(0.5, 4.0),
+           diurnal_amplitude=st.sampled_from([0.0, 0.6]),
+           data=st.data())
+    def test_departures_match_reference(self, seed, num_flows, duration,
+                                        diurnal_amplitude, data):
+        population = self._mixed_population(seed, num_flows, duration,
+                                            diurnal_amplitude)
         times, _flow_idx, _ks = reference_departures_between(
             population, 0.0, duration)
         assert len(times)
@@ -344,6 +361,62 @@ class TestWindowedDepartures:
         windows.append((0.0, duration))
         for t0, t1 in windows:
             assert_departures_match_reference(population, t0, t1)
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**31 - 1),
+           num_flows=st.integers(1, 40),
+           duration=st.floats(0.5, 4.0),
+           diurnal_amplitude=st.sampled_from([0.0, 0.6]),
+           data=st.data())
+    def test_cursor_walk_matches_reference(self, seed, num_flows, duration,
+                                           diurnal_amplitude, data):
+        """Mostly consecutive windows, as the driver makes them, mixed
+        with repeats, jumps back and forth, and empty and reversed
+        windows: each call equals the reference whatever the cursor
+        held before it."""
+        population = self._mixed_population(seed, num_flows, duration,
+                                            diurnal_amplitude)
+        length = st.floats(0.0, duration / 4, allow_nan=False)
+        moves = data.draw(st.lists(
+            st.sampled_from(["next"] * 4 + ["repeat", "jump", "empty",
+                                            "reversed"]),
+            min_size=1, max_size=30))
+        t0, t1 = 0.0, 0.0
+        for move in moves:
+            if move == "next":
+                t0, t1 = t1, t1 + data.draw(length)
+            elif move == "jump":
+                t0 = data.draw(st.floats(0.0, duration, allow_nan=False))
+                t1 = t0 + data.draw(length)
+            elif move == "empty":
+                t0 = t1 = data.draw(st.sampled_from([t1, t0]))
+            elif move == "reversed":
+                t0, t1 = t1, t1 - data.draw(length)
+            assert_departures_match_reference(population, t0, t1)
+
+    def test_empty_and_reversed_windows_leave_cursor(self):
+        """A window that returns nothing must not move the cursor: the
+        window after it is served from where the last real one ended."""
+        population = build_workload("scan-churn", num_flows=400, seed=SEED,
+                                    duration=4.0).build()
+        for t0, t1 in [(0.0, 1.0), (0.5, 0.5), (2.0, 0.5), (0.5, 1.5),
+                       (1.5, 2.5)]:
+            assert_departures_match_reference(population, t0, t1)
+
+    def test_drivers_sharing_a_population_match_solo_runs(self):
+        population = build_workload("scan-churn", num_flows=300, seed=SEED,
+                                    duration=4.0).build()
+        solo_fine, _ = _drive(population, 4.0, batch_window=0.25)
+        solo_coarse, _ = _drive(population, 4.0, batch_window=0.4)
+        sim = Simulator()
+        fine, coarse = CountingSink(population), CountingSink(population)
+        for sink, window in ((fine, 0.25), (coarse, 0.4)):
+            VectorizedFlowDriver(sim, population, sink, stop=4.0,
+                                 batch_window=window).launch()
+        sim.run(4.0)
+        for shared, solo in ((fine, solo_fine), (coarse, solo_coarse)):
+            assert shared.total == solo.total
+            np.testing.assert_array_equal(shared.per_flow, solo.per_flow)
 
     @pytest.mark.parametrize("mix", ["mice", "elephants-mice", "scan-churn",
                                      "bursty-diurnal"])
