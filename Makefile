@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test bench bench-micro bench-fleet bench-workload bench-chaos obs examples figures render-all clean
+.PHONY: install test golden bench bench-micro bench-fleet bench-workload bench-chaos obs examples figures render-all clean
 
 install:
 	$(PYTHON) -m pip install -e . || $(PYTHON) setup.py develop
@@ -10,6 +10,11 @@ install:
 # Tier-1: the suite CI runs (tests/ via pyproject's testpaths).
 test:
 	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} $(PYTHON) -m pytest -x -q
+
+# Regenerate tests/golden/smoke.json, the pinned deterministic record
+# of every experiment under --smoke (see tests/integration/test_golden_smoke.py).
+golden:
+	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} $(PYTHON) -m tests.integration.test_golden_smoke
 
 bench:
 	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} $(PYTHON) -m pytest benchmarks/ --benchmark-only
