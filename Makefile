@@ -22,10 +22,9 @@ bench:
 # Before/after timings of the vectorized listening hot path (batched
 # spectrogram, per-window FFT detect) and the vectorized acoustic
 # render path (interval-indexed channel, 50/200-emitter sweeps).
-# Results are appended as JSON to .benchmarks/micro_perf.json
-# (override with MICRO_BENCH_JSON=path); the channel render timings
-# are additionally written to .benchmarks/BENCH_channel.json (override
-# with BENCH_CHANNEL_JSON=path).  BLAS is pinned to one thread, as
+# Results are appended as JSON to .benchmarks/micro_perf.json; the
+# channel render timings are additionally written to
+# .benchmarks/BENCH_channel.json.  BLAS is pinned to one thread, as
 # bench/run.py pins it for its children: a multi-threaded OpenBLAS
 # oversubscribes a small host and swamps the timings.
 bench-micro:
@@ -35,7 +34,7 @@ bench-micro:
 
 # Fleet scaling curve (XEXT15): 1000 switches across 50 sharded rooms,
 # serial reference vs process pool, shard sweep + identity checks.
-# Writes .benchmarks/BENCH_fleet.json (SMOKE=1 runs the shrunken CI
+# Writes .benchmarks/BENCH_xext15.json (SMOKE=1 runs the shrunken CI
 # fleet).
 bench-fleet:
 	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} $(PYTHON) -m repro run \
@@ -44,7 +43,7 @@ bench-fleet:
 # Workload benchmark (XEXT16): seeded traffic mixes swept into detector
 # precision/recall, vectorized-driver scale points (up to 10^6 flows)
 # and the >=10x speedup check against the per-flow reference.  Writes
-# .benchmarks/BENCH_workload.json (SMOKE=1 shrinks the mixes for CI).
+# .benchmarks/BENCH_xext16.json (SMOKE=1 shrinks the mixes for CI).
 bench-workload:
 	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} $(PYTHON) -m repro run \
 		xext16 $(if $(SMOKE),--smoke)
@@ -53,14 +52,15 @@ bench-workload:
 # breaks, stragglers, poison, duplicates) against the supervised
 # fleet; verifies exact recovery (bit-identical to the fault-free
 # serial reference) and reports recovery overhead per fault mix.
-# Writes .benchmarks/BENCH_chaos.json (SMOKE=1 shrinks the fleet and
+# Writes .benchmarks/BENCH_xext17.json (SMOKE=1 shrinks the fleet and
 # sleeps for CI).
 bench-chaos:
 	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} $(PYTHON) -m repro run \
 		xext17 $(if $(SMOKE),--smoke)
 
 # Instrumented run of one experiment (default fig5ab) under repro.obs:
-# prints the metric/trace report and exports .benchmarks/OBS_<fig>.json.
+# prints its tables and the metric/trace reports, and writes
+# .benchmarks/BENCH_<fig>.json and .benchmarks/OBS_<fig>.json.
 obs:
 	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} $(PYTHON) -m repro obs \
 		$(or $(FIG),fig5ab)

@@ -8,19 +8,19 @@ round each), these run many rounds for stable statistics.
 The ``@pytest.mark.perf`` tests at the bottom are before/after
 comparisons of the vectorized listening hot path against its scalar
 references.  They need no pytest-benchmark fixture, run via
-``make bench-micro``, and append their timings as JSON (default
-``.benchmarks/micro_perf.json``, override with ``MICRO_BENCH_JSON``)
-so the bench trajectory can be tracked across commits.
+``make bench-micro``, and append their timings as JSON to
+``.benchmarks/micro_perf.json`` so the bench trajectory can be tracked
+across commits.
 """
 
 import json
-import os
 import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from repro.artifact import export_json
 from repro.audio import (
     AcousticChannel,
     FrequencyDetector,
@@ -145,27 +145,29 @@ def _best_of(func, repeats: int = 30) -> float:
     return best
 
 
+MICRO_PERF_JSON = Path(".benchmarks/micro_perf.json")
+BENCH_CHANNEL_JSON = Path(".benchmarks/BENCH_channel.json")
+
+
 def _merge_json(path: Path, name: str, payload: dict) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
+    """Add or replace record ``name`` in ``path``, keeping the others;
+    the header is rewritten on every merge."""
     data = json.loads(path.read_text()) if path.exists() else {}
+    data.pop("header", None)
     data[name] = {**payload, "timestamp": time.time()}
-    path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
+    export_json(data, path)
 
 
 def _record_perf(name: str, payload: dict) -> None:
     """Merge one benchmark record into the JSON trajectory file."""
-    _merge_json(Path(os.environ.get("MICRO_BENCH_JSON",
-                                    ".benchmarks/micro_perf.json")),
-                name, payload)
+    _merge_json(MICRO_PERF_JSON, name, payload)
 
 
 def _record_channel_bench(name: str, payload: dict) -> None:
     """Channel-render before/after timings get their own trajectory
     file so the synthesis-side perf history is easy to diff across
-    PRs (default ``.benchmarks/BENCH_channel.json``)."""
-    _merge_json(Path(os.environ.get("BENCH_CHANNEL_JSON",
-                                    ".benchmarks/BENCH_channel.json")),
-                name, payload)
+    PRs (``.benchmarks/BENCH_channel.json``)."""
+    _merge_json(BENCH_CHANNEL_JSON, name, payload)
     _record_perf(name, payload)
 
 
@@ -268,8 +270,7 @@ def test_perf_obs_disabled_overhead():
     from repro import obs
 
     assert not obs.enabled(), "obs must be disabled for tier-1/bench runs"
-    bench_path = Path(os.environ.get("BENCH_CHANNEL_JSON",
-                                     ".benchmarks/BENCH_channel.json"))
+    bench_path = BENCH_CHANNEL_JSON
     if not bench_path.exists():
         pytest.skip("run the channel bench first (make bench-micro)")
     data = json.loads(bench_path.read_text())

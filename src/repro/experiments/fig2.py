@@ -8,7 +8,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -23,12 +23,13 @@ from ..audio import (
     sine_tone,
     white_noise,
 )
+from ..artifact import WALL_TIME, Result
 from ..core import FrequencyPlan
 from .rigs import SPEAKER_RING
 
 
 @dataclass
-class Fig2AResult:
+class Fig2AResult(Result):
     """Per-switch attribution of the simultaneous-tone spectrum."""
 
     played: dict[str, float]            #: switch -> frequency played
@@ -40,6 +41,15 @@ class Fig2AResult:
     @property
     def all_identified(self) -> bool:
         return set(self.detected) == set(self.played)
+
+    def rows(self):
+        rows = [("switch", "played Hz", "measured Hz", "level dB")]
+        rows += [(name, f"{self.played[name]:.0f}",
+                  f"{self.detected.get(name, float('nan')):.1f}",
+                  f"{self.levels_db.get(name, float('nan')):.1f}")
+                 for name in sorted(self.played)]
+        rows.append(f"all identified: {self.all_identified}")
+        return [("Fig 2a: simultaneous switch identification", rows)]
 
 
 def multiswitch_fft(
@@ -88,10 +98,11 @@ def multiswitch_fft(
 
 
 @dataclass
-class Fig2BResult:
+class Fig2BResult(Result):
     """The FFT processing-time distribution."""
 
-    timings_ms: np.ndarray          #: individual window timings
+    #: Individual window timings.
+    timings_ms: np.ndarray = field(metadata=WALL_TIME)
     window_duration_ms: float
 
     def percentile_ms(self, q: float) -> float:
@@ -100,6 +111,12 @@ class Fig2BResult:
     def cdf_points(self, qs=(10, 25, 50, 75, 90, 95, 99)) -> list[tuple[int, float]]:
         """(percentile, milliseconds) pairs — the Figure 2b curve."""
         return [(q, self.percentile_ms(q)) for q in qs]
+
+    def rows(self):
+        rows = [("percentile", "ms")]
+        rows += [(f"p{q}", f"{v:.4f}") for q, v in self.cdf_points()]
+        return [("Fig 2b: FFT processing-time CDF (paper: p90 <= 0.35 ms)",
+                 rows)]
 
 
 def fft_latency_cdf(

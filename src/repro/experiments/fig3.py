@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..artifact import Result
 from ..audio import mel_spectrogram
 from ..core.apps import KnockConfig, KnockEmitter, PortKnockingApp
 from ..net import Action, ByteCounterSampler, ConstantRateSource, TimeSeries
@@ -22,7 +23,7 @@ PROTECTED_PORT = 8080
 
 
 @dataclass
-class Fig3Result:
+class Fig3Result(Result):
     """Series and events of one port-knocking run."""
 
     sent_bytes: TimeSeries
@@ -36,6 +37,16 @@ class Fig3Result:
     @property
     def opened(self) -> bool:
         return self.opened_at is not None
+
+    def rows(self):
+        rows = [("t (s)", "sent kB", "recvd kB")]
+        rows += [(f"{time:.0f}", f"{sent / 1000:.0f}",
+                  f"{self.received_bytes.value_at(time) / 1000:.0f}")
+                 for time, sent in zip(self.sent_bytes.times[::4],
+                                       self.sent_bytes.values[::4])]
+        rows.append(f"knocks heard: {self.knock_ports_heard}; "
+                    f"port opened at t = {self.opened_at:.1f} s")
+        return [("Fig 3a: bytes sent / received", rows)]
 
 
 def port_knocking_experiment(

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..artifact import Result
 from ..audio import SongNoise, dominant_mel_track, mel_spectrogram
 from ..core.apps import (
     FlowToneMapper,
@@ -46,8 +47,23 @@ LINK_CAPACITY_PPS = 250.0
 SCAN_PORTS = range(8000, 8020)
 
 
+def _condition(with_song: bool, workload: str | None) -> str:
+    condition = "with song" if with_song else "clean"
+    return condition + (f", workload {workload}" if workload else "")
+
+
+def precision_recall_note(label: str, pr: dict | None) -> list[str]:
+    """The ground-truth score line printed under a table, if scored."""
+    if pr is None:
+        return []
+    return [f"{label} vs ground truth: "
+            f"precision {pr['precision']:.2f}  recall {pr['recall']:.2f}  "
+            f"(tp {pr['true_positives']}, fp {pr['false_positives']}, "
+            f"fn {pr['false_negatives']})"]
+
+
 @dataclass
-class Fig4ABResult:
+class Fig4ABResult(Result):
     """Heavy-hitter run outcome."""
 
     heavy_flow: FlowKey | None
@@ -63,6 +79,19 @@ class Fig4ABResult:
     #: Ground-truth precision/recall — only when driven by a workload,
     #: which is the only case where truth labels exist.
     precision_recall: dict | None = None
+
+    def rows(self):
+        counts = self.per_interval_heavy_counts
+        rows = [("interval end", "heavy-bucket windows")]
+        rows += [(f"{t:.0f}", int(v))
+                 for t, v in zip(counts.times, counts.values)]
+        rows.append(f"heavy flow {self.heavy_flow} -> "
+                    f"{self.heavy_frequency:.0f} Hz; detected: "
+                    f"{self.heavy_detected}; false positives: "
+                    f"{len(self.false_positive_frequencies)}")
+        rows += precision_recall_note("heavy hitter", self.precision_recall)
+        title = _condition(self.with_song, self.workload)
+        return [(f"Fig 4a/b ({title}): heavy hitter detection", rows)]
 
 
 def heavy_hitter_experiment(
@@ -159,7 +188,7 @@ def heavy_hitter_experiment(
 
 
 @dataclass
-class Fig4CDResult:
+class Fig4CDResult(Result):
     """Port-scan run outcome."""
 
     alerts: list[ScanAlert]
@@ -173,6 +202,16 @@ class Fig4CDResult:
     workload: str | None = None
     #: Ground-truth precision/recall — workload-driven runs only.
     precision_recall: dict | None = None
+
+    def rows(self):
+        title = _condition(self.with_song, self.workload)
+        return [(f"Fig 4c/d ({title}): port scan detection", [
+            ("scan detected", self.scan_detected),
+            ("ports heard", len(self.ports_heard)),
+            ("sweep order preserved",
+             self.ports_heard == sorted(self.ports_heard)),
+            *precision_recall_note("port scan", self.precision_recall),
+        ])]
 
 
 def port_scan_experiment(

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..artifact import Result
 from ..audio import mel_spectrogram
 from ..core.apps import (
     BandToneMap,
@@ -34,7 +35,7 @@ from .rigs import build_testbed
 
 
 @dataclass
-class Fig5ABResult:
+class Fig5ABResult(Result):
     """Load-balancing run outcome."""
 
     queue_series: TimeSeries
@@ -51,6 +52,19 @@ class Fig5ABResult:
     @property
     def rebalanced(self) -> bool:
         return self.split_time is not None
+
+    def rows(self):
+        series = self.queue_series
+        rows = [("t (s)", "queue pkts")]
+        rows += [(f"{t:.1f}", int(v))
+                 for t, v in zip(series.times[::2], series.values[::2])]
+        rows.append(f"split installed at t = {self.split_time:.2f} s "
+                    f"(paper run: 3.7 s); final queue {self.final_queue:.0f}")
+        if self.workload:
+            rows.append(f"background workload {self.workload}: "
+                        f"{self.background_packets} packets")
+        return [("Fig 5a: queue under ramping load (split on 700 Hz tone)",
+                 rows)]
 
 
 def load_balancing_experiment(
@@ -127,7 +141,7 @@ def load_balancing_experiment(
 
 
 @dataclass
-class Fig5CDResult:
+class Fig5CDResult(Result):
     """Queue-monitoring run outcome."""
 
     queue_series: TimeSeries
@@ -138,6 +152,13 @@ class Fig5CDResult:
 
     def bands_heard(self) -> list[str]:
         return [band for _time, band in self.band_history]
+
+    def rows(self):
+        tone = {"low": "500 Hz", "medium": "600 Hz", "high": "700 Hz"}
+        rows = [("t (s)", "tone", "band")]
+        rows += [(f"{t:.1f}", tone[band], band)
+                 for t, band in self.band_history]
+        return [("Fig 5c/d: queue bands by ear", rows)]
 
 
 def queue_monitor_experiment(

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..artifact import Result
 from ..audio import SpectrumAnalyzer, mel_spectrogram
 from ..core.apps import FanWatchdog
 from ..fans import RoomScene, Server, datacenter_scene, office_scene
@@ -69,6 +70,27 @@ def fan_spectrogram_panel(room: str, fan_on: bool,
 
 
 @dataclass
+class Fig6Result(Result):
+    """All four Figure 6 panels: each room with the fan on, then off."""
+
+    panels: list[Fig6Panel]
+
+    def rows(self):
+        rows = [("room", "fan", "line dB", "floor dB", "prominence dB")]
+        rows += [(panel.room, "ON" if panel.fan_on else "OFF",
+                  f"{panel.blade_line_level_db:.1f}",
+                  f"{panel.noise_floor_db:.1f}",
+                  f"{panel.line_prominence_db:.1f}")
+                 for panel in self.panels]
+        return [("Fig 6: blade-pass line vs room floor", rows)]
+
+
+def fan_spectrogram_experiment() -> Fig6Result:
+    return Fig6Result([fan_spectrogram_panel(room, fan_on)
+                       for room in ROOMS for fan_on in (True, False)])
+
+
+@dataclass
 class Fig7Result:
     """One Figure 7 trace: difference scores around a failure."""
 
@@ -116,3 +138,24 @@ def fan_failure_experiment(
         on_on_max_score=healthy.max(),
         on_off_min_score=failed.min() if len(failed) else 0.0,
     )
+
+
+@dataclass
+class Fig7Rooms(Result):
+    """The Figure 7 run in each room."""
+
+    rooms: list[Fig7Result]
+
+    def rows(self):
+        rows = [("room", "on-on max", "on-off min", "separation",
+                 "detected at")]
+        rows += [(result.room, f"{result.on_on_max_score:.1f}",
+                  f"{result.on_off_min_score:.1f}",
+                  f"{result.separation_ratio:.1f}x",
+                  f"{result.detection_time:.1f} s")
+                 for result in self.rooms]
+        return [("Fig 7: amplitude-difference failure detection", rows)]
+
+
+def fan_failure_rooms() -> Fig7Rooms:
+    return Fig7Rooms([fan_failure_experiment(room=room) for room in ROOMS])

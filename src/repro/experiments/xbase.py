@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..artifact import Result
 from ..baselines import (
     ECNMarker,
     ECNReceiver,
@@ -36,7 +37,7 @@ from ..net import (
 )
 from ..net.flowpop import LABEL_ELEPHANT
 from ..core.apps.evaluation import score_heavy_hitter
-from .fig4 import LINK_CAPACITY_PPS
+from .fig4 import LINK_CAPACITY_PPS, precision_recall_note
 from .rigs import build_testbed
 
 
@@ -263,4 +264,42 @@ def inband_vs_oob(
         inband_delivery_rate=stats.delivery_rate,
         inband_max_gap=stats.max_gap,
         acoustic_delivery_rate=min(1.0, len(heard) / chirper.beats_emitted),
+    )
+
+
+@dataclass
+class XbaseResult(Result):
+    """XBASE1–3 together."""
+
+    sketch: SketchVsMdnResult
+    ecn: EcnVsMdnResult
+    oob: InbandVsOobResult
+
+    def rows(self):
+        sketch, ecn, oob = self.sketch, self.ecn, self.oob
+        return [
+            ("XBASE1: sketch vs MDN", [
+                ("MDN / sketch detected",
+                 f"{sketch.mdn_detected} / {sketch.sketch_detected}"),
+                *precision_recall_note("MDN detector",
+                                       sketch.mdn_precision_recall),
+            ]),
+            ("XBASE2: notification latency", [
+                ("MDN tone", f"{ecn.mdn_latency * 1000:.0f} ms"),
+                ("ECN echo", f"{ecn.ecn_latency * 1000:.0f} ms"),
+            ]),
+            ("XBASE3: delivery through data-plane failure", [
+                ("in-band", f"{oob.inband_delivery_rate:.2f}"),
+                ("acoustic", f"{oob.acoustic_delivery_rate:.2f}"),
+            ]),
+        ]
+
+
+def baseline_experiment(workload: str | None = None) -> XbaseResult:
+    """All three baseline comparisons; ``workload`` drives XBASE1."""
+    return XbaseResult(
+        sketch=sketch_vs_mdn(workload=workload,
+                             num_flows=32 if workload else 10),
+        ecn=ecn_vs_mdn(),
+        oob=inband_vs_oob(),
     )

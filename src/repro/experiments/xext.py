@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..artifact import Result
 from ..audio import (
     AcousticChannel,
     FrequencyDetector,
@@ -237,4 +238,49 @@ def modem_experiment(payload: bytes = b"MDN alert: rack 7 fan failure") -> Modem
         effective_bits_per_second=len(payload) * 8 / airtime,
         decoded_ok=clean_ok,
         decoded_ok_with_song=noisy_ok,
+    )
+
+
+@dataclass
+class XextResult(Result):
+    """XEXT1–4 together (XEXT2 in both attack modes)."""
+
+    relay: RelayResult
+    superspreader: SuperspreaderResult
+    ddos: SuperspreaderResult
+    ultrasound: UltrasoundResult
+    modem: ModemResult
+
+    def rows(self):
+        relay, modem = self.relay, self.modem
+        return [
+            ("XEXT1: multi-hop relay", [
+                ("direct heard", relay.direct_heard),
+                ("relayed heard", relay.relayed_heard),
+                ("latency", f"{relay.end_to_end_latency:.2f} s"),
+            ]),
+            ("XEXT2: chord telemetry", [
+                ("superspreader detected", self.superspreader.attack_detected),
+                ("DDoS victim detected", self.ddos.attack_detected),
+            ]),
+            ("XEXT3: ultrasound capacity", [
+                ("audible", self.ultrasound.audible_capacity),
+                ("extended", self.ultrasound.extended_capacity),
+            ]),
+            ("XEXT4: FSK modem", [
+                ("airtime",
+                 f"{modem.airtime_s:.2f} s for {modem.payload_bytes} B"),
+                ("decoded clean / noisy",
+                 f"{modem.decoded_ok} / {modem.decoded_ok_with_song}"),
+            ]),
+        ]
+
+
+def extensions_experiment() -> XextResult:
+    return XextResult(
+        relay=relay_experiment(),
+        superspreader=superspreader_experiment("superspreader"),
+        ddos=superspreader_experiment("ddos"),
+        ultrasound=ultrasound_experiment(),
+        modem=modem_experiment(),
     )

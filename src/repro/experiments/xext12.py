@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from ..artifact import Result
 from ..audio import AcousticChannel, Position
 from ..audio.devices import Speaker
 from ..core import (
@@ -307,12 +308,48 @@ def resilience_sweep(
 # ----------------------------------------------------------------------
 
 @dataclass
-class Xext12Result:
+class Xext12Result(Result):
     """Everything the xext12 CLI run produces."""
 
     arq: list[ArqPoint]
     failover: FailoverResult
     resilience: list[ResiliencePoint]
+
+    def rows(self):
+        episode = self.failover
+        latency = (f"{episode.failover_latency:.2f} s"
+                   if episode.failover_latency is not None else "never")
+        failback = (f"{episode.failback_at:.2f} s"
+                    if episode.failback_at is not None else "never")
+        return [
+            ("XEXT12a: MP frame loss — ARQ vs fire-and-forget", [
+                (f"loss {point.loss_rate:.0%}",
+                 f"bare {point.no_arq_delivery:.1%}  "
+                 f"arq {point.arq_delivery:.1%}  "
+                 f"({point.retransmits} rtx, {point.expired} expired, "
+                 f"ack p̄ {point.mean_ack_latency_ms:.1f} ms)")
+                for point in self.arq
+            ]),
+            ("XEXT12b: speaker-death failover episode", [
+                ("speaker outage", f"{episode.fault_start:.1f}–"
+                 f"{episode.fault_end:.1f} s"),
+                ("first missed beat", f"{episode.first_missed_beat:.2f} s"),
+                ("failover latency", f"{latency} "
+                 f"(budget {2 * episode.period:.2f} s)"),
+                ("in-band coverage", f"{episode.inband_delivered} beats "
+                 f"at {episode.inband_delivery_rate:.0%}"),
+                ("failback to acoustic", failback),
+                ("final health", episode.final_state.name),
+            ]),
+            ("XEXT12c: dropout duty cycle vs coverage", [
+                (f"fault rate {point.fault_rate:.0%}",
+                 f"acoustic {point.detection_accuracy:.1%}  "
+                 f"covered {point.covered_fraction:.1%}  "
+                 f"({point.failovers} failovers, "
+                 f"{point.inband_delivered} in-band beats)")
+                for point in self.resilience
+            ]),
+        ]
 
 
 def resilience_experiment(smoke: bool = False,

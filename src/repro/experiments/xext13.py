@@ -32,6 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from ..artifact import Result
 from ..core import (
     ChannelHealthMonitor,
     InterferenceSentinel,
@@ -369,14 +370,47 @@ def bandwidth_sweep(
     return points
 
 
+def _policy_row(point: PolicyResult) -> tuple[str, str]:
+    extra = ""
+    if point.policy == "agility":
+        latency = (f"{point.migration_latency:.2f} s"
+                   if point.migration_latency is not None else "never")
+        extra = (f"  ({point.migrations_committed} migrations, "
+                 f"epoch {point.plan_epoch}, latency {latency})")
+    elif point.policy == "failover":
+        extra = (f"  ({point.failovers} failovers, "
+                 f"{point.health_transitions} health transitions)")
+    return (point.policy,
+            f"clean {point.clean_delivery:.1%}  "
+            f"jammed {point.delivery:.1%}{extra}")
+
+
 @dataclass
-class Xext13Result:
+class Xext13Result(Result):
     """Everything the xext13 CLI run produces."""
 
     static: PolicyResult
     failover: PolicyResult
     agility: PolicyResult
     sweep: list[SweepPoint]
+
+    def rows(self):
+        headline = self.agility
+        return [
+            (f"XEXT13a: {headline.covered_fraction:.0%} of the allocation "
+             f"jammed from t = {headline.interferer_start:.1f} s", [
+                 _policy_row(self.static),
+                 _policy_row(self.failover),
+                 _policy_row(self.agility),
+             ]),
+            ("XEXT13b: interference bandwidth vs delivery", [
+                (f"covered {point.covered_fraction:.0%}",
+                 f"static {point.static_delivery:.1%}  "
+                 f"agility {point.agility_delivery:.1%}  "
+                 f"({point.migrations} migrations)")
+                for point in self.sweep
+            ]),
+        ]
 
 
 def spectrum_agility_experiment(smoke: bool = False,

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from ..artifact import Result
 from ..audio import AcousticChannel, Position
 from ..audio.devices import Speaker
 from ..core import (
@@ -243,12 +244,49 @@ def storm_experiment(
 # Top-level driver (CLI / obs entry point)
 # ----------------------------------------------------------------------
 
+def _latency(value: float | None) -> str:
+    return f"{value:.2f} s" if value is not None else "never"
+
+
 @dataclass
-class Xext14Result:
+class Xext14Result(Result):
     """Everything the xext14 CLI run produces."""
 
     wedged: WedgedLinkResult
     storm: StormResult
+
+    def rows(self):
+        wedged, storm = self.wedged, self.storm
+        return [
+            (f"XEXT14a: Pi wedged at t = {wedged.wedge_at:.1f} s, "
+             f"restarts at t = {wedged.recover_at:.1f} s", [
+                 ("deadline-only",
+                  f"failover after {_latency(wedged.baseline_latency)}  "
+                  f"({wedged.baseline_expired} frames rode the full "
+                  f"deadline)"),
+                 ("circuit breaker",
+                  f"failover after {_latency(wedged.breaker_latency)}  "
+                  f"({wedged.breaker_trips} trips, "
+                  f"{wedged.fast_failed} sends fast-failed, "
+                  f"{wedged.breaker_expired} expired)"),
+                 ("speedup",
+                  f"{wedged.speedup:.1f}x" if wedged.speedup else "n/a"),
+                 ("failback",
+                  f"acoustic again at {_latency(wedged.failback_at)}"
+                  if wedged.failback_at is not None else "never"),
+             ]),
+            (f"XEXT14b: {storm.storm_sends} sends in "
+             f"{storm.storm_duration:.1f} s against a crashed Pi "
+             f"(bucket rate {storm.bucket_rate:.0f}/s, "
+             f"burst {storm.bucket_burst:.0f})", [
+                 ("no admission",
+                  f"peak in-flight {storm.bare_peak_in_flight}"),
+                 ("token bucket",
+                  f"peak in-flight {storm.limited_peak_in_flight} "
+                  f"(bound {storm.admitted_bound:.0f})  "
+                  f"admitted {storm.arq_admitted}, shed {storm.arq_shed}"),
+             ]),
+        ]
 
 
 def infra_experiment(smoke: bool = False,

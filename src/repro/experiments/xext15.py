@@ -19,23 +19,19 @@ every point:
 * **identity** — the merged report must match the serial reference
   bit-for-bit at every shard count and backend.
 
-Results land in ``.benchmarks/BENCH_fleet.json``.
+Results land in ``.benchmarks/BENCH_xext15.json``.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from pathlib import Path
 
+from ..artifact import WALL_TIME, Result
 from ..fleet import FleetReport, FleetSpec, run_fleet
-from .artifact import export_json
 
 #: Seed for every xext15 fleet (PR sequence number, like XEXT14_SEED).
 XEXT15_SEED = 15
-
-#: Default artifact path.
-BENCH_PATH = Path(".benchmarks") / "BENCH_fleet.json"
 
 
 @dataclass
@@ -45,19 +41,19 @@ class FleetScalePoint:
     num_shards: int
     backend: str
     workers: int
-    wall_s: float
+    wall_s: float = field(metadata=WALL_TIME)
     #: serial_wall_s / wall_s — > 1 means the pool actually helped.
-    speedup: float
+    speedup: float = field(metadata=WALL_TIME)
     #: Simulated seconds per wall second at this point.
-    real_time_factor: float
+    real_time_factor: float = field(metadata=WALL_TIME)
     #: Merged report identical to the serial reference, bit-for-bit.
     identical: bool
     failures: int
 
 
 @dataclass
-class Xext15Result:
-    """The full fleet-scaling record (and the BENCH_fleet.json shape)."""
+class Xext15Result(Result):
+    """The full fleet-scaling record (and the BENCH_xext15.json shape)."""
 
     num_rooms: int
     switches_per_room: int
@@ -66,24 +62,46 @@ class Xext15Result:
     #: Fleet-wide chirps per simulated second while all switches emit.
     nominal_emissions_per_second: float
     #: Honesty anchor: speedup can only follow the cores available.
-    cpu_count: int
+    cpu_count: int = field(metadata=WALL_TIME)
     emissions: int
     onsets: int
     delivered: int
     spurious_onsets: int
     delivery_ratio: float
-    serial_wall_s: float
+    serial_wall_s: float = field(metadata=WALL_TIME)
     #: Two independent serial runs (at different shard counts) agreed.
     determinism_ok: bool
     points: list[FleetScalePoint] = field(default_factory=list)
+
+    wall_derived = ("best_speedup",)
 
     @property
     def best_speedup(self) -> float:
         return max((p.speedup for p in self.points), default=1.0)
 
-    def export(self, path: str | Path = BENCH_PATH) -> Path:
-        """Write the scaling record to ``BENCH_fleet.json``."""
-        return export_json(self, path, ("best_speedup",))
+    def rows(self):
+        return [
+            (f"XEXT15: fleet of {self.num_rooms} rooms x "
+             f"{self.switches_per_room} switches = {self.num_switches} "
+             f"switches, ~{self.nominal_emissions_per_second:.0f} "
+             f"emissions/s over {self.horizon:.1f} s "
+             f"(host has {self.cpu_count} CPU core(s))", [
+                 ("delivery",
+                  f"{self.delivered}/{self.emissions} chirps "
+                  f"({self.delivery_ratio:.1%}), "
+                  f"{self.spurious_onsets} spurious onsets"),
+                 ("determinism",
+                  f"two serial runs identical: {self.determinism_ok}"),
+             ]),
+            ("XEXT15: shard count vs wall clock", [
+                (f"{point.backend} x{point.num_shards}",
+                 f"{point.wall_s:6.2f} s  speedup {point.speedup:4.2f}x  "
+                 f"rtf {point.real_time_factor:6.1f} sim-s/s  "
+                 f"identical {point.identical}"
+                 + (f"  FAILURES {point.failures}" if point.failures else ""))
+                for point in self.points
+            ]),
+        ]
 
 
 def fleet_experiment(

@@ -22,15 +22,15 @@ records round out the benchmark:
   object per flow, with packet-count identity checked; the perf gate
   pins the ratio ≥ 10×.
 
-Results land in ``.benchmarks/BENCH_workload.json``.
+Results land in ``.benchmarks/BENCH_xext16.json``.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from pathlib import Path
 
+from ..artifact import WALL_TIME, Result
 from ..core.apps import (
     FlowToneMapper,
     HeavyHitterDetectorApp,
@@ -55,13 +55,9 @@ from ..net.workload import (
     build_workload,
     launch_reference_sources,
 )
-from .artifact import export_json
 
 #: Seed for every xext16 workload (the PR sequence number).
 XEXT16_SEED = 16
-
-#: Default artifact path.
-BENCH_PATH = Path(".benchmarks") / "BENCH_workload.json"
 
 #: Presence grid = the emitter rate-limit period = the listen window.
 PRESENCE_PERIOD = 0.1
@@ -85,7 +81,7 @@ class WorkloadMixPoint:
     port_scan: dict
     heavy_hitter_curve: list[dict]
     port_scan_curve: list[dict]
-    wall_s: float
+    wall_s: float = field(metadata=WALL_TIME)
 
 
 @dataclass
@@ -94,9 +90,9 @@ class WorkloadScalePoint:
 
     num_flows: int
     packets: int
-    build_s: float
-    run_s: float
-    packets_per_wall_second: float
+    build_s: float = field(metadata=WALL_TIME)
+    run_s: float = field(metadata=WALL_TIME)
+    packets_per_wall_second: float = field(metadata=WALL_TIME)
 
 
 @dataclass
@@ -108,14 +104,14 @@ class WorkloadSpeedupPoint:
     packets_reference: int
     #: Per-flow packet counts identical between the two paths.
     counts_match: bool
-    vectorized_wall_s: float
-    reference_wall_s: float
-    speedup: float
+    vectorized_wall_s: float = field(metadata=WALL_TIME)
+    reference_wall_s: float = field(metadata=WALL_TIME)
+    speedup: float = field(metadata=WALL_TIME)
 
 
 @dataclass
-class Xext16Result:
-    """The full workload record (and the BENCH_workload.json shape)."""
+class Xext16Result(Result):
+    """The full workload record (and the BENCH_xext16.json shape)."""
 
     seed: int
     smoke: bool
@@ -126,13 +122,42 @@ class Xext16Result:
     scale: list[WorkloadScalePoint] = field(default_factory=list)
     speedup: WorkloadSpeedupPoint | None = None
 
+    derived = ("max_flows_sustained",)
+
     @property
     def max_flows_sustained(self) -> int:
         return max((point.num_flows for point in self.scale), default=0)
 
-    def export(self, path: str | Path = BENCH_PATH) -> Path:
-        """Write the record to ``BENCH_workload.json``."""
-        return export_json(self, path, ("max_flows_sustained",))
+    def rows(self):
+        speedup = self.speedup
+        return [
+            (f"XEXT16: workload mixes over {self.mix_duration:.0f} s "
+             f"({self.num_buckets} buckets, "
+             f"{self.presence_period * 1000:.0f} ms presence grid)", [
+                 (point.name,
+                  f"{point.num_flows} flows, {point.packets} pkts  "
+                  f"hh P/R {point.heavy_hitter['precision']:.2f}/"
+                  f"{point.heavy_hitter['recall']:.2f}  "
+                  f"scan P/R {point.port_scan['precision']:.2f}/"
+                  f"{point.port_scan['recall']:.2f}  "
+                  f"({point.wall_s:.2f} s wall)")
+                 for point in self.mixes
+             ]),
+            ("XEXT16: vectorized driver scale", [
+                (f"{point.num_flows:>9,} flows",
+                 f"{point.packets:>9,} pkts  build {point.build_s:5.2f} s  "
+                 f"run {point.run_s:5.2f} s  "
+                 f"{point.packets_per_wall_second:>9,.0f} pkt/s")
+                for point in self.scale
+            ]),
+            ("XEXT16: vectorized vs per-flow reference", [
+                (f"{speedup.num_flows:,} flows",
+                 f"vector {speedup.vectorized_wall_s:.3f} s  "
+                 f"reference {speedup.reference_wall_s:.3f} s  "
+                 f"speedup {speedup.speedup:.1f}x  "
+                 f"counts identical: {speedup.counts_match}"),
+            ]),
+        ]
 
 
 def _run_mix(name: str, num_flows: int, duration: float,

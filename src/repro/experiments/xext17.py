@@ -19,7 +19,9 @@ deliveries — at swept rates, and every point answers three questions:
   ``FleetReport.identity_signature()`` must equal the *fault-free
   serial reference* bit-for-bit at every point, chaos notwithstanding.
 
-Results land in ``.benchmarks/BENCH_chaos.json``.
+Results land in ``.benchmarks/BENCH_xext17.json``.  The supervisor
+counters are recorded as wall-time fields: a shard that outruns the
+hedge deadline on a loaded host earns an extra attempt.
 """
 
 from __future__ import annotations
@@ -27,17 +29,13 @@ from __future__ import annotations
 import os
 import tempfile
 from dataclasses import dataclass, field
-from pathlib import Path
 
+from ..artifact import WALL_TIME, Result
 from ..faults.process import ProcessFaultPlan
 from ..fleet import FleetReport, FleetSpec, SupervisorPolicy, run_fleet
-from .artifact import export_json
 
 #: Seed for every xext17 fleet (PR sequence number, like XEXT15_SEED).
 XEXT17_SEED = 17
-
-#: Default artifact path.
-BENCH_PATH = Path(".benchmarks") / "BENCH_chaos.json"
 
 
 @dataclass
@@ -50,26 +48,26 @@ class ChaosPoint:
     straggler_rate: float
     poison_rate: float
     duplicate_rate: float
-    wall_s: float
+    wall_s: float = field(metadata=WALL_TIME)
     #: wall_s / fault-free supervised wall_s — the price of recovery.
-    recovery_overhead: float
+    recovery_overhead: float = field(metadata=WALL_TIME)
     #: Identity matches the fault-free serial reference bit-for-bit.
     identical: bool
     failures: int
-    attempts_total: int
-    crashes_detected: int
-    stragglers_hedged: int
-    hedges_wasted: int
-    rooms_resumed: int
-    poisoned_reports: int
-    duplicates_dropped: int
-    retries_scheduled: int
-    pool_rebuilds: int
+    attempts_total: int = field(metadata=WALL_TIME)
+    crashes_detected: int = field(metadata=WALL_TIME)
+    stragglers_hedged: int = field(metadata=WALL_TIME)
+    hedges_wasted: int = field(metadata=WALL_TIME)
+    rooms_resumed: int = field(metadata=WALL_TIME)
+    poisoned_reports: int = field(metadata=WALL_TIME)
+    duplicates_dropped: int = field(metadata=WALL_TIME)
+    retries_scheduled: int = field(metadata=WALL_TIME)
+    pool_rebuilds: int = field(metadata=WALL_TIME)
 
 
 @dataclass
-class Xext17Result:
-    """The full chaos record (and the BENCH_chaos.json shape)."""
+class Xext17Result(Result):
+    """The full chaos record (and the BENCH_xext17.json shape)."""
 
     num_rooms: int
     switches_per_room: int
@@ -77,15 +75,18 @@ class Xext17Result:
     horizon: float
     num_shards: int
     workers: int
-    cpu_count: int
+    cpu_count: int = field(metadata=WALL_TIME)
     #: Fault-free serial reference wall-clock (one shard, no spill).
-    serial_wall_s: float
+    serial_wall_s: float = field(metadata=WALL_TIME)
     #: Fault-free process-pool wall-clock under the chaos policy and
     #: checkpoint spill — the overhead denominator.
-    baseline_wall_s: float
+    baseline_wall_s: float = field(metadata=WALL_TIME)
     #: The fault-free supervised run matched the serial reference.
     baseline_identical: bool
     points: list[ChaosPoint] = field(default_factory=list)
+
+    derived = ("all_exact",)
+    wall_derived = ("worst_overhead",)
 
     @property
     def all_exact(self) -> bool:
@@ -99,9 +100,37 @@ class Xext17Result:
     def worst_overhead(self) -> float:
         return max((p.recovery_overhead for p in self.points), default=1.0)
 
-    def export(self, path: str | Path = BENCH_PATH) -> Path:
-        """Write the chaos record to ``BENCH_chaos.json``."""
-        return export_json(self, path, ("all_exact", "worst_overhead"))
+    def rows(self):
+        return [
+            (f"XEXT17: chaos sweep over {self.num_rooms} rooms x "
+             f"{self.switches_per_room} switches, {self.num_shards} "
+             f"shards / {self.workers} workers "
+             f"(host has {self.cpu_count} CPU core(s))", [
+                 ("serial reference", f"{self.serial_wall_s:6.2f} s wall"),
+                 ("supervised, no faults",
+                  f"{self.baseline_wall_s:6.2f} s wall  "
+                  f"identical {self.baseline_identical}"),
+             ]),
+            ("XEXT17: fault mix vs recovery", [
+                (point.name,
+                 f"{point.wall_s:6.2f} s  overhead "
+                 f"{point.recovery_overhead:4.2f}x  "
+                 f"attempts {point.attempts_total:2d}  "
+                 f"crashes {point.crashes_detected}  "
+                 f"hedged {point.stragglers_hedged}  "
+                 f"resumed {point.rooms_resumed}  "
+                 f"rebuilds {point.pool_rebuilds}  "
+                 f"exact {point.identical}"
+                 + (f"  FAILURES {point.failures}" if point.failures else ""))
+                for point in self.points
+            ]),
+            ("XEXT17: verdict", [
+                ("exact recovery",
+                 f"all points bit-identical to fault-free serial reference: "
+                 f"{self.all_exact}"),
+                ("worst overhead", f"{self.worst_overhead:.2f}x baseline"),
+            ]),
+        ]
 
 
 def chaos_experiment(smoke: bool = False,

@@ -21,7 +21,8 @@ Usage::
     run_experiment()
     print(registry.report())
     print(tracer.report())
-    registry.export(".benchmarks/OBS_fig5ab.json")
+    export_json(registry.snapshot() | {"trace": tracer.snapshot()},
+                ".benchmarks/OBS_fig5ab.json")   # repro.artifact
     obs.disable()
 
 Enablement is process-global and must happen **before** the observed

@@ -11,8 +11,9 @@ Three instrument kinds cover everything the experiments need to see:
 
 Instruments live in a :class:`MetricsRegistry` under hierarchical
 dotted names (``controller.window_ms``, ``channel.memo_hits``).  The
-registry renders a human-readable report, snapshots to plain dicts and
-exports JSON (``.benchmarks/OBS_*.json``).  Instruments can also float
+registry renders a human-readable report and snapshots to plain dicts
+(which :func:`repro.artifact.export_json` writes to
+``.benchmarks/OBS_*.json``).  Instruments can also float
 free of any registry — that is how components keep per-instance
 counters API-compatible when observability is disabled (see
 ``repro.obs``).
@@ -20,10 +21,7 @@ counters API-compatible when observability is disabled (see
 
 from __future__ import annotations
 
-import json
 import math
-import time
-from pathlib import Path
 from typing import Callable
 
 #: Default histogram reservoir size.  4096 samples bound memory while
@@ -402,14 +400,3 @@ class MetricsRegistry:
                 shown = f"{value:.6g}" if isinstance(value, float) else value
                 lines.append(f"   {name:<40} {shown}")
         return "\n".join(lines)
-
-    def export(self, path: str | Path, extra: dict | None = None) -> Path:
-        """Write the snapshot (plus optional extra payload) as JSON."""
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        payload = {"timestamp": time.time(), "metrics": self.snapshot()}
-        if extra:
-            payload.update(extra)
-        path.write_text(json.dumps(payload, indent=2, sort_keys=True,
-                                   default=str) + "\n")
-        return path

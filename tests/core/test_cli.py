@@ -1,8 +1,19 @@
 """Tests for the command-line driver."""
 
+import json
+from pathlib import Path
+
 import pytest
 
-from repro.cli import EXPERIMENTS, build_parser, main
+from repro.cli import EXPERIMENTS, build_parser, main, run_experiment
+
+HEADER = {"git_sha", "host", "cpu_count", "python", "numpy", "params"}
+
+
+@pytest.fixture(autouse=True)
+def _in_tmp_path(tmp_path, monkeypatch):
+    """Artifacts land in a scratch directory, not the checkout."""
+    monkeypatch.chdir(tmp_path)
 
 
 class TestParser:
@@ -47,6 +58,35 @@ class TestRun:
         out = capsys.readouterr().out
         assert "with song" in out
         assert "detected: True" in out
+
+
+@pytest.mark.parametrize("name", sorted(EXPERIMENTS))
+def test_every_experiment_prints_and_records(name, capsys):
+    """One loop: the result's tables are printed and its record is
+    written under the header to ``BENCH_<name>.json``."""
+    result = run_experiment(name, build_parser().parse_args(
+        ["run", name, "--smoke"]))
+    out = capsys.readouterr().out
+    for title, rows in result.rows():
+        assert f"== {title}" in out
+        assert rows
+    payload = json.loads(Path(f".benchmarks/BENCH_{name}.json").read_text())
+    assert set(payload) == {"header", "deterministic", "wall_time"}
+    assert set(payload["header"]) == HEADER
+    assert payload["header"]["params"]["smoke"] is True
+    record = result.record()
+    assert set(payload["deterministic"]) == set(record["deterministic"])
+    assert set(payload["wall_time"]) == set(record["wall_time"])
+
+
+def test_obs_writes_metrics_and_trace(capsys):
+    assert main(["obs", "fig5cd"]) == 0
+    assert "== metrics" in capsys.readouterr().out
+    payload = json.loads(Path(".benchmarks/OBS_fig5cd.json").read_text())
+    assert set(payload["header"]) == HEADER
+    assert payload["header"]["params"]["experiment"] == "fig5cd"
+    assert payload["trace"]
+    assert payload["sim.events_processed"]["value"] > 0
 
 
 class TestRender:

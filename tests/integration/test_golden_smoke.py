@@ -1,9 +1,9 @@
 """Pinned figures: every experiment's deterministic record under ``--smoke``.
 
 ``tests/golden/smoke.json`` maps each CLI experiment to the
-deterministic half of its record (wall-time fields left out), so any
-figure number that drifts fails here with the path of the value that
-moved.  Floats compare at a relative tolerance of 1e-9 (numpy is not
+deterministic half of its ``record()`` (the fields marked ``WALL_TIME``
+left out), so any figure number that drifts fails here with the path
+of the value that moved.  Floats compare at a relative tolerance of 1e-9 (numpy is not
 pinned), scaled by the largest magnitude in the enclosing list so FFT
 round-off near zero does not count as a change.
 
@@ -13,112 +13,28 @@ A change that moves a figure on purpose regenerates the file with
 
 from __future__ import annotations
 
-import enum
 import json
 import math
-from dataclasses import fields, is_dataclass
+import tempfile
 from pathlib import Path
 
-import numpy as np
 import pytest
 
-from repro import experiments as E
-from repro.cli import EXPERIMENTS
+from repro.artifact import export_json
+from repro.cli import EXPERIMENTS, build_parser
 
 GOLDEN = Path(__file__).resolve().parents[1] / "golden" / "smoke.json"
 
-#: (class, field) pairs measured in wall time or by the host.  The
-#: supervisor counters follow wall time too: a shard that runs past the
-#: hedge deadline on a loaded host gets an extra attempt.
-_WALL = {
-    ("Fig2BResult", "timings_ms"),
-    ("Xext15Result", "cpu_count"), ("Xext15Result", "serial_wall_s"),
-    ("FleetScalePoint", "wall_s"), ("FleetScalePoint", "speedup"),
-    ("FleetScalePoint", "real_time_factor"),
-    ("WorkloadMixPoint", "wall_s"),
-    ("WorkloadScalePoint", "build_s"), ("WorkloadScalePoint", "run_s"),
-    ("WorkloadScalePoint", "packets_per_wall_second"),
-    ("WorkloadSpeedupPoint", "vectorized_wall_s"),
-    ("WorkloadSpeedupPoint", "reference_wall_s"),
-    ("WorkloadSpeedupPoint", "speedup"),
-    ("Xext17Result", "cpu_count"), ("Xext17Result", "serial_wall_s"),
-    ("Xext17Result", "baseline_wall_s"),
-    ("ChaosPoint", "wall_s"), ("ChaosPoint", "recovery_overhead"),
-    *(("ChaosPoint", name) for name in (
-        "attempts_total", "crashes_detected", "stragglers_hedged",
-        "hedges_wasted", "rooms_resumed", "poisoned_reports",
-        "duplicates_dropped", "retries_scheduled", "pool_rebuilds")),
-}
-
-#: Derived properties recorded next to the fields (deterministic ones).
-_DERIVED = {"Xext16Result": ("max_flows_sustained",),
-            "Xext17Result": ("all_exact",)}
-
-
-def _deterministic(value):
-    if is_dataclass(value) and not isinstance(value, type):
-        name = type(value).__name__
-        out = {f.name: _deterministic(getattr(value, f.name))
-               for f in fields(value) if (name, f.name) not in _WALL}
-        for prop in _DERIVED.get(name, ()):
-            out[prop] = getattr(value, prop)
-        return out
-    if isinstance(value, (list, tuple)):
-        return [_deterministic(item) for item in value]
-    if isinstance(value, dict):
-        return {key: _deterministic(item) for key, item in value.items()}
-    return value
-
-
-def _encode(value):
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    if isinstance(value, np.generic):
-        return value.item()
-    if isinstance(value, (set, frozenset)):
-        return sorted(value)
-    if isinstance(value, enum.Enum):
-        return value.name
-    raise TypeError(f"not JSON serialisable: {type(value).__name__}")
-
-
-def _smoke_results() -> dict:
-    rooms = ("datacenter", "office")
-    return {
-        "fig2a": E.multiswitch_fft(num_switches=5, noise_level_db=None),
-        "fig2b": E.fft_latency_cdf(num_samples=1000),
-        "fig3": E.port_knocking_experiment(),
-        "fig4ab": E.heavy_hitter_experiment(with_song=False, workload=None,
-                                            num_flows=10),
-        "fig4cd": E.port_scan_experiment(with_song=False, workload=None),
-        "fig5ab": E.load_balancing_experiment(workload=None),
-        "fig5cd": E.queue_monitor_experiment(),
-        "fig6": {"panels": [E.fan_spectrogram_panel(room, fan_on)
-                            for room in rooms for fan_on in (True, False)]},
-        "fig7": {"rooms": [E.fan_failure_experiment(room=room)
-                           for room in rooms]},
-        "xbase": {"sketch": E.sketch_vs_mdn(workload=None, num_flows=10),
-                  "ecn": E.ecn_vs_mdn(),
-                  "oob": E.inband_vs_oob()},
-        "xext": {"relay": E.relay_experiment(),
-                 "superspreader": E.superspreader_experiment("superspreader"),
-                 "ddos": E.superspreader_experiment("ddos"),
-                 "ultrasound": E.ultrasound_experiment(),
-                 "modem": E.modem_experiment()},
-        "xext12": E.resilience_experiment(smoke=True),
-        "xext13": E.spectrum_agility_experiment(smoke=True),
-        "xext14": E.infra_experiment(smoke=True),
-        "xext15": E.fleet_experiment(smoke=True),
-        "xext16": E.workload_experiment(smoke=True),
-        "xext17": E.chaos_experiment(smoke=True),
-    }
-
 
 def smoke_records() -> dict:
-    """Each experiment's deterministic record, as it reads back from JSON."""
-    return {name: json.loads(json.dumps(_deterministic(result),
-                                        default=_encode))
-            for name, result in _smoke_results().items()}
+    """Each experiment's deterministic record, as its artifact reads back."""
+    args = build_parser().parse_args(["run", "all", "--smoke"])
+    records = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, (_description, run) in EXPERIMENTS.items():
+            path = export_json(run(args).record(), Path(tmp) / name)
+            records[name] = json.loads(path.read_text())["deterministic"]
+    return records
 
 
 def regenerate() -> None:

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from repro.artifact import export_json
 from repro.experiments.xext16 import (
     XEXT16_SEED,
     measure_speedup,
@@ -66,8 +67,9 @@ class TestScale:
 
 class TestArtifact:
     def test_export_schema(self, smoke_result, tmp_path):
-        path = smoke_result.export(tmp_path / "BENCH_workload.json")
-        payload = json.loads(path.read_text())
+        path = export_json(smoke_result.record(),
+                           tmp_path / "BENCH_xext16.json")
+        payload = json.loads(path.read_text())["deterministic"]
         assert payload["seed"] == XEXT16_SEED
         assert payload["smoke"] is True
         assert payload["max_flows_sustained"] >= 100_000
@@ -88,7 +90,7 @@ class TestCli:
         out = capsys.readouterr().out
         assert "XEXT16" in out
         assert "speedup" in out
-        assert (tmp_path / ".benchmarks" / "BENCH_workload.json").exists()
+        assert (tmp_path / ".benchmarks" / "BENCH_xext16.json").exists()
 
     def test_workload_choices_listed(self):
         from repro.cli import build_parser

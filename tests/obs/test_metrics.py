@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro import obs
+from repro.artifact import export_json
 from repro.obs import (
     CallbackGauge,
     Counter,
@@ -148,13 +149,13 @@ class TestRegistry:
         registry = MetricsRegistry()
         registry.counter("e.hits").inc(4)
         registry.gauge_fn("e.depth", lambda: 2)
-        path = registry.export(tmp_path / "OBS_test.json",
-                               extra={"experiment": "test"})
+        path = export_json(registry.snapshot() | {"experiment": "test"},
+                           tmp_path / "OBS_test.json")
         payload = json.loads(path.read_text())
         assert payload["experiment"] == "test"
-        assert payload["metrics"]["e.hits"]["value"] == 4
-        assert payload["metrics"]["e.depth"]["value"] == 2
-        assert "timestamp" in payload
+        assert payload["e.hits"]["value"] == 4
+        assert payload["e.depth"]["value"] == 2
+        assert payload["header"]["cpu_count"] >= 1
 
 
 class TestModuleApi:

@@ -8,6 +8,7 @@ fully functional with free-floating counters.
 """
 
 from repro import obs
+from repro.artifact import export_json
 from repro.audio import AcousticChannel, Microphone, Position, Speaker
 from repro.core import MDNController
 from repro.core.agent import MusicAgent
@@ -85,8 +86,9 @@ class TestEnabledRun:
         first.watch([700.0], on_detection=lambda event: None)
         first.start()
         sim.run(0.3)
-        path = registry.export(tmp_path / "OBS_rig.json",
-                               extra={"trace": tracer.snapshot(limit=10)})
+        path = export_json(
+            registry.snapshot() | {"trace": tracer.snapshot(limit=10)},
+            tmp_path / "OBS_rig.json")
         assert path.exists()
 
 
