@@ -86,6 +86,7 @@ class Fig6Result(Result):
 
 
 def fan_spectrogram_experiment() -> Fig6Result:
+    """Render all four Figure 6 panels."""
     return Fig6Result([fan_spectrogram_panel(room, fan_on)
                        for room in ROOMS for fan_on in (True, False)])
 
@@ -158,4 +159,5 @@ class Fig7Rooms(Result):
 
 
 def fan_failure_rooms() -> Fig7Rooms:
+    """Run the Figure 7 detection experiment in both rooms."""
     return Fig7Rooms([fan_failure_experiment(room=room) for room in ROOMS])

@@ -277,6 +277,7 @@ class XextResult(Result):
 
 
 def extensions_experiment() -> XextResult:
+    """Run XEXT1–4 (XEXT2 as superspreader and as DDoS)."""
     return XextResult(
         relay=relay_experiment(),
         superspreader=superspreader_experiment("superspreader"),

@@ -3,9 +3,10 @@
 ``tests/golden/smoke.json`` maps each CLI experiment to the
 deterministic half of its ``record()`` (the fields marked ``WALL_TIME``
 left out), so any figure number that drifts fails here with the path
-of the value that moved.  Floats compare at a relative tolerance of 1e-9 (numpy is not
-pinned), scaled by the largest magnitude in the enclosing list so FFT
-round-off near zero does not count as a change.
+of the value that moved.  Floats compare at a relative tolerance of
+1e-9 (numpy is not pinned); the absolute floor is 1e-9 of the largest
+magnitude in the enclosing list, so FFT round-off near zero does not
+count as a change.
 
 A change that moves a figure on purpose regenerates the file with
 ``make golden`` and lists each changed value in CHANGES.md.
@@ -59,7 +60,8 @@ def _diff(path: str, golden, fresh, scale: float = 0.0) -> list[str]:
         if len(golden) != len(fresh):
             return [f"{path}: length {len(golden)} -> {len(fresh)}"]
         if golden and _numbers(golden):
-            scale = max(abs(v) for v in golden if math.isfinite(v))
+            scale = max((abs(v) for v in golden if math.isfinite(v)),
+                        default=0.0)
         return [moved for index, (g, f) in enumerate(zip(golden, fresh))
                 for moved in _diff(f"{path}[{index}]", g, f, scale)]
     if (isinstance(golden, float) or isinstance(fresh, float)) and _numbers(
