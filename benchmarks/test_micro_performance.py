@@ -15,6 +15,7 @@ across commits.
 
 import json
 import time
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -45,6 +46,7 @@ from repro.net import (
     Protocol,
     Simulator,
 )
+from tests.audio.reference_render import render_reference
 
 
 @pytest.fixture(scope="module")
@@ -211,15 +213,14 @@ def test_perf_channel_render_vectorized_speedup(num_devices, min_speedup):
     channel = _chirping_channel(num_devices)
     listener = Position()
 
-    # Pin fast == reference before timing anything.
+    # Pin fast == reference, bit for bit, before timing anything.
     for tick in (first_tick, first_tick + 57, first_tick + 299,
                  first_tick + 598):
         fast = channel.render_at(listener, tick * 0.1, (tick + 1) * 0.1)
-        reference = channel.render_at_reference(
-            listener, tick * 0.1, (tick + 1) * 0.1
+        reference = render_reference(
+            channel, listener, tick * 0.1, (tick + 1) * 0.1
         )
-        np.testing.assert_allclose(fast.samples, reference.samples,
-                                   atol=1e-9)
+        np.testing.assert_array_equal(fast.samples, reference.samples)
 
     def fast_sweep():
         channel.invalidate_render_cache()  # time cold renders, not memo hits
@@ -227,7 +228,7 @@ def test_perf_channel_render_vectorized_speedup(num_devices, min_speedup):
 
     vectorized_s = _best_of(fast_sweep, repeats=5)
     reference_s = _best_of(
-        lambda: _render_sweep(channel, channel.render_at_reference,
+        lambda: _render_sweep(channel, partial(render_reference, channel),
                               first_tick, num_windows),
         repeats=2,
     )

@@ -18,37 +18,39 @@ for a window, and any window can be re-rendered bit-identically.
 
 Rendering is also the synthesis-side hot path (DESIGN.md §5): every
 ``Microphone.record`` lands in :meth:`AcousticChannel.render_at`, and a
-controller-scale study (XEXT9, up to 200 chirping devices) calls it
-hundreds of times per simulated minute.  ``render_at`` therefore runs a
-vectorized fast path built around
+50-switch fleet room calls it 30 times per simulated second.  The
+render therefore works on whole columns, not on tone objects:
 
-* an **interval index** over scheduled tones (parallel arrays sorted by
-  end time, maintained incrementally by :meth:`play_tone` and
-  :meth:`prune`), so a 50–100 ms capture bisects straight to the tones
-  that can overlap the window instead of scanning the full history;
-* **caches** for everything that is re-derived per window otherwise:
-  raised-cosine envelopes (memoized in :mod:`repro.audio.synth`),
-  per-``(listener, emitter)`` distance/delay/loss geometry, per-bed
-  noise gains, and the ``arange`` ramps behind looping-bed index plans;
-* **flat tone synthesis**: every audible tone segment of the window
-  (echo taps included) is laid end to end in one array, synthesized
-  with a single ``np.sin`` and summed into the mix by ``np.bincount``;
+* one **columnar tone index** (a float array with one column per
+  scheduled tone, sorted by end time; :meth:`play_tone` queues tones
+  and the next render or :meth:`prune` merges them in) holds each
+  tone's start, end, schedule sequence, level, position id, wave-type
+  id, duration and length, so a capture bisects straight to the tones
+  that can overlap it instead of scanning the history;
+* per listener, **delay and loss arrays** indexed by position id turn
+  the geometry of every candidate (tone, echo tap) segment into array
+  math, evaluated with the same IEEE operations as the scalar
+  per-tone loop (``np.rint`` rounds half to even like ``round``);
+* a bounded **wave bank** holds ``sin(2π·f·n/sr)`` and the tone
+  envelope once per wave type ``(frequency, duration)``, synthesized
+  lazily on first render.  A window gathers its segments' bank slices
+  end to end, scales them by amplitude and then envelope, and sums
+  them into the mix with one ``np.bincount`` in (schedule sequence,
+  tap) order.  :meth:`prune` drops wave types and positions that no
+  live tone uses;
 * a bounded **window render memo** keyed by ``(listener, start, end)``
-  so co-located microphone-array stations and repeated polls of the
-  same window reuse the mixed buffer.  ``play_tone`` / ``add_noise`` /
-  ``clear`` / ``prune`` invalidate the memo.
+  so repeated polls of the same window reuse the mixed buffer.
+  ``play_tone`` / ``add_noise`` / ``clear`` / ``prune`` invalidate it.
 
-:meth:`render_at_reference` keeps the original per-tone scalar loop;
-``tests/audio/test_channel_equivalence.py`` pins the fast path to it
-bit for bit: both evaluate the same IEEE operations per sample and sum
-each sample's contributions in the same (tone, echo tap) order.
+``tests/audio/reference_render.py`` keeps the original per-tone scalar
+loop; ``tests/audio/test_channel_equivalence.py`` pins :meth:`render_at`
+to it bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 import time as _time
-from bisect import bisect_left, bisect_right
 from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
@@ -77,8 +79,13 @@ PRUNE_PROPAGATION_ALLOWANCE = 50.0 / SPEED_OF_SOUND
 #: look-back of a few co-located listeners.
 WINDOW_CACHE_SIZE = 128
 
-#: Geometry cache flush threshold: (listener, emitter) position pairs.
+#: Geometry cache flush threshold: listeners, or (listener, noise bed)
+#: position pairs.
 GEOMETRY_CACHE_SIZE = 65536
+
+# Fields of the tone index (rows of its array; one column per tone).
+# ``_LENGTH`` is the tone's length in samples.
+_END, _START, _SEQ, _LEVEL, _POS, _WAVE, _DURATION, _LENGTH = range(8)
 
 
 @lru_cache(maxsize=256)
@@ -87,6 +94,27 @@ def _sample_ramp(count: int) -> np.ndarray:
     ramp = np.arange(count)
     ramp.setflags(write=False)
     return ramp
+
+
+@lru_cache(maxsize=4096)
+def _tone_amplitude(level_db: float) -> float:
+    """Peak amplitude of a tone whose RMS level is ``level_db``."""
+    return db_to_amplitude(level_db) * math.sqrt(2.0)
+
+
+def _renumber(ids: dict, column: np.ndarray) -> bool:
+    """Drop the keys of ``ids`` whose id ``column`` no longer uses and
+    number the rest densely, in order, rewriting ``column`` in place.
+    Returns whether any key was dropped."""
+    used = np.flatnonzero(np.bincount(column.astype(np.intp),
+                                      minlength=len(ids)))
+    if len(used) == len(ids):
+        return False
+    keys = list(ids)
+    ids.clear()
+    ids.update((keys[old], new) for new, old in enumerate(used.tolist()))
+    column[:] = np.searchsorted(used, column)
+    return True
 
 
 @dataclass(frozen=True)
@@ -168,28 +196,39 @@ class AcousticChannel:
         self.sample_rate = sample_rate
         self.enable_propagation_delay = enable_propagation_delay
         self.echo_taps = tuple(echo_taps)
-        self._max_echo_delay = max(
-            (delay for delay, _loss in echo_taps), default=0.0
-        )
-        self._tones: list[ScheduledTone] = []
+        # Row 0: each tap's extra delay; row 1: its extra loss.
+        self._taps = np.array(((0.0, 0.0),) + self.echo_taps).T
+        self._max_echo_delay = float(self._taps[0].max())
         self._noise_beds: list[NoiseBed] = []
-        # Interval index: parallel arrays sorted by tone end time, plus
-        # the schedule sequence number that keeps fast-path accumulation
-        # in exact insertion order (the reference iteration order).
-        self._index_ends: list[float] = []
-        self._index_starts: list[float] = []
-        self._index_entries: list[tuple[int, ScheduledTone]] = []
+        # Scheduled tones by schedule sequence number, in schedule order.
+        self._tones: dict[int, ScheduledTone] = {}
         self._sequence = 0
-        #: Reference counts of distinct emitter positions, used to bound
-        #: the candidate horizon by the worst-case propagation delay.
-        self._positions: dict[Position, int] = {}
-        #: Bumped whenever the *set* of distinct positions changes;
-        #: versions stale per-listener worst-case-delay memos.
+        # The tone index, column-major: its first ``_count`` entries
+        # are the live tones, sorted by end time (capacity doubles as
+        # it fills).  ``play_tone`` queues entries, field by field, in
+        # ``_pending``; the next render or prune merges them in.
+        self._index = np.empty((8, 64))
+        self._count = 0
+        self._pending: list[float] = []
+        # Emitter positions and wave types, numbered densely in order of
+        # first use; prune renumbers both over the live tones.
+        self._position_ids: dict[Position, int] = {}
+        #: Bumped whenever the *set* of positions changes; stales the
+        #: per-listener geometry columns.
         self._position_version = 0
-        # listener -> (position_version, worst propagation delay)
-        self._max_delay_cache: dict[Position, tuple[int, float]] = {}
-        # (listener, source) -> (distance, delay_s, loss_db)
-        self._geometry: dict[tuple[Position, Position], tuple[float, float, float]] = {}
+        # listener -> (position_version, delay and loss by position id,
+        # worst delay)
+        self._listener_geometry: dict[
+            Position, tuple[int, np.ndarray, float]
+        ] = {}
+        # (frequency, duration) -> wave type id; by id, the type's
+        # offset in the wave bank, -1 until it is first rendered.
+        self._wave_ids: dict[tuple[float, float], int] = {}
+        self._wave_base = np.empty(0, dtype=np.intp)
+        # The wave bank: each rendered wave type's sine and envelope
+        # samples at [base, base + length).
+        self._bank_sine = np.empty(0)
+        self._bank_envelope = np.empty(0)
         # id(bed signal), positions -> (gain, delay_s); beds are few.
         self._bed_geometry: dict[tuple[Position, Position], tuple[float, float]] = {}
         # (listener, start, end) -> rendered mix (read-only ndarray).
@@ -197,8 +236,7 @@ class AcousticChannel:
             tuple[Position, float, float], np.ndarray
         ] = OrderedDict()
         #: Optional fault model (repro.faults): consulted per emission
-        #: and per rendered tone.  ``None`` keeps both render paths on
-        #: their original arithmetic, bit for bit.
+        #: and per rendered tone.
         self._fault_model = None
         # Registry-backed, API-compatible memo stats (repro.obs).
         self._m_memo_hits = obs.counter("channel.memo_hits")
@@ -236,12 +274,15 @@ class AcousticChannel:
         """Install (or clear, with ``None``) a fault model.
 
         The model sees every emission via ``transform_emission(start,
-        spec, position)`` (clock skew) and every rendered tone via
+        spec, position)`` (clock skew) and every rendered tone from an
+        emitter in ``faulted_positions()`` via
         ``tone_level_adjust_db(tone)`` — ``None`` mutes the tone
-        (speaker dropout), a float shifts its level (degradation).
-        Both render paths consult it identically, so the fast/reference
-        equivalence holds under any fault state.  Installing, clearing,
-        and every fault state change must invalidate the window memo.
+        (speaker dropout), a float shifts its level (degradation); any
+        other tone's adjustment is 0 dB.  The render consults it once
+        per such candidate tone, so it stays equal to the scalar
+        reference loop under any fault state.
+        Installing, clearing, and every fault state change must
+        invalidate the window memo.
         """
         self._fault_model = model
         self.invalidate_render_cache()
@@ -262,12 +303,22 @@ class AcousticChannel:
                 f"limit ({self.sample_rate / 2} Hz)"
             )
         tone = ScheduledTone(start_time, spec, position)
-        self._tones.append(tone)
-        self._index_insert(tone)
-        count = self._positions.get(position, 0)
-        self._positions[position] = count + 1
-        if count == 0:
+        self._tones[self._sequence] = tone
+        position_id = self._position_ids.get(position)
+        if position_id is None:
+            position_id = self._position_ids[position] = len(self._position_ids)
             self._position_version += 1
+        key = (spec.frequency, spec.duration)
+        wave_id = self._wave_ids.get(key)
+        if wave_id is None:
+            wave_id = self._wave_ids[key] = len(self._wave_ids)
+            self._wave_base = np.append(self._wave_base, -1)
+        self._pending.extend((
+            tone.end_time, start_time, self._sequence, spec.level_db,
+            position_id, wave_id, spec.duration,
+            round(spec.duration * self.sample_rate),
+        ))
+        self._sequence += 1
         self.invalidate_render_cache()
         return tone
 
@@ -298,17 +349,15 @@ class AcousticChannel:
 
     @property
     def scheduled_tones(self) -> tuple[ScheduledTone, ...]:
-        return tuple(self._tones)
+        return tuple(self._tones.values())
 
     def clear(self) -> None:
         """Drop all scheduled tones and noise beds."""
         self._tones.clear()
         self._noise_beds.clear()
-        self._index_ends.clear()
-        self._index_starts.clear()
-        self._index_entries.clear()
-        self._positions.clear()
-        self._position_version += 1
+        self._pending.clear()
+        self._count = 0
+        self._drop_unused()
         self.invalidate_render_cache()
 
     @property
@@ -335,79 +384,88 @@ class AcousticChannel:
         tones dropped.
         """
         keep_cutoff = before - margin - self.echo_tail
-        kept = [tone for tone in self._tones if tone.end_time >= keep_cutoff]
-        dropped = len(self._tones) - len(kept)
+        self._merge_pending()
+        live = self._count
+        # The index is sorted by end time, so the drop is a prefix.
+        dropped = int(np.searchsorted(self._index[_END, :live], keep_cutoff))
         if dropped:
-            self._tones = kept
-            # The index is sorted by end time, so the drop is a prefix.
-            split = bisect_left(self._index_ends, keep_cutoff)
-            for _seq, tone in self._index_entries[:split]:
-                count = self._positions[tone.position] - 1
-                if count:
-                    self._positions[tone.position] = count
-                else:
-                    del self._positions[tone.position]
-                    self._position_version += 1
-            del self._index_ends[:split]
-            del self._index_starts[:split]
-            del self._index_entries[:split]
+            for sequence in self._index[_SEQ, :dropped].tolist():
+                del self._tones[int(sequence)]
+            self._index[:, : live - dropped] = self._index[:, dropped:live]
+            self._count = live - dropped
+            self._drop_unused()
             self._m_pruned.inc(dropped)
         self.invalidate_render_cache()
         return dropped
 
     def invalidate_render_cache(self) -> None:
-        """Drop memoized window renders (geometry and envelope caches
-        are pure and stay).  Scheduling operations call this
+        """Drop memoized window renders (geometry, envelope and wave
+        caches are pure and stay).  Scheduling operations call this
         automatically; benchmarks use it to time cold renders."""
         self._window_cache.clear()
 
-    def _index_insert(self, tone: ScheduledTone) -> None:
-        """Add one tone to the end-time-sorted interval index."""
-        at = bisect_right(self._index_ends, tone.end_time)
-        self._index_ends.insert(at, tone.end_time)
-        self._index_starts.insert(at, tone.start_time)
-        self._index_entries.insert(at, (self._sequence, tone))
-        self._sequence += 1
+    def _merge_pending(self) -> None:
+        """Merge the queued tones into the end-time-sorted index, each
+        after every tone already there that ends at the same time."""
+        if not self._pending:
+            return
+        entries = np.fromiter(self._pending, float, len(self._pending))
+        entries = entries.reshape(-1, len(self._index)).T
+        self._pending.clear()
+        old = self._count
+        count = self._count = old + entries.shape[1]
+        if count > self._index.shape[1]:
+            grown = np.empty((len(entries), max(count, 2 * self._index.shape[1])))
+            grown[:, :old] = self._index[:, :old]
+            self._index = grown
+        index = self._index
+        index[:, old:count] = entries
+        # Tones mostly arrive in end order; re-sort (stably) only the
+        # suffix the out-of-order ones reach into.
+        ends = index[_END, :count]
+        after = max(old, 1)
+        if (ends[after:] < ends[after - 1 : -1]).any():
+            first = int(np.searchsorted(ends[:old], entries[_END].min(), "right"))
+            order = ends[first:].argsort(kind="stable") + first
+            index[:, first:count] = index[:, order]
 
-    def _max_propagation_delay(self, listener: Position) -> float:
-        """Worst-case flight time from any scheduled emitter position
-        to ``listener`` (memoized per position-set version)."""
-        if not (self.enable_propagation_delay and self._positions):
-            return 0.0
-        cached = self._max_delay_cache.get(listener)
-        if cached is not None and cached[0] == self._position_version:
-            return cached[1]
-        worst = max(
-            self._geometry_for(listener, position)[1]
-            for position in self._positions
-        )
-        if len(self._max_delay_cache) >= GEOMETRY_CACHE_SIZE:
-            self._max_delay_cache.clear()
-        self._max_delay_cache[listener] = (self._position_version, worst)
-        return worst
+    def _drop_unused(self) -> None:
+        """Forget the positions and wave types no live tone uses, and
+        renumber the rest densely, so state stays bounded by the live
+        tones rather than by history."""
+        live = self._index[:, : self._count]
+        if _renumber(self._position_ids, live[_POS]):
+            self._position_version += 1
+        if _renumber(self._wave_ids, live[_WAVE]):
+            # Surviving types re-synthesize on their next render.
+            self._wave_base = np.full(len(self._wave_ids), -1)
+            self._bank_sine = np.empty(0)
+            self._bank_envelope = np.empty(0)
 
     # ------------------------------------------------------------------
     # Geometry caches
     # ------------------------------------------------------------------
 
-    def _geometry_for(
-        self, listener: Position, source: Position
-    ) -> tuple[float, float, float]:
-        """Cached ``(distance, propagation delay, spreading loss)``."""
-        key = (listener, source)
-        geometry = self._geometry.get(key)
-        if geometry is None:
-            distance = listener.distance_to(source)
-            delay = (
-                distance / SPEED_OF_SOUND
-                if self.enable_propagation_delay
-                else 0.0
-            )
-            geometry = (distance, delay, propagation_loss_db(distance))
-            if len(self._geometry) >= GEOMETRY_CACHE_SIZE:
-                self._geometry.clear()
-            self._geometry[key] = geometry
-        return geometry
+    def _path(self, listener: Position, source: Position) -> tuple[float, float]:
+        """Propagation delay and spreading loss (dB) from ``source``."""
+        distance = listener.distance_to(source)
+        delay = distance / SPEED_OF_SOUND if self.enable_propagation_delay else 0.0
+        return delay, propagation_loss_db(distance)
+
+    def _geometry_columns(self, listener: Position) -> tuple[np.ndarray, float]:
+        """Propagation delay (row 0) and spreading loss (row 1) from
+        every position id to ``listener``, and the worst delay among
+        them; refreshed when the position set changes."""
+        cached = self._listener_geometry.get(listener)
+        if cached is None or cached[0] != self._position_version:
+            paths = [self._path(listener, p) for p in self._position_ids]
+            geometry = np.array(paths).reshape(-1, 2).T.copy()
+            worst = max((delay for delay, _loss in paths), default=0.0)
+            cached = (self._position_version, geometry, worst)
+            if len(self._listener_geometry) >= GEOMETRY_CACHE_SIZE:
+                self._listener_geometry.clear()
+            self._listener_geometry[listener] = cached
+        return cached[1:]
 
     def _bed_geometry_for(
         self, listener: Position, bed: NoiseBed
@@ -422,30 +480,25 @@ class AcousticChannel:
         key = (listener, bed.position)
         geometry = self._bed_geometry.get(key)
         if geometry is None:
-            distance = listener.distance_to(bed.position)
-            gain = 10.0 ** (-propagation_loss_db(distance) / 20.0)
-            delay = (
-                distance / SPEED_OF_SOUND
-                if self.enable_propagation_delay
-                else 0.0
-            )
+            delay, loss_db = self._path(listener, bed.position)
             if len(self._bed_geometry) >= GEOMETRY_CACHE_SIZE:
                 self._bed_geometry.clear()
-            geometry = (gain, delay)
+            geometry = (10.0 ** (-loss_db / 20.0), delay)
             self._bed_geometry[key] = geometry
         return geometry
 
     # ------------------------------------------------------------------
-    # Rendering — vectorized fast path
+    # Rendering
     # ------------------------------------------------------------------
 
     def render_at(self, listener: Position, start: float, end: float) -> AudioSignal:
         """Pressure signal arriving at ``listener`` during ``[start, end)``.
 
-        Equivalent to :meth:`render_at_reference` (the scalar per-tone
-        loop) but served through the interval index, batched synthesis
-        and the window memo.  Repeated renders of the same
-        ``(listener, start, end)`` return the same (read-only) buffer.
+        Served through the tone index, the wave bank and the window
+        memo; bit-identical to the scalar per-tone loop kept in
+        ``tests/audio/reference_render.py``.  Repeated renders of the
+        same ``(listener, start, end)`` return the same (read-only)
+        buffer.
         """
         if end < start:
             raise ValueError(f"end ({end}) must be >= start ({start})")
@@ -476,185 +529,127 @@ class AcousticChannel:
     def _render_tones_batched(
         self, mix: np.ndarray, listener: Position, window_start: float
     ) -> None:
-        """Mix every audible tone (and echo) into ``mix`` with one flat
-        ``np.sin`` over all of the window's segments.
+        """Mix every audible (tone, echo tap) segment into ``mix``.
 
-        Matches :meth:`_mix_tone` bit-for-bit: the per-sample phase /
-        amplitude / envelope arithmetic is evaluated in the same order,
-        and ``np.bincount`` sums each sample's contributions one by one
-        in (schedule sequence, tap) order, as the reference loop does.
+        Segment geometry is array math over the index columns, in the
+        scalar per-tone loop's IEEE operations; samples are gathered from
+        the wave bank, scaled by amplitude and then envelope, and summed
+        by ``np.bincount``, which adds each sample's contributions one by
+        one in (schedule sequence, tap) order, as the scalar loop does.
         """
         count = len(mix)
-        window_end = window_start + count / self.sample_rate
+        rate = self.sample_rate
+        window_end = window_start + count / rate
+        geometry, worst = self._geometry_columns(listener)
         # Candidate horizon: a tone whose *emission* ended more than the
         # worst-case (propagation + echo) delay before the window opens
         # cannot reach it; everything older bisects away.  Of the tail,
         # only tones that started before the window closes can reach it
         # (delays only push arrivals later).
-        max_delay = self._max_echo_delay + self._max_propagation_delay(listener)
-        first = bisect_left(self._index_ends, window_start - max_delay)
-        starts = self._index_starts
-        entries = self._index_entries
-        # Sorting the (sequence, tone) entries restores schedule order.
-        candidates = sorted(
-            entries[i] for i in range(first, len(entries))
-            if starts[i] < window_end
-        )
+        max_delay = self._max_echo_delay + worst
+        if self._pending:
+            self._merge_pending()
+        first = int(np.searchsorted(self._index[_END, : self._count],
+                                    window_start - max_delay))
+        tail = self._index[:, first : self._count]
+        candidates = np.flatnonzero(tail[_START] < window_end)
+        # Schedule order.
+        tones = tail[:, candidates[tail[_SEQ].take(candidates).argsort()]]
         if self._obs is not None:
             self._m_bisected.inc(first)
-            self._m_scanned.inc(len(candidates))
-
-        taps = ((0.0, 0.0),) + self.echo_taps
+            self._m_scanned.inc(tones.shape[1])
         fault = self._fault_model
-        # One (lo, offset, length, coeff, amplitude, envelope) entry per
-        # audible (tone, tap) segment, in (sequence, tap) order.
-        segments: list[tuple[int, int, int, float, float, np.ndarray]] = []
-        for _sequence, tone in candidates:
-            if fault is not None:
-                fault_adjust = fault.tone_level_adjust_db(tone)
-                if fault_adjust is None:
-                    continue
-            else:
-                fault_adjust = 0.0
-            _distance, delay, loss_db = self._geometry_for(
-                listener, tone.position
-            )
-            spec = tone.spec
-            tone_len = int(round(spec.duration * self.sample_rate))
-            envelope = None
-            for extra_delay, extra_loss in taps:
-                arrival = tone.start_time + (delay + extra_delay)
-                departure = arrival + spec.duration
-                if departure <= window_start or arrival >= window_end:
-                    continue
-                overlap_start = max(arrival, window_start)
-                overlap_end = min(departure, window_end)
-                lo = int(round((overlap_start - window_start) * self.sample_rate))
-                hi = int(round((overlap_end - window_start) * self.sample_rate))
-                hi = min(hi, count)
-                if hi <= lo:
-                    continue
-                offset = int(round((overlap_start - arrival) * self.sample_rate))
-                length = min(offset + (hi - lo), tone_len) - offset
-                if length <= 0:
-                    continue
-                if envelope is None:
-                    envelope = raised_cosine_envelope(
-                        tone_len, self.sample_rate, signalling_ramp(spec.duration)
-                    )
-                level = spec.level_db - loss_db - extra_loss
-                if fault_adjust:
-                    level += fault_adjust
-                segments.append((
-                    lo, offset, length, 2.0 * math.pi * spec.frequency,
-                    db_to_amplitude(level) * math.sqrt(2.0),
-                    envelope[offset : offset + length],
-                ))
-        if not segments:
+        faulted = fault.faulted_positions() if fault is not None else ()
+        adjust = None
+        if faulted:
+            # Only a faulted emitter's tones can be muted (None, as NaN)
+            # or attenuated; every other tone's adjustment is 0 dB.
+            records = [self._tones[s] for s in tones[_SEQ].astype(int).tolist()]
+            adjust = np.array([
+                fault.tone_level_adjust_db(tone)
+                if tone.position in faulted else 0.0
+                for tone in records
+            ], dtype=float)
+            unmuted = ~np.isnan(adjust)
+            tones, adjust = tones[:, unmuted], adjust[unmuted]
+        if not tones.shape[1]:
             return
-        los, offsets, lengths, coeffs, amplitudes, envelopes = zip(*segments)
+        wave_ids = tones[_WAVE].astype(np.intp)
+        base = self._wave_base.take(wave_ids)
+        if base.min() < 0:
+            self._synthesize(wave_ids)
+            base = self._wave_base.take(wave_ids)
+        positions = tones[_POS].astype(np.intp)
+        delay, loss = geometry[0].take(positions), geometry[1].take(positions)
+        level = tones[_LEVEL] - loss
 
-        # Flat synthesis: sample k of segment s sits at flat position
-        # heads[s] + k, at step offsets[s] + k of its tone's own clock.
-        repeats = np.array(lengths)
-        heads = np.cumsum(repeats) - repeats
-        ramp = np.arange(sum(lengths))
-        steps = np.repeat(np.array(offsets) - heads, repeats) + ramp
-        samples = np.sin(np.repeat(coeffs, repeats) * steps / self.sample_rate)
-        samples *= np.repeat(amplitudes, repeats)
-        samples *= np.concatenate(envelopes)
-        bins = np.repeat(np.array(los) - heads, repeats) + ramp
+        # One entry per (tone, tap) segment, in (sequence, tap) order;
+        # the direct path (tap 0) adds no delay and no loss.
+        taps = self._taps.shape[1]
+        if taps > 1:
+            tones, base = tones.repeat(taps, axis=1), base.repeat(taps)
+            tap_delay, tap_loss = np.tile(self._taps, len(base) // taps)
+            delay = delay.repeat(taps) + tap_delay
+            level = level.repeat(taps) - tap_loss
+            if adjust is not None:
+                adjust = adjust.repeat(taps)
+        arrival = tones[_START] + delay
+        departure = arrival + tones[_DURATION]
+        overlap_start = np.maximum(arrival, window_start)
+        lo = np.rint((overlap_start - window_start) * rate)
+        hi = np.minimum(
+            np.rint((np.minimum(departure, window_end) - window_start) * rate),
+            count,
+        )
+        offset = np.rint((overlap_start - arrival) * rate)
+        length = np.minimum(offset + (hi - lo), tones[_LENGTH]) - offset
+        # A segment that ends before the window opens or arrives after
+        # it closes has hi <= lo, so it has no length either.
+        audible = length > 0
+        if not audible.any():
+            return
+        if adjust is not None:
+            level += adjust
+        amplitude = np.array(list(map(_tone_amplitude, level[audible].tolist())))
+        lo, start, length = (
+            column[audible].astype(np.intp)
+            for column in (lo, base + offset, length)
+        )
+
+        # Sample k of segment s sits at flat position heads[s] + k, at
+        # mix bin lo[s] + k and bank position start[s] + k.
+        heads = length.cumsum() - length
+        ramp = np.arange(heads[-1] + length[-1])
+        at = (start - heads).repeat(length)
+        at += ramp
+        samples = self._bank_sine.take(at)
+        samples *= amplitude.repeat(length)
+        samples *= self._bank_envelope.take(at)
+        bins = (lo - heads).repeat(length)
+        bins += ramp
         mix += np.bincount(bins, weights=samples, minlength=count)
 
-    # ------------------------------------------------------------------
-    # Rendering — scalar reference path
-    # ------------------------------------------------------------------
-
-    def render_at_reference(
-        self, listener: Position, start: float, end: float
-    ) -> AudioSignal:
-        """The original per-tone scalar render loop.
-
-        Kept as the readable specification the vectorized
-        :meth:`render_at` is pinned against bit for bit
-        (``assert_array_equal`` in the equivalence suite).
-        Bypasses the interval index and every cache except the shared
-        envelope memo.
-        """
-        if end < start:
-            raise ValueError(f"end ({end}) must be >= start ({start})")
-        count = int(round((end - start) * self.sample_rate))
-        mix = np.zeros(count)
-        if count == 0:
-            return AudioSignal(mix, self.sample_rate)
-        for tone in self._tones:
-            self._mix_tone(mix, tone, listener, start)
-            for extra_delay, extra_loss in self.echo_taps:
-                self._mix_tone(mix, tone, listener, start,
-                               extra_delay, extra_loss)
-        for bed in self._noise_beds:
-            distance = listener.distance_to(bed.position)
-            gain = 10.0 ** (-propagation_loss_db(distance) / 20.0)
-            delay = (
-                distance / SPEED_OF_SOUND
-                if self.enable_propagation_delay
-                else 0.0
-            )
-            self._mix_noise(mix, bed, start, gain, delay)
-        return AudioSignal(mix, self.sample_rate)
-
-    def _mix_tone(
-        self,
-        mix: np.ndarray,
-        tone: ScheduledTone,
-        listener: Position,
-        window_start: float,
-        extra_delay: float = 0.0,
-        extra_loss_db: float = 0.0,
-    ) -> None:
-        """Add one (possibly partial) tone (or one of its echoes) into
-        a capture buffer."""
-        if self._fault_model is not None:
-            fault_adjust = self._fault_model.tone_level_adjust_db(tone)
-            if fault_adjust is None:
-                return
-        else:
-            fault_adjust = 0.0
-        distance = listener.distance_to(tone.position)
-        delay = distance / SPEED_OF_SOUND if self.enable_propagation_delay else 0.0
-        arrival = tone.start_time + (delay + extra_delay)
-        departure = arrival + tone.spec.duration
-
-        window_end = window_start + len(mix) / self.sample_rate
-        if departure <= window_start or arrival >= window_end:
-            return
-
-        level = tone.spec.level_db - propagation_loss_db(distance) - extra_loss_db
-        if fault_adjust:
-            level += fault_adjust
-        # Synthesize only the overlapping span, phase-continuous with
-        # the tone's own clock so windows seam together exactly.
-        overlap_start = max(arrival, window_start)
-        overlap_end = min(departure, window_end)
-        lo = int(round((overlap_start - window_start) * self.sample_rate))
-        hi = int(round((overlap_end - window_start) * self.sample_rate))
-        hi = min(hi, len(mix))
-        if hi <= lo:
-            return
-
-        tone_len = int(round(tone.spec.duration * self.sample_rate))
-        offset = int(round((overlap_start - arrival) * self.sample_rate))
-        n = np.arange(offset, min(offset + (hi - lo), tone_len))
-        if len(n) == 0:
-            return
-        amplitude = db_to_amplitude(level) * math.sqrt(2.0)
-        phase = 2.0 * math.pi * tone.spec.frequency * n / self.sample_rate
-        samples = amplitude * np.sin(phase)
-        envelope = raised_cosine_envelope(
-            tone_len, self.sample_rate, signalling_ramp(tone.spec.duration)
-        )
-        samples *= envelope[n]
-        mix[lo : lo + len(samples)] += samples
+    def _synthesize(self, wave_ids: np.ndarray) -> None:
+        """Add the whole-tone sine and envelope of every wave type in
+        ``wave_ids`` that the bank lacks."""
+        keys = list(self._wave_ids)
+        sines = [self._bank_sine]
+        envelopes = [self._bank_envelope]
+        base = len(self._bank_sine)
+        for wave_id in dict.fromkeys(wave_ids.tolist()):
+            if self._wave_base[wave_id] >= 0:
+                continue
+            frequency, duration = keys[wave_id]
+            tone_len = round(duration * self.sample_rate)
+            steps = np.arange(tone_len)
+            sines.append(np.sin(2.0 * math.pi * frequency * steps / self.sample_rate))
+            envelopes.append(raised_cosine_envelope(
+                tone_len, self.sample_rate, signalling_ramp(duration)
+            ))
+            self._wave_base[wave_id] = base
+            base += tone_len
+        self._bank_sine = np.concatenate(sines)
+        self._bank_envelope = np.concatenate(envelopes)
 
     def _mix_noise(
         self,

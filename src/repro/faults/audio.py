@@ -47,9 +47,9 @@ class AcousticFaults:
     """Channel-side fault model: dropouts, degradation, skew, bursts.
 
     Installs itself via ``channel.set_fault_model(self)``; the channel
-    consults it on every emission (clock skew) and every rendered tone
-    (dropout / degradation), identically on the vectorized and the
-    scalar reference path.
+    consults it on every emission (clock skew) and on every rendered
+    tone from a faulted emitter (dropout / degradation), with the same
+    result as the scalar reference loop, which consults every tone.
     """
 
     def __init__(self, sim: Simulator, channel: AcousticChannel,
@@ -188,6 +188,12 @@ class AcousticFaults:
             self._m_skewed.inc()
             start_time = max(0.0, start_time + skew)
         return start_time, spec, position
+
+    def faulted_positions(self) -> set[Position]:
+        """Emitters with a dropout or degradation scheduled.  The
+        channel consults :meth:`tone_level_adjust_db` only for their
+        tones, so an idle injector costs the render nothing."""
+        return self._dropouts.keys() | self._degradations.keys()
 
     def tone_level_adjust_db(self, tone: ScheduledTone) -> float | None:
         """Consulted per rendered tone: ``None`` mutes it, a float is

@@ -1,17 +1,22 @@
 """Equivalence suite: vectorized channel rendering vs the scalar loop.
 
-``AcousticChannel.render_at`` (interval index + flat synthesis +
-window memo) must reproduce ``render_at_reference`` (the original
-per-tone scalar loop) bit for bit across window seams, echo taps,
-partial overlaps, fault models, pruned histories, and loop/non-loop
-noise beds: both paths evaluate the same IEEE operations per sample and
-sum overlapping segments in the same (tone, tap) order.
+``AcousticChannel.render_at`` (columnar tone index + wave bank +
+window memo) must reproduce ``render_reference`` (the original
+per-tone scalar loop, ``tests/audio/reference_render.py``) bit for bit
+across window seams, echo taps, partial overlaps, fault models, pruned
+histories, generated scenes, and loop/non-loop noise beds: both paths
+evaluate the same IEEE operations per sample and sum overlapping
+segments in the same (tone, tap) order.  The tone index and the wave
+bank must also stay bounded by the live tones over a long run.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.audio import (
+    DEFAULT_SAMPLE_RATE,
     AcousticChannel,
     Microphone,
     Position,
@@ -20,6 +25,7 @@ from repro.audio import (
 )
 from repro.faults import FaultHarness
 from repro.net.sim import Simulator
+from tests.audio.reference_render import render_reference
 
 TOLERANCE = 1e-9
 
@@ -28,7 +34,7 @@ LISTENER = Position(0.3, 0.1, 0.0)
 
 def _assert_paths_match(channel, listener, start, end):
     fast = channel.render_at(listener, start, end)
-    reference = channel.render_at_reference(listener, start, end)
+    reference = render_reference(channel, listener, start, end)
     assert len(fast) == len(reference)
     np.testing.assert_array_equal(fast.samples, reference.samples)
     return fast
@@ -214,7 +220,7 @@ class TestPruneEquivalence:
         """Prune drops only tones that cannot reach any window at or
         after the cutoff, so fast and reference stay equal after it."""
         channel = busy_channel(echo_taps=((0.05, 6.0),))
-        reference_before = channel.render_at_reference(LISTENER, 2.5, 2.7)
+        reference_before = render_reference(channel, LISTENER, 2.5, 2.7)
         channel.prune(before=2.5, margin=0.1)
         window = _assert_paths_match(channel, LISTENER, 2.5, 2.7)
         np.testing.assert_array_equal(
@@ -308,3 +314,121 @@ class TestWindowMemo:
         first = microphone.record(channel, 0.2, 0.3)
         second = microphone.record(channel, 0.2, 0.3)
         np.testing.assert_array_equal(first.samples, second.samples)
+
+
+# ----------------------------------------------------------------------
+# Generated scenes
+# ----------------------------------------------------------------------
+
+#: A few plan-grid frequencies, so drawn scenes repeat wave types.
+REPEATED_FREQUENCIES = (500.0, 720.0, 1260.0)
+
+SCENE_POSITIONS = (
+    Position(0.0, 0.0, 0.0),
+    Position(2.3, -0.7, 0.0),
+    Position(-5.1, 3.9, 1.2),
+)
+
+
+def _times(low, high):
+    """Arbitrary floats, and half-sample instants (which make the
+    scalar loop's ``round`` land exactly on .5)."""
+    rate = DEFAULT_SAMPLE_RATE
+    return st.one_of(
+        st.floats(low, high),
+        st.integers(int(low * 2 * rate), int(high * 2 * rate)).map(
+            lambda k: k / (2 * rate)),
+    )
+
+
+tone_strategy = st.tuples(
+    _times(0.0, 1.5),                                       # start
+    st.one_of(st.sampled_from(REPEATED_FREQUENCIES),
+              st.floats(100.0, 7000.0)),                    # frequency
+    st.floats(0.03, 0.5),                                   # duration
+    st.floats(50.0, 75.0),                                  # level
+    st.integers(0, 2),                                      # emitter
+)
+
+step_strategy = st.one_of(
+    st.tuples(st.just("render"), st.integers(0, 2),         # listener
+              _times(0.0, 2.2), st.floats(0.0, 0.2)),       # start, span
+    st.tuples(st.just("prune"), st.floats(0.0, 2.5),        # before
+              st.floats(0.0, 0.5)),                         # margin
+)
+
+fault_strategy = st.lists(
+    st.tuples(st.sampled_from(["drop", "degrade"]), st.integers(0, 2),
+              st.floats(0.0, 1.5), st.floats(0.05, 1.0)),
+    max_size=3,
+)
+
+
+class TestGeneratedScenes:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        tones=st.lists(tone_strategy, min_size=1, max_size=12),
+        steps=st.lists(step_strategy, min_size=1, max_size=8),
+        faults=fault_strategy,
+        emitters=st.integers(1, 3),
+        listeners=st.integers(1, 3),
+        echo_taps=st.lists(st.tuples(st.floats(0.001, 0.05),
+                                     st.floats(0.0, 20.0)), max_size=2),
+        delay=st.booleans(),
+    )
+    def test_render_equals_reference(self, tones, steps, faults, emitters,
+                                     listeners, echo_taps, delay):
+        """Any scene — out-of-order schedules, repeated and distinct
+        wave types, 1–3 emitters and listeners, echoes and propagation
+        delay on or off, muted and attenuated speakers, prunes between
+        renders, windows at unaligned starts — renders bit-identically
+        to the scalar reference loop."""
+        channel = AcousticChannel(enable_propagation_delay=delay,
+                                  echo_taps=tuple(echo_taps))
+        for start, frequency, duration, level, emitter in tones:
+            channel.play_tone(start, ToneSpec(frequency, duration, level),
+                              SCENE_POSITIONS[emitter % emitters])
+        air = FaultHarness(Simulator(), seed=3).acoustic(channel)
+        for kind, emitter, start, span in faults:
+            position = SCENE_POSITIONS[emitter % emitters]
+            if kind == "drop":
+                air.drop_speaker(position, start, start + span)
+            else:
+                air.degrade_speaker(position, start, start + span, 6.37)
+        for step in steps:
+            if step[0] == "prune":
+                channel.prune(before=step[1], margin=step[2])
+                continue
+            _kind, listener, start, span = step
+            _assert_paths_match(channel, SCENE_POSITIONS[listener % listeners],
+                                start, start + span)
+
+
+class TestBoundedState:
+    def test_an_hour_of_new_frequencies_stays_bounded(self):
+        """An hour of simulated time in which every chirp plays a
+        frequency never heard before, pruned every 20 s as the
+        controller does: the tone index, the positions, the wave types
+        and the wave bank stay bounded by the tones played since the
+        last prune, not by the hour's history."""
+        channel = AcousticChannel()
+        emitters = [Position(0.5 + 0.1 * i, 0.0, 0.0) for i in range(4)]
+        bank_peak = index_peak = 0
+        for second in range(3600):
+            channel.play_tone(second + 0.25,
+                              ToneSpec(300.0 + second * 1.5, 0.03, 65.0),
+                              emitters[second % 4])
+            channel.render_at(Position(), second, second + 1.0)
+            if second % 20 == 19:
+                bank_peak = max(bank_peak, len(channel._bank_sine))
+                index_peak = max(index_peak, channel._count)
+                channel.prune(before=second, margin=1.0)
+                live = len(channel.scheduled_tones)
+                assert channel._count == live <= 3
+                assert len(channel._wave_ids) == live
+                assert len(channel._position_ids) <= live
+        # Every tone was its own 480-sample wave type: 20 of them
+        # between prunes, against 3,600 in the hour's history.
+        assert index_peak <= 22
+        assert bank_peak <= 22 * 480
+        assert channel._index.shape[1] <= 64

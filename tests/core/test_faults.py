@@ -10,6 +10,7 @@ from repro.core import MusicProtocolMessage
 from repro.faults import FaultHarness, seeded_rng
 from repro.net.sim import Simulator
 from repro.net.switch import Switch
+from tests.audio.reference_render import render_reference
 
 TONE = ToneSpec(1000.0, 0.08, 70.0)
 SPEAKER_AT = Position(1.0, 0.0, 0.0)
@@ -116,7 +117,7 @@ class TestSpeakerDropout:
         air.drop_speaker(SPEAKER_AT, 0.0, 0.08)
         air.degrade_speaker(SPEAKER_AT, 0.0, 1.0, loss_db=6.0)
         fast = channel.render_at(LISTENER, 0.0, 0.3)
-        reference = channel.render_at_reference(LISTENER, 0.0, 0.3)
+        reference = render_reference(channel, LISTENER, 0.0, 0.3)
         np.testing.assert_allclose(fast.samples, reference.samples,
                                    atol=1e-9)
 
