@@ -221,9 +221,11 @@ def run_room(spec: RoomSpec) -> RoomReport:
 def _peak_tones_per_window(onsets, spec: RoomSpec) -> float:
     """Most distinct frequencies heard in any one listening window —
     a sim-deterministic congestion gauge merged fleet-wide with the
-    ``max`` policy."""
+    ``max`` policy.  Window starts carry float error (the window at
+    2.0 s can start at 1.9999999999999998), so they are bucketed to
+    the nearest window index, not truncated into the previous one."""
     per_window: dict[int, set[float]] = {}
     for frequency, heard_at in onsets:
-        window = int(heard_at / spec.listen_interval)
+        window = round(heard_at / spec.listen_interval)
         per_window.setdefault(window, set()).add(frequency)
     return float(max((len(v) for v in per_window.values()), default=0))
