@@ -33,11 +33,11 @@ render therefore works on whole columns, not on tone objects:
   per-tone loop (``np.rint`` rounds half to even like ``round``);
 * a bounded **wave bank** holds ``sin(2π·f·n/sr)`` and the tone
   envelope once per wave type ``(frequency, duration)``, synthesized
-  lazily on first render.  A window gathers its segments' bank slices
-  end to end, scales them by amplitude and then envelope, and sums
-  them into the mix with one ``np.bincount`` in (schedule sequence,
-  tap) order.  :meth:`prune` drops wave types and positions that no
-  live tone uses;
+  when the type is first scheduled.  A window gathers its segments'
+  bank slices end to end, scales them by amplitude and then envelope,
+  and sums them into the mix with one ``np.bincount`` in (schedule
+  sequence, tap) order.  :meth:`prune` drops wave types and positions
+  that no live tone uses;
 * a bounded **window render memo** keyed by ``(listener, start, end)``
   so repeated polls of the same window reuse the mixed buffer.
   ``play_tone`` / ``add_noise`` / ``clear`` / ``prune`` invalidate it.
@@ -86,14 +86,6 @@ GEOMETRY_CACHE_SIZE = 65536
 # Fields of the tone index (rows of its array; one column per tone).
 # ``_LENGTH`` is the tone's length in samples.
 _END, _START, _SEQ, _LEVEL, _POS, _WAVE, _DURATION, _LENGTH = range(8)
-
-
-@lru_cache(maxsize=256)
-def _sample_ramp(count: int) -> np.ndarray:
-    """A cached, read-only ``arange(count)`` used by index plans."""
-    ramp = np.arange(count)
-    ramp.setflags(write=False)
-    return ramp
 
 
 @lru_cache(maxsize=4096)
@@ -222,13 +214,14 @@ class AcousticChannel:
             Position, tuple[int, np.ndarray, float]
         ] = {}
         # (frequency, duration) -> wave type id; by id, the type's
-        # offset in the wave bank, -1 until it is first rendered.
+        # offset in the wave bank.
         self._wave_ids: dict[tuple[float, float], int] = {}
         self._wave_base = np.empty(0, dtype=np.intp)
-        # The wave bank: each rendered wave type's sine and envelope
-        # samples at [base, base + length).
-        self._bank_sine = np.empty(0)
-        self._bank_envelope = np.empty(0)
+        # The wave bank: each wave type's sine (row 0) and envelope
+        # (row 1) samples at [base, base + length).
+        self._bank = np.empty((2, 0))
+        # Backs _arange: grows to the longest ramp asked for so far.
+        self._ramp = np.arange(0)
         # id(bed signal), positions -> (gain, delay_s); beds are few.
         self._bed_geometry: dict[tuple[Position, Position], tuple[float, float]] = {}
         # (listener, start, end) -> rendered mix (read-only ndarray).
@@ -313,6 +306,7 @@ class AcousticChannel:
         if wave_id is None:
             wave_id = self._wave_ids[key] = len(self._wave_ids)
             self._wave_base = np.append(self._wave_base, -1)
+            self._synthesize()
         self._pending.extend((
             tone.end_time, start_time, self._sequence, spec.level_db,
             position_id, wave_id, spec.duration,
@@ -437,10 +431,10 @@ class AcousticChannel:
         if _renumber(self._position_ids, live[_POS]):
             self._position_version += 1
         if _renumber(self._wave_ids, live[_WAVE]):
-            # Surviving types re-synthesize on their next render.
+            # The surviving types are synthesized afresh.
             self._wave_base = np.full(len(self._wave_ids), -1)
-            self._bank_sine = np.empty(0)
-            self._bank_envelope = np.empty(0)
+            self._bank = np.empty((2, 0))
+            self._synthesize()
 
     # ------------------------------------------------------------------
     # Geometry caches
@@ -512,12 +506,10 @@ class AcousticChannel:
         observed = self._obs is not None
         wall_start = _time.perf_counter() if observed else 0.0
         count = int(round((end - start) * self.sample_rate))
-        mix = np.zeros(count)
-        if count:
-            self._render_tones_batched(mix, listener, start)
-            for bed in self._noise_beds:
-                gain, delay = self._bed_geometry_for(listener, bed)
-                self._mix_noise(mix, bed, start, gain, delay)
+        mix = self._render_tones(listener, start, count) if count else np.zeros(0)
+        for bed in self._noise_beds:
+            gain, delay = self._bed_geometry_for(listener, bed)
+            self._mix_noise(mix, bed, start, gain, delay)
         if observed:
             self._m_render_ms.observe((_time.perf_counter() - wall_start) * 1e3)
         mix.setflags(write=False)
@@ -526,18 +518,20 @@ class AcousticChannel:
             self._window_cache.popitem(last=False)
         return AudioSignal(mix, self.sample_rate)
 
-    def _render_tones_batched(
-        self, mix: np.ndarray, listener: Position, window_start: float
-    ) -> None:
-        """Mix every audible (tone, echo tap) segment into ``mix``.
+    def _render_tones(
+        self, listener: Position, window_start: float, count: int
+    ) -> np.ndarray:
+        """The mix of every audible (tone, echo tap) segment over the
+        ``count`` samples from ``window_start``.
 
         Segment geometry is array math over the index columns, in the
         scalar per-tone loop's IEEE operations; samples are gathered from
         the wave bank, scaled by amplitude and then envelope, and summed
         by ``np.bincount``, which adds each sample's contributions one by
-        one in (schedule sequence, tap) order, as the scalar loop does.
+        one to 0.0 in (schedule sequence, tap) order, as the scalar loop
+        does.  Its output is the mix itself: it never holds -0.0, so it
+        equals a zeroed buffer plus the sum.
         """
-        count = len(mix)
         rate = self.sample_rate
         window_end = window_start + count / rate
         geometry, worst = self._geometry_columns(listener)
@@ -549,12 +543,13 @@ class AcousticChannel:
         max_delay = self._max_echo_delay + worst
         if self._pending:
             self._merge_pending()
-        first = int(np.searchsorted(self._index[_END, : self._count],
-                                    window_start - max_delay))
+        ends = self._index[_END, : self._count]
+        first = int(ends.searchsorted(window_start - max_delay))
         tail = self._index[:, first : self._count]
-        candidates = np.flatnonzero(tail[_START] < window_end)
+        candidates = (tail[_START] < window_end).nonzero()[0]
         # Schedule order.
-        tones = tail[:, candidates[tail[_SEQ].take(candidates).argsort()]]
+        order = candidates.take(tail[_SEQ].take(candidates).argsort())
+        tones = tail.take(order, axis=1)
         if self._obs is not None:
             self._m_bisected.inc(first)
             self._m_scanned.inc(tones.shape[1])
@@ -573,14 +568,10 @@ class AcousticChannel:
             unmuted = ~np.isnan(adjust)
             tones, adjust = tones[:, unmuted], adjust[unmuted]
         if not tones.shape[1]:
-            return
-        wave_ids = tones[_WAVE].astype(np.intp)
+            return np.zeros(count)
+        positions, wave_ids = tones[_POS : _WAVE + 1].astype(np.intp)
         base = self._wave_base.take(wave_ids)
-        if base.min() < 0:
-            self._synthesize(wave_ids)
-            base = self._wave_base.take(wave_ids)
-        positions = tones[_POS].astype(np.intp)
-        delay, loss = geometry[0].take(positions), geometry[1].take(positions)
+        delay, loss = geometry.take(positions, axis=1)
         level = tones[_LEVEL] - loss
 
         # One entry per (tone, tap) segment, in (sequence, tap) order;
@@ -594,62 +585,67 @@ class AcousticChannel:
             if adjust is not None:
                 adjust = adjust.repeat(taps)
         arrival = tones[_START] + delay
-        departure = arrival + tones[_DURATION]
-        overlap_start = np.maximum(arrival, window_start)
-        lo = np.rint((overlap_start - window_start) * rate)
-        hi = np.minimum(
-            np.rint((np.minimum(departure, window_end) - window_start) * rate),
-            count,
-        )
-        offset = np.rint((overlap_start - arrival) * rate)
+        # Rows: where the segment's overlap with the window opens and
+        # closes, and how far into the tone it opens -- in samples.
+        edges = np.empty((3, len(base)))
+        np.maximum(arrival, window_start, out=edges[0])
+        np.minimum(arrival + tones[_DURATION], window_end, out=edges[1])
+        np.subtract(edges[0], arrival, out=edges[2])
+        edges[:2] -= window_start
+        edges *= rate
+        lo, hi, offset = np.rint(edges, out=edges)
+        np.minimum(hi, count, out=hi)
         length = np.minimum(offset + (hi - lo), tones[_LENGTH]) - offset
         # A segment that ends before the window opens or arrives after
         # it closes has hi <= lo, so it has no length either.
         audible = length > 0
-        if not audible.any():
-            return
         if adjust is not None:
             level += adjust
         amplitude = np.array(list(map(_tone_amplitude, level[audible].tolist())))
-        lo, start, length = (
-            column[audible].astype(np.intp)
-            for column in (lo, base + offset, length)
-        )
+        # Rows: mix bin, bank position and length of each audible segment.
+        np.add(offset, base, out=hi)
+        offset[:] = length
+        segments = edges.compress(audible, axis=1).astype(np.intp)
+        length = segments[2]
 
         # Sample k of segment s sits at flat position heads[s] + k, at
-        # mix bin lo[s] + k and bank position start[s] + k.
-        heads = length.cumsum() - length
-        ramp = np.arange(heads[-1] + length[-1])
-        at = (start - heads).repeat(length)
-        at += ramp
-        samples = self._bank_sine.take(at)
-        samples *= amplitude.repeat(length)
-        samples *= self._bank_envelope.take(at)
-        bins = (lo - heads).repeat(length)
+        # mix bin lo[s] + k and bank position base[s] + offset[s] + k.
+        heads = length.cumsum()
+        heads -= length
+        bins, at = (segments[:2] - heads).repeat(length, axis=1)
+        ramp = self._arange(len(at))
         bins += ramp
-        mix += np.bincount(bins, weights=samples, minlength=count)
+        at += ramp
+        sine, envelope = self._bank.take(at, axis=1)
+        sine *= amplitude.repeat(length)
+        sine *= envelope
+        return np.bincount(bins, weights=sine, minlength=count)
 
-    def _synthesize(self, wave_ids: np.ndarray) -> None:
-        """Add the whole-tone sine and envelope of every wave type in
-        ``wave_ids`` that the bank lacks."""
+    def _arange(self, count: int) -> np.ndarray:
+        """``np.arange(count)``, as a view of one growing ramp."""
+        if len(self._ramp) < count:
+            self._ramp = np.arange(2 * count)
+        return self._ramp[:count]
+
+    def _synthesize(self) -> None:
+        """Add the whole-tone sine and envelope of every wave type that
+        the bank lacks."""
         keys = list(self._wave_ids)
-        sines = [self._bank_sine]
-        envelopes = [self._bank_envelope]
-        base = len(self._bank_sine)
-        for wave_id in dict.fromkeys(wave_ids.tolist()):
-            if self._wave_base[wave_id] >= 0:
-                continue
+        waves = [self._bank]
+        base = self._bank.shape[1]
+        for wave_id in np.flatnonzero(self._wave_base < 0).tolist():
             frequency, duration = keys[wave_id]
             tone_len = round(duration * self.sample_rate)
             steps = np.arange(tone_len)
-            sines.append(np.sin(2.0 * math.pi * frequency * steps / self.sample_rate))
-            envelopes.append(raised_cosine_envelope(
-                tone_len, self.sample_rate, signalling_ramp(duration)
+            waves.append((
+                np.sin(2.0 * math.pi * frequency * steps / self.sample_rate),
+                raised_cosine_envelope(
+                    tone_len, self.sample_rate, signalling_ramp(duration)
+                ),
             ))
             self._wave_base[wave_id] = base
             base += tone_len
-        self._bank_sine = np.concatenate(sines)
-        self._bank_envelope = np.concatenate(envelopes)
+        self._bank = np.concatenate(waves, axis=1)
 
     def _mix_noise(
         self,
@@ -672,7 +668,7 @@ class AcousticChannel:
         count = len(mix)
         if bed.loop:
             start_index = int(round((window_start - bed.start) * self.sample_rate))
-            indices = (start_index + _sample_ramp(count)) % source_len
+            indices = (start_index + self._arange(count)) % source_len
             mix += gain * source[indices]
         else:
             start_index = int(

@@ -12,12 +12,13 @@ within a tolerance.
 from __future__ import annotations
 
 import time as _time
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
 
 from .. import obs
-from .fft import Spectrum, SpectrumAnalyzer
+from .fft import Spectrum, SpectrumAnalyzer, median, spectral_peaks
 from .signal import AudioSignal, amplitude_to_db
 
 #: The paper's empirical separability limit between adjacent tones.
@@ -114,7 +115,6 @@ class FrequencyDetector:
         if tolerance_hz <= 0:
             raise ValueError("tolerance_hz must be positive")
         self.watched = sorted(set(float(f) for f in watched_frequencies))
-        self._watched_array = np.array(self.watched)
         self.tolerance_hz = tolerance_hz
         self.threshold_db = threshold_db
         self.min_level_db = min_level_db
@@ -138,9 +138,9 @@ class FrequencyDetector:
         if len(window) == 0:
             return []
         if self._obs is None:
-            return self._detect_fft(window, time)
+            return self._detect(window, time)
         wall_start = _time.perf_counter()
-        events = self._detect_fft(window, time)
+        events = self._detect(window, time)
         self._m_detect_ms.observe((_time.perf_counter() - wall_start) * 1e3)
         self._m_windows.inc()
         self._m_events.inc(len(events))
@@ -158,81 +158,90 @@ class FrequencyDetector:
         The streaming counterpart of framing ``signal`` yourself and
         calling :meth:`detect` per frame — same events, same order —
         but all frames are analyzed in one batch: a strided frame
-        matrix feeds one 2-D rfft, and the taper cache is shared across
-        the whole stream.  Event times are ``start_time`` plus each
-        frame's offset; the trailing partial frame is dropped, like
-        :meth:`AudioSignal.frames`.
+        matrix feeds one 2-D rfft, and the analysis plan is shared
+        across the whole stream.  Event times are ``start_time`` plus
+        each frame's offset; the trailing partial frame is dropped,
+        like :meth:`AudioSignal.frames`.
         """
         times, frames = signal.frame_matrix(frame_duration, hop_duration)
         if len(times) == 0 or frames.shape[1] == 0:
             return []
+        plan = self._analyzer.plan(frames.shape[1], signal.sample_rate)
         events: list[DetectionEvent] = []
-        frequencies, magnitudes = self._analyzer.analyze_block(
-            frames, signal.sample_rate
-        )
-        window_duration = frames.shape[1] / signal.sample_rate
-        for index, offset in enumerate(times):
-            spectrum = Spectrum(
-                frequencies, magnitudes[index], signal.sample_rate,
-                window_duration,
-            )
-            events.extend(
-                self._events_from_spectrum(spectrum, start_time + float(offset))
-            )
+        for offset, magnitudes in zip(times.tolist(), plan.magnitudes(frames)):
+            events += self._events(plan.frequencies, plan.bin_width,
+                                   magnitudes, start_time + offset)
         return events
 
-    def _detect_fft(self, window: AudioSignal, time: float) -> list[DetectionEvent]:
-        spectrum = self._analyzer.analyze(window)
+    def _detect(self, window: AudioSignal, time: float) -> list[DetectionEvent]:
+        plan = self._analyzer.plan(len(window), window.sample_rate)
+        magnitudes = plan.magnitudes(window.samples)
         if self.spectrum_sink is not None:
-            self.spectrum_sink(spectrum, time)
-        return self._events_from_spectrum(spectrum, time)
+            self.spectrum_sink(Spectrum(plan.frequencies, magnitudes,
+                                        window.sample_rate, window.duration),
+                               time)
+        return self._events(plan.frequencies, plan.bin_width, magnitudes, time)
 
-    def _events_from_spectrum(
-        self, spectrum: Spectrum, time: float
-    ) -> list[DetectionEvent]:
-        frequencies, magnitudes, _floor = self._analyzer.peak_arrays(
-            spectrum, self.threshold_db
-        )
-        levels = np.array([amplitude_to_db(m) for m in magnitudes.tolist()])
-        heard = _unshadowed(frequencies, levels)
-        heard &= levels >= self.min_level_db
-        frequencies = frequencies[heard]
-        levels = levels[heard]
-        matches = self._match(frequencies)
+    def _events(self, frequencies: np.ndarray, bin_width: float,
+                magnitudes: np.ndarray, time: float) -> list[DetectionEvent]:
+        """The events of one window's magnitude spectrum: the peaks of
+        :func:`~repro.audio.fft.spectral_peaks` (those of
+        :meth:`SpectrumAnalyzer.find_peaks`, loudest first) less the
+        quiet ones and the sidelobes, matched to the watch list.  This
+        tail is plain Python over the ~20 peaks a window holds, in the
+        IEEE operations of the array pipeline it replaced
+        (``tests/audio/reference_detect.py``), so the events are equal.
+        """
+        if len(magnitudes) < 3:
+            return []
+        floor = max(median(magnitudes), 1e-12)
+        peaks = spectral_peaks(frequencies, bin_width, magnitudes,
+                               floor * 10.0 ** (self.threshold_db / 20.0),
+                               1, len(magnitudes) - 1)
+        # Peaks below the level cut are skipped outright: they could
+        # only shadow quieter peaks, which the cut drops too.
+        kept: list[tuple[float, float]] = []  # (level, frequency), loudest first
         events: dict[float, DetectionEvent] = {}
-        for measured, level, match in zip(
-            frequencies.tolist(), levels.tolist(), matches.tolist()
-        ):
-            if match < 0:
+        for frequency, magnitude in peaks:
+            level = amplitude_to_db(magnitude)
+            if level < self.min_level_db or _shadowed(kept, level, frequency):
                 continue
-            watched = self.watched[match]
+            kept.append((level, frequency))
+            watched = self._nearest(frequency)
+            if watched is None:
+                continue
             existing = events.get(watched)
             if existing is None or level > existing.level_db:
-                events[watched] = DetectionEvent(watched, measured, level, time)
-        return sorted(events.values(), key=lambda e: e.frequency)
+                events[watched] = DetectionEvent(watched, frequency, level, time)
+        return [events[watched] for watched in sorted(events)]
 
-    def _match(self, measured: np.ndarray) -> np.ndarray:
-        """Per measured frequency, the index into ``watched`` of the
-        nearest watched frequency, or -1 if none is within tolerance.
-        ``argmin`` keeps the first of equal distances, so a tie goes to
-        the lower frequency, as ``min`` over the sorted list picks it.
-        """
-        distance = np.abs(self._watched_array - measured[:, None])
-        nearest = distance.argmin(axis=1)
-        return np.where(distance.min(axis=1) <= self.tolerance_hz, nearest, -1)
+    def _nearest(self, frequency: float) -> float | None:
+        """The watched frequency nearest ``frequency``, or ``None`` if
+        none is within tolerance.  A tie goes to the lowest of the
+        equally near ones, as ``min`` over the sorted list picks it."""
+        watched = self.watched
+        index = bisect_left(watched, frequency)
+        if index == len(watched):
+            index -= 1
+        distance = abs(watched[index] - frequency)
+        # Below ``frequency`` distances only shrink towards it, so the
+        # walk down stops at the first strictly farther neighbour.
+        while index and abs(watched[index - 1] - frequency) <= distance:
+            index -= 1
+            distance = abs(watched[index] - frequency)
+        return watched[index] if distance <= self.tolerance_hz else None
 
 
-def _unshadowed(frequencies: np.ndarray, levels_db: np.ndarray) -> np.ndarray:
-    """Mask of the peaks (sorted by descending magnitude) that are not
-    plausibly window sidelobes: no *kept* peak within
-    ``SIDELOBE_RADIUS_HZ`` stands ``SIDELOBE_REJECTION_DB`` above them.
-    A shadowing peak is always earlier in the order, and only the few
-    peaks with any shadow need the greedy pass."""
-    shadows = (
-        (levels_db[:, None] - levels_db >= SIDELOBE_REJECTION_DB)
-        & (np.abs(frequencies[:, None] - frequencies) <= SIDELOBE_RADIUS_HZ)
-    )
-    kept = ~shadows.any(axis=0)
-    for peak in np.flatnonzero(~kept):
-        kept[peak] = not (shadows[:, peak] & kept).any()
-    return kept
+def _shadowed(kept: list[tuple[float, float]], level: float,
+              frequency: float) -> bool:
+    """Whether a kept peak within ``SIDELOBE_RADIUS_HZ`` stands
+    ``SIDELOBE_REJECTION_DB`` above this one, so it is plausibly that
+    peak's window sidelobe.  ``kept`` holds ``(level, frequency)`` pairs
+    loudest first, so the scan stops at the first peak less than the
+    margin louder."""
+    for stronger, other in kept:
+        if not stronger - level >= SIDELOBE_REJECTION_DB:
+            return False
+        if abs(other - frequency) <= SIDELOBE_RADIUS_HZ:
+            return True
+    return False

@@ -14,6 +14,7 @@ import math
 import time
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import itemgetter
 
 import numpy as np
 
@@ -35,24 +36,6 @@ def hann_taper(count: int) -> tuple[np.ndarray, float]:
     taper.setflags(write=False)
     gain = float(np.sum(taper)) / count if count else 1.0
     return taper, gain
-
-
-@lru_cache(maxsize=256)
-def one_sided_scale(n_fft: int) -> np.ndarray:
-    """Cached one-sided amplitude correction per rfft bin.
-
-    Interior bins of a one-sided spectrum carry half the sinusoid's
-    energy (the other half lives in the mirrored negative bin), hence
-    the x-sqrt(2) RMS correction.  The DC bin and — for even FFT
-    lengths — the Nyquist bin have no mirror, so the correction must
-    not be applied there or their levels are over-reported by sqrt(2).
-    """
-    scale = np.full(n_fft // 2 + 1, math.sqrt(2.0))
-    scale[0] = 1.0
-    if n_fft % 2 == 0 and len(scale) > 1:
-        scale[-1] = 1.0
-    scale.setflags(write=False)
-    return scale
 
 
 @dataclass(frozen=True)
@@ -108,9 +91,7 @@ class Spectrum:
         thresholds are set in dB above this floor rather than at an
         absolute level (see DESIGN.md §5).
         """
-        if len(self.magnitudes) == 0:
-            return 0.0
-        return float(np.median(self.magnitudes))
+        return median(self.magnitudes)
 
     def noise_floor_db(self) -> float:
         """The noise floor in dB SPL."""
@@ -141,6 +122,95 @@ class SpectralPeak:
         return amplitude_to_db(self.magnitude)
 
 
+def median(values: np.ndarray) -> float:
+    """``float(np.median(values))`` of a 1-D array, bit for bit, from
+    one ``np.partition``: the middle value, or for an even count the
+    mean of the two middle values, summed and halved as ``np.mean``
+    does; NaN if any value is NaN; 0.0 when ``values`` is empty."""
+    size = len(values)
+    if size == 0:
+        return 0.0
+    half = size // 2
+    if size % 2:
+        part = np.partition(values, (half, size - 1))
+        middle = float(part[half])
+    else:
+        part = np.partition(values, (half - 1, half, size - 1))
+        middle = (float(part[half - 1]) + float(part[half])) / 2
+    return math.nan if math.isnan(part[-1]) else middle
+
+
+@dataclass(frozen=True, eq=False)
+class AnalysisPlan:
+    """What analysing a window of one length needs besides its samples:
+    the taper (``None`` for rect), FFT length, per-bin calibration
+    ``scale``, and bin frequencies and width.  Built once per length."""
+
+    taper: np.ndarray | None
+    n_fft: int
+    scale: np.ndarray
+    frequencies: np.ndarray
+    bin_width: float
+
+    def magnitudes(self, frames: np.ndarray) -> np.ndarray:
+        """RMS-calibrated magnitudes of one window (1-D) or a batch of
+        windows (2-D, one per row)."""
+        if self.taper is not None:
+            frames = frames * self.taper
+        return np.abs(np.fft.rfft(frames, n=self.n_fft)) * self.scale
+
+
+@lru_cache(maxsize=64)
+def _analysis_plan(window: str, zero_pad_factor: int, count: int,
+                   sample_rate: int) -> AnalysisPlan:
+    if window == "hann":
+        taper, gain = hann_taper(count)
+    else:
+        taper, gain = None, 1.0
+    n_fft = count * zero_pad_factor
+    # A sinusoid of RMS level r shows |rfft| = r * sqrt(2) * count *
+    # gain / 2 in its bin; the scale maps that back to r.  The DC bin
+    # and (for even n_fft) the Nyquist bin have no mirrored negative
+    # bin to share the energy with, so they take no sqrt(2).
+    scale = np.full(n_fft // 2 + 1, math.sqrt(2.0))
+    scale[0] = 1.0
+    if n_fft % 2 == 0 and n_fft > 1:
+        scale[-1] = 1.0
+    scale /= count * gain
+    frequencies = np.fft.rfftfreq(n_fft, 1.0 / sample_rate)
+    scale.setflags(write=False)
+    frequencies.setflags(write=False)
+    bin_width = float(frequencies[1] - frequencies[0]) if n_fft > 1 else 0.0
+    return AnalysisPlan(taper, n_fft, scale, frequencies, bin_width)
+
+
+def spectral_peaks(frequencies: np.ndarray, bin_width: float,
+                   magnitudes: np.ndarray, min_magnitude: float, lo: int,
+                   hi: int) -> list[tuple[float, float]]:
+    """``(frequency, magnitude)`` of each local maximum of at least
+    ``min_magnitude`` among interior bins ``[lo, hi)``, loudest first
+    (ties in ascending frequency): found by array math over the bins,
+    then refined by clamped three-point parabolic interpolation in
+    plain Python over the few peaks."""
+    left, centre, right = (magnitudes[lo + shift : hi + shift]
+                           for shift in (-1, 0, 1))
+    index = ((centre > left)
+             & (centre >= np.maximum(right, min_magnitude))).nonzero()[0]
+    peaks = sorted(
+        zip(centre.take(index).tolist(), left.take(index).tolist(),
+            right.take(index).tolist(), frequencies[lo:hi].take(index).tolist()),
+        key=itemgetter(0), reverse=True,
+    )
+    refined = []
+    for magnitude, below, above, frequency in peaks:
+        denominator = below - 2.0 * magnitude + above
+        offset = (0.5 * (below - above) / denominator
+                  if denominator != 0.0 else 0.0)
+        offset = -0.5 if offset < -0.5 else 0.5 if offset > 0.5 else offset
+        refined.append((frequency + offset * bin_width, magnitude))
+    return refined
+
+
 class SpectrumAnalyzer:
     """Windowed-FFT analyzer with Hann weighting and peak picking.
 
@@ -168,56 +238,17 @@ class SpectrumAnalyzer:
         if count == 0:
             empty = np.zeros(0)
             return Spectrum(empty, empty.copy(), signal.sample_rate, 0.0)
-        frequencies, magnitudes = self.analyze_block(
-            signal.samples[np.newaxis, :], signal.sample_rate
-        )
-        return Spectrum(
-            frequencies, magnitudes[0], signal.sample_rate, signal.duration
-        )
+        plan = self.plan(count, signal.sample_rate)
+        return Spectrum(plan.frequencies, plan.magnitudes(signal.samples),
+                        signal.sample_rate, signal.duration)
 
-    def analyze_block(
-        self, frames: np.ndarray, sample_rate: int
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """One-sided magnitude spectra of a batch of equal-length frames.
-
-        Parameters
-        ----------
-        frames:
-            Sample matrix of shape ``(T, N)`` — ``T`` analysis windows
-            of ``N`` samples each (e.g. from
-            :meth:`AudioSignal.frame_matrix`).
-        sample_rate:
-            Sample rate of the frames, Hz.
-
-        Returns
-        -------
-        tuple[numpy.ndarray, numpy.ndarray]
-            ``(frequencies, magnitudes)`` — bin frequencies, shape
-            ``(F,)``, and RMS-calibrated magnitudes, shape ``(T, F)``.
-            Each row equals :meth:`analyze` of the corresponding frame.
-        """
-        frames = np.asarray(frames, dtype=np.float64)
-        if frames.ndim != 2:
-            raise ValueError(f"frames must be 2-D, got shape {frames.shape}")
-        count = frames.shape[1]
-        if count == 0:
-            return np.zeros(0), np.zeros((frames.shape[0], 0))
-        if self.window == "hann":
-            taper, gain = hann_taper(count)
-            # Coherent gain compensation keeps magnitudes calibrated.
-            frames = frames * taper
-        else:
-            gain = 1.0
-        n_fft = count * self.zero_pad_factor
-        spectra = np.fft.rfft(frames, n=n_fft, axis=-1)
-        frequencies = np.fft.rfftfreq(n_fft, 1.0 / sample_rate)
-        # Calibrate so a sinusoid of RMS level r reports magnitude r at
-        # its bin: |rfft| at the bin is (peak * count * gain / 2), and
-        # peak = r * sqrt(2), hence the sqrt(2)/(count*gain) factor.
-        # DC and Nyquist have no mirrored bin, so sqrt(2) is skipped
-        # there (see one_sided_scale).
-        magnitudes = np.abs(spectra) * (one_sided_scale(n_fft) / (count * gain))
-        return frequencies, magnitudes
+    def plan(self, count: int, sample_rate: int) -> AnalysisPlan:
+        """The cached :class:`AnalysisPlan` for ``count``-sample windows
+        (``count`` >= 1); its ``magnitudes`` of a ``(T, count)`` frame
+        matrix are one batched rfft, row ``t`` equal to :meth:`analyze`
+        of frame ``t``."""
+        return _analysis_plan(self.window, self.zero_pad_factor, count,
+                              sample_rate)
 
     def find_peaks(
         self,
@@ -254,25 +285,15 @@ class SpectrumAnalyzer:
         floor = max(spectrum.noise_floor(), 1e-12)
         if len(mags) < 3:
             return np.zeros(0), np.zeros(0), floor
-        min_magnitude = floor * 10.0 ** (threshold_db / 20.0)
         high_limit = max_frequency if max_frequency is not None else freqs[-1]
         # Interior bins inside [min_frequency, high_limit] (ascending).
         lo = max(int(np.searchsorted(freqs, min_frequency)), 1)
         hi = min(int(np.searchsorted(freqs, high_limit, "right")), len(mags) - 1)
-        hi = max(hi, lo)
-        centre = mags[lo:hi]
-        index = np.flatnonzero(
-            (centre > mags[lo - 1 : hi - 1])
-            & (centre >= np.maximum(mags[lo + 1 : hi + 1], min_magnitude))
-        ) + lo
-        index = index[np.argsort(-mags[index], kind="stable")]
-        left, centre, right = mags[index - 1], mags[index], mags[index + 1]
-        denominator = left - 2.0 * centre + right
-        offset = np.divide(0.5 * (left - right), denominator,
-                           out=np.zeros_like(centre),
-                           where=denominator != 0.0)
-        offset = np.minimum(np.maximum(offset, -0.5), 0.5)
-        return freqs[index] + offset * spectrum.bin_width, centre, floor
+        peaks = spectral_peaks(freqs, spectrum.bin_width, mags,
+                               floor * 10.0 ** (threshold_db / 20.0),
+                               lo, max(hi, lo))
+        frequencies, magnitudes = np.array(peaks).reshape(-1, 2).T
+        return frequencies, magnitudes, floor
 
     def timed_analyze(self, signal: AudioSignal) -> tuple[Spectrum, float]:
         """Analyze a window and report elapsed wall-clock seconds.
@@ -332,31 +353,5 @@ def power_spectrogram(
     times, frames = signal.frame_matrix(frame_duration, hop_duration)
     if frames.shape[1] == 0:
         return np.zeros(0), np.zeros(0), np.zeros((0, 0))
-    frequencies, magnitudes = analyzer.analyze_block(frames, signal.sample_rate)
-    return times, frequencies, magnitudes
-
-
-def power_spectrogram_reference(
-    signal: AudioSignal,
-    frame_duration: float = 0.05,
-    hop_duration: float | None = None,
-    analyzer: SpectrumAnalyzer | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-frame-loop spectrogram, kept as the scalar reference.
-
-    Same contract as :func:`power_spectrogram` for non-empty results;
-    the equivalence suite and micro-benchmarks compare the batched path
-    against this implementation.
-    """
-    analyzer = analyzer or SpectrumAnalyzer()
-    times = []
-    rows = []
-    frequencies = np.zeros(0)
-    for start, frame in signal.frames(frame_duration, hop_duration):
-        spectrum = analyzer.analyze(frame)
-        frequencies = spectrum.frequencies
-        times.append(start)
-        rows.append(spectrum.magnitudes)
-    if not rows:
-        return np.zeros(0), np.zeros(0), np.zeros((0, 0))
-    return np.array(times), frequencies, np.vstack(rows)
+    plan = analyzer.plan(frames.shape[1], signal.sample_rate)
+    return times, plan.frequencies, plan.magnitudes(frames)

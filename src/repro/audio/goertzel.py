@@ -47,6 +47,6 @@ def goertzel_magnitude(signal: AudioSignal, frequency: float) -> float:
     magnitude = math.hypot(real, imag)
     # One-sided x-sqrt(2) RMS correction, except at DC and Nyquist
     # which have no mirrored bin (matches SpectrumAnalyzer's
-    # one_sided_scale calibration).
+    # calibration).
     scale = 1.0 if k == 0 or 2 * k == count else math.sqrt(2.0)
     return magnitude * scale / (count * gain)

@@ -18,8 +18,10 @@ from __future__ import annotations
 
 import math
 import time as _time
-from bisect import bisect_right
+from array import array
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from ..audio import AcousticChannel, Microphone, Position, Speaker
 from ..core import FrequencyPlan, MDNController
@@ -154,10 +156,12 @@ def run_room(spec: RoomSpec) -> RoomReport:
     """Simulate one room to its horizon and roll up the report."""
     wall_start = _time.perf_counter()
     rig = _build_room(spec)
-    onsets: list[tuple[float, float]] = []  # (frequency, onset time)
+    # Onsets as flat (frequency, onset time) pairs: 16 bytes each, where
+    # a tuple per onset would cost ~100.
+    onsets = array("d")
     rig.controller.watch(
         sorted(rig.chirp_times),
-        on_onset=lambda event: onsets.append((event.frequency, event.time)),
+        on_onset=lambda event: onsets.extend((event.frequency, event.time)),
     )
     rig.controller.start()
     rig.sim.run(spec.horizon)
@@ -166,7 +170,8 @@ def run_room(spec: RoomSpec) -> RoomReport:
     metrics.counter("fleet.rooms").inc()
     metrics.counter("fleet.switches").inc(spec.num_switches)
     metrics.counter("fleet.emissions").inc(rig.emissions)
-    metrics.counter("fleet.onsets").inc(len(onsets))
+    onset_count = len(onsets) // 2
+    metrics.counter("fleet.onsets").inc(onset_count)
     metrics.counter("fleet.detections").inc(rig.controller.detections)
     metrics.counter("fleet.windows").inc(rig.controller.windows_processed)
     metrics.counter("fleet.speaker_outages").inc(rig.speaker_outages)
@@ -175,29 +180,11 @@ def run_room(spec: RoomSpec) -> RoomReport:
         _peak_tones_per_window(onsets, spec)
     )
 
-    # Attribute each onset to the one chirp it redeems.  An onset's
-    # event time is its *window start*, which can precede the chirp
-    # (a chirp starting mid-window is heard in that same window), so
-    # matching is against the window's end.  Anything more than a tone
-    # plus two windows stale matches no chirp and is leakage.
+    lags, delivered = _attribute_onsets(onsets, rig.chirp_times, spec)
     lag_hist = metrics.histogram("fleet.onset_lag_ms")
-    max_lag = spec.tone_duration + 2.0 * spec.listen_interval
-    delivered = 0
-    spurious = 0
-    hit: dict[float, set[int]] = {}
-    for frequency, heard_at in onsets:
-        starts = rig.chirp_times.get(frequency, [])
-        window_end = heard_at + spec.listen_interval
-        position = bisect_right(starts, window_end) - 1
-        lag = window_end - starts[position] if position >= 0 else math.inf
-        if lag > max_lag:
-            spurious += 1
-            continue
-        lag_hist.observe(lag * 1e3)
-        redeemed = hit.setdefault(frequency, set())
-        if position not in redeemed:
-            redeemed.add(position)
-            delivered += 1
+    for lag in map(float, lags):
+        lag_hist.observe(lag)
+    spurious = onset_count - len(lags)
     metrics.counter("fleet.delivered").inc(delivered)
     metrics.counter("fleet.spurious_onsets").inc(spurious)
 
@@ -206,7 +193,7 @@ def run_room(spec: RoomSpec) -> RoomReport:
         room_id=spec.room_id,
         num_switches=spec.num_switches,
         emissions=rig.emissions,
-        onsets=len(onsets),
+        onsets=onset_count,
         detections=rig.controller.detections,
         windows=rig.controller.windows_processed,
         speaker_outages=rig.speaker_outages,
@@ -218,14 +205,59 @@ def run_room(spec: RoomSpec) -> RoomReport:
     )
 
 
+def _onset_columns(onsets) -> tuple[np.ndarray, np.ndarray]:
+    """``(frequency, heard_at)`` arrays of onsets given as ``(frequency,
+    time)`` pairs, or as one flat buffer of such pairs."""
+    return np.asarray(onsets, dtype=float).reshape(-1, 2).T
+
+
+def _attribute_onsets(
+    onsets, chirp_times: dict[float, list[float]], spec: RoomSpec
+) -> tuple[np.ndarray, int]:
+    """Attribute each onset to the one chirp it redeems: the lags
+    (ms) of the attributed onsets in onset order, and the number of
+    distinct chirps they redeem.
+
+    An onset's event time is its *window start*, which can precede the
+    chirp (a chirp starting mid-window is heard in that same window), so
+    matching is against the window's end: the latest chirp of its
+    frequency that started by then.  Anything more than a tone plus two
+    windows stale matches no chirp and is leakage (spurious)."""
+    frequency, heard_at = _onset_columns(onsets)
+    window_end = heard_at + spec.listen_interval
+    lag = np.full(len(window_end), math.inf)
+    # Chirps numbered across frequencies: frequency k's chirp j is
+    # first[k] + j.
+    chirp = np.full(len(window_end), -1)
+    first = 0
+    for chirp_frequency, starts in chirp_times.items():
+        mine = np.flatnonzero(frequency == chirp_frequency)
+        if len(mine) and starts:
+            starts = np.array(starts)
+            position = np.searchsorted(starts, window_end[mine], "right") - 1
+            found = position >= 0
+            mine, position = mine[found], position[found]
+            lag[mine] = window_end[mine] - starts[position]
+            chirp[mine] = first + position
+        first += len(starts)
+    attributed = lag <= spec.tone_duration + 2.0 * spec.listen_interval
+    lag = lag[attributed]
+    lag *= 1e3
+    return lag, len(np.unique(chirp[attributed]))
+
+
 def _peak_tones_per_window(onsets, spec: RoomSpec) -> float:
     """Most distinct frequencies heard in any one listening window —
     a sim-deterministic congestion gauge merged fleet-wide with the
     ``max`` policy.  Window starts carry float error (the window at
     2.0 s can start at 1.9999999999999998), so they are bucketed to
-    the nearest window index, not truncated into the previous one."""
-    per_window: dict[int, set[float]] = {}
-    for frequency, heard_at in onsets:
-        window = round(heard_at / spec.listen_interval)
-        per_window.setdefault(window, set()).add(frequency)
-    return float(max((len(v) for v in per_window.values()), default=0))
+    the nearest window index (``np.rint``), not truncated into the
+    previous one."""
+    frequency, heard_at = _onset_columns(onsets)
+    if not len(frequency):
+        return 0.0
+    window = np.rint(heard_at / spec.listen_interval).astype(np.int64)
+    tones, tone = np.unique(frequency, return_inverse=True)
+    pairs = np.unique(window * len(tones) + tone)
+    _windows, distinct = np.unique(pairs // len(tones), return_counts=True)
+    return float(distinct.max())

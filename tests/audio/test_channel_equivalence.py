@@ -420,7 +420,7 @@ class TestBoundedState:
                               emitters[second % 4])
             channel.render_at(Position(), second, second + 1.0)
             if second % 20 == 19:
-                bank_peak = max(bank_peak, len(channel._bank_sine))
+                bank_peak = max(bank_peak, channel._bank.shape[1])
                 index_peak = max(index_peak, channel._count)
                 channel.prune(before=second, margin=1.0)
                 live = len(channel.scheduled_tones)

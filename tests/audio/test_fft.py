@@ -170,12 +170,12 @@ class TestSpectrogram:
 class TestBoundedCaches:
     def test_window_length_caches_stay_bounded(self, analyzer):
         """A stream of ever-new window lengths must not grow the taper
-        and one-sided-scale memos without limit."""
-        from repro.audio.fft import hann_taper, one_sided_scale
+        and analysis-plan memos without limit."""
+        from repro.audio.fft import _analysis_plan, hann_taper
 
         for count in range(3, 3 + 2 * hann_taper.cache_info().maxsize):
             analyzer.analyze(AudioSignal(np.ones(count)))
-        for cache in (hann_taper, one_sided_scale):
+        for cache in (hann_taper, _analysis_plan):
             info = cache.cache_info()
             assert info.maxsize is not None
             assert info.currsize <= info.maxsize

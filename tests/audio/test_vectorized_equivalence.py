@@ -6,10 +6,12 @@ the scalar/looped reference implementations within 1e-9 — the RMS
 calibration contract of DESIGN.md §5 — across window sizes, hop sizes
 and zero-pad factors, including non-divisible frame/hop combinations.
 
-The array detect path (peak picking, sidelobe rejection, watch-list
-matching) is held to more: the event lists it returns must *equal*
-those of the per-peak scalar loops kept below as references, over
-generated spectra that hit every tie and boundary those loops decide.
+The detect path (peak picking, sidelobe rejection, watch-list
+matching) is held to more: the event lists it returns, and those of the
+array pipeline it replaced (``tests/audio/reference_detect.py``), must
+*equal* those of the per-peak scalar loops kept below as references,
+over generated spectra that hit every tie and boundary those loops
+decide.
 """
 
 from collections import namedtuple
@@ -32,9 +34,15 @@ from repro.audio import (
 from repro.audio.detector import (
     SIDELOBE_RADIUS_HZ,
     SIDELOBE_REJECTION_DB,
-    _unshadowed,
+    _shadowed,
 )
-from repro.audio.fft import SpectralPeak, Spectrum, power_spectrogram_reference
+from repro.audio.fft import SpectralPeak, Spectrum
+from tests.audio.reference_detect import (
+    events_from_spectrum,
+    match,
+    unshadowed,
+)
+from tests.audio.reference_spectrogram import power_spectrogram_reference
 
 TOLERANCE = 1e-9
 
@@ -100,7 +108,7 @@ def reference_match(detector, measured):
 
 
 def reference_events_from_spectrum(detector, spectrum, time):
-    """The scalar ``FrequencyDetector._events_from_spectrum``."""
+    """The scalar form of ``FrequencyDetector._events``."""
     peaks = reference_find_peaks(spectrum, detector.threshold_db)
     peaks = reference_reject_sidelobes(peaks)
     events = {}
@@ -191,8 +199,14 @@ class TestDetectStreamEquivalence:
 
 
 # ---------------------------------------------------------------------
-# Array detect path vs the scalar references: exact event lists.
+# Detect paths vs the scalar references: exact event lists.
 # ---------------------------------------------------------------------
+
+def detector_events(detector, spectrum, time):
+    """``FrequencyDetector``'s own events for a ready-made spectrum."""
+    return detector._events(spectrum.frequencies, spectrum.bin_width,
+                            spectrum.magnitudes, time)
+
 
 #: ``1.0`` just below: as a peak's left neighbour, with centre and right
 #: neighbour at 1.0, it makes the parabolic denominator round to 0.
@@ -265,8 +279,9 @@ class TestArrayDetectEquivalence:
             threshold_db=data.draw(st.sampled_from([0.0, 10.0])),
             min_level_db=min_level_db,
         )
-        assert (detector._events_from_spectrum(spectrum, 1.5)
-                == reference_events_from_spectrum(detector, spectrum, 1.5))
+        want = reference_events_from_spectrum(detector, spectrum, 1.5)
+        assert detector_events(detector, spectrum, 1.5) == want
+        assert events_from_spectrum(detector, spectrum, 1.5) == want
 
     @settings(max_examples=200, deadline=None)
     @given(measured=st.lists(st.sampled_from(
@@ -283,9 +298,11 @@ class TestArrayDetectEquivalence:
         watch list whose rounded distances tie *below* the nearest
         neighbour pair (1e-20 and 2e-20 are both 5.0 from 5.0)."""
         detector = FrequencyDetector(watched, tolerance_hz=tolerance_hz)
+        want = [reference_match(detector, m) for m in measured]
+        assert [detector._nearest(m) for m in measured] == want
         got = [detector.watched[i] if i >= 0 else None
-               for i in detector._match(np.array(measured)).tolist()]
-        assert got == [reference_match(detector, m) for m in measured]
+               for i in match(detector, np.array(measured)).tolist()]
+        assert got == want
 
     @settings(max_examples=300, deadline=None)
     @given(peaks=st.lists(st.tuples(st.sampled_from(20.0 * np.arange(40)),
@@ -297,10 +314,18 @@ class TestArrayDetectEquivalence:
         Peak = namedtuple("Peak", "frequency level_db")
         ordered = sorted((Peak(*p) for p in peaks),
                          key=lambda p: p.level_db, reverse=True)
-        mask = _unshadowed(np.array([p.frequency for p in ordered]),
-                           np.array([p.level_db for p in ordered]))
-        kept = [peak for peak, keep in zip(ordered, mask) if keep]
-        assert kept == reference_reject_sidelobes(ordered)
+        want = reference_reject_sidelobes(ordered)
+        mask = unshadowed(np.array([p.frequency for p in ordered]),
+                          np.array([p.level_db for p in ordered]))
+        assert [peak for peak, keep in zip(ordered, mask) if keep] == want
+        kept = []
+        for peak in ordered:
+            if not _shadowed(
+                [(p.level_db, p.frequency) for p in kept],
+                peak.level_db, peak.frequency,
+            ):
+                kept.append(peak)
+        assert kept == want
 
     def test_equal_peaks_keep_ascending_frequency_order(self):
         """A comb of peaks at three heights, longer than the 16 elements
@@ -321,8 +346,9 @@ class TestArrayDetectEquivalence:
         mags[10], mags[12] = 1.0, second
         spectrum = Spectrum(10.0 * np.arange(24), mags, 48000, 0.05)
         detector = FrequencyDetector([110.0], tolerance_hz=10.0)
-        events = detector._events_from_spectrum(spectrum, 0.0)
+        events = detector_events(detector, spectrum, 0.0)
         assert events == reference_events_from_spectrum(detector, spectrum, 0.0)
+        assert events == events_from_spectrum(detector, spectrum, 0.0)
         assert [e.measured_frequency for e in events] == [100.0]
 
     def test_empty_spectra(self):
@@ -331,5 +357,6 @@ class TestArrayDetectEquivalence:
             spectrum = Spectrum(10.0 * np.arange(bins), np.ones(bins),
                                 48000, 0.05)
             assert SpectrumAnalyzer().find_peaks(spectrum) == []
-            assert detector._events_from_spectrum(spectrum, 0.0) == []
-        assert detector._match(np.zeros(0)).tolist() == []
+            assert detector_events(detector, spectrum, 0.0) == []
+            assert events_from_spectrum(detector, spectrum, 0.0) == []
+        assert match(detector, np.zeros(0)).tolist() == []

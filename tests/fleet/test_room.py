@@ -1,16 +1,19 @@
 """One room, end to end: determinism, delivery accounting, faults."""
 
+import math
 import pickle
+from bisect import bisect_right
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.audio import AcousticChannel, FrequencyDetector
 from repro.fleet import FaultPlan, RoomSpec, run_room
-from repro.fleet.room import _peak_tones_per_window
+from repro.fleet.room import _attribute_onsets, _peak_tones_per_window
+from tests.audio.reference_detect import reference_detect
 from tests.audio.reference_render import render_reference
-from tests.audio.test_vectorized_equivalence import (
-    reference_events_from_spectrum,
-)
 
 #: Small-but-real room: 8 switches for ~0.5 s keeps the test quick
 #: while exercising the full chirp/listen/attribute path.
@@ -91,30 +94,92 @@ def test_peak_gauge_keeps_adjacent_float_window_starts_apart():
     assert _peak_tones_per_window(onsets, SPEC) == 1.0
 
 
+def reference_rollup(onsets, chirp_times, spec):
+    """The per-onset loops the vectorised roll-up replaced: the lags
+    observed (ms, in onset order), chirps delivered, spurious onsets
+    and the peak-tones gauge."""
+    max_lag = spec.tone_duration + 2.0 * spec.listen_interval
+    lags, delivered, spurious, hit = [], 0, 0, {}
+    for frequency, heard_at in onsets:
+        starts = chirp_times.get(frequency, [])
+        window_end = heard_at + spec.listen_interval
+        position = bisect_right(starts, window_end) - 1
+        lag = window_end - starts[position] if position >= 0 else math.inf
+        if lag > max_lag:
+            spurious += 1
+            continue
+        lags.append(lag * 1e3)
+        redeemed = hit.setdefault(frequency, set())
+        if position not in redeemed:
+            redeemed.add(position)
+            delivered += 1
+    per_window = {}
+    for frequency, heard_at in onsets:
+        window = round(heard_at / spec.listen_interval)
+        per_window.setdefault(window, set()).add(frequency)
+    peak = float(max((len(v) for v in per_window.values()), default=0))
+    return lags, delivered, spurious, peak
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(),
+       chirps=st.dictionaries(
+           st.sampled_from([700.0, 720.0, 740.0, 760.0]),
+           st.lists(st.integers(0, 60), max_size=12, unique=True),
+           max_size=4))
+def test_rollup_matches_the_per_onset_loops(data, chirps):
+    """Onsets before any chirp, long after one (spurious), several for
+    one chirp, on frequencies with no chirps, and on window starts a
+    hair off the grid: equal lags in equal order, counts and gauge."""
+    interval = SPEC.listen_interval
+    chirp_times = {frequency: sorted(slot * 0.1 for slot in slots)
+                   for frequency, slots in chirps.items()}
+    starts = st.one_of(
+        st.integers(0, 200).map(lambda k: k * interval),
+        st.integers(1, 200).map(lambda k: float(np.nextafter(k * interval,
+                                                             0.0))),
+        st.floats(0.0, 7.0),
+    )
+    onsets = data.draw(st.lists(
+        st.tuples(st.sampled_from([700.0, 720.0, 740.0, 760.0, 780.0]),
+                  starts),
+        max_size=60))
+    lags, delivered = _attribute_onsets(onsets, chirp_times, SPEC)
+    want_lags, want_delivered, want_spurious, want_peak = reference_rollup(
+        onsets, chirp_times, SPEC)
+    assert lags.tolist() == want_lags
+    assert delivered == want_delivered
+    assert len(onsets) - len(lags) == want_spurious
+    assert _peak_tones_per_window(onsets, SPEC) == want_peak
+
+
 def test_report_is_picklable(report):
     clone = pickle.loads(pickle.dumps(report))
     assert clone.identity_signature() == report.identity_signature()
 
 
 def test_listen_path_matches_the_reference_loops(monkeypatch):
-    """A dense room on the array render/detect path, then again with
-    the scalar reference render and detect loops patched in: every
-    window's events, and so the identity signature, must be equal."""
+    """A dense room on the columnar render and plan detect path, then
+    again with the reference render loop and array detect pipeline
+    patched in: every window's events, and so the identity signature,
+    must be equal."""
     spec = RoomSpec(room_id=0, num_switches=50, horizon=3.0)
     heard = []
-    detect = FrequencyDetector.detect
 
-    def recording_detect(self, window, time=0.0):
-        events = detect(self, window, time)
-        heard.append(events)
-        return events
+    def recording(detect):
+        def recording_detect(self, window, time=0.0):
+            events = detect(self, window, time)
+            heard.append(events)
+            return events
+        return recording_detect
 
-    monkeypatch.setattr(FrequencyDetector, "detect", recording_detect)
+    monkeypatch.setattr(FrequencyDetector, "detect",
+                        recording(FrequencyDetector.detect))
     fast = run_room(spec)
     fast_events, heard[:] = list(heard), []
     monkeypatch.setattr(AcousticChannel, "render_at", render_reference)
-    monkeypatch.setattr(FrequencyDetector, "_events_from_spectrum",
-                        reference_events_from_spectrum)
+    monkeypatch.setattr(FrequencyDetector, "detect",
+                        recording(reference_detect))
     reference = run_room(spec)
     assert sum(map(len, fast_events)) > 0
     assert heard == fast_events
