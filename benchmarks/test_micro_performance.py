@@ -397,111 +397,6 @@ def test_perf_faults_disabled_overhead():
     assert overhead < 0.05
 
 
-@pytest.mark.perf
-def test_perf_spectrum_sentinel_disabled_overhead(busy_channel):
-    """Acceptance gate for the spectrum-agility tap: a *disabled*
-    InterferenceSentinel wired as the detector's spectrum sink must
-    leave the detection events bit-identical and stay within 5% of the
-    bare detector's timing on the listening hot path (the sentinel
-    must be free when unused)."""
-    from repro.core.spectrum import InterferenceSentinel
-
-    plan = FrequencyPlan(low_hz=500.0, guard_hz=40.0)
-    watched = list(plan.allocate("all", 10).frequencies)
-    microphone = Microphone(Position(), seed=1)
-    windows = [microphone.record(busy_channel, tick * 0.1, (tick + 1) * 0.1)
-               for tick in range(6)]
-
-    sentinel = InterferenceSentinel(plan, enabled=False)
-    detector = FrequencyDetector(watched)
-
-    def sweep(sink):
-        detector.spectrum_sink = sink
-        return [detector.detect(window, tick * 0.1)
-                for tick, window in enumerate(windows)]
-
-    assert sweep(None) == sweep(sentinel.observe)
-    assert sentinel.windows_seen == 0, "disabled sentinel must observe nothing"
-
-    sweep(None)
-    sweep(sentinel.observe)  # warm both before timing
-    bare_s, hooked_s, overhead = _interleaved(
-        lambda: sweep(None), lambda: sweep(sentinel.observe), rounds=400)
-    _record_perf("spectrum_sentinel_idle_overhead_10f_6win", {
-        "bare_ms": bare_s * 1e3,
-        "hooked_ms": hooked_s * 1e3,
-        "idle_overhead": overhead,
-    })
-    print(f"\nidle sentinel overhead 10 freqs / {len(windows)} windows: "
-          f"bare {bare_s*1e3:.2f} ms, "
-          f"hooked {hooked_s*1e3:.2f} ms ({overhead:+.1%})")
-    assert overhead < 0.05
-
-
-@pytest.mark.perf
-def test_perf_infra_disabled_overhead():
-    """Acceptance gate for the repro.infra send path: an MpArqSender
-    whose breaker never trips and whose admission bucket never empties
-    must produce bit-identical ArqStats to a bare sender on a healthy
-    link, and the idle allow/admit checks (~2 us against a ~35 us
-    per-send event machinery) must stay an order of magnitude below the
-    machinery cost."""
-    from repro.infra import CircuitBreaker, TokenBucket
-    from repro.core import (MpArqSender, MusicAgent, MusicProtocolMessage,
-                            PiBridge)
-    from repro.audio import Speaker
-    from repro.net.switch import Switch
-
-    message = MusicProtocolMessage(1000.0, 0.05, 70.0)
-    sends = 200
-
-    def arq_run(with_infra):
-        sim = Simulator()
-        agent = MusicAgent(sim, AcousticChannel(),
-                           Speaker(Position(1.0, 0.0, 0.0)), name="s1")
-        bridge = PiBridge(sim, Switch(sim, "s1"), agent)
-        kwargs = {}
-        if with_infra:
-            kwargs = dict(breaker=CircuitBreaker("s1"),
-                          admission=TokenBucket(10_000.0, 10_000.0))
-        sender = MpArqSender(bridge, **kwargs)
-        for index in range(sends):
-            sim.schedule_at(index * 0.01, sender.send, message)
-        start = time.perf_counter()
-        sim.run(5.0)
-        return time.perf_counter() - start, sender.stats()
-
-    arq_run(False)
-    arq_run(True)  # warm both before timing
-    arq_bare_s = arq_idle_s = float("inf")
-    for round_index in range(10):
-        order = (False, True) if round_index % 2 == 0 else (True, False)
-        for with_infra in order:
-            elapsed, stats = arq_run(with_infra)
-            assert stats.acked == sends and stats.expired == 0
-            assert stats.fast_failed == 0 and stats.shed == 0
-            if with_infra:
-                idle_stats = stats
-                arq_idle_s = min(arq_idle_s, elapsed)
-            else:
-                bare_stats = stats
-                arq_bare_s = min(arq_bare_s, elapsed)
-    assert idle_stats == bare_stats, \
-        "idle breaker/admission must not change ARQ behavior"
-    arq_overhead = arq_idle_s / arq_bare_s - 1.0
-    _record_perf("infra_arq_idle_overhead_200sends", {
-        "bare_ms": arq_bare_s * 1e3,
-        "idle_ms": arq_idle_s * 1e3,
-        "idle_overhead": arq_overhead,
-    })
-    print(f"idle breaker+admission overhead {sends} sends: "
-          f"bare {arq_bare_s*1e3:.2f} ms, "
-          f"infra {arq_idle_s*1e3:.2f} ms ({arq_overhead:+.1%})")
-    # The per-send allow/admit cost is real (~6%) but must never grow
-    # to rival the send machinery itself.
-    assert arq_overhead < 0.25
-
-
 def _steady_heap_run(pending: int, dispatches: int) -> Simulator:
     """Keep ``pending`` self-rescheduling events in the heap (one per
     slot of a 1 s period) and dispatch exactly ``dispatches`` of them."""

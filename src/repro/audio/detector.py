@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .. import obs
-from .fft import Spectrum, SpectrumAnalyzer, median, spectral_peaks
+from .fft import SpectrumAnalyzer, median, spectral_peaks
 from .signal import AudioSignal, amplitude_to_db
 
 #: The paper's empirical separability limit between adjacent tones.
@@ -62,20 +62,12 @@ class DetectionEvent:
         Received level of the tone, dB SPL.
     time:
         Capture-window start time, seconds (simulation clock).
-    epoch:
-        Frequency-plan epoch the tone is attributed to (0 until a
-        spectrum migration ever commits).  During a make-before-break
-        handover, a tone heard on a *pre-migration* frequency carries
-        the epoch it was emitted under while ``frequency`` already
-        names its relocated plan entry — so no event is lost or
-        misattributed across a PLAN_COMMIT boundary.
     """
 
     frequency: float
     measured_frequency: float
     level_db: float
     time: float
-    epoch: int = 0
 
 
 class FrequencyDetector:
@@ -91,14 +83,6 @@ class FrequencyDetector:
         can never both claim one peak.
     threshold_db:
         Required prominence above the window's noise floor.
-    spectrum_sink:
-        Optional ``callback(spectrum, time)`` invoked with every window
-        spectrum the detector computes during :meth:`detect` —
-        *before* events are returned.  This is how the interference
-        sentinel (:mod:`repro.core.spectrum`) estimates per-band noise
-        occupancy from spectra the detector already paid for, with no
-        extra FFTs.  ``None`` (the default) costs a single ``is not
-        None`` check per window.
     """
 
     def __init__(
@@ -108,7 +92,6 @@ class FrequencyDetector:
         threshold_db: float = DEFAULT_THRESHOLD_DB,
         min_level_db: float = DEFAULT_MIN_LEVEL_DB,
         analyzer: SpectrumAnalyzer | None = None,
-        spectrum_sink=None,
     ) -> None:
         if not watched_frequencies:
             raise ValueError("watched_frequencies must not be empty")
@@ -119,9 +102,8 @@ class FrequencyDetector:
         self.threshold_db = threshold_db
         self.min_level_db = min_level_db
         self._analyzer = analyzer or SpectrumAnalyzer(zero_pad_factor=2)
-        self.spectrum_sink = spectrum_sink
-        # Observability (repro.obs).  Detectors are rebuilt whenever the
-        # watch list changes, so the instruments are get-or-create on the
+        # Observability (repro.obs).  A controller builds a fresh detector
+        # on every start, so the instruments are get-or-create on the
         # registry (shared across rebuilds) rather than per-instance.
         self._obs = obs.get_registry()
         if self._obs is not None:
@@ -175,12 +157,8 @@ class FrequencyDetector:
 
     def _detect(self, window: AudioSignal, time: float) -> list[DetectionEvent]:
         plan = self._analyzer.plan(len(window), window.sample_rate)
-        magnitudes = plan.magnitudes(window.samples)
-        if self.spectrum_sink is not None:
-            self.spectrum_sink(Spectrum(plan.frequencies, magnitudes,
-                                        window.sample_rate, window.duration),
-                               time)
-        return self._events(plan.frequencies, plan.bin_width, magnitudes, time)
+        return self._events(plan.frequencies, plan.bin_width,
+                            plan.magnitudes(window.samples), time)
 
     def _events(self, frequencies: np.ndarray, bin_width: float,
                 magnitudes: np.ndarray, time: float) -> list[DetectionEvent]:

@@ -72,10 +72,6 @@ EXPERIMENTS: dict[str, tuple[str, Callable[[argparse.Namespace], Result]]] = {
              lambda args: E.extensions_experiment()),
     "xext12": ("resilience (fault injection, ARQ, failover)",
                lambda args: E.resilience_experiment(smoke=args.smoke)),
-    "xext13": ("spectrum agility (interference replanning)",
-               lambda args: E.spectrum_agility_experiment(smoke=args.smoke)),
-    "xext14": ("infra hardening (breaker, admission)",
-               lambda args: E.infra_experiment(smoke=args.smoke)),
     "xext15": ("fleet scale-out (sharded rooms, merged observability)",
                lambda args: E.fleet_experiment(smoke=args.smoke)),
     "xext16": ("workload generator (mixes -> precision/recall, scale)",
@@ -208,7 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
     flags.add_argument("--samples", type=int, default=1000,
                        help="sample count for fig2b")
     flags.add_argument("--smoke", action="store_true",
-                       help="shrink sweeps for CI (xext12-xext17)")
+                       help="shrink sweeps for CI (xext12, xext15-xext17)")
     flags.add_argument(
         "--workload", choices=sorted(WORKLOAD_MIXES), default=None,
         help="drive fig4*/fig5ab/xbase with a named seeded workload mix",

@@ -22,23 +22,9 @@ from .protocol import (
     MAX_DURATION_S,
     MAX_FREQUENCY_HZ,
     MAX_INTENSITY_DB,
-    PLAN_ABORT,
-    PLAN_COMMIT,
-    PLAN_PREPARE,
     WIRE_SIZE,
     MusicProtocolError,
     MusicProtocolMessage,
-    PlanControlMessage,
-)
-from .spectrum import (
-    FrequencyMove,
-    InterferenceSentinel,
-    LocalPlanParticipant,
-    MigrationRecord,
-    PiPlanParticipant,
-    SpectrumAgilityManager,
-    replan,
-    shadowed_slots,
 )
 from .pi import MP_ACK_PORT, MP_PORT, PiBridge, RaspberryPi
 from .relay import ToneRelay, build_relay_chain
@@ -70,18 +56,6 @@ __all__ = [
     "RaspberryPi",
     "MusicProtocolError",
     "MusicProtocolMessage",
-    "PlanControlMessage",
-    "PLAN_ABORT",
-    "PLAN_COMMIT",
-    "PLAN_PREPARE",
-    "FrequencyMove",
-    "InterferenceSentinel",
-    "LocalPlanParticipant",
-    "MigrationRecord",
-    "PiPlanParticipant",
-    "SpectrumAgilityManager",
-    "replan",
-    "shadowed_slots",
     "StateMachine",
     "ToneRelay",
     "ToneCounter",

@@ -23,19 +23,9 @@ from dataclasses import dataclass
 
 from ... import obs
 from ...baselines.inband import HeartbeatMonitor, HeartbeatSender, HeartbeatStats
-from ...infra import BreakerState, BreakerTransition, CircuitBreaker
 from ...net.host import Host
 from ..controller import MDNController
 from ..health import ChannelHealth, ChannelHealthMonitor, HealthTransition
-
-#: How a circuit breaker's verdicts translate into channel health:
-#: CLOSED flows, HALF_OPEN is probing (degraded), OPEN is dead.
-_BREAKER_HEALTH = {
-    BreakerState.CLOSED: ChannelHealth.HEALTHY,
-    BreakerState.HALF_OPEN: ChannelHealth.DEGRADED,
-    BreakerState.OPEN: ChannelHealth.DEAD,
-}
-
 
 @dataclass(frozen=True)
 class FailoverEvent:
@@ -79,15 +69,8 @@ class InbandFallback:
 
 
 class FailoverManager:
-    """Drives per-device in-band fallback from channel-health verdicts.
-
-    Verdicts arrive from two sources over the same decision path: the
-    sampling :class:`~repro.core.health.ChannelHealthMonitor`, and any
-    per-link :class:`~repro.infra.CircuitBreaker` attached via
-    :meth:`bind_breaker` — the breaker's trip is simply a much earlier
-    ``DEAD`` verdict than miss-rate sampling can produce, and its
-    HALF_OPEN probe cadence (a :class:`~repro.infra.RetryPolicy`) is
-    what paces the return to acoustic.
+    """Drives per-device in-band fallback from the verdicts of a
+    sampling :class:`~repro.core.health.ChannelHealthMonitor`.
 
     Parameters
     ----------
@@ -95,9 +78,7 @@ class FailoverManager:
         The MDN controller; failover events are appended to its
         ``failover_events`` list (and kept on the manager).
     health_monitor:
-        The sampling verdict source; the manager subscribes to its
-        transitions.  ``None`` for deployments driven purely by
-        breaker verdicts.
+        The verdict source; the manager subscribes to its transitions.
     fallbacks:
         ``{device_name: InbandFallback}`` — devices without an entry
         are watched but have nowhere to fail over to.
@@ -108,7 +89,7 @@ class FailoverManager:
     def __init__(
         self,
         controller: MDNController,
-        health_monitor: ChannelHealthMonitor | None,
+        health_monitor: ChannelHealthMonitor,
         fallbacks: dict[str, InbandFallback],
         failover_on: tuple[ChannelHealth, ...] = (
             ChannelHealth.DEGRADED, ChannelHealth.DEAD,
@@ -119,19 +100,9 @@ class FailoverManager:
         self.fallbacks = dict(fallbacks)
         self.failover_on = failover_on
         self.events: list[FailoverEvent] = []
-        self.breakers: dict[str, CircuitBreaker] = {}
         self._m_to_inband = obs.counter("failover.to_inband")
         self._m_to_acoustic = obs.counter("failover.to_acoustic")
-        if health_monitor is not None:
-            health_monitor.on_transition(self._on_transition)
-
-    def bind_breaker(self, device: str, breaker: CircuitBreaker) -> None:
-        """Drive ``device``'s fallback from ``breaker``'s verdicts too
-        (OPEN → DEAD, HALF_OPEN → DEGRADED, CLOSED → HEALTHY)."""
-        self.breakers[device] = breaker
-        breaker.on_transition(
-            lambda transition: self._on_breaker(device, transition)
-        )
+        health_monitor.on_transition(self._on_transition)
 
     def active_fallbacks(self) -> list[str]:
         """Devices currently monitored in-band."""
@@ -141,34 +112,23 @@ class FailoverManager:
         )
 
     def _on_transition(self, transition: HealthTransition) -> None:
-        self._apply(transition.emitter, transition.time, transition.state)
-
-    def _on_breaker(self, device: str,
-                    transition: BreakerTransition) -> None:
-        self._apply(device, transition.time,
-                    _BREAKER_HEALTH[transition.state])
-
-    def _apply(self, device: str, time: float,
-               health: ChannelHealth) -> None:
-        fallback = self.fallbacks.get(device)
+        fallback = self.fallbacks.get(transition.emitter)
         if fallback is None:
             return
-        if health in self.failover_on and not fallback.active:
+        if transition.state in self.failover_on and not fallback.active:
             fallback.activate()
-            self._record(device, time, health, "to_inband",
-                         self._m_to_inband)
-        elif health is ChannelHealth.HEALTHY and fallback.active:
+            self._record(transition, "to_inband", self._m_to_inband)
+        elif transition.state is ChannelHealth.HEALTHY and fallback.active:
             fallback.deactivate()
-            self._record(device, time, health, "to_acoustic",
-                         self._m_to_acoustic)
+            self._record(transition, "to_acoustic", self._m_to_acoustic)
 
-    def _record(self, device: str, time: float, health: ChannelHealth,
-                action: str, counter) -> None:
+    def _record(self, transition: HealthTransition, action: str,
+                counter) -> None:
         event = FailoverEvent(
-            device=device,
-            time=time,
+            device=transition.emitter,
+            time=transition.time,
             action=action,
-            health=health,
+            health=transition.state,
         )
         self.events.append(event)
         counter.inc()

@@ -37,23 +37,11 @@ class FlowToneMapper:
         self.allocation = allocation
 
     def bucket_of(self, flow: FlowKey) -> int:
-        """The hash bucket a flow sounds from.  Stable across a
-        :meth:`rebind` — buckets name sketch slots, not tones."""
+        """The hash bucket a flow sounds from."""
         return flow.stable_hash() % len(self.allocation)
 
     def frequency_of(self, flow: FlowKey) -> float:
         return self.allocation.frequency_for(self.bucket_of(flow))
-
-    def rebind(self, allocation: Allocation) -> None:
-        """Adopt a migrated allocation (spectrum agility PLAN_COMMIT):
-        same bucket count, same symbol order, new tones.  Both halves
-        share one mapper, so a single rebind retunes the whole app."""
-        if len(allocation) != len(self.allocation):
-            raise ValueError(
-                f"migrated allocation holds {len(allocation)} frequencies, "
-                f"expected {len(self.allocation)} (bucket map would shift)"
-            )
-        self.allocation = allocation
 
 
 class HeavyHitterEmitter:
@@ -85,12 +73,7 @@ class HeavyHitterEmitter:
         self.emission_period = emission_period
         self.tone_duration = tone_duration
         self.tone_level_db = tone_level_db
-        #: Per-bucket rate-limit state, keyed by bucket *index* — never
-        #: by frequency.  A spectrum-agility ``FlowToneMapper.rebind``
-        #: retunes every bucket to a new tone; frequency keys would
-        #: orphan all the old entries (unbounded growth across
-        #: migrations) and reset every bucket's limiter at commit,
-        #: releasing a synchronized tone burst into the new slots.
+        #: Per-bucket rate-limit state, keyed by bucket index.
         self._last_emission: dict[int, float] = {}
         self.tones_requested = 0
         switch.on_forward(self._on_forward)

@@ -76,17 +76,6 @@ class KnockConfig:
         """Inverse mapping used by the listening side."""
         return self.knock_ports[self.allocation.index_of(frequency)]
 
-    def rebind(self, allocation: Allocation) -> None:
-        """Adopt a migrated allocation (spectrum agility PLAN_COMMIT).
-        The config is the shared secret's single source of truth, so
-        rebinding it retunes both the emitter and the listener."""
-        if len(allocation) < len(self.knock_ports):
-            raise ValueError(
-                f"migrated allocation has {len(allocation)} frequencies, "
-                f"need {len(self.knock_ports)}"
-            )
-        self.allocation = allocation
-
 
 class KnockEmitter:
     """Switch-side half: turns knock-port packets into tones.

@@ -52,14 +52,6 @@ class BandToneMap:
     def frequencies(self) -> list[float]:
         return [self.low, self.medium, self.high]
 
-    def moved(self, moves: dict[int, float]) -> "BandToneMap":
-        """A copy with band tones replaced by allocation index (0=low,
-        1=medium, 2=high) — the spectrum-migration rebind."""
-        ordered = [self.low, self.medium, self.high]
-        for index, frequency in moves.items():
-            ordered[index] = float(frequency)
-        return BandToneMap(*ordered)
-
 
 class QueueChirper:
     """Switch-side half: the 300 ms queue-band chirp timer.
@@ -114,11 +106,6 @@ class QueueChirper:
     def stop(self) -> None:
         self._timer.stop()
 
-    def retune(self, tones: BandToneMap) -> None:
-        """Adopt migrated band tones (spectrum agility PLAN_COMMIT);
-        takes effect from the next chirp."""
-        self.tones = tones
-
     def _chirp(self) -> None:
         now = self.switch.sim.now
         length = self.switch.egress_queue(self.port).sample(now)
@@ -158,13 +145,6 @@ class QueueMonitorApp:
         #: (time, band) transitions as heard.
         self.band_history: list[tuple[float, str]] = []
         controller.watch(tones.frequencies(), on_detection=self._on_tone)
-
-    def rebind(self, tones: BandToneMap) -> None:
-        """Adopt migrated band tones.  The controller re-attributes
-        tones heard on pre-migration frequencies during the handover
-        (``migrate_watch`` aliases), so this app only ever sees
-        current-plan frequencies and just swaps its map."""
-        self.tones = tones
 
     def _on_tone(self, event) -> None:
         band = self.tones.band_of(event.frequency)

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .. import obs
-from ..infra import CircuitBreaker, RetryPolicy, RetrySchedule, TokenBucket
+from ..infra import RetryPolicy, RetrySchedule
 from ..net.packet import Packet
 from .pi import ARQ_ACK_MAGIC, ARQ_ACK_SIZE, ARQ_DATA_MAGIC, MP_ACK_PORT, PiBridge
 from .protocol import MusicProtocolMessage
@@ -76,15 +76,6 @@ class _PendingFrame:
     first_sent: float
     schedule: RetrySchedule
     attempts: int = 0
-    #: Whether the breaker was already told this frame looks lost
-    #: (early-suspect signal); prevents double-counting at expiry.
-    suspected: bool = False
-    #: Optional delivery callbacks — ``on_ack(sequence, latency)`` when
-    #: the frame is acknowledged, ``on_expire(sequence)`` when its
-    #: deadline passes unacknowledged.  The migration protocol uses
-    #: these to learn which participants are PREPAREd.
-    on_ack: object = None
-    on_expire: object = None
 
     @property
     def deadline(self) -> float:
@@ -101,10 +92,6 @@ class ArqStats:
     expired: int
     delivery_rate: float
     mean_latency: float
-    #: Sends refused immediately by an OPEN circuit breaker.
-    fast_failed: int = 0
-    #: Sends refused by the admission token bucket.
-    shed: int = 0
 
 
 class MpArqSender:
@@ -113,45 +100,18 @@ class MpArqSender:
     Intercepts ACK frames with a switch receive hook (the Pi port is
     outside the flow table, so the hook is the only consumer); pending
     frames retransmit on a per-frame timer with exponential backoff
-    until acknowledged or past the deadline.
-
-    Parameters
-    ----------
-    breaker:
-        Optional :class:`repro.infra.CircuitBreaker` guarding this
-        link.  Sends are fast-failed while it is OPEN; ACKs feed it
-        successes; a frame reaching ``suspect_after`` unacknowledged
-        transmissions (or its deadline) feeds it a failure, so a wedged
-        Pi trips the breaker long before every frame rides out its full
-        delivery deadline.
-    admission:
-        Optional :class:`repro.infra.TokenBucket`; sends beyond its
-        rate are shed with a counted drop instead of growing
-        ``_pending`` without bound.
-    suspect_after:
-        Unacknowledged transmissions after which a frame is reported to
-        the breaker as an early failure (the deadline still governs the
-        frame's own fate).
+    until acknowledged or past the deadline.  The only per-frame state
+    is ``_pending``; delivery is summarised in running tallies, so a
+    sender's memory stays bounded however long it runs.
     """
 
     def __init__(self, bridge: PiBridge,
-                 config: ArqConfig | None = None,
-                 breaker: CircuitBreaker | None = None,
-                 admission: TokenBucket | None = None,
-                 suspect_after: int = 2) -> None:
-        if suspect_after < 1:
-            raise ValueError("suspect_after must be >= 1")
+                 config: ArqConfig | None = None) -> None:
         self.sim = bridge.sim
         self.bridge = bridge
         self.config = config or ArqConfig()
-        self.breaker = breaker
-        self.admission = admission
-        self.suspect_after = suspect_after
         self._pending: dict[int, _PendingFrame] = {}
         self._next_sequence = 0
-        self.acked_log: list[tuple[int, float]] = []   # (seq, latency)
-        self.expired_log: list[int] = []
-        self.peak_in_flight = 0
         # Per-instance delivery tallies: stats() must stay correct with
         # several senders alive (e.g. one per Pi bridge), so it never
         # reads the shared obs namespace.
@@ -159,14 +119,11 @@ class MpArqSender:
         self._acked = 0
         self._retransmits = 0
         self._expired = 0
-        self._fast_failed = 0
-        self._shed = 0
+        self._latency_total = 0.0
         self._m_sent = obs.counter("arq.mp_frames_sent")
         self._m_retransmits = obs.counter("arq.mp_retransmits")
         self._m_acked = obs.counter("arq.mp_frames_acked")
         self._m_expired = obs.counter("arq.mp_frames_expired")
-        self._m_fast_failed = obs.counter("arq.mp_fast_failed")
-        self._m_shed = obs.counter("arq.mp_shed")
         bridge.switch.on_receive(self._on_switch_packet)
 
     # ------------------------------------------------------------------
@@ -174,51 +131,24 @@ class MpArqSender:
     # ------------------------------------------------------------------
 
     def send(self, message: MusicProtocolMessage) -> int:
-        """Frame, transmit, and track one MP message; returns its
-        sequence number."""
-        return self.send_wire(message.marshal())
-
-    def send_wire(self, payload: bytes, on_ack=None, on_expire=None) -> int:
-        """Frame, transmit, and track one raw payload under the ARQ
-        envelope (``b"MD" + seq + payload``); returns its sequence
-        number.  ``on_ack(sequence, latency)`` / ``on_expire(sequence)``
-        fire when the frame is acknowledged or its deadline passes.
-
-        Sends refused by the admission bucket or an OPEN breaker return
-        ``-1`` and fire ``on_expire(-1)`` on the next event-loop turn —
-        the caller learns immediately instead of after the deadline."""
+        """Frame, transmit, and track one MP message under the ARQ
+        envelope (``b"MD" + seq + wire``); returns its sequence
+        number."""
         now = self.sim.now
-        if self.admission is not None and not self.admission.admit(now):
-            self._shed += 1
-            self._m_shed.inc()
-            if on_expire is not None:
-                self.sim.schedule_at(now, on_expire, -1)
-            return -1
-        if self.breaker is not None and not self.breaker.allow(now):
-            self._fast_failed += 1
-            self._m_fast_failed.inc()
-            if on_expire is not None:
-                self.sim.schedule_at(now, on_expire, -1)
-            return -1
         sequence = self._next_sequence
         self._next_sequence = (self._next_sequence + 1) % 65_536
-        stale = self._pending.pop(sequence, None)
-        if stale is not None:
+        if self._pending.pop(sequence, None) is not None:
             # 16-bit wraparound landed on a frame still in flight: it
             # can no longer be acknowledged unambiguously, so expire it
             # now; its timers die on the identity guard.
-            self._count_expired(sequence, stale)
-        wire = ARQ_DATA_MAGIC + sequence.to_bytes(2, "big") + payload
+            self._count_expired()
+        wire = ARQ_DATA_MAGIC + sequence.to_bytes(2, "big") + message.marshal()
         frame = _PendingFrame(
             wire=wire,
             first_sent=now,
             schedule=self.config.schedule(now, seed=sequence),
-            on_ack=on_ack,
-            on_expire=on_expire,
         )
         self._pending[sequence] = frame
-        if len(self._pending) > self.peak_in_flight:
-            self.peak_in_flight = len(self._pending)
         self._sent += 1
         self._m_sent.inc()
         self._transmit(sequence, frame)
@@ -231,11 +161,6 @@ class MpArqSender:
         if frame.attempts > 1:
             self._retransmits += 1
             self._m_retransmits.inc()
-        if (self.breaker is not None and not frame.suspected
-                and frame.attempts > self.suspect_after):
-            # Early-failure signal: several transmissions, no ACK.
-            frame.suspected = True
-            self.breaker.record_failure(self.sim.now)
         packet = Packet(
             self.bridge._flow,
             size_bytes=len(frame.wire) + 42,
@@ -256,16 +181,11 @@ class MpArqSender:
         if self._pending.get(sequence) is not frame:
             return  # acknowledged meanwhile, or displaced by wraparound
         del self._pending[sequence]
-        self._count_expired(sequence, frame)
+        self._count_expired()
 
-    def _count_expired(self, sequence: int, frame: _PendingFrame) -> None:
+    def _count_expired(self) -> None:
         self._expired += 1
         self._m_expired.inc()
-        self.expired_log.append(sequence)
-        if self.breaker is not None and not frame.suspected:
-            self.breaker.record_failure(self.sim.now)
-        if frame.on_expire is not None:
-            frame.on_expire(sequence)
 
     # ------------------------------------------------------------------
     # ACK path
@@ -278,18 +198,12 @@ class MpArqSender:
         payload = packet.payload
         if len(payload) != ARQ_ACK_SIZE or payload[:2] != ARQ_ACK_MAGIC:
             return
-        sequence = int.from_bytes(payload[2:4], "big")
-        frame = self._pending.pop(sequence, None)
+        frame = self._pending.pop(int.from_bytes(payload[2:4], "big"), None)
         if frame is None:
             return  # duplicate ACK of a retransmitted frame
         self._acked += 1
         self._m_acked.inc()
-        if self.breaker is not None:
-            self.breaker.record_success(self.sim.now)
-        latency = self.sim.now - frame.first_sent
-        self.acked_log.append((sequence, latency))
-        if frame.on_ack is not None:
-            frame.on_ack(sequence, latency)
+        self._latency_total += self.sim.now - frame.first_sent
 
     # ------------------------------------------------------------------
     # Reporting
@@ -300,16 +214,12 @@ class MpArqSender:
         return len(self._pending)
 
     def stats(self) -> ArqStats:
-        latencies = [latency for _seq, latency in self.acked_log]
         return ArqStats(
             sent=self._sent,
             acked=self._acked,
             retransmits=self._retransmits,
             expired=self._expired,
             delivery_rate=self._acked / self._sent if self._sent else 0.0,
-            mean_latency=(sum(latencies) / len(latencies)
-                          if latencies else float("nan")),
-            fast_failed=self._fast_failed,
-            shed=self._shed,
+            mean_latency=(self._latency_total / self._acked
+                          if self._acked else float("nan")),
         )
-

@@ -91,25 +91,9 @@ class MDNController(ControllerBase):
         self._detection_subscribers: dict[float, list[DetectionCallback]] = {}
         self._onset_subscribers: dict[float, list[DetectionCallback]] = {}
         self._any_window_subscribers: list[Callable[[list[DetectionEvent], float], None]] = []
-        self._spectrum_sinks: list[Callable] = []
         self._detector: FrequencyDetector | None = None
         self._timer: PeriodicTimer | None = None
         self._previous_window: set[float] = set()
-        #: Current frequency-plan epoch, stamped onto every dispatched
-        #: detection.  Bumped by the spectrum-agility layer on each
-        #: PLAN_COMMIT (:meth:`migrate_watch`); 0 until a migration
-        #: ever happens, in which case events keep their default tag
-        #: and the hot path pays nothing.
-        self.epoch = 0
-        #: Make-before-break state: ``old_frequency -> (new_frequency,
-        #: emission_epoch)``.  While an alias is live the detector
-        #: still listens on the old tone and events heard there are
-        #: re-attributed to the relocated plan entry, tagged with the
-        #: epoch the tone was emitted under.
-        self._aliases: dict[float, tuple[float, int]] = {}
-        #: Frequencies listened to ahead of a commit (PLAN_PREPARE
-        #: pre-listening) that have no subscribers yet.
-        self._extra_watch: set[float] = set()
         #: Failover history, appended by the graceful-degradation layer
         #: (:class:`repro.core.apps.failover.FailoverManager`): each
         #: entry records this controller handing a device to the
@@ -178,7 +162,6 @@ class MDNController(ControllerBase):
                 self._detection_subscribers.setdefault(key, []).append(on_detection)
             if on_onset is not None:
                 self._onset_subscribers.setdefault(key, []).append(on_onset)
-        self._detector = None  # force rebuild
 
     def on_window(
         self, callback: Callable[[list[DetectionEvent], float], None]
@@ -187,121 +170,10 @@ class MDNController(ControllerBase):
         Used by telemetry apps that reason about whole windows."""
         self._any_window_subscribers.append(callback)
 
-    def add_spectrum_sink(self, callback: Callable) -> None:
-        """Subscribe ``callback(spectrum, time)`` to every window
-        spectrum the detector computes — the interference sentinel's
-        tap.  No extra FFT is performed; the sink sees the same spectrum
-        detection already uses."""
-        self._spectrum_sinks.append(callback)
-        self._rebuild_live()
-
     @property
     def watched_frequencies(self) -> list[float]:
         watched = set(self._detection_subscribers) | set(self._onset_subscribers)
         return sorted(watched)
-
-    @property
-    def live_frequencies(self) -> list[float]:
-        """Everything the detector actually listens for: subscribed
-        frequencies plus handover aliases and make-before-break
-        extras (:meth:`extend_watch`)."""
-        live = set(self.watched_frequencies)
-        live.update(self._aliases)
-        live.update(self._extra_watch)
-        return sorted(live)
-
-    # ------------------------------------------------------------------
-    # Runtime retuning (spectrum agility)
-    # ------------------------------------------------------------------
-
-    def extend_watch(self, frequencies: list[float]) -> None:
-        """Start listening on additional frequencies *now*, without any
-        subscribers — the make-before-break half-step: the controller
-        hears the post-migration tones before any emitter switches, so
-        a tone emitted the instant after PLAN_COMMIT cannot fall into a
-        deaf window.  Safe to call while the listen loop is running."""
-        for frequency in frequencies:
-            key = float(frequency)
-            if key not in self._detection_subscribers and \
-                    key not in self._onset_subscribers:
-                self._extra_watch.add(key)
-        self._rebuild_live()
-
-    def retract_watch(self, frequencies: list[float]) -> None:
-        """Stop pre-listening on frequencies added by
-        :meth:`extend_watch` that never gained subscribers — the
-        rollback of an aborted migration.  Frequencies with subscribers
-        are untouched."""
-        changed = False
-        for frequency in frequencies:
-            key = float(frequency)
-            if key in self._extra_watch:
-                self._extra_watch.discard(key)
-                changed = True
-        if changed:
-            self._rebuild_live()
-
-    def migrate_watch(
-        self,
-        moves: dict[float, float],
-        epoch: int,
-        handover: float,
-    ) -> None:
-        """Commit a frequency migration on the listening side.
-
-        For each ``old -> new`` entry the subscribers keyed on ``old``
-        move to ``new``, and ``old`` stays on the detector's watch list
-        for ``handover`` seconds as an *alias*: a tone still sounding
-        (or in flight) on the old frequency is re-attributed to ``new``
-        and tagged with the pre-commit epoch, so zero telemetry events
-        are lost or misattributed across the commit boundary.  Onset
-        suppression follows the move — a tone spanning the commit does
-        not fire a duplicate onset on the new key.
-        """
-        if handover < 0:
-            raise ValueError("handover must be >= 0")
-        old_epoch = self.epoch
-        for old, new in moves.items():
-            old = float(old)
-            new = float(new)
-            if old == new:
-                continue
-            for subscribers in (self._detection_subscribers,
-                                self._onset_subscribers):
-                callbacks = subscribers.pop(old, None)
-                if callbacks:
-                    subscribers.setdefault(new, []).extend(callbacks)
-            self._extra_watch.discard(new)
-            self._aliases[old] = (new, old_epoch)
-            if old in self._previous_window:
-                self._previous_window.discard(old)
-                self._previous_window.add(new)
-        self.epoch = epoch
-        self._rebuild_live()
-        if self._aliases:
-            self.sim.schedule_at(
-                self.sim.now + handover, self._end_handover,
-                tuple(float(old) for old in moves),
-            )
-
-    def _end_handover(self, old_frequencies: tuple[float, ...]) -> None:
-        """Break half of make-before-break: stop listening on the
-        vacated frequencies once the handover window has elapsed."""
-        changed = False
-        for old in old_frequencies:
-            if self._aliases.pop(old, None) is not None:
-                changed = True
-            self._previous_window.discard(old)
-        if changed:
-            self._rebuild_live()
-
-    def _rebuild_live(self) -> None:
-        """Refresh the detector to the current watch set; lazy when the
-        listen loop is not running."""
-        if self._timer is not None:
-            self._build_detector()
-        else:
-            self._detector = None
 
     # ------------------------------------------------------------------
     # Listening loop
@@ -313,7 +185,11 @@ class MDNController(ControllerBase):
             raise RuntimeError("controller already started")
         if not self.watched_frequencies:
             raise RuntimeError("nothing to watch; call watch() first")
-        self._build_detector()
+        self._detector = FrequencyDetector(
+            self.watched_frequencies,
+            threshold_db=self.threshold_db,
+            min_level_db=self.min_level_db,
+        )
         self._timer = self.sim.every(self.listen_interval, self._listen_once)
 
     def stop(self) -> None:
@@ -325,55 +201,6 @@ class MDNController(ControllerBase):
             self._timer.stop()
             self._timer = None
         self._previous_window = set()
-
-    def _build_detector(self) -> None:
-        watch = set(self.live_frequencies)
-        sink = None
-        if self._spectrum_sinks:
-            sinks = tuple(self._spectrum_sinks)
-            if len(sinks) == 1:
-                sink = sinks[0]
-            else:
-                def sink(spectrum, time, _sinks=sinks):
-                    for each in _sinks:
-                        each(spectrum, time)
-        self._detector = FrequencyDetector(
-            sorted(watch),
-            threshold_db=self.threshold_db,
-            min_level_db=self.min_level_db,
-            spectrum_sink=sink,
-        )
-
-    def _translate_events(
-        self, events: list[DetectionEvent]
-    ) -> list[DetectionEvent]:
-        """Apply migration aliases and epoch tags to a window's events.
-
-        Only runs once a migration has ever touched this controller
-        (aliases live, or epoch > 0); the static-plan hot path never
-        reaches here.  When both the old and the new frequency of one
-        move are heard in the same window (the emitter switched
-        mid-window), the stronger detection wins — one event per plan
-        entry, as :meth:`FrequencyDetector.detect` guarantees.
-        """
-        merged: dict[float, DetectionEvent] = {}
-        for event in events:
-            alias = self._aliases.get(event.frequency)
-            if alias is not None:
-                new_frequency, emission_epoch = alias
-                event = DetectionEvent(
-                    new_frequency, event.measured_frequency,
-                    event.level_db, event.time, emission_epoch,
-                )
-            elif event.epoch != self.epoch:
-                event = DetectionEvent(
-                    event.frequency, event.measured_frequency,
-                    event.level_db, event.time, self.epoch,
-                )
-            existing = merged.get(event.frequency)
-            if existing is None or event.level_db > existing.level_db:
-                merged[event.frequency] = event
-        return sorted(merged.values(), key=lambda e: e.frequency)
 
     def _hear(self, start: float, end: float) -> list[DetectionEvent]:
         """Record ``[start, end)`` and detect: the window's events,
@@ -390,8 +217,6 @@ class MDNController(ControllerBase):
         with obs.span("controller.window", start=start):
             assert self._detector is not None
             events = self._hear(start, end)
-            if self._aliases or self.epoch:
-                events = self._translate_events(events)
             self._m_windows.inc()
             self._m_detections.inc(len(events))
             present = {event.frequency for event in events}

@@ -12,21 +12,15 @@ of candidate frequencies on a guard-spaced grid, handed out in blocks
 to named devices, with reverse lookup so a detected tone can be traced
 back to (device, index).
 
-Plans are **mutable over their lifetime**: devices can
-:meth:`~FrequencyPlan.release` their block (freed slots are reused by
-later allocations) and the spectrum-agility layer
-(:mod:`repro.core.spectrum`) can relocate individual slots away from
-interference with :meth:`~FrequencyPlan.apply_moves`.  Every committed
-relocation bumps the plan's :attr:`~FrequencyPlan.epoch`, which the
-controller stamps onto detections so tones emitted under the previous
-plan are still attributed correctly during a migration handover.
+A plan is static once its blocks are handed out, as in the paper's
+testbed; a device can :meth:`~FrequencyPlan.release` its block, and
+later allocations reuse the freed slots.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterable
 
 #: The paper's empirical separation requirement, Hz.
 DEFAULT_GUARD_HZ = 20.0
@@ -93,14 +87,6 @@ class Allocation:
             )
         return self.frequencies.index(match)
 
-    def moved(self, moves: dict[int, float]) -> "Allocation":
-        """A copy with the indexed frequencies replaced (same symbol
-        order, new tones) — how a migration rebinds a block."""
-        frequencies = list(self.frequencies)
-        for index, frequency in moves.items():
-            frequencies[index] = float(frequency)
-        return Allocation(self.device, tuple(frequencies))
-
     def __len__(self) -> int:
         return len(self.frequencies)
 
@@ -130,9 +116,6 @@ class FrequencyPlan:
         self.low_hz = low_hz
         self.high_hz = high_hz
         self.guard_hz = guard_hz
-        #: Plan generation, bumped by every committed migration
-        #: (:meth:`apply_moves`).  Epoch 0 is the initial static plan.
-        self.epoch = 0
         self._allocations: dict[str, Allocation] = {}
         self._owner_by_frequency: dict[float, str] = {}
         self._slot_owner: dict[int, str] = {}
@@ -176,19 +159,6 @@ class FrequencyPlan:
             )
         return slot
 
-    def is_slot_free(self, slot: int) -> bool:
-        """Whether grid slot ``slot`` is currently unallocated."""
-        if not 0 <= slot < self.capacity:
-            raise FrequencyPlanError(
-                f"slot {slot} outside [0, {self.capacity})"
-            )
-        return slot not in self._slot_owner
-
-    def free_slots(self) -> list[int]:
-        """Every unallocated grid slot, ascending."""
-        return [slot for slot in range(self.capacity)
-                if slot not in self._slot_owner]
-
     # ------------------------------------------------------------------
     # Allocation
     # ------------------------------------------------------------------
@@ -226,9 +196,9 @@ class FrequencyPlan:
     def release(self, device: str) -> None:
         """Return ``device``'s block to the free pool.
 
-        The freed slots become eligible for later :meth:`allocate` and
-        migration (:meth:`apply_moves`) calls.  Releasing an unknown
-        device raises :class:`FrequencyPlanError`.
+        The freed slots become eligible for later :meth:`allocate`
+        calls.  Releasing an unknown device raises
+        :class:`FrequencyPlanError`.
         """
         allocation = self._allocations.pop(device, None)
         if allocation is None:
@@ -272,73 +242,6 @@ class FrequencyPlan:
         """Every allocated frequency, ascending — the controller's
         watch list."""
         return sorted(self._owner_by_frequency)
-
-    # ------------------------------------------------------------------
-    # Migration (the spectrum-agility replanner's commit primitive)
-    # ------------------------------------------------------------------
-
-    def apply_moves(
-        self, moves: Iterable[tuple[str, int, int]]
-    ) -> dict[str, Allocation]:
-        """Atomically relocate allocation entries to new grid slots.
-
-        ``moves`` is an iterable of ``(device, index, new_slot)``:
-        the ``index``-th frequency of ``device``'s block moves to
-        ``new_slot``.  Old slots are vacated first, so moves may target
-        slots other moves free in the same batch.  The whole batch is
-        validated before any state changes; on success the plan
-        :attr:`epoch` is bumped and the fresh per-device allocations
-        are returned.
-        """
-        batch = [(device, index, new_slot) for device, index, new_slot in moves]
-        if not batch:
-            return {}
-        vacated: set[int] = set()
-        claimed: set[int] = set()
-        per_device: dict[str, dict[int, float]] = {}
-        for device, index, new_slot in batch:
-            allocation = self.allocation_of(device)
-            if not 0 <= index < len(allocation):
-                raise FrequencyPlanError(
-                    f"move index {index} outside {device!r}'s block"
-                )
-            if not 0 <= new_slot < self.capacity:
-                raise FrequencyPlanError(
-                    f"slot {new_slot} outside [0, {self.capacity})"
-                )
-            if new_slot in claimed:
-                raise FrequencyPlanError(
-                    f"slot {new_slot} claimed twice in one migration"
-                )
-            old_slot = self.slot_of(allocation.frequency_for(index))
-            vacated.add(old_slot)
-            claimed.add(new_slot)
-            per_device.setdefault(device, {})[index] = (
-                self.slot_frequency(new_slot)
-            )
-        for slot in claimed:
-            if slot in self._slot_owner and slot not in vacated:
-                raise FrequencyPlanError(
-                    f"slot {slot} is already owned by "
-                    f"{self._slot_owner[slot]!r}"
-                )
-        # Commit: vacate, then claim, then rebuild allocations.
-        for device, index, new_slot in batch:
-            allocation = self._allocations[device]
-            old_frequency = allocation.frequency_for(index)
-            self._owner_by_frequency.pop(old_frequency, None)
-            self._slot_owner.pop(self.slot_of(old_frequency), None)
-        fresh: dict[str, Allocation] = {}
-        for device, index_moves in per_device.items():
-            allocation = self._allocations[device].moved(index_moves)
-            self._allocations[device] = allocation
-            fresh[device] = allocation
-        for device, index, new_slot in batch:
-            frequency = self.slot_frequency(new_slot)
-            self._slot_owner[new_slot] = device
-            self._owner_by_frequency[frequency] = device
-        self.epoch += 1
-        return fresh
 
     def validate_disjoint(self) -> None:
         """Invariant check: every pair of allocated frequencies is at

@@ -27,12 +27,7 @@ from ..net.sim import Simulator
 from ..net.stats import Counter
 from ..net.switch import Switch
 from .agent import MusicAgent
-from .protocol import (
-    PLAN_MAGIC,
-    MusicProtocolError,
-    MusicProtocolMessage,
-    PlanControlMessage,
-)
+from .protocol import MusicProtocolError, MusicProtocolMessage
 
 #: UDP port the Pi listens on for MP messages.
 MP_PORT = 5005
@@ -81,13 +76,6 @@ class RaspberryPi(Host):
         self.mp_rejected = Counter(f"{name}.mp_rejected")
         self.mp_dropped_crashed = Counter(f"{name}.mp_dropped_crashed")
         self.acks_sent = Counter(f"{name}.acks_sent")
-        self.plan_handled = Counter(f"{name}.plan_handled")
-        #: Optional ``handler(PlanControlMessage) -> bool`` for plan
-        #: control frames (spectrum migration).  A handler returning
-        #: True earns the frame its ARQ ACK; with no handler installed
-        #: plan frames are rejected (the sender keeps retransmitting
-        #: until its deadline).
-        self.plan_handler = None
         #: Distinct ARQ sequence numbers played at least once (the
         #: deduplicated delivery set retransmissions are judged by).
         self.mp_seen_seqs: set[int] = set()
@@ -111,9 +99,6 @@ class RaspberryPi(Host):
         if len(wire) >= 4 and wire[:2] == ARQ_DATA_MAGIC:
             sequence = int.from_bytes(wire[2:4], "big")
             wire = wire[4:]
-        if wire[:2] == PLAN_MAGIC:
-            self._on_plan_frame(wire, sequence)
-            return
         try:
             message = MusicProtocolMessage.unmarshal(wire)
         except MusicProtocolError:
@@ -128,23 +113,6 @@ class RaspberryPi(Host):
             self.mp_rejected.increment()
             return
         self.mp_played.increment()
-        if sequence is not None:
-            self.mp_seen_seqs.add(sequence)
-            self._send_ack(sequence)
-
-    def _on_plan_frame(self, wire: bytes, sequence: int | None) -> None:
-        if self.plan_handler is None:
-            self.mp_rejected.increment()
-            return
-        try:
-            message = PlanControlMessage.unmarshal(wire)
-        except MusicProtocolError:
-            self.mp_rejected.increment()
-            return
-        if not self.plan_handler(message):
-            self.mp_rejected.increment()
-            return
-        self.plan_handled.increment()
         if sequence is not None:
             self.mp_seen_seqs.add(sequence)
             self._send_ack(sequence)

@@ -149,132 +149,3 @@ def _xor(data: bytes) -> int:
     for byte in data:
         checksum ^= byte
     return checksum
-
-
-# ----------------------------------------------------------------------
-# Plan control (PC): two-phase frequency-plan migration
-# ----------------------------------------------------------------------
-
-PLAN_MAGIC = b"PC"
-PLAN_VERSION = 1
-
-#: Two-phase migration phases.  PREPARE stages the moves on the Pi,
-#: COMMIT activates them atomically, ABORT discards a staged prepare
-#: (rollback when some participant missed its deadline).
-PLAN_PREPARE = 1
-PLAN_COMMIT = 2
-PLAN_ABORT = 3
-
-_PLAN_PHASES = (PLAN_PREPARE, PLAN_COMMIT, PLAN_ABORT)
-
-_PLAN_HEADER = struct.Struct("!2sBBHB")   # magic, version, phase, epoch, count
-_PLAN_MOVE = struct.Struct("!BII")        # index, old centi-Hz, new centi-Hz
-
-#: Per-message move-list bound (count is a u8; plans are small anyway).
-MAX_PLAN_MOVES = 255
-
-
-@dataclass(frozen=True)
-class PlanControlMessage:
-    """One phase of a two-phase frequency-plan migration.
-
-    Rides the same ARQ envelope as :class:`MusicProtocolMessage` — the
-    sender frames it with ``b"MD" + seq`` and the Pi acknowledges it
-    with ``b"MA" + seq`` — but is variable-length:
-
-    ====== ======= ========================================
-    offset size    field
-    ====== ======= ========================================
-    0      2       magic ``b"PC"``
-    2      1       version (currently 1)
-    3      1       phase (1=PREPARE, 2=COMMIT, 3=ABORT)
-    4      2       plan epoch, unsigned big-endian
-    6      1       move count *n*
-    7      9·n     moves: index u8, old centi-Hz u32, new centi-Hz u32
-    7+9n   1       XOR checksum of all preceding bytes
-    ====== ======= ========================================
-
-    Attributes
-    ----------
-    phase:
-        :data:`PLAN_PREPARE`, :data:`PLAN_COMMIT` or :data:`PLAN_ABORT`.
-    epoch:
-        The plan epoch this migration creates.  COMMIT/ABORT must quote
-        the same epoch as the PREPARE they resolve.
-    moves:
-        ``(index, old_hz, new_hz)`` per relocated allocation entry —
-        the device-local tone index and its frequencies before/after.
-        Empty for ABORT (and allowed empty for COMMIT).
-    """
-
-    phase: int
-    epoch: int
-    moves: tuple[tuple[int, float, float], ...] = ()
-
-    def __post_init__(self) -> None:
-        if self.phase not in _PLAN_PHASES:
-            raise MusicProtocolError(f"unknown plan phase {self.phase}")
-        if not 0 <= self.epoch < 2**16:
-            raise MusicProtocolError(f"epoch {self.epoch} outside [0, 65535]")
-        if len(self.moves) > MAX_PLAN_MOVES:
-            raise MusicProtocolError(
-                f"{len(self.moves)} moves exceeds {MAX_PLAN_MOVES}"
-            )
-        for index, old_hz, new_hz in self.moves:
-            if not 0 <= index < 256:
-                raise MusicProtocolError(f"move index {index} outside [0, 255]")
-            for hz in (old_hz, new_hz):
-                if not 0 < hz <= MAX_FREQUENCY_HZ:
-                    raise MusicProtocolError(
-                        f"frequency {hz} outside (0, {MAX_FREQUENCY_HZ}]"
-                    )
-
-    def marshal(self) -> bytes:
-        body = _PLAN_HEADER.pack(
-            PLAN_MAGIC, PLAN_VERSION, self.phase, self.epoch, len(self.moves)
-        )
-        for index, old_hz, new_hz in self.moves:
-            body += _PLAN_MOVE.pack(
-                index, int(round(old_hz * 100)), int(round(new_hz * 100))
-            )
-        return body + bytes([_xor(body)])
-
-    @classmethod
-    def unmarshal(cls, wire: bytes) -> "PlanControlMessage":
-        """Decode a plan-control message, validating magic, version,
-        length, and checksum; malformed input raises
-        :class:`MusicProtocolError`."""
-        if not isinstance(wire, (bytes, bytearray, memoryview)):
-            raise MusicProtocolError(
-                f"PC message must be bytes, got {type(wire).__name__}"
-            )
-        wire = bytes(wire)
-        if len(wire) < _PLAN_HEADER.size + 1:
-            raise MusicProtocolError(
-                f"PC message too short ({len(wire)} bytes)"
-            )
-        body, checksum = wire[:-1], wire[-1]
-        if _xor(body) != checksum:
-            raise MusicProtocolError("PC checksum mismatch")
-        magic, version, phase, epoch, count = _PLAN_HEADER.unpack_from(body)
-        if magic != PLAN_MAGIC:
-            raise MusicProtocolError(f"bad magic {magic!r}")
-        if version != PLAN_VERSION:
-            raise MusicProtocolError(f"unsupported PC version {version}")
-        expected = _PLAN_HEADER.size + count * _PLAN_MOVE.size
-        if len(body) != expected:
-            raise MusicProtocolError(
-                f"PC body is {len(body)} bytes, expected {expected} "
-                f"for {count} moves"
-            )
-        moves = []
-        for slot in range(count):
-            index, old_chz, new_chz = _PLAN_MOVE.unpack_from(
-                body, _PLAN_HEADER.size + slot * _PLAN_MOVE.size
-            )
-            if old_chz == 0 or new_chz == 0:
-                raise MusicProtocolError("move frequencies must be positive")
-            moves.append((index, old_chz / 100.0, new_chz / 100.0))
-        return cls(phase, epoch, tuple(moves))
-
-    decode = unmarshal

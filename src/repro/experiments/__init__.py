@@ -39,12 +39,6 @@ from .xext12 import (
     resilience_experiment,
     resilience_sweep,
 )
-from .xext13 import (
-    bandwidth_sweep,
-    spectrum_agility_experiment,
-    spectrum_agility_run,
-)
-from .xext14 import infra_experiment, storm_experiment, wedged_link_experiment
 from .xext15 import fleet_experiment
 from .xext16 import measure_speedup, workload_experiment
 from .xext17 import chaos_experiment

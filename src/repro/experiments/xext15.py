@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from ..artifact import WALL_TIME, Result
 from ..fleet import FleetReport, FleetSpec, run_fleet
 
-#: Seed for every xext15 fleet (PR sequence number, like XEXT14_SEED).
+#: Seed for every xext15 fleet (its extension number, like XEXT16_SEED).
 XEXT15_SEED = 15
 
 

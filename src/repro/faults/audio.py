@@ -130,9 +130,9 @@ class AcousticFaults:
                               level_db: float = 85.0,
                               position: Position = Position(),
                               label: str = "interferer") -> None:
-        """A persistent narrowband noise bed over ``[start, end)`` —
-        the fan rumble / bass-line model the spectrum sentinel exists
-        for.  Seeded white noise band-limited to ``[low_hz, high_hz]``
+        """A persistent narrowband noise bed over ``[start, end)`` — a
+        fan rumble or bass line parked on part of the plan.  Seeded
+        white noise band-limited to ``[low_hz, high_hz]``
         is injected at ``position``; the spectral energy sits only in
         the targeted bands, so detection elsewhere in the plan is
         untouched while tones inside the band are masked."""

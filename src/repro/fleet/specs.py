@@ -35,7 +35,7 @@ import pickle
 from dataclasses import dataclass, fields
 from typing import Callable
 
-#: Default fleet seed (PR sequence number, like XEXT14_SEED = 14).
+#: Default fleet seed (the XEXT15 extension number, like XEXT15_SEED).
 DEFAULT_FLEET_SEED = 15
 
 #: Listening window that puts 60 Hz-guard plan slots on FFT bin centres.

@@ -1,24 +1,17 @@
-"""``repro.infra`` — production-hardening primitives for the MDN stack.
-
-Three small, deterministic, sim-time-driven building blocks that the
-core layers (ARQ, spectrum agility, failover, controller) delegate to
-instead of hand-rolling their own copies:
+"""``repro.infra`` — small, deterministic reliability primitives.
 
 * :class:`RetryPolicy` / :class:`RetrySchedule` — one exponential
-  backoff-with-deadline schedule shared by every retransmitting layer;
-* :class:`CircuitBreaker` — trip/fast-fail/half-open protection around
-  each per-Pi ARQ link, feeding failover verdicts faster than frame
-  deadlines can;
-* :class:`TokenBucket` — the one rate limiter: admission control that
-  turns an ARQ send flood into counted shedding instead of unbounded
-  queue growth.
+  backoff-with-deadline schedule shared by every retrying layer (the
+  MP ARQ sender and the fleet supervisor);
+* :class:`CircuitBreaker` — trip/fast-fail/half-open protection, one
+  per fleet shard, so a repeat offender is quarantined instead of
+  retried forever.
 
 The breaker wires into :mod:`repro.obs` with the usual
-zero-overhead-when-disabled pattern; a bucket's callers count what it
-sheds.  None of it touches a wall clock — callers pass sim time in.
+zero-overhead-when-disabled pattern.  None of it touches a clock —
+callers pass the time in.
 """
 
-from .admission import TokenBucket
 from .breaker import BreakerState, BreakerTransition, CircuitBreaker
 from .retry import RetryPolicy, RetrySchedule
 
@@ -28,5 +21,4 @@ __all__ = [
     "CircuitBreaker",
     "RetryPolicy",
     "RetrySchedule",
-    "TokenBucket",
 ]

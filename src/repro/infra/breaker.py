@@ -1,15 +1,10 @@
-"""Circuit breaker for per-Pi ARQ links.
+"""Circuit breaker: stop retrying a target that keeps failing.
 
-A wedged Pi (crashed, unplugged, deafened) fails every frame at its
-full delivery deadline — 2 s of retransmissions per frame, forever,
-while the failover layer waits for enough misses to accumulate.  The
-breaker is the standard three-state remedy: trip after N consecutive
-failures, fast-fail everything while OPEN (callers get an immediate
-verdict instead of a 2 s wake), and probe the link again after a
-cooldown through the HALF_OPEN state.  Transition callbacks let the
-failover layer treat breaker verdicts like
-:class:`~repro.core.health.ChannelHealthMonitor` transitions — the
-breaker is the *fast* path to the same decision.
+The fleet supervisor gives each shard one breaker.  It is the standard
+three-state remedy: trip after N consecutive failures, fast-fail
+everything while OPEN (callers get an immediate verdict instead of
+another doomed attempt), and probe again after a cooldown through the
+HALF_OPEN state.  Every state change is kept in ``transitions``.
 
 All timing is caller-supplied simulation time; the breaker itself
 never touches a clock, so it is reusable against any time source and
@@ -21,7 +16,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 from .. import obs
 from .retry import RetryPolicy, RetrySchedule
@@ -46,7 +40,7 @@ _STATE_CODE = {BreakerState.CLOSED: 0.0,
 
 @dataclass(frozen=True)
 class BreakerTransition:
-    """One state change, as delivered to ``on_transition`` listeners."""
+    """One state change, as kept in ``CircuitBreaker.transitions``."""
 
     name: str
     time: float
@@ -107,7 +101,6 @@ class CircuitBreaker:
         self.fast_fails = 0
         self.opened_at: float | None = None
         self.transitions: list[BreakerTransition] = []
-        self._listeners: list[Callable[[BreakerTransition], None]] = []
         self._probes_in_flight = 0
         self._m_state = obs.gauge(f"breaker.{name}.state")
         self._m_trips = obs.counter(f"breaker.{name}.trips")
@@ -118,11 +111,11 @@ class CircuitBreaker:
     # ------------------------------------------------------------------
 
     def allow(self, now: float) -> bool:
-        """Whether an attempt may proceed at sim-time ``now``.
+        """Whether an attempt may proceed at time ``now``.
 
         While OPEN this is the cooldown check; a denied attempt is
-        counted as a fast-fail (the saved 2 s deadline ride is the whole
-        point of the breaker, so the count is the saving made visible).
+        counted as a fast-fail (the saved attempt is the whole point of
+        the breaker, so the count is the saving made visible).
         """
         if self.state is BreakerState.OPEN:
             if now >= self._reopen_at:
@@ -147,7 +140,7 @@ class CircuitBreaker:
             self._move(BreakerState.CLOSED, now)
 
     def record_failure(self, now: float) -> None:
-        """An attempt failed (expiry or early-suspect signal)."""
+        """An attempt failed."""
         self.consecutive_failures += 1
         if self.state is BreakerState.HALF_OPEN:
             self._move(BreakerState.OPEN, now)
@@ -156,13 +149,8 @@ class CircuitBreaker:
             self._move(BreakerState.OPEN, now)
 
     # ------------------------------------------------------------------
-    # Listeners and state plumbing
+    # State plumbing
     # ------------------------------------------------------------------
-
-    def on_transition(self,
-                      listener: Callable[[BreakerTransition], None]) -> None:
-        """Register a callback fired on every state change."""
-        self._listeners.append(listener)
 
     def _move(self, state: BreakerState, now: float) -> None:
         previous = self.state
@@ -176,10 +164,7 @@ class CircuitBreaker:
         if state is not BreakerState.HALF_OPEN:
             self._probes_in_flight = 0
         self._m_state.set(_STATE_CODE[state])
-        transition = BreakerTransition(
+        self.transitions.append(BreakerTransition(
             name=self.name, time=now, previous=previous, state=state,
             consecutive_failures=self.consecutive_failures,
-        )
-        self.transitions.append(transition)
-        for listener in list(self._listeners):
-            listener(transition)
+        ))

@@ -31,8 +31,6 @@ def reference_detect(
     if len(window) == 0:
         return []
     spectrum = detector._analyzer.analyze(window)
-    if detector.spectrum_sink is not None:
-        detector.spectrum_sink(spectrum, time)
     return events_from_spectrum(detector, spectrum, time)
 
 

@@ -143,49 +143,3 @@ class TestScanCursor:
             bus.dispatch()
         app.finalize(10.0)
         assert app.alerts == []
-
-
-class TestEmitterRebind:
-    """Regression: the emitter's rate-limit state was keyed by
-    frequency, so a spectrum-agility rebind orphaned every entry —
-    unbounded growth across migrations and a synchronized tone burst
-    into the new slots at commit."""
-
-    def _emitter(self):
-        from repro.core.frequency_plan import Allocation
-        from repro.net import Packet
-
-        rig = build_rig("single")
-        alloc = rig.plan.allocate("s1", 8)
-        mapper = FlowToneMapper(alloc)
-        emitter = HeavyHitterEmitter(rig.topo.switches["s1"],
-                                     rig.agents["s1"], mapper)
-        flow = FlowKey("10.0.0.1", "10.0.0.2", 1234, 80, Protocol.UDP)
-        packet = Packet(flow, 1000)
-        fresh = Allocation("s1", tuple(
-            3000.0 + 30.0 * i for i in range(8)))
-        return rig, mapper, emitter, packet, fresh
-
-    def test_no_burst_across_migration(self):
-        rig, mapper, emitter, packet, fresh = self._emitter()
-        emitter._on_forward(packet, 0, 1)
-        assert emitter.tones_requested == 1
-        mapper.rebind(fresh)
-        # Still inside the emission period: the bucket's limiter must
-        # survive the retune (no burst into the new slots).
-        emitter._on_forward(packet, 0, 1)
-        assert emitter.tones_requested == 1
-        # After the period elapses the bucket may sound again.
-        rig.sim.schedule_at(0.2, emitter._on_forward, packet, 0, 1)
-        rig.sim.run(0.3)
-        assert emitter.tones_requested == 2
-
-    def test_rate_limit_state_stays_bounded_across_rebinds(self):
-        from repro.core.frequency_plan import Allocation
-
-        rig, mapper, emitter, packet, fresh = self._emitter()
-        for migration in range(10):
-            emitter._on_forward(packet, 0, 1)
-            mapper.rebind(Allocation("s1", tuple(
-                5000.0 + 100.0 * migration + 10.0 * i for i in range(8))))
-        assert len(emitter._last_emission) <= len(mapper.allocation)

@@ -156,25 +156,25 @@ class TestSequenceWraparound:
         and expire the *new* frame's state."""
         sim, bridge = _mp_rig(loss_rate=1.0)
         sender = MpArqSender(bridge)
-        expired = []
         sender._next_sequence = 65_535
-        assert sender.send_wire(MESSAGE.marshal(),
-                                on_expire=expired.append) == 65_535
+        assert sender.send(MESSAGE) == 65_535
         # Force an immediate wrap back onto the in-flight sequence.
         sender._next_sequence = 65_535
-        assert sender.send_wire(MESSAGE.marshal(),
-                                on_expire=expired.append) == 65_535
+        assert sender.send(MESSAGE) == 65_535
         # The stale frame was expired on the spot, unambiguously.
-        assert expired == [65_535]
+        assert sender.stats().expired == 1
         assert sender.in_flight == 1
+        sim.run(1.999)
+        # The stale frame's leftover timers died on the identity guard:
+        # the replacement is still pending, on its own schedule.
+        assert sender.stats().expired == 1
+        assert sender._pending[65_535].attempts == 7
         sim.run(4.0)
-        # The replacement ran its own full deadline; the stale frame's
-        # leftover timers died on the identity guard without double
-        # counting or resurrecting anything.
-        assert expired == [65_535, 65_535]
+        # The replacement ran its own full deadline, counted once.
         stats = sender.stats()
         assert stats.sent == 2
         assert stats.expired == 2
+        assert stats.retransmits == 6
         assert sender.in_flight == 0
 
 
@@ -184,21 +184,44 @@ class TestRetrySchedulePinned:
         retries at +0.05/0.15/0.35/0.75/1.25/1.75, expiry at +2.0."""
         sim, bridge = _mp_rig(loss_rate=1.0)
         sender = MpArqSender(bridge)
-        expired_at = []
-        sim.schedule_at(1.0, sender.send_wire, MESSAGE.marshal(), None,
-                        lambda seq: expired_at.append(sim.now))
+        sim.schedule_at(1.0, sender.send, MESSAGE)
+        sim.run(2.9999)
+        assert sender.in_flight == 1
+        sim.run(3.0)
+        assert sender.in_flight == 0
         sim.run(5.0)
         stats = sender.stats()
         assert stats.retransmits == 6
-        assert expired_at == [3.0]
+        assert stats.expired == 1
 
     def test_jitter_shrinks_but_keeps_deadline(self):
         sim, bridge = _mp_rig(loss_rate=1.0)
         sender = MpArqSender(bridge, ArqConfig(jitter=0.5))
-        expired_at = []
-        sender.send_wire(MESSAGE.marshal(), None,
-                         lambda seq: expired_at.append(sim.now))
+        sender.send(MESSAGE)
+        sim.run(1.9999)
+        assert sender.in_flight == 1
+        sim.run(2.0)
+        assert sender.in_flight == 0
         sim.run(5.0)
-        assert expired_at == [2.0]
+        assert sender.stats().expired == 1
         assert sender.stats().retransmits >= 6
 
+
+class TestBoundedState:
+    def test_ten_thousand_acks_leave_no_per_frame_state(self):
+        """A long-lived sender keeps running tallies, not per-frame
+        logs: after 10,000 acknowledged frames the only container it
+        holds is the (empty) in-flight table."""
+        sim, bridge = _mp_rig()
+        sender = MpArqSender(bridge)
+        for index in range(10_000):
+            sim.schedule_at(index * 0.001, sender.send, MESSAGE)
+        sim.run(11.0)
+        stats = sender.stats()
+        assert stats.acked == 10_000
+        assert stats.mean_latency > 0.0
+        containers = {
+            name: value for name, value in vars(sender).items()
+            if isinstance(value, (list, tuple, dict, set, bytes))
+        }
+        assert containers == {"_pending": {}}

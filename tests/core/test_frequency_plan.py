@@ -155,28 +155,6 @@ class TestReleaseAndReuse:
         assert "a" not in plan.devices()
 
 
-class TestApplyMoves:
-    def test_moves_bump_epoch_and_rebuild(self):
-        plan = FrequencyPlan(low_hz=500.0, guard_hz=20.0)
-        plan.allocate("a", 2)                       # slots 0, 1
-        fresh = plan.apply_moves([("a", 1, 5)])
-        assert plan.epoch == 1
-        assert fresh["a"].frequencies == (500.0, plan.slot_frequency(5))
-        assert plan.owner_of(plan.slot_frequency(5)) == "a"
-        assert plan.owner_of(520.0) is None
-        plan.validate_disjoint()
-
-    def test_move_to_occupied_slot_rejected_atomically(self):
-        plan = FrequencyPlan(low_hz=500.0, guard_hz=20.0)
-        plan.allocate("a", 2)
-        plan.allocate("b", 2)                       # slots 2, 3
-        with pytest.raises(FrequencyPlanError):
-            plan.apply_moves([("a", 0, 9), ("a", 1, 2)])
-        # The valid first move must not have leaked through.
-        assert plan.epoch == 0
-        assert plan.allocation_of("a").frequencies == (500.0, 520.0)
-
-
 class TestProperties:
     @settings(max_examples=50, deadline=None)
     @given(

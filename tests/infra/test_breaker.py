@@ -1,4 +1,4 @@
-"""State-machine tests for the per-link circuit breaker."""
+"""State-machine tests for the circuit breaker."""
 
 import pytest
 
@@ -118,9 +118,8 @@ class TestRecoveryEscalation:
 class TestListeners:
     def test_transitions_are_delivered(self):
         breaker = CircuitBreaker("s7", failure_threshold=1)
-        seen = []
-        breaker.on_transition(seen.append)
         breaker.record_failure(2.0)
+        seen = breaker.transitions
         assert len(seen) == 1
         assert seen[0].name == "s7"
         assert seen[0].time == 2.0

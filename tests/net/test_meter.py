@@ -1,8 +1,5 @@
-"""Tests for the token bucket and strict flow deletion."""
+"""Tests for strict flow deletion."""
 
-import pytest
-
-from repro.infra import TokenBucket
 from repro.net import (
     Action,
     FlowMod,
@@ -11,42 +8,6 @@ from repro.net import (
     Simulator,
     single_switch_topology,
 )
-
-
-class TestTokenBucket:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            TokenBucket(rate=0, burst=10)
-        with pytest.raises(ValueError):
-            TokenBucket(rate=10, burst=0)
-
-    def test_burst_allowed_then_policed(self):
-        bucket = TokenBucket(rate=10, burst=5)
-        outcomes = [bucket.admit(0.0) for _ in range(8)]
-        assert outcomes == [True] * 5 + [False] * 3
-        assert bucket.shed == 3
-
-    def test_tokens_refill_over_time(self):
-        bucket = TokenBucket(rate=10, burst=5)
-        for _ in range(5):
-            bucket.admit(0.0)
-        assert not bucket.admit(0.0)
-        # 0.5 s at 10 pps = +5 tokens.
-        assert bucket.peek(0.5) == pytest.approx(5.0, abs=0.1)
-        assert bucket.admit(0.5)
-
-    def test_bucket_caps_at_burst(self):
-        bucket = TokenBucket(rate=100, burst=5)
-        assert bucket.peek(10.0) == 5.0
-
-    def test_sustained_rate_enforced(self):
-        """Over a long window, conformant packets ~= rate * time."""
-        bucket = TokenBucket(rate=50, burst=5)
-        allowed = 0
-        for step in range(1000):  # 100 pps offered for 10 s
-            if bucket.admit(step * 0.01):
-                allowed += 1
-        assert allowed == pytest.approx(50 * 10, rel=0.05)
 
 
 class TestStrictDelete:
