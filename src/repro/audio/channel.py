@@ -22,11 +22,14 @@ Rendering is also the synthesis-side hot path (DESIGN.md §5): every
 render therefore works on whole columns, not on tone objects:
 
 * one **columnar tone index** (a float array with one column per
-  scheduled tone, sorted by end time; :meth:`play_tone` queues tones
-  and the next render or :meth:`prune` merges them in) holds each
-  tone's start, end, schedule sequence, level, position id, wave-type
-  id, duration and length, so a capture bisects straight to the tones
-  that can overlap it instead of scanning the history;
+  scheduled tone, sorted by end time; :meth:`play_tones` queues whole
+  columns and the next render or :meth:`prune` merges them in) holds
+  each tone's start, end, schedule sequence, level, position id,
+  wave-type id, duration and length.  It is the only record of a tone:
+  :class:`ScheduledTone` objects are built from its columns on demand.
+  A capture bisects on both sides straight to the tones that can
+  overlap it, so neither the history nor a parked future schedule is
+  scanned;
 * per listener, **delay and loss arrays** indexed by position id turn
   the geometry of every candidate (tone, echo tap) segment into array
   math, evaluated with the same IEEE operations as the scalar
@@ -40,7 +43,7 @@ render therefore works on whole columns, not on tone objects:
   that no live tone uses;
 * a bounded **window render memo** keyed by ``(listener, start, end)``
   so repeated polls of the same window reuse the mixed buffer.
-  ``play_tone`` / ``add_noise`` / ``clear`` / ``prune`` invalidate it.
+  ``play_tones`` / ``add_noise`` / ``clear`` / ``prune`` invalidate it.
 
 ``tests/audio/reference_render.py`` keeps the original per-tone scalar
 loop; ``tests/audio/test_channel_equivalence.py`` pins :meth:`render_at`
@@ -52,6 +55,7 @@ from __future__ import annotations
 import math
 import time as _time
 from collections import OrderedDict
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -94,17 +98,17 @@ def _tone_amplitude(level_db: float) -> float:
     return db_to_amplitude(level_db) * math.sqrt(2.0)
 
 
-def _renumber(ids: dict, column: np.ndarray) -> bool:
-    """Drop the keys of ``ids`` whose id ``column`` no longer uses and
-    number the rest densely, in order, rewriting ``column`` in place.
-    Returns whether any key was dropped."""
+def _renumber(keys: list, ids: dict, column: np.ndarray) -> bool:
+    """Drop the ``keys`` (by id) whose id ``column`` no longer uses and
+    number the rest densely, in order, rewriting ``ids`` (key -> id) and
+    ``column`` in place.  Returns whether any key was dropped."""
     used = np.flatnonzero(np.bincount(column.astype(np.intp),
-                                      minlength=len(ids)))
-    if len(used) == len(ids):
+                                      minlength=len(keys)))
+    if len(used) == len(keys):
         return False
-    keys = list(ids)
+    keys[:] = [keys[old] for old in used.tolist()]
     ids.clear()
-    ids.update((keys[old], new) for new, old in enumerate(used.tolist()))
+    ids.update((key, new) for new, key in enumerate(keys))
     column[:] = np.searchsorted(used, column)
     return True
 
@@ -192,18 +196,18 @@ class AcousticChannel:
         self._taps = np.array(((0.0, 0.0),) + self.echo_taps).T
         self._max_echo_delay = float(self._taps[0].max())
         self._noise_beds: list[NoiseBed] = []
-        # Scheduled tones by schedule sequence number, in schedule order.
-        self._tones: dict[int, ScheduledTone] = {}
         self._sequence = 0
         # The tone index, column-major: its first ``_count`` entries
         # are the live tones, sorted by end time (capacity doubles as
-        # it fills).  ``play_tone`` queues entries, field by field, in
+        # it fills).  ``play_tones`` queues blocks of entries in
         # ``_pending``; the next render or prune merges them in.
         self._index = np.empty((8, 64))
         self._count = 0
-        self._pending: list[float] = []
-        # Emitter positions and wave types, numbered densely in order of
-        # first use; prune renumbers both over the live tones.
+        self._pending: list[np.ndarray] = []
+        # Emitter positions and wave types ``(frequency, duration)``,
+        # numbered densely in order of first use (by id, and id by
+        # key); prune renumbers both over the live tones.
+        self._positions: list[Position] = []
         self._position_ids: dict[Position, int] = {}
         #: Bumped whenever the *set* of positions changes; stales the
         #: per-listener geometry columns.
@@ -213,10 +217,13 @@ class AcousticChannel:
         self._listener_geometry: dict[
             Position, tuple[int, np.ndarray, float]
         ] = {}
-        # (frequency, duration) -> wave type id; by id, the type's
-        # offset in the wave bank.
+        self._waves: list[tuple[float, float]] = []
         self._wave_ids: dict[tuple[float, float], int] = {}
+        # By wave type id, the type's offset in the wave bank.
         self._wave_base = np.empty(0, dtype=np.intp)
+        # The longest wave type's duration: how far past a window's
+        # end a tone that starts inside the window can end.
+        self._max_duration = 0.0
         # The wave bank: each wave type's sine (row 0) and envelope
         # (row 1) samples at [base, base + length).
         self._bank = np.empty((2, 0))
@@ -246,8 +253,7 @@ class AcousticChannel:
             self._m_bisected = self._obs.register(
                 obs.Counter("channel.tones_bisected_past")
             )
-            self._obs.gauge_fn("channel.scheduled_tones",
-                               lambda: len(self._tones))
+            self._obs.gauge_fn("channel.scheduled_tones", self._tone_count)
 
     @property
     def render_cache_hits(self) -> int:
@@ -266,10 +272,10 @@ class AcousticChannel:
     def set_fault_model(self, model) -> None:
         """Install (or clear, with ``None``) a fault model.
 
-        The model sees every emission via ``transform_emission(start,
-        spec, position)`` (clock skew) and every rendered tone from an
-        emitter in ``faulted_positions()`` via
-        ``tone_level_adjust_db(tone)`` — ``None`` mutes the tone
+        The model sees every emission, row by row, via
+        ``transform_emission(start, spec, position)`` (clock skew) and
+        every rendered tone from an emitter in ``faulted_positions()``
+        via ``tone_level_adjust_db(tone)`` — ``None`` mutes the tone
         (speaker dropout), a float shifts its level (degradation); any
         other tone's adjustment is 0 dB.  The render consults it once
         per such candidate tone, so it stays equal to the scalar
@@ -283,38 +289,111 @@ class AcousticChannel:
     def play_tone(
         self, start_time: float, spec: ToneSpec, position: Position = Position()
     ) -> ScheduledTone:
-        """Schedule a tone emission; returns the schedule record."""
+        """Schedule a tone emission; returns the schedule record.  The
+        one-row case of :meth:`play_tones`."""
+        self.play_tones((start_time,), ((spec, position),))
+        return self._records(self._pending[-1])[0]
+
+    def play_tones(
+        self,
+        starts,
+        voices: Sequence[tuple[ToneSpec, Position]],
+        voice=None,
+    ) -> None:
+        """Schedule one tone emission per entry of ``starts``: row ``i``
+        plays the ``(spec, position)`` pair ``voices[voice[i]]``
+        (``voices[0]`` for every row when ``voice`` is None).
+
+        The rows take consecutive schedule sequence numbers in the order
+        given, which is the order their contributions to a shared
+        sample are summed in, so a caller replacing per-tone calls must
+        pass the rows in the order those calls would have been made.
+        The fault model's ``transform_emission`` applies to each row, in
+        that order, under the fault state at the time of this call.
+        """
+        starts = np.array(starts, dtype=float).reshape(-1)
+        count = len(starts)
+        voice = (np.zeros(count, np.intp) if voice is None
+                 else np.asarray(voice, dtype=np.intp))
+        if len(voice) != count:
+            raise ValueError(f"{len(voice)} voice ids for {count} starts")
+        if not count:
+            return
         if self._fault_model is not None:
-            start_time, spec, position = self._fault_model.transform_emission(
-                start_time, spec, position
-            )
-        if start_time < 0:
-            raise ValueError(f"start_time must be non-negative, got {start_time}")
-        if spec.frequency >= self.sample_rate / 2:
+            starts, voices, voice = self._transformed(starts, voices, voice)
+        if starts.min() < 0:
             raise ValueError(
-                f"tone frequency {spec.frequency} exceeds channel Nyquist "
-                f"limit ({self.sample_rate / 2} Hz)"
+                f"start_time must be non-negative, got {starts.min()}"
             )
-        tone = ScheduledTone(start_time, spec, position)
-        self._tones[self._sequence] = tone
+        for spec, _position in voices:
+            if spec.frequency >= self.sample_rate / 2:
+                raise ValueError(
+                    f"tone frequency {spec.frequency} exceeds channel "
+                    f"Nyquist limit ({self.sample_rate / 2} Hz)"
+                )
+        # Per voice, the fields from level on: level, position id,
+        # wave type id, duration and length in samples.
+        fields = np.array([
+            (spec.level_db, self._position_id(position), self._wave_id(spec),
+             spec.duration, round(spec.duration * self.sample_rate))
+            for spec, position in voices
+        ]).T
+        block = np.empty((len(self._index), count))
+        block[_START] = starts
+        block[_SEQ] = np.arange(self._sequence, self._sequence + count)
+        block[_LEVEL:] = fields.take(voice, axis=1)
+        np.add(starts, block[_DURATION], out=block[_END])
+        self._sequence += count
+        self._pending.append(block)
+        self.invalidate_render_cache()
+
+    def _transformed(self, starts: np.ndarray, voices, voice: np.ndarray):
+        """``starts``, ``voices`` and ``voice`` after the fault model's
+        ``transform_emission`` of each row, in row order."""
+        transform = self._fault_model.transform_emission
+        rows = [transform(start, *voices[v])
+                for start, v in zip(starts.tolist(), voice.tolist())]
+        table: dict[tuple[ToneSpec, Position], int] = {}
+        voice = np.array([table.setdefault((spec, position), len(table))
+                          for _start, spec, position in rows], dtype=np.intp)
+        return np.array([row[0] for row in rows], dtype=float), list(table), voice
+
+    def _position_id(self, position: Position) -> int:
         position_id = self._position_ids.get(position)
         if position_id is None:
-            position_id = self._position_ids[position] = len(self._position_ids)
+            position_id = self._position_ids[position] = len(self._positions)
+            self._positions.append(position)
             self._position_version += 1
+        return position_id
+
+    def _wave_id(self, spec: ToneSpec) -> int:
         key = (spec.frequency, spec.duration)
         wave_id = self._wave_ids.get(key)
         if wave_id is None:
-            wave_id = self._wave_ids[key] = len(self._wave_ids)
+            wave_id = self._wave_ids[key] = len(self._waves)
+            self._waves.append(key)
+            self._max_duration = max(self._max_duration, spec.duration)
             self._wave_base = np.append(self._wave_base, -1)
             self._synthesize()
-        self._pending.extend((
-            tone.end_time, start_time, self._sequence, spec.level_db,
-            position_id, wave_id, spec.duration,
-            round(spec.duration * self.sample_rate),
-        ))
-        self._sequence += 1
-        self.invalidate_render_cache()
-        return tone
+        return wave_id
+
+    def _records(self, tones: np.ndarray) -> list[ScheduledTone]:
+        """The :class:`ScheduledTone` of each column of ``tones`` (tone
+        index entries), built from the index fields."""
+        positions, waves = self._positions, self._waves
+        return [
+            ScheduledTone(start, ToneSpec(*waves[wave], level),
+                          positions[position])
+            for start, level, position, wave in zip(
+                tones[_START].tolist(), tones[_LEVEL].tolist(),
+                tones[_POS].astype(np.intp).tolist(),
+                tones[_WAVE].astype(np.intp).tolist(),
+            )
+        ]
+
+    def _tone_count(self) -> int:
+        """Scheduled tones, merged or queued."""
+        return self._count + sum(block.shape[1] for block in self._pending)
 
     def add_noise(
         self,
@@ -343,11 +422,13 @@ class AcousticChannel:
 
     @property
     def scheduled_tones(self) -> tuple[ScheduledTone, ...]:
-        return tuple(self._tones.values())
+        """The live tones in schedule order, built from the tone index."""
+        self._merge_pending()
+        live = self._index[:, : self._count]
+        return tuple(self._records(live.take(live[_SEQ].argsort(), axis=1)))
 
     def clear(self) -> None:
         """Drop all scheduled tones and noise beds."""
-        self._tones.clear()
         self._noise_beds.clear()
         self._pending.clear()
         self._count = 0
@@ -383,8 +464,6 @@ class AcousticChannel:
         # The index is sorted by end time, so the drop is a prefix.
         dropped = int(np.searchsorted(self._index[_END, :live], keep_cutoff))
         if dropped:
-            for sequence in self._index[_SEQ, :dropped].tolist():
-                del self._tones[int(sequence)]
             self._index[:, : live - dropped] = self._index[:, dropped:live]
             self._count = live - dropped
             self._drop_unused()
@@ -403,8 +482,7 @@ class AcousticChannel:
         after every tone already there that ends at the same time."""
         if not self._pending:
             return
-        entries = np.fromiter(self._pending, float, len(self._pending))
-        entries = entries.reshape(-1, len(self._index)).T
+        entries = np.concatenate(self._pending, axis=1)
         self._pending.clear()
         old = self._count
         count = self._count = old + entries.shape[1]
@@ -428,11 +506,14 @@ class AcousticChannel:
         renumber the rest densely, so state stays bounded by the live
         tones rather than by history."""
         live = self._index[:, : self._count]
-        if _renumber(self._position_ids, live[_POS]):
+        if _renumber(self._positions, self._position_ids, live[_POS]):
             self._position_version += 1
-        if _renumber(self._wave_ids, live[_WAVE]):
+        if _renumber(self._waves, self._wave_ids, live[_WAVE]):
+            self._max_duration = max(
+                (duration for _frequency, duration in self._waves), default=0.0
+            )
             # The surviving types are synthesized afresh.
-            self._wave_base = np.full(len(self._wave_ids), -1)
+            self._wave_base = np.full(len(self._waves), -1)
             self._bank = np.empty((2, 0))
             self._synthesize()
 
@@ -452,7 +533,7 @@ class AcousticChannel:
         them; refreshed when the position set changes."""
         cached = self._listener_geometry.get(listener)
         if cached is None or cached[0] != self._position_version:
-            paths = [self._path(listener, p) for p in self._position_ids]
+            paths = [self._path(listener, p) for p in self._positions]
             geometry = np.array(paths).reshape(-1, 2).T.copy()
             worst = max((delay for delay, _loss in paths), default=0.0)
             cached = (self._position_version, geometry, worst)
@@ -537,21 +618,24 @@ class AcousticChannel:
         geometry, worst = self._geometry_columns(listener)
         # Candidate horizon: a tone whose *emission* ended more than the
         # worst-case (propagation + echo) delay before the window opens
-        # cannot reach it; everything older bisects away.  Of the tail,
-        # only tones that started before the window closes can reach it
-        # (delays only push arrivals later).
+        # cannot reach it; everything older bisects away.  Only tones
+        # that started before the window closes can reach it (delays
+        # only push arrivals later), and such a tone ends by
+        # ``window_end + _max_duration`` (rounded addition is
+        # monotone), so everything later bisects away too.
         max_delay = self._max_echo_delay + worst
         if self._pending:
             self._merge_pending()
         ends = self._index[_END, : self._count]
         first = int(ends.searchsorted(window_start - max_delay))
-        tail = self._index[:, first : self._count]
+        last = int(ends.searchsorted(window_end + self._max_duration, "right"))
+        tail = self._index[:, first:last]
         candidates = (tail[_START] < window_end).nonzero()[0]
         # Schedule order.
         order = candidates.take(tail[_SEQ].take(candidates).argsort())
         tones = tail.take(order, axis=1)
         if self._obs is not None:
-            self._m_bisected.inc(first)
+            self._m_bisected.inc(first + self._count - last)
             self._m_scanned.inc(tones.shape[1])
         fault = self._fault_model
         faulted = fault.faulted_positions() if fault is not None else ()
@@ -559,12 +643,15 @@ class AcousticChannel:
         if faulted:
             # Only a faulted emitter's tones can be muted (None, as NaN)
             # or attenuated; every other tone's adjustment is 0 dB.
-            records = [self._tones[s] for s in tones[_SEQ].astype(int).tolist()]
-            adjust = np.array([
-                fault.tone_level_adjust_db(tone)
-                if tone.position in faulted else 0.0
-                for tone in records
-            ], dtype=float)
+            ids = [self._position_ids[p] for p in faulted
+                   if p in self._position_ids]
+            rows = np.isin(tones[_POS], ids).nonzero()[0]
+            adjust = np.zeros(tones.shape[1])
+            adjust[rows] = [
+                math.nan if level is None else level
+                for level in map(fault.tone_level_adjust_db,
+                                 self._records(tones.take(rows, axis=1)))
+            ]
             unmuted = ~np.isnan(adjust)
             tones, adjust = tones[:, unmuted], adjust[unmuted]
         if not tones.shape[1]:
@@ -630,11 +717,10 @@ class AcousticChannel:
     def _synthesize(self) -> None:
         """Add the whole-tone sine and envelope of every wave type that
         the bank lacks."""
-        keys = list(self._wave_ids)
         waves = [self._bank]
         base = self._bank.shape[1]
         for wave_id in np.flatnonzero(self._wave_base < 0).tolist():
-            frequency, duration = keys[wave_id]
+            frequency, duration = self._waves[wave_id]
             tone_len = round(duration * self.sample_rate)
             steps = np.arange(tone_len)
             waves.append((

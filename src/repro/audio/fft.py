@@ -176,7 +176,12 @@ def _analysis_plan(window: str, zero_pad_factor: int, count: int,
     scale[0] = 1.0
     if n_fft % 2 == 0 and n_fft > 1:
         scale[-1] = 1.0
-    scale /= count * gain
+    if gain:
+        scale /= count * gain
+    else:
+        # An all-zero taper (the 2-point Hann) passes no signal: every
+        # magnitude is 0, not 0 * inf.
+        scale[:] = 0.0
     frequencies = np.fft.rfftfreq(n_fft, 1.0 / sample_rate)
     scale.setflags(write=False)
     frequencies.setflags(write=False)

@@ -24,8 +24,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..audio import AcousticChannel, Microphone, Position, Speaker
-from ..core import FrequencyPlan, MDNController
-from ..core.agent import MusicAgent
+from ..core import FrequencyPlan, MDNController, MusicProtocolMessage
+from ..core.agent import MusicAgent, play_schedules
 from ..faults import FaultHarness, seeded_rng
 from ..net.sim import Simulator
 from ..obs import MetricsRegistry
@@ -111,6 +111,7 @@ def _build_room(spec: RoomSpec) -> _RoomRig:
     # before the horizon, so in-flight tones can't dangle uncounted.
     last_start = spec.horizon - spec.tone_duration - 2 * spec.listen_interval
     positions: list[Position] = []
+    schedules = []
     for index in range(spec.num_switches):
         frequency = plan.allocate(
             f"r{spec.room_id}s{index}", 1
@@ -127,10 +128,10 @@ def _build_room(spec: RoomSpec) -> _RoomRig:
         starts = []
         start = offset
         while start <= last_start:
-            sim.schedule_at(start, agent.play, frequency,
-                            spec.tone_duration, spec.level_db)
             starts.append(start)
             start += period
+        schedules.append((agent, starts, MusicProtocolMessage(
+            frequency, spec.tone_duration, spec.level_db)))
         rig.chirp_times[frequency] = starts
         rig.emissions += len(starts)
     if spec.faults is not None and spec.faults.active:
@@ -149,6 +150,10 @@ def _build_room(spec: RoomSpec) -> _RoomRig:
                 rig.speaker_outages += 1
     if spec.scene is not None:
         spec.scene(sim, channel, rng)
+    # Every chirp is known up front: one column batch, issued under the
+    # installed fault state and scene, leaves only the listen timer on
+    # the sim heap.
+    play_schedules(schedules)
     return rig
 
 
@@ -165,6 +170,9 @@ def run_room(spec: RoomSpec) -> RoomReport:
     )
     rig.controller.start()
     rig.sim.run(spec.horizon)
+    # Cancelling the armed listen event breaks the sim -> heap -> event
+    # -> timer -> sim cycle, so the finished room is freed by refcount.
+    rig.controller.stop()
 
     metrics = MetricsRegistry()
     metrics.counter("fleet.rooms").inc()
@@ -181,9 +189,7 @@ def run_room(spec: RoomSpec) -> RoomReport:
     )
 
     lags, delivered = _attribute_onsets(onsets, rig.chirp_times, spec)
-    lag_hist = metrics.histogram("fleet.onset_lag_ms")
-    for lag in map(float, lags):
-        lag_hist.observe(lag)
+    metrics.histogram("fleet.onset_lag_ms").observe_many(lags)
     spurious = onset_count - len(lags)
     metrics.counter("fleet.delivered").inc(delivered)
     metrics.counter("fleet.spurious_onsets").inc(spurious)

@@ -99,9 +99,12 @@ class FaultPlan:
 
 
 #: Optional per-room scene hook: ``scene(sim, channel, rng)`` runs after
-#: the room's agents are built (extra noise beds, rogue emitters...).
-#: Must be a module-level function — the picklability audit rejects
-#: closures before they can wedge a worker.
+#: the room's agents are built (extra noise beds, rogue emitters...) and
+#: before their chirp schedules reach the channel as one batch.  A tone
+#: the scene plays from a mid-run sim event is therefore sequenced after
+#: every chirp, not between the chirps that precede it in time (no scene
+#: in ``repro`` plays one).  Must be a module-level function — the
+#: picklability audit rejects closures before they can wedge a worker.
 SceneHook = Callable[[object, object, object], None]
 
 

@@ -69,8 +69,15 @@ class Event:
         self.cancelled = False
 
     def cancel(self) -> None:
-        """Prevent the event from firing (lazy removal from the heap)."""
+        """Prevent the event from firing (lazy removal from the heap).
+
+        The callback and its arguments are dropped: the heap keeps the
+        entry until its time comes, and a callback bound to an object
+        that holds the simulator would otherwise keep a reference cycle
+        alive for that long."""
         self.cancelled = True
+        self.callback = None
+        self.args = ()
 
 
 class Simulator:

@@ -24,6 +24,8 @@ from __future__ import annotations
 import math
 from typing import Callable
 
+import numpy as np
+
 #: Default histogram reservoir size.  4096 samples bound memory while
 #: keeping p99 meaningful for any experiment-scale stream.
 DEFAULT_HISTOGRAM_CAPACITY = 4096
@@ -142,6 +144,43 @@ class Histogram:
         if value > self.max:
             self.max = value
         self._ring_insert(value)
+
+    def observe_many(self, values) -> None:
+        """Observe each of ``values`` (floats) in order: the same
+        state as a loop of :meth:`observe`.  ``total`` accumulates one
+        addition at a time in that order, ``min``/``max`` keep the first
+        of equal extremes, and the ring keeps the same samples in the
+        same order."""
+        values = np.asarray(values, dtype=float).reshape(-1)
+        if not len(values):
+            return
+        self.count += len(values)
+        # Python float addition overflows to inf (and inf - inf gives
+        # NaN) without a warning.
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.total = float(np.add.accumulate(
+                np.concatenate(((self.total,), values)))[-1])
+        # NaN never passes observe's comparisons.
+        comparable = values[~np.isnan(values)]
+        if len(comparable):
+            low = float(comparable[comparable.argmin()])
+            high = float(comparable[comparable.argmax()])
+            if low < self.min:
+                self.min = low
+            if high > self.max:
+                self.max = high
+        fill = self._capacity - len(self._samples)
+        self._samples.extend(values[:fill].tolist())
+        # The rest overwrite the ring from the cursor on, wrapping; only
+        # the last ``capacity`` of them survive.
+        rest = values[fill:]
+        if len(rest):
+            kept = rest[-self._capacity:]
+            slots = self._cursor + len(rest) - len(kept) + np.arange(len(kept))
+            for slot, value in zip((slots % self._capacity).tolist(),
+                                   kept.tolist()):
+                self._samples[slot] = value
+            self._cursor = (self._cursor + len(rest)) % self._capacity
 
     def _ring_insert(self, value: float) -> None:
         """Put one sample into the bounded ring (no running stats)."""

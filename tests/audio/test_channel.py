@@ -46,6 +46,36 @@ class TestScheduling:
         with pytest.raises(ValueError, match="Nyquist"):
             channel.play_tone(0.0, ToneSpec(9000, 0.1))
 
+    def test_rejected_batch_leaves_no_state(self, channel):
+        voices = [(ToneSpec(440, 0.1), Position(1, 0, 0)),
+                  (ToneSpec(9000, 0.1), Position(2, 0, 0))]
+        with pytest.raises(ValueError, match="Nyquist"):
+            channel.play_tones([0.0, 0.5], voices, [0, 1])
+        with pytest.raises(ValueError, match="non-negative"):
+            channel.play_tones([0.0, -0.5], voices[:1])
+        with pytest.raises(ValueError, match="voice ids"):
+            channel.play_tones([0.0, 0.5], voices[:1], [0])
+        assert channel.scheduled_tones == ()
+        assert channel._positions == [] and channel._waves == []
+
+    def test_batch_equals_one_row_calls(self, channel):
+        """Rows keep their given order as schedule order, whatever
+        their start times."""
+        voices = [(ToneSpec(440, 0.1, 65.0), Position(1, 0, 0)),
+                  (ToneSpec(880, 0.05), Position(0, 2, 0))]
+        rows = [(0.5, 1), (0.1, 0), (0.5, 0), (0.2, 1)]
+        channel.play_tones([start for start, _v in rows], voices,
+                           [v for _start, v in rows])
+        single = AcousticChannel()
+        records = [single.play_tone(start, *voices[v]) for start, v in rows]
+        assert channel.scheduled_tones == single.scheduled_tones == \
+            tuple(records)
+        for window in [(0.0, 0.3), (0.45, 0.62)]:
+            np.testing.assert_array_equal(
+                channel.render_at(Position(), *window).samples,
+                single.render_at(Position(), *window).samples,
+            )
+
     def test_scheduled_tones_tracked(self, channel):
         channel.play_tone(1.0, ToneSpec(440, 0.1))
         channel.play_tone(2.0, ToneSpec(880, 0.1))

@@ -23,6 +23,7 @@ from repro.audio import (
     ToneSpec,
     white_noise,
 )
+from repro import obs
 from repro.faults import FaultHarness
 from repro.net.sim import Simulator
 from tests.audio.reference_render import render_reference
@@ -111,6 +112,26 @@ class TestToneEquivalence:
                               Position(0.5 + start, 0.0, 0.0))
         for window in [(0.0, 0.4), (0.3, 0.8), (0.9, 1.5)]:
             _assert_paths_match(channel, LISTENER, *window)
+
+
+class TestParkedSchedule:
+    def test_future_rows_bisect_away(self):
+        """Ten thousand rows parked in the future: an early window scans
+        only the rows that can reach it and still equals the loop."""
+        registry, _tracer = obs.enable()
+        try:
+            channel = AcousticChannel(echo_taps=((0.013, 9.0),))
+            voices = [(ToneSpec(420.0 + 120.0 * k, 0.03, 70.0),
+                       Position(0.5 + 0.1 * k, 0.2, 0.0)) for k in range(50)]
+            starts = np.repeat(np.arange(200) * 0.1, 50)
+            channel.play_tones(starts, voices, np.tile(np.arange(50), 200))
+            _assert_paths_match(channel, LISTENER, 0.1, 0.1 + 1 / 30)
+            scanned = registry.get("channel.tones_scanned").value
+            bisected = registry.get("channel.tones_bisected_past").value
+        finally:
+            obs.disable()
+        assert scanned <= 100
+        assert scanned + bisected == 10_000
 
 
 class TestBusyWindowIdentity:

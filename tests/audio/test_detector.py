@@ -1,5 +1,7 @@
 """Unit tests for the known-frequency detector."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -58,6 +60,20 @@ class TestDetection:
     def test_silence(self):
         detector = FrequencyDetector([1000])
         assert detector.detect(AudioSignal.silence(0.1)) == []
+
+    @pytest.mark.parametrize("count", range(5))
+    def test_tiny_windows_detect_nothing_without_float_warnings(self, count):
+        """The 2-point Hann taper is all zeros: its plan must not
+        divide by the zero coherent gain and feed NaNs to detect."""
+        detector = FrequencyDetector([1000])
+        window = AudioSignal(np.ones(count))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert detector.detect(window) == []
+            if count:
+                assert detector.detect_stream(
+                    AudioSignal(np.ones(8)), frame_duration=count / 48000
+                ) == []
 
     def test_noise_robustness(self, rng):
         detector = FrequencyDetector([800, 1200])

@@ -1,7 +1,9 @@
 """One room, end to end: determinism, delivery accounting, faults."""
 
+import gc
 import math
 import pickle
+import weakref
 from bisect import bisect_right
 
 import numpy as np
@@ -11,6 +13,7 @@ from hypothesis import strategies as st
 
 from repro.audio import AcousticChannel, FrequencyDetector
 from repro.fleet import FaultPlan, RoomSpec, run_room
+from repro.fleet import room as room_module
 from repro.fleet.room import _attribute_onsets, _peak_tones_per_window
 from tests.audio.reference_detect import reference_detect
 from tests.audio.reference_render import render_reference
@@ -184,3 +187,40 @@ def test_listen_path_matches_the_reference_loops(monkeypatch):
     assert sum(map(len, fast_events)) > 0
     assert heard == fast_events
     assert reference.identity_signature() == fast.identity_signature()
+
+
+def _capturing_rigs(monkeypatch):
+    """Patch ``_build_room`` to record every rig it builds."""
+    rigs = []
+    build = room_module._build_room
+
+    def building(spec):
+        rigs.append(build(spec))
+        return rigs[-1]
+
+    monkeypatch.setattr(room_module, "_build_room", building)
+    return rigs
+
+
+def test_a_room_without_faults_runs_only_its_listen_windows(monkeypatch):
+    """Every chirp reaches the channel in one batch at build time: the
+    sim dispatches nothing but the listen timer."""
+    rigs = _capturing_rigs(monkeypatch)
+    report = run_room(RoomSpec(room_id=0, num_switches=50, horizon=3.0))
+    assert report.emissions > 50 * 20
+    assert rigs[0].sim.events_processed == report.windows
+
+
+def test_a_finished_room_is_freed_by_refcount(monkeypatch):
+    """No reference cycle outlives ``run_room``: with the cyclic GC off,
+    the room's channel is gone as soon as the call returns."""
+    rigs = _capturing_rigs(monkeypatch)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        run_room(SPEC)
+        channel = weakref.ref(rigs.pop().channel)
+        assert channel() is None
+    finally:
+        if enabled:
+            gc.enable()

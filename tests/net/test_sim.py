@@ -327,6 +327,8 @@ class TestEventOrderContract:
         assert handle.cancelled is False
         handle.cancel()
         assert handle.cancelled is True
+        # A cancelled event never fires, so it holds no references.
+        assert (handle.callback, handle.args) == (None, ())
         assert sim.pending_events() == 1
         sim.run(1.0)
         assert log == ["y"]

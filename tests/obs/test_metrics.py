@@ -3,6 +3,8 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import obs
 from repro.artifact import export_json
@@ -91,6 +93,31 @@ class TestHistogram:
     def test_rejects_bad_capacity(self):
         with pytest.raises(ValueError):
             Histogram("h", capacity=0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(capacity=st.integers(1, 9),
+           chunks=st.lists(st.tuples(st.booleans(), st.lists(
+               st.floats(allow_nan=True, allow_infinity=True)
+               | st.sampled_from([0.0, -0.0, 1.5]), max_size=25)),
+               max_size=6))
+    def test_observe_many_equals_a_loop_of_observe(self, capacity, chunks):
+        """Chunks fed whole or one by one, across ring wraparound, with
+        NaN, infinities and signed zeros: the same state and a
+        byte-equal snapshot as observing every value in a loop."""
+        batched, looped = Histogram("b", capacity), Histogram("l", capacity)
+        for whole, values in chunks:
+            if whole:
+                batched.observe_many(values)
+            else:
+                for value in values:
+                    batched.observe(value)
+            for value in values:
+                looped.observe(value)
+        assert repr(batched.snapshot()) == repr(looped.snapshot())
+        assert repr((batched.count, batched.total, batched.min, batched.max,
+                     batched._samples, batched._cursor)) == \
+            repr((looped.count, looped.total, looped.min, looped.max,
+                  looped._samples, looped._cursor))
 
 
 class TestRegistry:
