@@ -24,7 +24,6 @@ from .fft import (
     SpectralPeak,
     Spectrum,
     SpectrumAnalyzer,
-    bandpass_filter,
     hann_taper,
     power_spectrogram,
 )
@@ -103,7 +102,6 @@ __all__ = [
     "ToneSpec",
     "amplitude_to_db",
     "band_noise",
-    "bandpass_filter",
     "brown_noise",
     "chirp",
     "datacenter_ambience",

@@ -312,25 +312,6 @@ class SpectrumAnalyzer:
         return spectrum, elapsed
 
 
-def bandpass_filter(
-    signal: AudioSignal, low_hz: float, high_hz: float
-) -> AudioSignal:
-    """Zero-phase FFT brick-wall band-pass.
-
-    Keeps only ``[low_hz, high_hz]`` without introducing group delay;
-    the fault injector uses it to band-limit a narrowband interferer.
-    """
-    if not 0 <= low_hz < high_hz:
-        raise ValueError(f"invalid band [{low_hz}, {high_hz}]")
-    if len(signal) == 0:
-        return signal
-    spectrum = np.fft.rfft(signal.samples)
-    frequencies = np.fft.rfftfreq(len(signal), 1.0 / signal.sample_rate)
-    spectrum[(frequencies < low_hz) | (frequencies > high_hz)] = 0.0
-    return AudioSignal(np.fft.irfft(spectrum, len(signal)),
-                       signal.sample_rate)
-
-
 def power_spectrogram(
     signal: AudioSignal,
     frame_duration: float = 0.05,

@@ -25,11 +25,8 @@ across a fault state change.
 
 from __future__ import annotations
 
-import math
-
 from ..audio.channel import AcousticChannel, Position, ScheduledTone
 from ..audio.devices import Microphone
-from ..audio.fft import bandpass_filter
 from ..audio.noise import white_noise
 from ..audio.signal import AudioSignal, db_to_amplitude
 from ..audio.synth import ToneSpec
@@ -69,11 +66,9 @@ class AcousticFaults:
         self._m_attenuated = FaultCounter("tones_attenuated")
         self._m_skewed = FaultCounter("tones_skewed")
         self._m_bursts = FaultCounter("noise_bursts")
-        self._m_interferers = FaultCounter("narrowband_interferers")
         self.counters = (
             self._m_dropouts, self._m_degradations, self._m_muted,
             self._m_attenuated, self._m_skewed, self._m_bursts,
-            self._m_interferers,
         )
         channel.set_fault_model(self)
 
@@ -124,33 +119,6 @@ class AcousticFaults:
                              sample_rate=self.channel.sample_rate, rng=rng)
         self.channel.add_noise(signal, position, loop=False, start=start)
         self._m_bursts.inc()
-
-    def narrowband_interferer(self, low_hz: float, high_hz: float,
-                              start: float, end: float,
-                              level_db: float = 85.0,
-                              position: Position = Position(),
-                              label: str = "interferer") -> None:
-        """A persistent narrowband noise bed over ``[start, end)`` — a
-        fan rumble or bass line parked on part of the plan.  Seeded
-        white noise band-limited to ``[low_hz, high_hz]``
-        is injected at ``position``; the spectral energy sits only in
-        the targeted bands, so detection elsewhere in the plan is
-        untouched while tones inside the band are masked."""
-        if end <= start:
-            raise ValueError(f"interferer window [{start}, {end}) is empty")
-        if not 0 < low_hz < high_hz:
-            raise ValueError(f"invalid band [{low_hz}, {high_hz}]")
-        rng = seeded_rng(self.seed, f"{label}@{start:.6f}")
-        # Band-limiting discards most of the white bed's power; boost
-        # the source level so the surviving band sits at level_db.
-        bandwidth = high_hz - low_hz
-        nyquist = self.channel.sample_rate / 2.0
-        makeup_db = 10.0 * math.log10(nyquist / bandwidth)
-        signal = white_noise(end - start, level_db + makeup_db,
-                             sample_rate=self.channel.sample_rate, rng=rng)
-        signal = bandpass_filter(signal, low_hz, high_hz)
-        self.channel.add_noise(signal, position, loop=False, start=start)
-        self._m_interferers.inc()
 
     def random_dropouts(self, position: Position, start: float, end: float,
                         rate: float, mean_outage: float = 0.6,

@@ -170,9 +170,13 @@ def run_room(spec: RoomSpec) -> RoomReport:
     )
     rig.controller.start()
     rig.sim.run(spec.horizon)
-    # Cancelling the armed listen event breaks the sim -> heap -> event
-    # -> timer -> sim cycle, so the finished room is freed by refcount.
+    # Break every cycle through the finished room, so it is freed by
+    # refcount: the armed listen event (sim -> heap -> event -> timer ->
+    # sim), fault edges past the horizon (sim -> heap -> event -> fault
+    # model -> sim) and the fault model's channel back-reference.
     rig.controller.stop()
+    rig.sim.drop_pending()
+    rig.channel.set_fault_model(None)
 
     metrics = MetricsRegistry()
     metrics.counter("fleet.rooms").inc()

@@ -33,16 +33,16 @@ FLEET_GAUGE_POLICY = "max"
 
 @dataclass
 class ShardReport:
-    """One shard's rooms, rolled up for the trip home.
+    """One shard's rooms, for the trip home.
 
-    Compact by construction: per-room counts plus one merged registry —
-    never signals, channels or simulators — so a 1000-room fleet's
-    results fit in a few hundred kilobytes of pickled reports.
+    Compact by construction: per-room counts and registries — never
+    signals, channels or simulators.  The driver merges the rooms'
+    registries itself (:func:`merge_fleet_metrics`), so a shard carries
+    no rollup of its own.
     """
 
     shard_id: int
     rooms: list[RoomReport]
-    metrics: MetricsRegistry
     wall_s: float = 0.0
     #: Rooms loaded from checkpoint spill instead of simulated
     #: (execution detail, excluded from identity).
@@ -138,11 +138,12 @@ class FleetReport:
 def merge_fleet_metrics(reports: list[ShardReport]) -> MetricsRegistry:
     """Roll shard results up into one fleet-wide registry.
 
-    Merges from the room *leaves* in global room order, not from the
-    per-shard rollups: float summation is non-associative, so a
-    hierarchical rollup would make the merged histogram mean depend
-    on the shard count in the last ulp — breaking the bit-identity
-    contract between shard counts.
+    Merges the room *leaves* in global room order.  Histograms would
+    not need the order (their bins add exactly), but float counters
+    such as ``fleet.simulated_seconds`` do: float summation is
+    non-associative, so a room→shard→fleet rollup would make those
+    totals depend on the shard count in the last ulp — breaking the
+    bit-identity contract between shard counts.
     """
     metrics = MetricsRegistry()
     ordered = sorted(

@@ -243,9 +243,9 @@ class FleetSpec:
 
         Contiguity keeps global room order stable under any shard
         count, which is what makes the merged fleet report bit-identical
-        across serial, 2-shard and 8-shard executions (histogram rings
-        are order-sensitive; counters never were).  Sizes differ by at
-        most one room.
+        across serial, 2-shard and 8-shard executions (float counter
+        totals are order-sensitive; histogram bins never were).  Sizes
+        differ by at most one room.
         """
         if not 1 <= num_shards <= self.num_rooms:
             raise FleetConfigError(

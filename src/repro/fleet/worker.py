@@ -3,8 +3,8 @@
 :func:`run_shard_job` is the one function that runs a shard — what
 :func:`~repro.fleet.supervisor.run_fleet` calls in-process on the
 serial backend and ships to pool workers on the process backend.  It
-simulates the shard's rooms in order, merges their registries, and
-applies two things the job carries:
+simulates the shard's rooms in order and applies two things the job
+carries:
 
 * the **process fault model** — before and during the shard it honors
   the deterministic :func:`~repro.faults.process.shard_fault_decision`
@@ -16,7 +16,7 @@ applies two things the job carries:
   only the rest.
 
 With no fault plan and no checkpoint directory it is the plain
-computation: same rooms, same merged registry, same report.
+computation: same rooms, same report.
 
 Everything here must stay module-level and picklable — jobs cross the
 process boundary by value, the function by reference.
@@ -33,10 +33,9 @@ from ..faults.process import (
     crash_now,
     shard_fault_decision,
 )
-from ..obs import MetricsRegistry
 from .checkpoint import CheckpointStore
 from .room import run_room
-from .runner import FLEET_GAUGE_POLICY, ShardReport
+from .runner import ShardReport
 from .specs import ShardSpec
 
 
@@ -63,9 +62,9 @@ class ShardJob:
 def run_shard_job(job: ShardJob) -> ShardReport | PoisonedShardReport:
     """Execute one (possibly fault-fated, possibly resumed) attempt.
 
-    Rooms run in shard order and their registries merge in that order;
-    resumed rooms contribute their checkpointed reports in place of
-    fresh simulation, which is the same values by determinism.
+    Rooms run in shard order; resumed rooms contribute their
+    checkpointed reports in place of fresh simulation, which is the
+    same values by determinism.
     """
     wall_start = _time.perf_counter()
     decision = shard_fault_decision(
@@ -94,13 +93,9 @@ def run_shard_job(job: ShardJob) -> ShardReport | PoisonedShardReport:
         rooms.append(room)
     if decision.poison:
         return PoisonedShardReport(shard_id=job.shard.shard_id)
-    metrics = MetricsRegistry()
-    for room in rooms:
-        metrics.merge(room.metrics, gauge_policy=FLEET_GAUGE_POLICY)
     return ShardReport(
         shard_id=job.shard.shard_id,
         rooms=rooms,
-        metrics=metrics,
         wall_s=_time.perf_counter() - wall_start,
         rooms_resumed=rooms_resumed,
         attempt=job.attempt,

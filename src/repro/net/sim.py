@@ -211,6 +211,13 @@ class Simulator:
             self._site_hists[site] = hist
         hist.observe(elapsed_ms)
 
+    def drop_pending(self) -> None:
+        """Forget every queued event.  What a finished run leaves on
+        the heap (say, a fault edge past the horizon) may hold an
+        object that holds this simulator: a cycle only the cyclic GC
+        would free."""
+        self._heap.clear()
+
     def pending_events(self) -> int:
         """Number of not-yet-cancelled events still queued."""
         return sum(1 for entry in self._heap if not entry[2].cancelled)

@@ -6,7 +6,11 @@ provides
 
 * a :class:`MetricsRegistry` of hierarchically named counters, gauges
   and histograms (p50/p90/p99 — the Fig 2b quantiles), e.g.
-  ``controller.window_ms`` or ``channel.memo_hits``;
+  ``controller.window_ms`` or ``channel.memo_hits``.  Histograms count
+  observations in exact integer bins of :data:`RESOLUTION` (1 µs for
+  every ``*_ms`` histogram; sub-µs ``sim.callback_ms.*`` timings read
+  in 1 µs steps), so merging them is addition and any partition of a
+  run merges to the same result;
 * a bounded ring-buffer :class:`Tracer` whose spans carry both sim time
   and ``perf_counter`` wall time;
 * a **zero-overhead-when-disabled hook API**: components grab their
@@ -40,7 +44,7 @@ with name de-duplication — so it shows up in reports and exports.
 from __future__ import annotations
 
 from .metrics import (
-    DEFAULT_HISTOGRAM_CAPACITY,
+    RESOLUTION,
     CallbackGauge,
     Counter,
     Gauge,
@@ -52,11 +56,11 @@ from .trace import DEFAULT_TRACE_CAPACITY, Span, Tracer
 __all__ = [
     "CallbackGauge",
     "Counter",
-    "DEFAULT_HISTOGRAM_CAPACITY",
     "DEFAULT_TRACE_CAPACITY",
     "Gauge",
     "Histogram",
     "MetricsRegistry",
+    "RESOLUTION",
     "Span",
     "Tracer",
     "counter",
@@ -126,12 +130,11 @@ def gauge(name: str) -> Gauge:
     return _registry.register(Gauge(name))
 
 
-def histogram(name: str,
-              capacity: int = DEFAULT_HISTOGRAM_CAPACITY) -> Histogram:
+def histogram(name: str) -> Histogram:
     """A histogram, registered when enabled (see :func:`counter`)."""
     if _registry is None:
-        return Histogram(name, capacity)
-    return _registry.register(Histogram(name, capacity))
+        return Histogram(name)
+    return _registry.register(Histogram(name))
 
 
 class _NullSpan:

@@ -6,8 +6,11 @@ Three instrument kinds cover everything the experiments need to see:
   memo hits, drops);
 * :class:`Gauge` — last-observed values, either pushed (``set``) or
   pulled at snapshot time (:class:`CallbackGauge`, e.g. heap depth);
-* :class:`Histogram` — bounded-reservoir distributions with the
-  quantiles the paper's Fig 2b reports (p50/p90/p99).
+* :class:`Histogram` — exact distributions over fixed-width integer
+  bins of :data:`RESOLUTION` (1 µs for every ``*_ms`` histogram, so
+  the sub-µs ``sim.callback_ms.*`` timings read in 1 µs steps), with
+  the quantiles the paper's Fig 2b reports (p50/p90/p99) and a merge
+  that is integer addition.
 
 Instruments live in a :class:`MetricsRegistry` under hierarchical
 dotted names (``controller.window_ms``, ``channel.memo_hits``).  The
@@ -22,13 +25,16 @@ counters API-compatible when observability is disabled (see
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
+from itertools import accumulate
 from typing import Callable
 
 import numpy as np
 
-#: Default histogram reservoir size.  4096 samples bound memory while
-#: keeping p99 meaningful for any experiment-scale stream.
-DEFAULT_HISTOGRAM_CAPACITY = 4096
+#: Histogram bin width, in the observed unit: 1 µs for every ``*_ms``
+#: histogram, while integer observations (``queue.occupancy``) stay
+#: exact.
+RESOLUTION = 1e-3
 
 
 class Counter:
@@ -112,130 +118,103 @@ class CallbackGauge:
 
 
 class Histogram:
-    """A distribution with running stats and reservoir quantiles.
+    """An exact distribution over fixed-width integer bins.
 
-    Keeps exact ``count``/``sum``/``min``/``max`` over every observation
-    plus a bounded ring of the most recent ``capacity`` samples;
-    quantiles are computed over the retained ring (exact until the ring
-    wraps, recent-biased after).
+    A value lands in bin ``round(value / RESOLUTION)``; the state is
+    ``{bin: count}`` plus the exact ``min``/``max``.  ``count``,
+    ``total``, ``mean`` and the quantiles are derived from the bins, each
+    value standing at its bin's centre.  A merge adds counts, so any
+    partition of the same observations, merged in any order, gives a
+    byte-identical :meth:`snapshot`.  Non-finite values (NaN, ±inf)
+    raise ``ValueError``.
     """
 
-    __slots__ = ("name", "count", "total", "min", "max",
-                 "_samples", "_capacity", "_cursor")
+    __slots__ = ("name", "min", "max", "_bins")
 
-    def __init__(self, name: str,
-                 capacity: int = DEFAULT_HISTOGRAM_CAPACITY) -> None:
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
+    def __init__(self, name: str) -> None:
         self.name = name
-        self.count = 0
-        self.total = 0.0
         self.min = math.inf
         self.max = -math.inf
-        self._samples: list[float] = []
-        self._capacity = capacity
-        self._cursor = 0
+        self._bins: dict[int, int] = {}
 
     def observe(self, value: float) -> None:
-        self.count += 1
-        self.total += value
+        # -0.0 + 0.0 is 0.0: the extremes must not depend on which of
+        # two equal zeros came first.
+        value += 0.0
+        scaled = value / RESOLUTION
+        if not math.isfinite(scaled):
+            raise ValueError(f"histogram {self.name!r} takes finite "
+                             f"values, got {value}")
+        key = round(scaled)
+        bins = self._bins
+        bins[key] = bins.get(key, 0) + 1
         if value < self.min:
             self.min = value
         if value > self.max:
             self.max = value
-        self._ring_insert(value)
 
     def observe_many(self, values) -> None:
-        """Observe each of ``values`` (floats) in order: the same
-        state as a loop of :meth:`observe`.  ``total`` accumulates one
-        addition at a time in that order, ``min``/``max`` keep the first
-        of equal extremes, and the ring keeps the same samples in the
-        same order."""
-        values = np.asarray(values, dtype=float).reshape(-1)
+        """The same bins, ``min`` and ``max`` as a loop of
+        :meth:`observe` (``np.rint`` rounds half to even, as ``round``
+        does); a non-finite value raises before any is observed."""
+        values = np.asarray(values, dtype=float).reshape(-1) + 0.0
         if not len(values):
             return
-        self.count += len(values)
-        # Python float addition overflows to inf (and inf - inf gives
-        # NaN) without a warning.
-        with np.errstate(over="ignore", invalid="ignore"):
-            self.total = float(np.add.accumulate(
-                np.concatenate(((self.total,), values)))[-1])
-        # NaN never passes observe's comparisons.
-        comparable = values[~np.isnan(values)]
-        if len(comparable):
-            low = float(comparable[comparable.argmin()])
-            high = float(comparable[comparable.argmax()])
-            if low < self.min:
-                self.min = low
-            if high > self.max:
-                self.max = high
-        fill = self._capacity - len(self._samples)
-        self._samples.extend(values[:fill].tolist())
-        # The rest overwrite the ring from the cursor on, wrapping; only
-        # the last ``capacity`` of them survive.
-        rest = values[fill:]
-        if len(rest):
-            kept = rest[-self._capacity:]
-            slots = self._cursor + len(rest) - len(kept) + np.arange(len(kept))
-            for slot, value in zip((slots % self._capacity).tolist(),
-                                   kept.tolist()):
-                self._samples[slot] = value
-            self._cursor = (self._cursor + len(rest)) % self._capacity
-
-    def _ring_insert(self, value: float) -> None:
-        """Put one sample into the bounded ring (no running stats)."""
-        if len(self._samples) < self._capacity:
-            self._samples.append(value)
-        else:
-            self._samples[self._cursor] = value
-            self._cursor = (self._cursor + 1) % self._capacity
-
-    def retained_samples(self) -> list[float]:
-        """The ring's samples in observation order (oldest first)."""
-        if len(self._samples) < self._capacity:
-            return list(self._samples)
-        return self._samples[self._cursor:] + self._samples[:self._cursor]
+        scaled = values / RESOLUTION
+        if not np.isfinite(scaled).all():
+            raise ValueError(f"histogram {self.name!r} takes finite values")
+        keys, counts = np.unique(np.rint(scaled), return_counts=True)
+        self._add(zip(map(int, keys.tolist()), counts.tolist()),
+                  float(values.min()), float(values.max()))
 
     def merge(self, other: "Histogram") -> "Histogram":
-        """Fold another histogram in: exact running stats, then the
-        other's retained ring appended in observation order.
-
-        ``count``/``sum``/``min``/``max`` stay exact under any merge;
-        quantiles remain exact while the combined retained samples fit
-        this histogram's capacity and keep the usual recent bias after.
-        Merging an empty histogram is a no-op (an idle shard cannot
-        pollute a fleet rollup with its ``inf`` sentinels).
-        """
-        if other.count == 0:
-            return self
-        self.count += other.count
-        self.total += other.total
-        if other.min < self.min:
-            self.min = other.min
-        if other.max > self.max:
-            self.max = other.max
-        for value in other.retained_samples():
-            self._ring_insert(value)
+        """Fold another histogram in: bin counts add, extremes combine
+        (an empty one's ``inf`` sentinels never win)."""
+        self._add(other._bins.items(), other.min, other.max)
         return self
+
+    def _add(self, counts, low: float, high: float) -> None:
+        bins = self._bins
+        for key, count in counts:
+            bins[key] = bins.get(key, 0) + count
+        if low < self.min:
+            self.min = low
+        if high > self.max:
+            self.max = high
+
+    @property
+    def count(self) -> int:
+        return sum(self._bins.values())
+
+    @property
+    def total(self) -> float:
+        """Sum of the bin centres: an exact integer sum, scaled once."""
+        return sum(key * n for key, n in self._bins.items()) * RESOLUTION
 
     @property
     def mean(self) -> float:
         """Arithmetic mean; 0.0 (never NaN) for an empty histogram."""
-        return self.total / self.count if self.count else 0.0
+        count = self.count
+        return self.total / count if count else 0.0
 
     def quantile(self, q: float) -> float:
-        """Linear-interpolated quantile over the retained samples.
+        """Linear-interpolated quantile over the sorted bin centres.
         An empty histogram reports 0.0 for every quantile."""
         if not 0.0 <= q <= 1.0:
             raise ValueError(f"quantile must be in [0, 1], got {q}")
-        if not self._samples:
+        if not self._bins:
             return 0.0
-        ordered = sorted(self._samples)
-        position = q * (len(ordered) - 1)
+        keys = sorted(self._bins)
+        # ends[i]: the observations in bins keys[0..i]; the i-th
+        # smallest observation is in bin keys[bisect_right(ends, i)].
+        ends = list(accumulate(self._bins[key] for key in keys))
+        last = ends[-1] - 1
+        position = q * last
         lower = int(position)
-        upper = min(lower + 1, len(ordered) - 1)
         fraction = position - lower
-        return ordered[lower] * (1.0 - fraction) + ordered[upper] * fraction
+        low = keys[bisect_right(ends, lower)] * RESOLUTION
+        high = keys[bisect_right(ends, min(lower + 1, last))] * RESOLUTION
+        return low * (1.0 - fraction) + high * fraction
 
     @property
     def p50(self) -> float:
@@ -250,7 +229,7 @@ class Histogram:
         return self.quantile(0.99)
 
     def snapshot(self) -> dict:
-        if not self.count:
+        if not self._bins:
             return {"type": "histogram", "count": 0}
         return {
             "type": "histogram",
@@ -289,19 +268,8 @@ class MetricsRegistry:
     def gauge(self, name: str) -> Gauge:
         return self._get_or_create(name, Gauge)
 
-    def histogram(self, name: str,
-                  capacity: int = DEFAULT_HISTOGRAM_CAPACITY) -> Histogram:
-        existing = self._instruments.get(name)
-        if existing is not None:
-            if not isinstance(existing, Histogram):
-                raise TypeError(
-                    f"metric {name!r} already registered as "
-                    f"{type(existing).__name__}"
-                )
-            return existing
-        instrument = Histogram(name, capacity)
-        self._instruments[name] = instrument
-        return instrument
+    def histogram(self, name: str) -> Histogram:
+        return self._get_or_create(name, Histogram)
 
     def gauge_fn(self, name: str, fn: Callable[[], float]) -> CallbackGauge:
         """Register a pull-style gauge evaluated at snapshot time."""
@@ -362,15 +330,15 @@ class MetricsRegistry:
               gauge_policy: str = "last") -> "MetricsRegistry":
         """Fold another registry into this one, matching by exact name.
 
-        This is the fleet rollup: each shard returns its own registry
-        and the driver merges them (in shard order, for deterministic
-        histogram rings).  Semantics per kind:
+        This is the fleet rollup: each room returns its own registry
+        and the driver merges them.  Semantics per kind:
 
-        * counters sum;
+        * counters sum (float totals in merge order, so a fixed order
+          keeps them bit-identical);
         * gauges follow ``gauge_policy`` (``"last"``: merge order wins,
           ``"max"``: peak rollup) — see :meth:`Gauge.merge`;
-        * histograms combine exact running stats and append retained
-          samples (:meth:`Histogram.merge`);
+        * histograms add their bin counts, exactly and in any order
+          (:meth:`Histogram.merge`);
         * a :class:`CallbackGauge` on the other side is sampled once
           into a plain gauge (a callback cannot cross a process
           boundary; its last reading can).
@@ -389,13 +357,7 @@ class MetricsRegistry:
                 theirs = sampled
             mine = self._instruments.get(name)
             if mine is None:
-                if isinstance(theirs, Counter):
-                    mine = Counter(name)
-                elif isinstance(theirs, Gauge):
-                    mine = Gauge(name)
-                else:
-                    mine = Histogram(name, theirs._capacity)
-                self._instruments[name] = mine
+                mine = self._instruments[name] = type(theirs)(name)
             if isinstance(mine, CallbackGauge) or \
                     type(mine) is not type(theirs):
                 raise TypeError(

@@ -4,7 +4,13 @@ import pickle
 
 import pytest
 
-from repro.fleet import FleetSpec, ShardJob, run_room, run_shard_job
+from repro.fleet import (
+    FleetSpec,
+    ShardJob,
+    merge_fleet_metrics,
+    run_room,
+    run_shard_job,
+)
 from repro.fleet.checkpoint import (
     MAGIC,
     CheckpointError,
@@ -30,13 +36,14 @@ def test_room_report_round_trips_exactly(rooms):
 
 
 def test_shard_report_pickle_preserves_registry_merge_order(rooms):
-    # ShardReport crosses the process boundary whole; its merged
-    # registry (room-order merge) must survive exactly, not just
-    # approximately.
+    # ShardReport crosses the process boundary whole; its rooms and
+    # their registries, which the driver merges in room order, must
+    # survive exactly, not just approximately.
     report = run_shard_job(ShardJob(shard=SHARD))
     clone = pickle.loads(pickle.dumps(report, pickle.HIGHEST_PROTOCOL))
     assert clone.shard_id == report.shard_id
-    assert clone.metrics.snapshot() == report.metrics.snapshot()
+    assert (repr(merge_fleet_metrics([clone]).snapshot())
+            == repr(merge_fleet_metrics([report]).snapshot()))
     assert ([room.identity_signature() for room in clone.rooms]
             == [room.identity_signature() for room in report.rooms])
 

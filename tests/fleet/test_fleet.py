@@ -1,8 +1,16 @@
 """The fleet driver: serial reference vs process pool, merged metrics."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.fleet import FleetConfigError, FleetSpec, run_fleet
+from repro.fleet import (
+    FLEET_GAUGE_POLICY,
+    FleetConfigError,
+    FleetSpec,
+    run_fleet,
+)
+from repro.obs import MetricsRegistry
 
 #: Small fleet that still spans several rooms and shards.
 SPEC = FleetSpec(num_rooms=4, switches_per_room=6, horizon=0.5)
@@ -37,6 +45,29 @@ def test_fleet_totals_roll_up_from_rooms(serial):
     assert snap["fleet.emissions"]["value"] == serial.emissions
     assert snap["fleet.simulated_seconds"]["value"] == pytest.approx(
         SPEC.num_rooms * SPEC.horizon)
+
+
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_any_partition_and_merge_order_gives_the_same_fleet_registry(
+        serial, data):
+    """Room registries cut into any shards and merged in any order, at
+    both levels, give the leaf merge's snapshot byte for byte.  (The
+    rooms' one float counter, ``fleet.simulated_seconds``, sums 0.5 s
+    horizons exactly here; inexact float totals are why
+    ``merge_fleet_metrics`` still merges leaves in room order.)"""
+    rooms = data.draw(st.permutations(serial.rooms))
+    cuts = sorted(data.draw(st.sets(st.integers(1, len(rooms) - 1))))
+    shards = []
+    for low, high in zip([0, *cuts], [*cuts, len(rooms)]):
+        shard = MetricsRegistry()
+        for room in rooms[low:high]:
+            shard.merge(room.metrics, gauge_policy=FLEET_GAUGE_POLICY)
+        shards.append(shard)
+    merged = MetricsRegistry()
+    for shard in data.draw(st.permutations(shards)):
+        merged.merge(shard, gauge_policy=FLEET_GAUGE_POLICY)
+    assert repr(merged.snapshot()) == repr(serial.metrics.snapshot())
 
 
 def test_fleet_gauge_merges_with_peak_policy(serial):

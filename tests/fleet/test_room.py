@@ -211,16 +211,30 @@ def test_a_room_without_faults_runs_only_its_listen_windows(monkeypatch):
     assert rigs[0].sim.events_processed == report.windows
 
 
-def test_a_finished_room_is_freed_by_refcount(monkeypatch):
-    """No reference cycle outlives ``run_room``: with the cyclic GC off,
-    the room's channel is gone as soon as the call returns."""
+def _channel_left_by(monkeypatch, spec):
+    """A weakref to the channel of ``run_room(spec)``, taken after the
+    call returned with the cyclic GC off."""
     rigs = _capturing_rigs(monkeypatch)
     enabled = gc.isenabled()
     gc.disable()
     try:
-        run_room(SPEC)
-        channel = weakref.ref(rigs.pop().channel)
-        assert channel() is None
+        run_room(spec)
+        return weakref.ref(rigs.pop().channel)
     finally:
         if enabled:
             gc.enable()
+
+
+def test_a_finished_room_is_freed_by_refcount(monkeypatch):
+    """No reference cycle outlives ``run_room``: with the cyclic GC off,
+    the room's channel is gone as soon as the call returns."""
+    assert _channel_left_by(monkeypatch, SPEC)() is None
+
+
+def test_a_faulted_room_is_freed_by_refcount(monkeypatch):
+    """The fault model points back at the channel, and the outage edges
+    past the horizon stay on the heap; neither keeps the room alive."""
+    spec = RoomSpec(room_id=0, num_switches=8, horizon=0.5,
+                    faults=FaultPlan(speaker_outage_rate=1.0,
+                                     outage_duration=0.4))
+    assert _channel_left_by(monkeypatch, spec)() is None

@@ -240,8 +240,7 @@ def test_validate_shard_report_rejects_poison_and_mismatches():
     assert validate_shard_report(real, shard) is None
     wrong_shard = SPEC.shard_specs(2)[1]
     assert validate_shard_report(real, wrong_shard)
-    hollow = ShardReport(shard_id=shard.shard_id, rooms=[],
-                         metrics=real.metrics)
+    hollow = ShardReport(shard_id=shard.shard_id, rooms=[])
     assert "room set mismatch" in validate_shard_report(hollow, shard)
 
 

@@ -98,6 +98,17 @@ class TestCancellation:
         keep.cancel()
         assert sim.pending_events() == 0
 
+    def test_drop_pending_forgets_every_queued_event(self):
+        sim = Simulator()
+        log = []
+        sim.schedule(0.5, log.append, "x")
+        sim.schedule(2.0, log.append, "y")
+        sim.run(1.0)
+        sim.drop_pending()
+        assert sim.pending_events() == 0
+        sim.run(3.0)
+        assert log == ["x"]
+
 
 class TestPeriodicTimer:
     def test_fires_on_interval(self):
