@@ -47,6 +47,7 @@ from repro.net import (
 )
 from tests.audio.reference_render import render_reference
 from tests.audio.reference_spectrogram import power_spectrogram_reference
+from tests.integration.test_packet_conservation import DURATION, build_rhombus
 
 
 @pytest.fixture(scope="module")
@@ -435,6 +436,35 @@ def test_perf_simulator_deep_heap_throughput():
           f"{deep_s / dispatches * 1e6:.2f} us/event, depth 1 "
           f"{shallow_s / dispatches * 1e6:.2f} us/event ({ratio:.2f}x)")
     assert ratio < 3.0
+
+
+@pytest.mark.perf
+def test_perf_packet_path():
+    """The per-packet path end to end: the Fig 5a-b rhombus of the
+    ``lb-packets`` workload at its small size (2,000 mice flows and the
+    ramp source for 2 s, with the chirper and the controller's listen
+    windows running).  Reports the best of 5 fresh runs as wall time per
+    dispatched sim event and per packet sent; every run dispatches the
+    same events for the same packets."""
+    runs = []
+    for _ in range(5):
+        sim, topo, _ramp = build_rhombus()
+        start = time.perf_counter()
+        sim.run(DURATION)
+        runs.append((time.perf_counter() - start, sim.events_processed,
+                     topo.hosts["h1"].packets_sent.total))
+    assert len({(events, packets) for _s, events, packets in runs}) == 1
+    wall_s = min(wall for wall, _e, _p in runs)
+    _wall, events, packets = runs[0]
+    _record_perf("packet_path_rhombus_2k_flows_2s", {
+        "events": events,
+        "packets": packets,
+        "us_per_event": wall_s / events * 1e6,
+        "us_per_packet": wall_s / packets * 1e6,
+    })
+    print(f"\npacket path rhombus 2k flows/2s: {events} events, "
+          f"{packets:.0f} packets, {wall_s / events * 1e6:.2f} us/event, "
+          f"{wall_s / packets * 1e6:.2f} us/packet")
 
 
 @pytest.mark.perf

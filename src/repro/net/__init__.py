@@ -34,7 +34,7 @@ from .routing import (
     shortest_path,
     star_topology,
 )
-from .sim import Event, PeriodicTimer, Simulator
+from .sim import PeriodicTimer, Simulator
 from .stats import Counter, TimeSeries
 from .switch import Switch
 from .topology import (
@@ -116,7 +116,6 @@ __all__ = [
     "DEFAULT_BANDWIDTH",
     "DEFAULT_CAPACITY",
     "DEFAULT_DELAY",
-    "Event",
     "FanInSource",
     "FanOutSource",
     "FlowEntry",

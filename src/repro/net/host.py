@@ -45,6 +45,10 @@ class Host(Node):
         self.bytes_received = Counter(f"{name}.bytes_received")
         self.packets_sent = Counter(f"{name}.packets_sent")
         self.packets_received = Counter(f"{name}.packets_received")
+        #: Packets the NIC refused (queue full or link down).
+        self.packets_refused = Counter(f"{name}.packets_refused")
+        #: Packets that reached this host addressed to another one.
+        self.packets_misdelivered = Counter(f"{name}.packets_misdelivered")
         #: Bytes received per destination port (who got through?).
         self.port_bytes: dict[int, int] = {}
         self._handlers: list[DeliveryHandler] = []
@@ -54,22 +58,29 @@ class Host(Node):
         self._handlers.append(handler)
 
     def receive(self, packet: Packet, in_port: int) -> None:
-        if packet.flow.dst_ip != self.ip:
-            # Mis-delivered (e.g. flooded) traffic is not counted as
-            # received payload.
+        flow = packet.flow
+        if flow.dst_ip != self.ip:
+            # Mis-delivered (e.g. flooded) traffic is counted apart
+            # from received payload.
+            self.packets_misdelivered.total += 1
             return
-        self.bytes_received.add(packet.size_bytes)
-        self.packets_received.increment()
-        port = packet.flow.dst_port
-        self.port_bytes[port] = self.port_bytes.get(port, 0) + packet.size_bytes
+        size = packet.size_bytes
+        self.bytes_received.total += size
+        self.packets_received.total += 1
+        port = flow.dst_port
+        self.port_bytes[port] = self.port_bytes.get(port, 0) + size
         for handler in self._handlers:
             handler(packet)
 
     def send_packet(self, packet: Packet) -> bool:
-        """Transmit a pre-built packet out of the NIC."""
-        self.bytes_sent.add(packet.size_bytes)
-        self.packets_sent.increment()
-        return self.transmit(packet, self.NIC_PORT)
+        """Transmit a pre-built packet out of the NIC; returns False
+        (and counts it in ``packets_refused``) if the NIC refused it."""
+        self.bytes_sent.total += packet.size_bytes
+        self.packets_sent.total += 1
+        if self.transmit(packet, self.NIC_PORT):
+            return True
+        self.packets_refused.total += 1
+        return False
 
     def send_to(
         self,

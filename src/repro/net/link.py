@@ -69,7 +69,9 @@ class LinkDirection:
     A packet handed to :meth:`send` is transmitted immediately if the
     line is idle, else queued (drop-tail).  Serialization takes
     ``size_bits / bandwidth_bps`` seconds; delivery to the far node
-    happens one propagation ``delay`` later.
+    happens one propagation ``delay`` later.  An accepted packet that
+    never reaches the far node is counted once: in the queue's
+    ``flushed`` if queued when the link fails, else in :attr:`lost`.
     """
 
     def __init__(
@@ -101,52 +103,58 @@ class LinkDirection:
         self.fault_model = None
         self.bytes_sent = Counter(f"{name}.bytes_sent")
         self.packets_sent = Counter(f"{name}.packets_sent")
+        self.lost = Counter(f"{name}.lost")
 
     def send(self, packet: Packet) -> bool:
         """Queue (or immediately transmit) a packet.
 
-        Returns False when the packet was dropped (queue full or link
-        down).
+        Returns False when the packet was refused (queue full or link
+        down); the sender counts the refusal.
         """
         if not self.up:
             return False
         if self.busy:
             return self.queue.enqueue(packet)
-        self._start_transmission(packet)
+        self.busy = True
+        sim = self.sim
+        sim.schedule_at(sim.now + packet.size_bytes * 8 / self.bandwidth_bps,
+                        self._finish_transmission, packet)
         return True
 
     def fail(self) -> None:
         """Cut the link (data-plane failure scenario, §1 motivation).
-        Queued packets are lost."""
+        Queued packets are lost (the queue counts them as flushed), so
+        the queue stays empty while the link is down."""
         self.up = False
-        while self.queue.dequeue() is not None:
-            pass
+        self.queue.flush()
 
     def restore(self) -> None:
         self.up = True
 
-    def _start_transmission(self, packet: Packet) -> None:
-        self.busy = True
-        serialization = packet.size_bits / self.bandwidth_bps
-        self.sim.schedule(serialization, self._finish_transmission, packet)
-
     def _finish_transmission(self, packet: Packet) -> None:
+        sim = self.sim
         if self.up:
-            self.bytes_sent.add(packet.size_bytes)
-            self.packets_sent.increment()
-            self.sim.schedule(self.delay, self._deliver, packet)
-        next_packet = self.queue.dequeue()
-        if next_packet is not None and self.up:
-            self._start_transmission(next_packet)
+            self.bytes_sent.total += packet.size_bytes
+            self.packets_sent.total += 1
+            sim.schedule_at(sim.now + self.delay, self._deliver, packet)
         else:
+            self.lost.total += 1
+        packet = self.queue.dequeue()
+        if packet is None:
             self.busy = False
+        else:
+            sim.schedule_at(
+                sim.now + packet.size_bytes * 8 / self.bandwidth_bps,
+                self._finish_transmission, packet)
 
     def _deliver(self, packet: Packet) -> None:
         if not self.up:
+            self.lost.total += 1
             return
         if self.fault_model is not None:
             packet = self.fault_model.on_deliver(packet)
             if packet is None:
+                self.lost.total += 1
                 return
         packet.hops += 1
         self.dst_node.receive(packet, self.dst_port)

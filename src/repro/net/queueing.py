@@ -42,6 +42,7 @@ class PacketQueue:
         self._items: deque[Packet] = deque()
         self.enqueued = 0
         self.dequeued = 0
+        self.flushed = 0
         self.dropped = 0
         self.peak_length = 0
         self.occupancy = TimeSeries(f"{name}.occupancy" if name else "occupancy")
@@ -84,6 +85,12 @@ class PacketQueue:
             return None
         self.dequeued += 1
         return self._items.popleft()
+
+    def flush(self) -> None:
+        """Discard every queued packet (a link failure), counted as
+        ``flushed``: ``enqueued == dequeued + flushed + len(queue)``."""
+        self.flushed += len(self._items)
+        self._items.clear()
 
     def head(self) -> Packet | None:
         """The head packet without removing it."""

@@ -23,16 +23,19 @@ Two observability notes (DESIGN.md §5):
 
 Two layout notes for the event core:
 
-* The heap holds ``(time, sequence, Event)`` tuples, not bare events.
-  ``sequence`` is unique, so every sift is a C-level tuple compare that
-  settles on ``(time, sequence)`` and never reaches the :class:`Event`
-  (ties fire in scheduling order).  :meth:`Simulator.run` and
-  :meth:`Simulator.run_to_completion` share one dispatch loop.
-* :meth:`Simulator.schedule` routes through :meth:`Simulator.schedule_at`
-  rather than pushing onto the heap itself.  ``schedule_at`` is the one
-  public boundary every event crosses, so an outside tracer that wraps
-  it (the benchmark's per-layer ledger does) sees every event; a
-  shortcut in ``schedule`` would silently hide events from it.
+* A heap entry is the list ``[time, sequence, callback, args]``, which
+  is also the handle ``schedule_at`` returns: no other per-event object
+  exists.  ``sequence`` is unique, so every sift is a C-level list
+  compare that settles on ``(time, sequence)`` (ties fire in scheduling
+  order).  :meth:`Simulator.cancel` clears the callback and args, and
+  dispatch skips an entry whose callback is ``None``.  ``run`` and
+  ``run_to_completion`` share one dispatch loop.
+* :meth:`Simulator.schedule` and the per-packet callers (link, host
+  sink, traffic sources) call :meth:`Simulator.schedule_at` directly
+  rather than pushing onto the heap.  It is the one public boundary
+  every event crosses, so an outside tracer that wraps it (the
+  benchmark's per-layer ledger does) sees every event; a shortcut
+  around it would hide events from it.
 """
 
 from __future__ import annotations
@@ -44,40 +47,6 @@ from heapq import heappop, heappush
 from typing import Any, Callable
 
 from .. import obs
-
-
-class Event:
-    """A scheduled callback, as returned by :meth:`Simulator.schedule`.
-
-    Ordering lives in the heap entry ``(time, sequence, event)``; the
-    event itself is never compared.
-    """
-
-    __slots__ = ("time", "sequence", "callback", "args", "cancelled")
-
-    def __init__(
-        self,
-        time: float,
-        sequence: int,
-        callback: Callable[..., None],
-        args: tuple,
-    ) -> None:
-        self.time = time
-        self.sequence = sequence
-        self.callback = callback
-        self.args = args
-        self.cancelled = False
-
-    def cancel(self) -> None:
-        """Prevent the event from firing (lazy removal from the heap).
-
-        The callback and its arguments are dropped: the heap keeps the
-        entry until its time comes, and a callback bound to an object
-        that holds the simulator would otherwise keep a reference cycle
-        alive for that long."""
-        self.cancelled = True
-        self.callback = None
-        self.args = ()
 
 
 class Simulator:
@@ -92,7 +61,7 @@ class Simulator:
 
     def __init__(self) -> None:
         self.now = 0.0
-        self._heap: list[tuple[float, int, Event]] = []
+        self._heap: list[list] = []
         self._sequence = itertools.count()
         self._events = obs.counter("sim.events_processed")
         self._obs = obs.get_registry()
@@ -114,7 +83,7 @@ class Simulator:
 
     def schedule(
         self, delay: float, callback: Callable[..., None], *args: Any
-    ) -> Event:
+    ) -> list:
         """Run ``callback(*args)`` after ``delay`` seconds."""
         if delay < 0:
             raise ValueError(f"delay must be non-negative, got {delay}")
@@ -123,18 +92,28 @@ class Simulator:
 
     def schedule_at(
         self, time: float, callback: Callable[..., None], *args: Any
-    ) -> Event:
-        """Run ``callback(*args)`` at absolute simulation ``time``."""
+    ) -> list:
+        """Run ``callback(*args)`` at absolute simulation ``time``.
+
+        Returns the heap entry ``[time, sequence, callback, args]`` as
+        the handle for :meth:`cancel`; treat it as read-only."""
         if time < self.now:
             raise ValueError(
                 f"cannot schedule in the past (now={self.now}, requested={time})"
             )
-        sequence = next(self._sequence)
-        event = Event(time, sequence, callback, args)
-        heappush(self._heap, (time, sequence, event))
+        entry = [time, next(self._sequence), callback, args]
+        heappush(self._heap, entry)
         if self._obs is not None and len(self._heap) > self._heap_peak.value:
             self._heap_peak.set(len(self._heap))
-        return event
+        return entry
+
+    def cancel(self, handle: list) -> None:
+        """Prevent a scheduled event from firing (lazy removal).  The
+        heap keeps the entry until its time comes, so the callback and
+        its arguments are dropped now: a callback bound to an object
+        that holds the simulator would keep a cycle alive that long."""
+        handle[2] = None
+        handle[3] = ()
 
     def every(
         self,
@@ -183,27 +162,29 @@ class Simulator:
         """Execute events due by ``until``, at most ``budget`` of them;
         cancelled events are dropped without using the budget."""
         heap = self._heap
-        events = self._events
         observed = self._obs is not None
-        while budget > 0 and heap and heap[0][0] <= until:
-            time, _sequence, event = heappop(heap)
-            if event.cancelled:
-                continue
-            self.now = time
-            events.value += 1
-            if observed:
-                self._dispatch_observed(event)
-            else:
-                event.callback(*event.args)
-            budget -= 1
+        count = 0
+        try:
+            while count < budget and heap and heap[0][0] <= until:
+                time, _sequence, callback, args = heappop(heap)
+                if callback is None:
+                    continue
+                self.now = time
+                count += 1
+                if observed:
+                    self._dispatch_observed(callback, args)
+                else:
+                    callback(*args)
+        finally:
+            self._events.value += count
 
-    def _dispatch_observed(self, event: Event) -> None:
+    def _dispatch_observed(self, callback: Callable[..., None],
+                           args: tuple) -> None:
         """Execute one event with per-callback-site wall timing."""
         start = _time.perf_counter()
-        event.callback(*event.args)
+        callback(*args)
         elapsed_ms = (_time.perf_counter() - start) * 1e3
         self._callback_hist.observe(elapsed_ms)
-        callback = event.callback
         site = getattr(callback, "__qualname__", None) or type(callback).__name__
         hist = self._site_hists.get(site)
         if hist is None:
@@ -220,7 +201,7 @@ class Simulator:
 
     def pending_events(self) -> int:
         """Number of not-yet-cancelled events still queued."""
-        return sum(1 for entry in self._heap if not entry[2].cancelled)
+        return sum(1 for entry in self._heap if entry[2] is not None)
 
 
 class PeriodicTimer:
@@ -246,7 +227,7 @@ class PeriodicTimer:
         self.interval = interval
         self._callback = callback
         self._args = args
-        self._event: Event | None = None
+        self._event: list | None = None
         self._stopped = False
         self._origin: float | None = None
         self.fire_count = 0
@@ -269,4 +250,4 @@ class PeriodicTimer:
         """Cancel all future firings."""
         self._stopped = True
         if self._event is not None:
-            self._event.cancel()
+            self._sim.cancel(self._event)

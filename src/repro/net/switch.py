@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Callable
 
 from .. import obs
-from .flowtable import Action, ActionType, FlowEntry, FlowTable, Match
+from .flowtable import Action, ActionType, FlowTable
 from .link import Node
 from .packet import Packet
 from .sim import Simulator
@@ -92,57 +92,49 @@ class Switch(Node):
     # ------------------------------------------------------------------
 
     def receive(self, packet: Packet, in_port: int) -> None:
-        self.packets_received.increment()
-        self.bytes_received.add(packet.size_bytes)
+        self.packets_received.total += 1
+        self.bytes_received.total += packet.size_bytes
         for hook in self._receive_hooks:
             hook(packet, in_port)
 
         entry = self.flow_table.lookup(packet, in_port)
-        if entry is not None:
+        if entry is None:
+            action = self.default_action
+        else:
             entry.account(packet)
             action = entry.action
-        else:
-            action = self.default_action
-
-        self._execute(action, entry, packet, in_port)
-
-    def _execute(
-        self,
-        action: Action,
-        entry: FlowEntry | None,
-        packet: Packet,
-        in_port: int,
-    ) -> None:
-        if action.type is ActionType.DROP:
-            self.packets_dropped.increment()
-        elif action.type is ActionType.FORWARD:
+        kind = action.type
+        if kind is ActionType.FORWARD:
             self._forward(packet, in_port, action.out_ports[0])
-        elif action.type is ActionType.FLOOD:
-            for port in self.ports:
-                if port != in_port:
-                    self._forward(packet, in_port, port)
-        elif action.type is ActionType.SPLIT:
+        elif kind is ActionType.SPLIT:
             if entry is None:
                 raise ValueError("SPLIT action requires a flow entry")
             self._forward(packet, in_port, entry.next_split_port())
-        elif action.type is ActionType.CONTROLLER:
+        elif kind is ActionType.DROP:
+            self.packets_dropped.total += 1
+        elif kind is ActionType.FLOOD:
+            for port in self.ports:
+                if port != in_port:
+                    self._forward(packet, in_port, port)
+        elif kind is ActionType.CONTROLLER:
             if self.control_channel is not None:
                 self.control_channel.send_packet_in(self, packet, in_port)
             else:
-                self.packets_dropped.increment()
+                self.packets_dropped.total += 1
         else:  # pragma: no cover - exhaustive over ActionType
-            raise ValueError(f"unhandled action type {action.type}")
+            raise ValueError(f"unhandled action type {kind}")
 
     def _forward(self, packet: Packet, in_port: int, out_port: int) -> None:
-        if out_port not in self.ports:
-            self.packets_dropped.increment()
+        direction = self.ports.get(out_port)
+        if direction is None:
+            self.packets_dropped.total += 1
             return
         for hook in self._forward_hooks:
             hook(packet, in_port, out_port)
-        if self.transmit(packet, out_port):
-            self.packets_forwarded.increment()
+        if direction.send(packet):
+            self.packets_forwarded.total += 1
         else:
-            self.packets_dropped.increment()
+            self.packets_dropped.total += 1
 
     # ------------------------------------------------------------------
     # Control plane

@@ -84,7 +84,7 @@ class TrafficSource:
         if gap is None:
             self._running = False
             return
-        self.sim.schedule(gap, self._emit, generation)
+        self.sim.schedule_at(self.sim.now + gap, self._emit, generation)
 
     def _send_one(self) -> None:
         packet = Packet(

@@ -374,12 +374,9 @@ class HostSink:
             key = population.flow_key(i, k)
             if population.static[i]:
                 self._static_keys[i] = key
-        packet = Packet(
-            key,
-            size_bytes=int(population.packet_sizes[i]),
-            created_at=self.host.sim.now,
-        )
-        self.host.send_packet(packet)
+        host = self.host
+        host.send_packet(Packet(key, size_bytes=int(population.packet_sizes[i]),
+                                created_at=host.sim.now))
         self.packets_sent += 1
 
 

@@ -115,7 +115,7 @@ class TestLiveness:
         capture windows."""
         _testbed, chirpers, _monitor = mesh
         starts = sorted(
-            chirper._timer._event.time if chirper._timer._event else 0.0
+            chirper._timer._event[0] if chirper._timer._event else 0.0
             for chirper in chirpers.values()
         )
         gaps = [second - first for first, second in zip(starts, starts[1:])]

@@ -37,6 +37,13 @@ class TestSendReceive:
         h1.send_to("10.0.0.99", 80)
         sim.run(0.1)
         assert h2.bytes_received.total == 0
+        assert h2.packets_misdelivered.total == 1
+
+    def test_refused_sends_counted(self, pair):
+        sim, h1, _h2 = pair
+        h1.ports[Host.NIC_PORT].fail()
+        h1.send_to("10.0.0.2", 80)
+        assert h1.packets_sent.total == h1.packets_refused.total == 1
 
     def test_delivery_handler_called(self, pair):
         sim, h1, h2 = pair

@@ -137,6 +137,10 @@ class TestFailure:
         sim.run(1.0)
         assert b.arrivals == []
         assert a.queue_length(1) == 0
+        # One on the wire (lost when its serialization ends), two queued.
+        queue = link.a_to_b.queue
+        assert (queue.dequeued, queue.flushed) == (0, 2)
+        assert link.a_to_b.lost.total == 1
 
     def test_in_flight_packet_lost_on_failure(self, wired):
         sim, a, b, link = wired
@@ -145,6 +149,18 @@ class TestFailure:
         link.fail()
         sim.run(1.0)
         assert b.arrivals == []
+        assert link.a_to_b.lost.total == 1
+        assert link.a_to_b.packets_sent.total == 0
+
+    def test_packet_propagating_at_failure_is_lost(self, wired):
+        sim, a, b, link = wired
+        a.transmit(packet(), 1)   # serialized by 8 ms, arrives at 18 ms
+        sim.run(0.010)
+        link.fail()
+        sim.run(1.0)
+        assert b.arrivals == []
+        assert link.a_to_b.packets_sent.total == 1
+        assert link.a_to_b.lost.total == 1
 
     def test_restore_resumes(self, wired):
         sim, a, b, link = wired

@@ -64,18 +64,30 @@ class TestPacketQueue:
         queue.enqueue(Packet(FlowKey("a", "b", 1, 2), size_bytes=700))
         assert queue.bytes_queued() == 1200
 
-    @given(st.lists(st.sampled_from(["enq", "deq"]), max_size=60))
+    def test_flush_counts_discarded_packets(self):
+        queue = PacketQueue(capacity=10)
+        for i in range(3):
+            queue.enqueue(make_packet(i))
+        queue.dequeue()
+        queue.flush()
+        assert len(queue) == 0
+        assert (queue.dequeued, queue.flushed) == (1, 2)
+        assert queue.dequeue() is None
+
+    @given(st.lists(st.sampled_from(["enq", "deq", "flush"]), max_size=60))
     def test_accounting_invariant(self, operations):
-        """enqueued == dequeued + len(queue), always; drops counted
-        separately; length never exceeds capacity."""
+        """enqueued == dequeued + flushed + len(queue), always; drops
+        counted separately; length never exceeds capacity."""
         queue = PacketQueue(capacity=5)
         for op in operations:
             if op == "enq":
                 queue.enqueue(make_packet())
-            else:
+            elif op == "deq":
                 queue.dequeue()
+            else:
+                queue.flush()
             assert len(queue) <= queue.capacity
-            assert queue.enqueued == queue.dequeued + len(queue)
+            assert queue.enqueued == queue.dequeued + queue.flushed + len(queue)
 
 
 class TestQueueBands:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.net import Event, Simulator
+from repro.net import Simulator
 
 
 class TestScheduling:
@@ -85,7 +85,7 @@ class TestCancellation:
         sim = Simulator()
         log = []
         event = sim.schedule(0.5, log.append, "x")
-        event.cancel()
+        sim.cancel(event)
         sim.run(1.0)
         assert log == []
 
@@ -93,9 +93,9 @@ class TestCancellation:
         sim = Simulator()
         keep = sim.schedule(0.5, lambda: None)
         drop = sim.schedule(0.6, lambda: None)
-        drop.cancel()
+        sim.cancel(drop)
         assert sim.pending_events() == 1
-        keep.cancel()
+        sim.cancel(keep)
         assert sim.pending_events() == 0
 
     def test_drop_pending_forgets_every_queued_event(self):
@@ -206,9 +206,6 @@ class _ReferenceEvent:
         self.callback, self.args = callback, args
         self.cancelled = False
 
-    def cancel(self):
-        self.cancelled = True
-
 
 class ReferenceSimulator:
     """The event-order contract spelled out with a list scan: the next
@@ -229,6 +226,9 @@ class ReferenceSimulator:
         event = _ReferenceEvent(time, next(self._order), callback, args)
         self._queue.append(event)
         return event
+
+    def cancel(self, event):
+        event.cancelled = True
 
     def every(self, interval, callback, *args, start=None):
         origin = self.now + interval if start is None else start
@@ -290,7 +290,7 @@ def _play(sim, program, cancels, mid, horizon):
         elif child == "schedule_at":
             sim.schedule_at(sim.now, log.append, label + "'")
         if target is not None and target < len(handles):
-            handles[target].cancel()
+            sim.cancel(handles[target])
 
     for index, op in enumerate(program):
         if op[0] == "every":
@@ -302,7 +302,7 @@ def _play(sim, program, cancels, mid, horizon):
         handles.append(entry(time, fire, f"E{index}", child, target))
     for index in cancels:
         if index < len(handles):
-            handles[index].cancel()
+            sim.cancel(handles[index])
     sim.run(mid)
     pending_mid = sim.pending_events()
     sim.run(horizon)
@@ -332,14 +332,13 @@ class TestEventOrderContract:
         log = []
         handle = getattr(sim, entry)(0.5, log.append, "x")
         sim.schedule(0.5, log.append, "y")
-        assert isinstance(handle, Event)
-        assert (handle.time, handle.callback, handle.args) == \
-            (0.5, log.append, ("x",))
-        assert handle.cancelled is False
-        handle.cancel()
-        assert handle.cancelled is True
+        # The handle is the heap entry [time, sequence, callback, args].
+        assert isinstance(handle, list)
+        time, _sequence, callback, args = handle
+        assert (time, callback, args) == (0.5, log.append, ("x",))
+        sim.cancel(handle)
         # A cancelled event never fires, so it holds no references.
-        assert (handle.callback, handle.args) == (None, ())
+        assert (handle[2], handle[3]) == (None, ())
         assert sim.pending_events() == 1
         sim.run(1.0)
         assert log == ["y"]
@@ -350,4 +349,4 @@ class TestEventOrderContract:
         sim = Simulator()
         first = sim.schedule(1.0, lambda: None)
         second = sim.schedule_at(0.5, lambda: None)
-        assert second.sequence > first.sequence
+        assert second[1] > first[1]

@@ -37,7 +37,7 @@ class TestExecutionOrder:
             st.integers(min_value=0, max_value=len(events) - 1)
         ))
         for index in to_cancel:
-            events[index].cancel()
+            sim.cancel(events[index])
         sim.run(200.0)
         assert set(fired) == set(range(len(events))) - to_cancel
 
