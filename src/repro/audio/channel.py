@@ -235,8 +235,8 @@ class AcousticChannel:
         self._window_cache: OrderedDict[
             tuple[Position, float, float], np.ndarray
         ] = OrderedDict()
-        #: Optional fault model (repro.faults): consulted per emission
-        #: and per rendered tone.
+        #: Optional fault model (repro.faults): consulted per rendered
+        #: tone of a faulted emitter.
         self._fault_model = None
         # Registry-backed, API-compatible memo stats (repro.obs).
         self._m_memo_hits = obs.counter("channel.memo_hits")
@@ -272,13 +272,10 @@ class AcousticChannel:
     def set_fault_model(self, model) -> None:
         """Install (or clear, with ``None``) a fault model.
 
-        The model sees every emission, row by row, via
-        ``transform_emission(start, spec, position)`` (clock skew) and
-        every rendered tone from an emitter in ``faulted_positions()``
-        via ``tone_level_adjust_db(tone)`` — ``None`` mutes the tone
-        (speaker dropout), a float shifts its level (degradation); any
-        other tone's adjustment is 0 dB.  The render consults it once
-        per such candidate tone, so it stays equal to the scalar
+        The render asks ``mutes(tone)`` about every candidate tone from
+        an emitter in ``faulted_positions()`` and drops the tones it
+        mutes (speaker dropout); no other tone can be muted.  It asks
+        once per such candidate, so it stays equal to the scalar
         reference loop under any fault state.
         Installing, clearing, and every fault state change must
         invalidate the window memo.
@@ -288,11 +285,10 @@ class AcousticChannel:
 
     def play_tone(
         self, start_time: float, spec: ToneSpec, position: Position = Position()
-    ) -> ScheduledTone:
-        """Schedule a tone emission; returns the schedule record.  The
-        one-row case of :meth:`play_tones`."""
+    ) -> None:
+        """Schedule a tone emission: the one-row case of
+        :meth:`play_tones`."""
         self.play_tones((start_time,), ((spec, position),))
-        return self._records(self._pending[-1])[0]
 
     def play_tones(
         self,
@@ -308,8 +304,6 @@ class AcousticChannel:
         given, which is the order their contributions to a shared
         sample are summed in, so a caller replacing per-tone calls must
         pass the rows in the order those calls would have been made.
-        The fault model's ``transform_emission`` applies to each row, in
-        that order, under the fault state at the time of this call.
         """
         starts = np.array(starts, dtype=float).reshape(-1)
         count = len(starts)
@@ -319,8 +313,6 @@ class AcousticChannel:
             raise ValueError(f"{len(voice)} voice ids for {count} starts")
         if not count:
             return
-        if self._fault_model is not None:
-            starts, voices, voice = self._transformed(starts, voices, voice)
         if starts.min() < 0:
             raise ValueError(
                 f"start_time must be non-negative, got {starts.min()}"
@@ -346,17 +338,6 @@ class AcousticChannel:
         self._sequence += count
         self._pending.append(block)
         self.invalidate_render_cache()
-
-    def _transformed(self, starts: np.ndarray, voices, voice: np.ndarray):
-        """``starts``, ``voices`` and ``voice`` after the fault model's
-        ``transform_emission`` of each row, in row order."""
-        transform = self._fault_model.transform_emission
-        rows = [transform(start, *voices[v])
-                for start, v in zip(starts.tolist(), voice.tolist())]
-        table: dict[tuple[ToneSpec, Position], int] = {}
-        voice = np.array([table.setdefault((spec, position), len(table))
-                          for _start, spec, position in rows], dtype=np.intp)
-        return np.array([row[0] for row in rows], dtype=float), list(table), voice
 
     def _position_id(self, position: Position) -> int:
         position_id = self._position_ids.get(position)
@@ -639,21 +620,15 @@ class AcousticChannel:
             self._m_scanned.inc(tones.shape[1])
         fault = self._fault_model
         faulted = fault.faulted_positions() if fault is not None else ()
-        adjust = None
         if faulted:
-            # Only a faulted emitter's tones can be muted (None, as NaN)
-            # or attenuated; every other tone's adjustment is 0 dB.
+            # Only a faulted emitter's tones can be muted.
             ids = [self._position_ids[p] for p in faulted
                    if p in self._position_ids]
             rows = np.isin(tones[_POS], ids).nonzero()[0]
-            adjust = np.zeros(tones.shape[1])
-            adjust[rows] = [
-                math.nan if level is None else level
-                for level in map(fault.tone_level_adjust_db,
-                                 self._records(tones.take(rows, axis=1)))
-            ]
-            unmuted = ~np.isnan(adjust)
-            tones, adjust = tones[:, unmuted], adjust[unmuted]
+            muted = np.zeros(tones.shape[1], dtype=bool)
+            muted[rows] = list(map(fault.mutes,
+                                   self._records(tones.take(rows, axis=1))))
+            tones = tones[:, ~muted]
         if not tones.shape[1]:
             return np.zeros(count)
         positions, wave_ids = tones[_POS : _WAVE + 1].astype(np.intp)
@@ -669,8 +644,6 @@ class AcousticChannel:
             tap_delay, tap_loss = np.tile(self._taps, len(base) // taps)
             delay = delay.repeat(taps) + tap_delay
             level = level.repeat(taps) - tap_loss
-            if adjust is not None:
-                adjust = adjust.repeat(taps)
         arrival = tones[_START] + delay
         # Rows: where the segment's overlap with the window opens and
         # closes, and how far into the tone it opens -- in samples.
@@ -686,8 +659,6 @@ class AcousticChannel:
         # A segment that ends before the window opens or arrives after
         # it closes has hi <= lo, so it has no length either.
         audible = length > 0
-        if adjust is not None:
-            level += adjust
         amplitude = np.array(list(map(_tone_amplitude, level[audible].tolist())))
         # Rows: mix bin, bank position and length of each audible segment.
         np.add(offset, base, out=hi)

@@ -95,12 +95,6 @@ class Microphone:
     sample_rate: int = DEFAULT_SAMPLE_RATE
     self_noise_db: float = 15.0
     seed: int = 0
-    #: Optional capture fault model (repro.faults): applied to the
-    #: finished capture (dead capsule → zeros, saturation → clipping).
-    #: ``None`` leaves the record path untouched.
-    fault_model: object | None = field(
-        default=None, repr=False, compare=False
-    )
     #: Memoized unit-variance self-noise per (start sample, length).
     #: Self-noise is already deterministic per (seed, start), so the
     #: cache only skips the generator when the same window is
@@ -144,7 +138,4 @@ class Microphone:
         else:
             self._noise_cache.move_to_end(key)
         noise = unit_noise * db_to_amplitude(self.self_noise_db)
-        capture = AudioSignal(clean.samples + noise, self.sample_rate)
-        if self.fault_model is not None:
-            capture = self.fault_model.transform_capture(capture, start, end)
-        return capture
+        return AudioSignal(clean.samples + noise, self.sample_rate)

@@ -61,38 +61,23 @@ class RaspberryPi(Host):
     Besides the legacy 12-byte fire-and-forget path, the Pi is the
     responder half of the MP ARQ mode: a framed DATA packet that
     unmarshals cleanly is acknowledged back to the switch with its
-    sequence number, so the sender can stop retransmitting.  The Pi can
-    also :meth:`crash` (power loss, kernel panic): while down it drops
-    every MP frame — and therefore acknowledges nothing — until
-    :meth:`restart`.
+    sequence number, so the sender can stop retransmitting.
     """
 
     def __init__(self, sim: Simulator, name: str, ip: str,
                  agent: MusicAgent) -> None:
         super().__init__(sim, name, ip)
         self.agent = agent
-        self.crashed = False
         self.mp_played = Counter(f"{name}.mp_played")
         self.mp_rejected = Counter(f"{name}.mp_rejected")
-        self.mp_dropped_crashed = Counter(f"{name}.mp_dropped_crashed")
         self.acks_sent = Counter(f"{name}.acks_sent")
         #: Distinct ARQ sequence numbers played at least once (the
         #: deduplicated delivery set retransmissions are judged by).
         self.mp_seen_seqs: set[int] = set()
         self.on_delivery(self._on_packet)
 
-    def crash(self) -> None:
-        """Take the Pi down: every MP frame is dropped until restart."""
-        self.crashed = True
-
-    def restart(self) -> None:
-        self.crashed = False
-
     def _on_packet(self, packet: Packet) -> None:
         if packet.flow.dst_port != MP_PORT:
-            return
-        if self.crashed:
-            self.mp_dropped_crashed.increment()
             return
         wire = packet.payload
         sequence: int | None = None

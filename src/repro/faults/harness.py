@@ -9,8 +9,8 @@ that number reproduce bit-for-bit.  Two rules make that possible:
   never share a stream and adding an injector never perturbs another's
   draws;
 * fault state never flips "now" in wall time — activations ride the
-  simulator's event heap (:meth:`FaultHarness.at`), interleaving
-  deterministically with the experiment's own events.
+  simulator's event heap, interleaving deterministically with the
+  experiment's own events.
 """
 
 from __future__ import annotations
@@ -24,8 +24,8 @@ from .. import obs
 from ..net.sim import Simulator
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .audio import AcousticFaults, MicrophoneFaults
-    from .net import MpLinkFaults, PiFaults
+    from .audio import AcousticFaults
+    from .net import MpLinkFaults
 
 
 def seeded_rng(seed: int, label: str) -> np.random.Generator:
@@ -63,10 +63,9 @@ class FaultCounter:
 class FaultHarness:
     """One handle over every injector attached to a rig.
 
-    The harness owns the ``(sim, seed)`` pair, hands out labelled RNG
-    streams, schedules activations on the simulated clock, and keeps a
-    roster of injectors so an experiment can summarize everything that
-    was thrown at the system in one call.
+    The harness owns the ``(sim, seed)`` pair its injectors draw and
+    schedule from, and keeps a roster of injectors so an experiment can
+    summarize everything that was thrown at the system in one call.
 
     Usage::
 
@@ -85,21 +84,6 @@ class FaultHarness:
         self.seed = seed
         self.injectors: list[object] = []
 
-    def rng(self, label: str) -> np.random.Generator:
-        """A deterministic stream private to ``label``."""
-        return seeded_rng(self.seed, label)
-
-    def at(self, time: float, callback, *args) -> None:
-        """Schedule a fault state flip at absolute sim time ``time``.
-
-        Times at or before ``sim.now`` fire immediately (a fault can be
-        active from the start of a run).
-        """
-        if time <= self.sim.now:
-            callback(*args)
-        else:
-            self.sim.schedule_at(time, callback, *args)
-
     def register(self, injector):
         """Add an injector to the roster; returns it for chaining."""
         self.injectors.append(injector)
@@ -110,35 +94,20 @@ class FaultHarness:
     # ------------------------------------------------------------------
 
     def acoustic(self, channel) -> "AcousticFaults":
-        """The channel-side injector (speaker dropout/degradation,
-        clock skew, noise bursts), installed on ``channel``."""
+        """The channel-side injector (speaker dropout), installed on
+        ``channel``."""
         from .audio import AcousticFaults
 
         return self.register(AcousticFaults(self.sim, channel, seed=self.seed))
 
-    def microphone(self, microphone) -> "MicrophoneFaults":
-        """A capture-side injector (mic failure, clipping), installed
-        on ``microphone``."""
-        from .audio import MicrophoneFaults
-
-        return self.register(MicrophoneFaults(self.sim, microphone))
-
     def mp_link(self, direction, loss_rate: float = 0.0,
-                corrupt_rate: float = 0.0,
                 label: str = "mp_link") -> "MpLinkFaults":
-        """A loss/corruption injector on one :class:`LinkDirection`."""
+        """A frame-loss injector on one :class:`LinkDirection`."""
         from .net import MpLinkFaults
 
         return self.register(MpLinkFaults(
-            direction, loss_rate=loss_rate, corrupt_rate=corrupt_rate,
-            seed=self.seed, label=label,
+            direction, loss_rate=loss_rate, seed=self.seed, label=label,
         ))
-
-    def pi(self, pi) -> "PiFaults":
-        """A crash/restart injector on a :class:`RaspberryPi`."""
-        from .net import PiFaults
-
-        return self.register(PiFaults(self.sim, pi))
 
     # ------------------------------------------------------------------
     # Reporting

@@ -1,96 +1,39 @@
-"""Network-side fault injectors: the MP wire and the Pi itself.
+"""Network-side fault injector: the MP wire.
 
 The paper's faithful MP path (``core/pi.py``) sends Music Protocol
-bytes over a real simulated Ethernet link; that link can lose or
-corrupt frames, and the Pi at its far end can crash and reboot.  These
-injectors model exactly that:
-
-* :class:`MpLinkFaults` installs on one
-  :class:`~repro.net.link.LinkDirection` (typically
-  ``switch.ports[bridge.pi_port]``, the switch→Pi direction) and
-  applies independent Bernoulli loss and single-bit corruption to each
-  delivered packet, from a ``(seed, label)`` stream.
-* :class:`PiFaults` schedules :meth:`RaspberryPi.crash` /
-  :meth:`RaspberryPi.restart` windows; a crashed Pi drops every MP
-  frame (and therefore ACKs nothing).
-
-Corruption flips a single payload bit — the hardest case for the MP
-XOR checksum, which the protocol-hardening suite proves it always
-catches.
+bytes over a real simulated Ethernet link, and that link can lose
+frames.  :class:`MpLinkFaults` installs on one
+:class:`~repro.net.link.LinkDirection` (typically
+``switch.ports[bridge.pi_port]``, the switch→Pi direction) and drops
+each delivered packet independently with probability ``loss_rate``,
+drawing from a ``(seed, label)`` stream.
 """
 
 from __future__ import annotations
 
 from ..net.link import LinkDirection
 from ..net.packet import Packet
-from ..net.sim import Simulator
 from .harness import FaultCounter, seeded_rng
 
 
 class MpLinkFaults:
-    """Bernoulli frame loss + bit-flip corruption on one link direction."""
+    """Bernoulli frame loss on one link direction."""
 
     def __init__(self, direction: LinkDirection, loss_rate: float = 0.0,
-                 corrupt_rate: float = 0.0, seed: int = 0,
-                 label: str = "mp_link") -> None:
+                 seed: int = 0, label: str = "mp_link") -> None:
         if not 0.0 <= loss_rate <= 1.0:
             raise ValueError(f"loss_rate must be in [0, 1], got {loss_rate}")
-        if not 0.0 <= corrupt_rate <= 1.0:
-            raise ValueError(
-                f"corrupt_rate must be in [0, 1], got {corrupt_rate}"
-            )
         self.direction = direction
         self.loss_rate = loss_rate
-        self.corrupt_rate = corrupt_rate
         self._rng = seeded_rng(seed, label)
         self._m_lost = FaultCounter("mp_frames_lost")
-        self._m_corrupted = FaultCounter("mp_frames_corrupted")
-        self.counters = (self._m_lost, self._m_corrupted)
+        self.counters = (self._m_lost,)
         direction.fault_model = self
 
     def on_deliver(self, packet: Packet) -> Packet | None:
-        """Applied by :meth:`LinkDirection._deliver` at arrival time.
-
-        Returns ``None`` to drop the packet, or the (possibly
-        corrupted) packet to deliver.  Draw order is fixed — loss
-        first, then corruption — so a run is reproducible from the
-        stream alone.
-        """
+        """Applied by :meth:`LinkDirection._deliver` at arrival time:
+        ``None`` drops the packet, else it is delivered."""
         if self.loss_rate and self._rng.random() < self.loss_rate:
             self._m_lost.inc()
             return None
-        if (self.corrupt_rate and packet.payload
-                and self._rng.random() < self.corrupt_rate):
-            bit = int(self._rng.integers(len(packet.payload) * 8))
-            flipped = bytearray(packet.payload)
-            flipped[bit // 8] ^= 1 << (bit % 8)
-            packet.payload = bytes(flipped)
-            self._m_corrupted.inc()
         return packet
-
-
-class PiFaults:
-    """Crash/restart windows for a :class:`~repro.core.pi.RaspberryPi`."""
-
-    def __init__(self, sim: Simulator, pi) -> None:
-        self.sim = sim
-        self.pi = pi
-        self._m_crashes = FaultCounter("pi_crashes")
-        self.counters = (self._m_crashes,)
-
-    def crash(self, start: float, end: float | None = None) -> None:
-        """Crash the Pi at ``start``; reboot at ``end`` (never, if
-        ``None``).  A crashed Pi drops every MP frame silently."""
-        if end is not None and end <= start:
-            raise ValueError(f"crash window [{start}, {end}) is empty")
-
-        def go_down() -> None:
-            self.pi.crash()
-            self._m_crashes.inc()
-
-        if start <= self.sim.now:
-            go_down()
-        else:
-            self.sim.schedule_at(start, go_down)
-        if end is not None:
-            self.sim.schedule_at(max(end, self.sim.now), self.pi.restart)

@@ -54,12 +54,10 @@ from .worker import ShardJob, run_shard_job
 from .specs import (
     DEFAULT_FLEET_SEED,
     DEFAULT_LISTEN_INTERVAL,
-    FaultPlan,
     FleetConfigError,
     FleetSpec,
     RoomSpec,
     ShardSpec,
-    ensure_picklable,
 )
 
 __all__ = [
@@ -68,7 +66,6 @@ __all__ = [
     "FLEET_GAUGE_POLICY",
     "CheckpointError",
     "CheckpointStore",
-    "FaultPlan",
     "FleetConfigError",
     "FleetReport",
     "FleetSpec",
@@ -81,7 +78,6 @@ __all__ = [
     "SupervisorPolicy",
     "SupervisorStats",
     "build_fleet_report",
-    "ensure_picklable",
     "merge_fleet_metrics",
     "run_fleet",
     "run_room",

@@ -2,10 +2,10 @@
 
 :func:`run_room` is the unit of simulated work: a Simulator, an
 AcousticChannel, ``num_switches`` chirping MusicAgents and one
-MDNController, run to the spec's horizon.  Every random draw comes from
-``seeded_rng(fleet_seed, "room:<id>")`` (placement, stagger) or
-``"room:<id>:faults"`` (outages), so a room's result depends only on
-its spec — never on which worker ran it, or when.
+MDNController, run to the spec's horizon.  Every random draw (placement,
+stagger) comes from ``seeded_rng(fleet_seed, "room:<id>")``, so a room's
+result depends only on its spec — never on which worker ran it, or
+when.
 
 The report carries a :class:`~repro.obs.MetricsRegistry` built *after*
 the run from simulation-deterministic quantities only (counts, sim-time
@@ -26,7 +26,7 @@ import numpy as np
 from ..audio import AcousticChannel, Microphone, Position, Speaker
 from ..core import FrequencyPlan, MDNController, MusicProtocolMessage
 from ..core.agent import MusicAgent, play_schedules
-from ..faults import FaultHarness, seeded_rng
+from ..faults import seeded_rng
 from ..net.sim import Simulator
 from ..obs import MetricsRegistry
 from .specs import RoomSpec
@@ -42,7 +42,6 @@ class RoomReport:
     onsets: int
     detections: int
     windows: int
-    speaker_outages: int
     #: Chirps matched by at least one onset (the delivery numerator —
     #: an onset can only redeem the one chirp it is attributed to, so
     #: leakage false positives can never push delivery past 1.0).
@@ -67,7 +66,6 @@ class RoomReport:
             "onsets": self.onsets,
             "detections": self.detections,
             "windows": self.windows,
-            "speaker_outages": self.speaker_outages,
             "delivered": self.delivered,
             "spurious_onsets": self.spurious_onsets,
             "delivery_ratio": self.delivery_ratio,
@@ -85,7 +83,6 @@ class _RoomRig:
     agents: list[MusicAgent] = field(default_factory=list)
     chirp_times: dict[float, list[float]] = field(default_factory=dict)
     emissions: int = 0
-    speaker_outages: int = 0
 
 
 def _build_room(spec: RoomSpec) -> _RoomRig:
@@ -110,7 +107,6 @@ def _build_room(spec: RoomSpec) -> _RoomRig:
     # Last chirp must fully sound and leave a post-tone window or two
     # before the horizon, so in-flight tones can't dangle uncounted.
     last_start = spec.horizon - spec.tone_duration - 2 * spec.listen_interval
-    positions: list[Position] = []
     schedules = []
     for index in range(spec.num_switches):
         frequency = plan.allocate(
@@ -120,7 +116,6 @@ def _build_room(spec: RoomSpec) -> _RoomRig:
         radius = float(rng.uniform(0.6, 1.2))
         position = Position(radius * math.cos(angle),
                             radius * math.sin(angle), 0.0)
-        positions.append(position)
         agent = MusicAgent(sim, channel, Speaker(position),
                            name=f"r{spec.room_id}s{index}")
         rig.agents.append(agent)
@@ -134,25 +129,8 @@ def _build_room(spec: RoomSpec) -> _RoomRig:
             frequency, spec.tone_duration, spec.level_db)))
         rig.chirp_times[frequency] = starts
         rig.emissions += len(starts)
-    if spec.faults is not None and spec.faults.active:
-        fault_rng = seeded_rng(spec.fleet_seed,
-                               f"room:{spec.room_id}:faults")
-        harness = FaultHarness(sim, seed=spec.fleet_seed)
-        air = harness.acoustic(channel)
-        for index in range(spec.num_switches):
-            if fault_rng.uniform() < spec.faults.speaker_outage_rate:
-                start = float(fault_rng.uniform(
-                    0.0, max(spec.horizon - spec.faults.outage_duration,
-                             1e-6)
-                ))
-                air.drop_speaker(positions[index], start,
-                                 start + spec.faults.outage_duration)
-                rig.speaker_outages += 1
-    if spec.scene is not None:
-        spec.scene(sim, channel, rng)
-    # Every chirp is known up front: one column batch, issued under the
-    # installed fault state and scene, leaves only the listen timer on
-    # the sim heap.
+    # Every chirp is known up front: one column batch leaves only the
+    # listen timer on the sim heap.
     play_schedules(schedules)
     return rig
 
@@ -172,11 +150,9 @@ def run_room(spec: RoomSpec) -> RoomReport:
     rig.sim.run(spec.horizon)
     # Break every cycle through the finished room, so it is freed by
     # refcount: the armed listen event (sim -> heap -> event -> timer ->
-    # sim), fault edges past the horizon (sim -> heap -> event -> fault
-    # model -> sim) and the fault model's channel back-reference.
+    # sim) and anything else left on the heap past the horizon.
     rig.controller.stop()
     rig.sim.drop_pending()
-    rig.channel.set_fault_model(None)
 
     metrics = MetricsRegistry()
     metrics.counter("fleet.rooms").inc()
@@ -186,7 +162,6 @@ def run_room(spec: RoomSpec) -> RoomReport:
     metrics.counter("fleet.onsets").inc(onset_count)
     metrics.counter("fleet.detections").inc(rig.controller.detections)
     metrics.counter("fleet.windows").inc(rig.controller.windows_processed)
-    metrics.counter("fleet.speaker_outages").inc(rig.speaker_outages)
     metrics.counter("fleet.simulated_seconds").inc(spec.horizon)
     metrics.gauge("fleet.peak_tones_in_window").set(
         _peak_tones_per_window(onsets, spec)
@@ -206,7 +181,6 @@ def run_room(spec: RoomSpec) -> RoomReport:
         onsets=onset_count,
         detections=rig.controller.detections,
         windows=rig.controller.windows_processed,
-        speaker_outages=rig.speaker_outages,
         delivered=delivered,
         spurious_onsets=spurious,
         delivery_ratio=delivery,

@@ -1,12 +1,12 @@
-"""Fleet topology specs: the picklable contract between driver and shards.
+"""Fleet topology specs: the contract between driver and shards.
 
 A fleet is N acoustically isolated rooms (racks), each with its own
 air, switches and listener.  Rooms never couple — sound does not cross
 machine-room walls — so the only state that crosses the process
 boundary is these specs going out and :class:`~repro.fleet.room`
-reports coming back.  Everything here must therefore survive
-``pickle`` (see :func:`ensure_picklable`), and everything is frozen so
-a spec submitted to a worker is the spec that ran.
+reports coming back.  A spec holds only numbers, so it always pickles,
+and everything is frozen so a spec submitted to a worker is the spec
+that ran.
 
 Frequency plans are **reused across rooms**: isolation means every
 room gets the same band, which is how a 1000-switch fleet fits in the
@@ -30,10 +30,7 @@ Numerology defaults (why these numbers):
 
 from __future__ import annotations
 
-import io
-import pickle
 from dataclasses import dataclass, fields
-from typing import Callable
 
 #: Default fleet seed (the XEXT15 extension number, like XEXT15_SEED).
 DEFAULT_FLEET_SEED = 15
@@ -43,69 +40,7 @@ DEFAULT_LISTEN_INTERVAL = 1.0 / 30.0
 
 
 class FleetConfigError(ValueError):
-    """A fleet spec cannot cross the process boundary (or is invalid)."""
-
-
-def ensure_picklable(obj: object, context: str) -> None:
-    """Raise a clear :class:`FleetConfigError` if ``obj`` won't pickle.
-
-    The parallel backend ships specs to worker processes; an
-    unpicklable field (a lambda scene hook, a live Simulator smuggled
-    into a spec) would otherwise surface as a deep multiprocessing
-    traceback long after submission.  Probing here turns that into an
-    immediate, named error.
-    """
-    try:
-        pickle.dump(obj, io.BytesIO(), protocol=pickle.HIGHEST_PROTOCOL)
-    except Exception as exc:
-        raise FleetConfigError(
-            f"{context} is not picklable and cannot be dispatched to a "
-            f"worker process: {exc!r}. Scene hooks must be module-level "
-            f"functions, not closures/lambdas, and specs must not hold "
-            f"live objects (simulators, channels, sockets)."
-        ) from exc
-
-
-@dataclass(frozen=True)
-class FaultPlan:
-    """Seeded chaos knobs applied inside each room's own FaultHarness.
-
-    Draws come from a fault-labelled RNG stream
-    (``seeded_rng(seed, "room:<id>:faults")``), so enabling faults
-    never perturbs the room's placement/stagger stream — the same
-    no-cross-contamination rule the PR 4 injectors follow.
-    """
-
-    #: Probability that any given switch suffers one speaker outage.
-    speaker_outage_rate: float = 0.0
-    #: Outage length, seconds.
-    outage_duration: float = 0.3
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.speaker_outage_rate <= 1.0:
-            raise FleetConfigError(
-                f"speaker_outage_rate must be in [0, 1], "
-                f"got {self.speaker_outage_rate}"
-            )
-        if self.outage_duration <= 0:
-            raise FleetConfigError(
-                f"outage_duration must be positive, "
-                f"got {self.outage_duration}"
-            )
-
-    @property
-    def active(self) -> bool:
-        return self.speaker_outage_rate > 0.0
-
-
-#: Optional per-room scene hook: ``scene(sim, channel, rng)`` runs after
-#: the room's agents are built (extra noise beds, rogue emitters...) and
-#: before their chirp schedules reach the channel as one batch.  A tone
-#: the scene plays from a mid-run sim event is therefore sequenced after
-#: every chirp, not between the chirps that precede it in time (no scene
-#: in ``repro`` plays one).  Must be a module-level function — the
-#: picklability audit rejects closures before they can wedge a worker.
-SceneHook = Callable[[object, object, object], None]
+    """A fleet spec is invalid."""
 
 
 @dataclass(frozen=True)
@@ -124,8 +59,6 @@ class RoomSpec:
     level_db: float = 70.0
     low_hz: float = 420.0
     guard_hz: float = 120.0
-    faults: FaultPlan | None = None
-    scene: SceneHook | None = None
 
     #: Top of the cheap-speaker band (see ``audio.devices.Speaker``).
     SPEAKER_MAX_HZ = 8_000.0
@@ -203,8 +136,6 @@ class FleetSpec:
     level_db: float = 70.0
     low_hz: float = 420.0
     guard_hz: float = 120.0
-    faults: FaultPlan | None = None
-    scene: SceneHook | None = None
 
     def __post_init__(self) -> None:
         if self.num_rooms < 1:

@@ -39,10 +39,10 @@ both backends:
 * **bounded retries** — failed attempts re-enter the queue along the
   :data:`RETRY_POLICY` schedule (the same unified policy ARQ
   retransmits under), capped by ``max_attempts``;
-* **quarantine** — each shard owns a :class:`~repro.infra.
-  CircuitBreaker`; a repeat offender whose breaker trips is recorded
-  as a quarantined :class:`ShardFailure` instead of burning the
-  remaining attempt budget;
+* **quarantine** — a shard that fails
+  :attr:`SupervisorPolicy.quarantine_threshold` times is recorded as a
+  quarantined :class:`ShardFailure` instead of burning the remaining
+  attempt budget;
 * **integrity validation** — a result is merged only if it is a
   well-formed :class:`ShardReport` for the right shard with exactly
   the right rooms; a poisoned result is a counted failure, never a
@@ -74,10 +74,10 @@ from dataclasses import dataclass
 
 from .. import obs
 from ..faults.process import ProcessFaultPlan, shard_fault_decision
-from ..infra import CircuitBreaker, RetryPolicy
+from ..infra import RetryPolicy
 from .room import RoomReport
 from .runner import FleetReport, ShardReport, build_fleet_report
-from .specs import FleetSpec, ShardSpec, ensure_picklable
+from .specs import FleetSpec, ShardSpec
 from .worker import ShardJob, run_shard_job
 
 #: Hedges allowed per shard (each consumes an attempt).
@@ -104,8 +104,8 @@ class SupervisorPolicy:
     #: Hard per-attempt deadline: an attempt older than this is
     #: abandoned and its worker killed.  ``None`` disables.
     shard_deadline_s: float | None = None
-    #: Consecutive failures that quarantine a shard (its breaker's
-    #: failure threshold).
+    #: Failures that quarantine a shard.  They are always consecutive:
+    #: a success resolves the shard.
     quarantine_threshold: int = 4
 
     def __post_init__(self) -> None:
@@ -159,8 +159,8 @@ class ShardFailure:
     shard_id: int
     error: str
     attempts: int
-    #: True when the shard's breaker tripped (a repeat offender)
-    #: rather than its attempt budget running out.
+    #: True when the shard hit the quarantine threshold (a repeat
+    #: offender) rather than running out of its attempt budget.
     quarantined: bool = False
 
 
@@ -242,23 +242,17 @@ class _ShardState:
     """Loop-side bookkeeping for one shard."""
 
     __slots__ = ("spec", "attempts", "hedges", "report", "failure",
-                 "schedule", "breaker", "inflight", "ready_at",
+                 "schedule", "failures", "inflight", "ready_at",
                  "exhausted_error")
 
-    def __init__(self, spec: ShardSpec, quarantine_threshold: int) -> None:
+    def __init__(self, spec: ShardSpec) -> None:
         self.spec = spec
         self.attempts = 0          # executions started (hedges included)
         self.hedges = 0
         self.report: ShardReport | None = None
         self.failure: ShardFailure | None = None
         self.schedule = None       # RetrySchedule, lazily created
-        # Recovery timeout far beyond any run length: quarantine is
-        # final for the run, there is no half-open re-probe of a shard.
-        self.breaker = CircuitBreaker(
-            f"fleet.shard{spec.shard_id}",
-            failure_threshold=quarantine_threshold,
-            recovery_timeout=86_400.0,
-        )
+        self.failures = 0          # failed attempts; quarantine is final
         self.inflight = 0
         self.ready_at: float | None = 0.0   # next submission time
         self.exhausted_error: str | None = None
@@ -284,8 +278,7 @@ class _FleetLoop:
         self.checkpoint_dir = checkpoint_dir
         self.stats = SupervisorStats(backend=backend, workers=workers)
         self.states = {
-            shard.shard_id: _ShardState(shard, policy.quarantine_threshold)
-            for shard in shard_specs
+            shard.shard_id: _ShardState(shard) for shard in shard_specs
         }
         self.inflight: dict[Future, _Flight] = {}
         #: Shards doomed together by one pool break; each runs alone.
@@ -451,7 +444,6 @@ class _FleetLoop:
             self._fail(state, invalid, "poison")
             return
         state.report = result
-        state.breaker.record_success(_time.monotonic())
         self.suspects.discard(flight.shard_id)
         self._count("rooms_resumed", result.rooms_resumed)
         decision = shard_fault_decision(
@@ -488,14 +480,13 @@ class _FleetLoop:
     def _fail(self, state: _ShardState, error: str, kind: str) -> None:
         """One attempt died; decide retry / quarantine / give up."""
         now = _time.monotonic()
-        state.breaker.record_failure(now)
+        state.failures += 1
         with obs.span("fleet.supervisor.recover",
                       shard=state.spec.shard_id, kind=kind):
-            if not state.breaker.allow(now):
+            if state.failures >= self.policy.quarantine_threshold:
                 self._resolve_failure(
                     state,
-                    f"quarantined after "
-                    f"{state.breaker.consecutive_failures} consecutive "
+                    f"quarantined after {state.failures} consecutive "
                     f"failures (last: {error})",
                     quarantined=True,
                 )
@@ -653,12 +644,9 @@ def run_fleet(
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     wall_start = _time.perf_counter()
-    shard_specs = spec.shard_specs(num_shards)
-    if backend == "process":
-        for shard in shard_specs:
-            ensure_picklable(shard, f"ShardSpec(shard_id={shard.shard_id})")
     loop = _FleetLoop(
-        shard_specs, backend, workers, faults, policy or SupervisorPolicy(),
+        spec.shard_specs(num_shards), backend, workers, faults,
+        policy or SupervisorPolicy(),
         None if checkpoint_dir is None else str(checkpoint_dir),
         spec.seed if seed is None else seed,
     )

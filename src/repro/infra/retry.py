@@ -2,10 +2,10 @@
 
 ChirpCast (arXiv:1508.07099) frames acoustic reliability as *policy* —
 acknowledgement, redundancy, and giving up at the right time — rather
-than per-call-site heroics.  Every retrying layer (the MP ARQ sender,
-the fleet supervisor, the circuit breaker's recovery cooldowns) walks
-one exponential-backoff-with-deadline schedule instead of advancing its
-own ``timeout = min(timeout * backoff, cap)`` state.
+than per-call-site heroics.  Every retrying layer (the MP ARQ sender
+and the fleet supervisor) walks one exponential-backoff-with-deadline
+schedule instead of advancing its own ``timeout = min(timeout *
+backoff, cap)`` state.
 :class:`RetryPolicy` is the single description of that schedule and
 :class:`RetrySchedule` the single stateful walker over it, so a
 retransmission timeline is computed one way everywhere — and is

@@ -17,8 +17,6 @@ from .controlplane import (
 from .flowpop import (
     LABEL_CHURN,
     LABEL_ELEPHANT,
-    LABEL_FANIN,
-    LABEL_FANOUT,
     LABEL_MOUSE,
     LABEL_SCAN,
     FlowPopulation,
@@ -64,8 +62,6 @@ from .workload import (
     CountingHost,
     CountingSink,
     ElephantMicePattern,
-    FanInPattern,
-    FanOutPattern,
     HostSink,
     OnOffPattern,
     PerFlowWorkloadSource,
@@ -89,14 +85,10 @@ __all__ = [
     "CountingHost",
     "CountingSink",
     "ElephantMicePattern",
-    "FanInPattern",
-    "FanOutPattern",
     "FlowPopulation",
     "HostSink",
     "LABEL_CHURN",
     "LABEL_ELEPHANT",
-    "LABEL_FANIN",
-    "LABEL_FANOUT",
     "LABEL_MOUSE",
     "LABEL_SCAN",
     "OnOffPattern",

@@ -54,25 +54,19 @@ LABEL_MOUSE = 0
 LABEL_ELEPHANT = 1
 LABEL_SCAN = 2
 LABEL_CHURN = 3
-LABEL_FANOUT = 4
-LABEL_FANIN = 5
 
 LABEL_NAMES = {
     LABEL_MOUSE: "mouse",
     LABEL_ELEPHANT: "elephant",
     LABEL_SCAN: "scan",
     LABEL_CHURN: "churn",
-    LABEL_FANOUT: "fanout",
-    LABEL_FANIN: "fanin",
 }
 
 #: Per-packet key variation (the ``variation`` column).  A static flow
-#: reuses one :class:`FlowKey` for every packet; campaign flows vary
-#: one field with the candidate ordinal ``k``.
+#: reuses one :class:`FlowKey` for every packet; a port-scan flow
+#: varies its dst port with the candidate ordinal ``k``.
 VARY_NONE = 0
 VARY_DST_PORT = 1   #: port scan — dst port cycles ``base + k % span``
-VARY_DST_IP = 2     #: fan-out — dst address cycles through ``span`` hosts
-VARY_SRC_IP = 3     #: fan-in — spoofed src address cycles likewise
 
 _MAX_PORT = 65_535
 _MASK64 = (1 << 64) - 1
@@ -134,7 +128,6 @@ class FlowPopulation:
         variation: np.ndarray,
         vary_base: np.ndarray,
         vary_span: np.ndarray,
-        vary_prefix: list[str | None],
         packet_sizes: np.ndarray,
         diurnal_amplitude: float = 0.0,
         diurnal_period: float = 8.0,
@@ -156,7 +149,6 @@ class FlowPopulation:
         self.variation = np.asarray(variation, dtype=np.int8)
         self.vary_base = np.asarray(vary_base, dtype=np.int64)
         self.vary_span = np.asarray(vary_span, dtype=np.int64)
-        self.vary_prefix = list(vary_prefix)
         self.packet_sizes = np.asarray(packet_sizes, dtype=np.int64)
         if not 0.0 <= diurnal_amplitude < 1.0:
             raise ValueError("diurnal_amplitude must be in [0, 1)")
@@ -165,7 +157,7 @@ class FlowPopulation:
         self.diurnal_amplitude = float(diurnal_amplitude)
         self.diurnal_period = float(diurnal_period)
 
-        for name in ("dst_ips", "protocols", "vary_prefix"):
+        for name in ("dst_ips", "protocols"):
             if len(getattr(self, name)) != n:
                 raise ValueError(f"column {name} has wrong length")
         for name in _NUMPY_COLUMNS:
@@ -228,20 +220,11 @@ class FlowPopulation:
 
     def flow_key(self, i: int, k: int = 0) -> FlowKey:
         """The 5-tuple of candidate ``k`` of flow ``i``."""
-        variation = int(self.variation[i])
-        src_ip = self.src_ips[i]
-        dst_ip = self.dst_ips[i]
-        src_port = int(self.src_ports[i])
         dst_port = int(self.dst_ports[i])
-        if variation == VARY_DST_PORT:
+        if self.variation[i] == VARY_DST_PORT:
             dst_port = int(self.vary_base[i]) + k % int(self.vary_span[i])
-        elif variation == VARY_DST_IP:
-            suffix = int(self.vary_base[i]) + k % int(self.vary_span[i])
-            dst_ip = f"{self.vary_prefix[i]}{suffix}"
-        elif variation == VARY_SRC_IP:
-            suffix = int(self.vary_base[i]) + k % int(self.vary_span[i])
-            src_ip = f"{self.vary_prefix[i]}{suffix}"
-        return FlowKey(src_ip, dst_ip, src_port, dst_port, self.protocols[i])
+        return FlowKey(self.src_ips[i], self.dst_ips[i],
+                       int(self.src_ports[i]), dst_port, self.protocols[i])
 
     def dst_ports_for(self, flow_idx: np.ndarray, ks: np.ndarray) -> np.ndarray:
         """Vectorized destination ports for a batch of departures."""
@@ -260,9 +243,7 @@ class FlowPopulation:
         forward (and hence ring tones).  Retargeting points the
         synthetic server addresses at an actual receiving host; static
         hashes — and so bucket ground truth — are recomputed by the
-        constructor.  Fan-out campaigns still vary their own
-        destinations and stay unroutable; keep them out of
-        figure-scale mixes.
+        constructor.
         """
         return FlowPopulation(
             src_ips=self.src_ips,
@@ -280,7 +261,6 @@ class FlowPopulation:
             variation=self.variation,
             vary_base=self.vary_base,
             vary_span=self.vary_span,
-            vary_prefix=self.vary_prefix,
             packet_sizes=self.packet_sizes,
             diurnal_amplitude=self.diurnal_amplitude,
             diurnal_period=self.diurnal_period,

@@ -71,7 +71,8 @@ class LinkDirection:
     ``size_bits / bandwidth_bps`` seconds; delivery to the far node
     happens one propagation ``delay`` later.  An accepted packet that
     never reaches the far node is counted once: in the queue's
-    ``flushed`` if queued when the link fails, else in :attr:`lost`.
+    ``flushed`` if queued when the link fails, else in :attr:`lost`
+    (serializing or propagating when it fails).
     """
 
     def __init__(
@@ -96,10 +97,12 @@ class LinkDirection:
         self.name = name
         self.queue = PacketQueue(queue_capacity, name=name)
         self.busy = False
+        #: While busy: the event that ends the current serialization.
+        self._serializing: list | None = None
         self.up = True
         #: Optional delivery fault model (repro.faults): consulted per
-        #: delivered packet; may drop or corrupt it.  ``None`` keeps
-        #: delivery on the original path.
+        #: delivered packet; may drop it.  ``None`` keeps delivery on
+        #: the original path.
         self.fault_model = None
         self.bytes_sent = Counter(f"{name}.bytes_sent")
         self.packets_sent = Counter(f"{name}.packets_sent")
@@ -117,33 +120,37 @@ class LinkDirection:
             return self.queue.enqueue(packet)
         self.busy = True
         sim = self.sim
-        sim.schedule_at(sim.now + packet.size_bytes * 8 / self.bandwidth_bps,
-                        self._finish_transmission, packet)
+        self._serializing = sim.schedule_at(
+            sim.now + packet.size_bytes * 8 / self.bandwidth_bps,
+            self._finish_transmission, packet)
         return True
 
     def fail(self) -> None:
         """Cut the link (data-plane failure scenario, §1 motivation).
         Queued packets are lost (the queue counts them as flushed), so
-        the queue stays empty while the link is down."""
+        the queue stays empty while the link is down, and the packet
+        being serialized is lost: the line is idle once restored."""
         self.up = False
         self.queue.flush()
+        if self.busy:
+            self.sim.cancel(self._serializing)
+            self.busy = False
+            self.lost.total += 1
 
     def restore(self) -> None:
         self.up = True
 
     def _finish_transmission(self, packet: Packet) -> None:
+        # fail() cancels this event, so the link is up here.
         sim = self.sim
-        if self.up:
-            self.bytes_sent.total += packet.size_bytes
-            self.packets_sent.total += 1
-            sim.schedule_at(sim.now + self.delay, self._deliver, packet)
-        else:
-            self.lost.total += 1
+        self.bytes_sent.total += packet.size_bytes
+        self.packets_sent.total += 1
+        sim.schedule_at(sim.now + self.delay, self._deliver, packet)
         packet = self.queue.dequeue()
         if packet is None:
             self.busy = False
         else:
-            sim.schedule_at(
+            self._serializing = sim.schedule_at(
                 sim.now + packet.size_bytes * 8 / self.bandwidth_bps,
                 self._finish_transmission, packet)
 

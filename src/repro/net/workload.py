@@ -6,8 +6,8 @@ with a declarative, seeded workload layer in the spirit of the
 fleet/containernet ``TrafficGenerator``/``TrafficPattern`` abstraction:
 
 * **Patterns** describe sub-populations — heavy-tailed elephant/mice
-  mixes, bursty on/off flows, short-lived benign churn, port-scan and
-  fan-out/fan-in campaigns.
+  mixes, bursty on/off flows, short-lived benign churn and port-scan
+  campaigns.
 * A :class:`WorkloadSpec` combines patterns plus an optional diurnal
   load curve and ``build()``s them into one
   :class:`~repro.net.flowpop.FlowPopulation` (numpy columns, ground
@@ -47,14 +47,10 @@ from ..faults.harness import seeded_rng
 from .flowpop import (
     LABEL_CHURN,
     LABEL_ELEPHANT,
-    LABEL_FANIN,
-    LABEL_FANOUT,
     LABEL_MOUSE,
     LABEL_SCAN,
-    VARY_DST_IP,
     VARY_DST_PORT,
     VARY_NONE,
-    VARY_SRC_IP,
     FlowPopulation,
 )
 from .host import Host
@@ -94,7 +90,6 @@ def _columns(n: int) -> dict:
         "variation": np.full(n, VARY_NONE, dtype=np.int8),
         "vary_base": np.zeros(n, dtype=np.int64),
         "vary_span": np.ones(n, dtype=np.int64),
-        "vary_prefix": [None] * n,
         "packet_sizes": np.full(n, 1_000, dtype=np.int64),
     }
 
@@ -239,56 +234,6 @@ class PortScanPattern(TrafficPattern):
         columns["variation"] = np.full(n, VARY_DST_PORT, dtype=np.int8)
         columns["vary_base"] = np.full(n, self.first_port, dtype=np.int64)
         columns["vary_span"] = np.full(n, self.num_ports, dtype=np.int64)
-        return columns
-
-
-@dataclass(frozen=True)
-class FanOutPattern(TrafficPattern):
-    """Superspreader campaign: each source sprays ``fan_degree`` hosts."""
-
-    num_sources: int = 1
-    fan_degree: int = 50
-    rate: float = 50.0
-    start: float = 0.0
-
-    def materialize(self, rng: np.random.Generator,
-                    spec: "WorkloadSpec") -> dict:
-        n = self.num_sources
-        columns = _columns(n)
-        _random_endpoints(rng, columns, (80,))
-        columns["rates"] = np.full(n, self.rate, dtype=np.float64)
-        columns["starts"] = np.full(n, self.start, dtype=np.float64)
-        columns["phases"] = self.start + rng.random(n) / self.rate
-        columns["labels"] = np.full(n, LABEL_FANOUT, dtype=np.int8)
-        columns["variation"] = np.full(n, VARY_DST_IP, dtype=np.int8)
-        columns["vary_base"] = np.ones(n, dtype=np.int64)
-        columns["vary_span"] = np.full(n, self.fan_degree, dtype=np.int64)
-        columns["vary_prefix"] = ["10.99.0."] * n
-        return columns
-
-
-@dataclass(frozen=True)
-class FanInPattern(TrafficPattern):
-    """DDoS-victim campaign: spoofed sources converge on one target."""
-
-    num_victims: int = 1
-    fan_degree: int = 50
-    rate: float = 50.0
-    start: float = 0.0
-
-    def materialize(self, rng: np.random.Generator,
-                    spec: "WorkloadSpec") -> dict:
-        n = self.num_victims
-        columns = _columns(n)
-        _random_endpoints(rng, columns, (80,))
-        columns["rates"] = np.full(n, self.rate, dtype=np.float64)
-        columns["starts"] = np.full(n, self.start, dtype=np.float64)
-        columns["phases"] = self.start + rng.random(n) / self.rate
-        columns["labels"] = np.full(n, LABEL_FANIN, dtype=np.int8)
-        columns["variation"] = np.full(n, VARY_SRC_IP, dtype=np.int8)
-        columns["vary_base"] = np.ones(n, dtype=np.int64)
-        columns["vary_span"] = np.full(n, self.fan_degree, dtype=np.int64)
-        columns["vary_prefix"] = ["10.98.0."] * n
         return columns
 
 

@@ -72,12 +72,8 @@ def _mix_tone(
     """Add one (possibly partial) tone (or one of its echoes) into a
     capture buffer."""
     fault_model = channel._fault_model
-    if fault_model is not None:
-        fault_adjust = fault_model.tone_level_adjust_db(tone)
-        if fault_adjust is None:
-            return
-    else:
-        fault_adjust = 0.0
+    if fault_model is not None and fault_model.mutes(tone):
+        return
     sample_rate = channel.sample_rate
     distance = listener.distance_to(tone.position)
     delay = (distance / SPEED_OF_SOUND
@@ -90,8 +86,6 @@ def _mix_tone(
         return
 
     level = tone.spec.level_db - propagation_loss_db(distance) - extra_loss_db
-    if fault_adjust:
-        level += fault_adjust
     # Synthesize only the overlapping span, phase-continuous with the
     # tone's own clock so windows seam together exactly.
     overlap_start = max(arrival, window_start)

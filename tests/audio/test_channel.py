@@ -8,6 +8,7 @@ from repro.audio import (
     AcousticChannel,
     AudioSignal,
     Position,
+    ScheduledTone,
     SpectrumAnalyzer,
     ToneSpec,
     propagation_loss_db,
@@ -67,9 +68,10 @@ class TestScheduling:
         channel.play_tones([start for start, _v in rows], voices,
                            [v for _start, v in rows])
         single = AcousticChannel()
-        records = [single.play_tone(start, *voices[v]) for start, v in rows]
-        assert channel.scheduled_tones == single.scheduled_tones == \
-            tuple(records)
+        for start, v in rows:
+            single.play_tone(start, *voices[v])
+        records = tuple(ScheduledTone(start, *voices[v]) for start, v in rows)
+        assert channel.scheduled_tones == single.scheduled_tones == records
         for window in [(0.0, 0.3), (0.45, 0.62)]:
             np.testing.assert_array_equal(
                 channel.render_at(Position(), *window).samples,

@@ -137,8 +137,8 @@ class TestParkedSchedule:
 class TestBusyWindowIdentity:
     """Many overlapping segments of different lengths in one window,
     each tone with two echo taps, under a fault model that mutes some
-    emitters and degrades others: every sample of the fast path must
-    equal the reference loop's."""
+    emitters: every sample of the fast path must equal the reference
+    loop's."""
 
     def _faulted_busy_channel(self):
         channel = busy_channel(echo_taps=((0.013, 9.0), (0.031, 14.0)))
@@ -147,8 +147,6 @@ class TestBusyWindowIdentity:
                            key=lambda p: (p.x, p.y))
         for position in positions[::4]:
             air.drop_speaker(position, 0.3, 1.1)
-        for position in positions[1::3]:
-            air.degrade_speaker(position, 0.0, 2.0, loss_db=7.5)
         return channel
 
     @pytest.mark.parametrize(("start", "end"), [
@@ -379,8 +377,7 @@ step_strategy = st.one_of(
 )
 
 fault_strategy = st.lists(
-    st.tuples(st.sampled_from(["drop", "degrade"]), st.integers(0, 2),
-              st.floats(0.0, 1.5), st.floats(0.05, 1.0)),
+    st.tuples(st.integers(0, 2), st.floats(0.0, 1.5), st.floats(0.05, 1.0)),
     max_size=3,
 )
 
@@ -401,7 +398,7 @@ class TestGeneratedScenes:
                                      listeners, echo_taps, delay):
         """Any scene — out-of-order schedules, repeated and distinct
         wave types, 1–3 emitters and listeners, echoes and propagation
-        delay on or off, muted and attenuated speakers, prunes between
+        delay on or off, muted speakers, prunes between
         renders, windows at unaligned starts — renders bit-identically
         to the scalar reference loop."""
         channel = AcousticChannel(enable_propagation_delay=delay,
@@ -410,12 +407,9 @@ class TestGeneratedScenes:
             channel.play_tone(start, ToneSpec(frequency, duration, level),
                               SCENE_POSITIONS[emitter % emitters])
         air = FaultHarness(Simulator(), seed=3).acoustic(channel)
-        for kind, emitter, start, span in faults:
-            position = SCENE_POSITIONS[emitter % emitters]
-            if kind == "drop":
-                air.drop_speaker(position, start, start + span)
-            else:
-                air.degrade_speaker(position, start, start + span, 6.37)
+        for emitter, start, span in faults:
+            air.drop_speaker(SCENE_POSITIONS[emitter % emitters], start,
+                             start + span)
         for step in steps:
             if step[0] == "prune":
                 channel.prune(before=step[1], margin=step[2])

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from repro.fleet import (
     FLEET_GAUGE_POLICY,
-    FleetConfigError,
     FleetSpec,
     run_fleet,
 )
@@ -99,13 +98,6 @@ def test_zero_workers_rejected():
     for backend in ("serial", "process"):
         with pytest.raises(ValueError, match="workers"):
             run_fleet(SPEC, num_shards=2, backend=backend, workers=0)
-
-
-def test_unpicklable_shard_is_rejected_before_the_pool():
-    spec = FleetSpec(num_rooms=2, switches_per_room=2, horizon=0.5,
-                     scene=lambda sim, channel, rng: None)
-    with pytest.raises(FleetConfigError, match="shard_id=0"):
-        run_fleet(spec, num_shards=2, backend="process", workers=2)
 
 
 def test_rooms_property_restores_global_order(serial):

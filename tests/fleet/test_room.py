@@ -1,4 +1,4 @@
-"""One room, end to end: determinism, delivery accounting, faults."""
+"""One room, end to end: determinism, delivery accounting, teardown."""
 
 import gc
 import math
@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.audio import AcousticChannel, FrequencyDetector
-from repro.fleet import FaultPlan, RoomSpec, run_room
+from repro.fleet import RoomSpec, run_room
 from repro.fleet import room as room_module
 from repro.fleet.room import _attribute_onsets, _peak_tones_per_window
 from tests.audio.reference_detect import reference_detect
@@ -71,17 +71,6 @@ def test_different_seed_changes_the_room(report):
     other = run_room(RoomSpec(room_id=0, num_switches=8, horizon=0.5,
                               fleet_seed=99))
     assert other.identity_signature() != report.identity_signature()
-
-
-def test_faults_degrade_delivery_deterministically(report):
-    faulted_spec = RoomSpec(room_id=0, num_switches=8, horizon=0.5,
-                            faults=FaultPlan(speaker_outage_rate=1.0,
-                                             outage_duration=0.4))
-    faulted = run_room(faulted_spec)
-    assert faulted.speaker_outages == SPEC.num_switches
-    assert faulted.delivery_ratio < report.delivery_ratio
-    again = run_room(faulted_spec)
-    assert again.identity_signature() == faulted.identity_signature()
 
 
 def test_peak_gauge_keeps_adjacent_float_window_starts_apart():
@@ -229,12 +218,3 @@ def test_a_finished_room_is_freed_by_refcount(monkeypatch):
     """No reference cycle outlives ``run_room``: with the cyclic GC off,
     the room's channel is gone as soon as the call returns."""
     assert _channel_left_by(monkeypatch, SPEC)() is None
-
-
-def test_a_faulted_room_is_freed_by_refcount(monkeypatch):
-    """The fault model points back at the channel, and the outage edges
-    past the horizon stay on the heap; neither keeps the room alive."""
-    spec = RoomSpec(room_id=0, num_switches=8, horizon=0.5,
-                    faults=FaultPlan(speaker_outage_rate=1.0,
-                                     outage_duration=0.4))
-    assert _channel_left_by(monkeypatch, spec)() is None

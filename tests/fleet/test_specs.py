@@ -1,22 +1,10 @@
-"""Fleet spec validation, partitioning, and the picklability audit."""
+"""Fleet spec validation, partitioning, and pickling."""
 
-import io
 import pickle
 
 import pytest
 
-from repro.fleet import (
-    FaultPlan,
-    FleetConfigError,
-    FleetSpec,
-    RoomSpec,
-    ShardSpec,
-    ensure_picklable,
-)
-
-
-def _noop_scene(sim, channel, rng):
-    """A module-level scene hook: the picklable kind."""
+from repro.fleet import FleetConfigError, FleetSpec, RoomSpec, ShardSpec
 
 
 # ----------------------------------------------------------------------
@@ -43,15 +31,6 @@ def test_room_spec_rejects_band_overflow():
 def test_room_spec_rejects_bad_scalars(kwargs):
     with pytest.raises(FleetConfigError):
         RoomSpec(**kwargs)
-
-
-def test_fault_plan_validation():
-    with pytest.raises(FleetConfigError):
-        FaultPlan(speaker_outage_rate=1.5)
-    with pytest.raises(FleetConfigError):
-        FaultPlan(outage_duration=0.0)
-    assert not FaultPlan().active
-    assert FaultPlan(speaker_outage_rate=0.2).active
 
 
 def test_shard_spec_needs_rooms():
@@ -97,41 +76,11 @@ def test_shard_count_bounds():
 
 
 # ----------------------------------------------------------------------
-# picklability audit
+# pickling
 # ----------------------------------------------------------------------
 
 def test_every_fleet_spec_kind_round_trips_through_pickle():
-    fleet = FleetSpec(num_rooms=2, switches_per_room=3,
-                      faults=FaultPlan(speaker_outage_rate=0.1),
-                      scene=_noop_scene)
-    for obj in (fleet, fleet.room_specs()[0], fleet.shard_specs(2)[0],
-                FaultPlan(speaker_outage_rate=0.5)):
+    fleet = FleetSpec(num_rooms=2, switches_per_room=3)
+    for obj in (fleet, fleet.room_specs()[0], fleet.shard_specs(2)[0]):
         clone = pickle.loads(pickle.dumps(obj))
         assert clone == obj
-
-
-def test_ensure_picklable_passes_clean_specs():
-    ensure_picklable(RoomSpec(room_id=0, num_switches=2), "RoomSpec")
-
-
-def test_lambda_scene_hook_fails_with_clear_error():
-    spec = RoomSpec(room_id=0, num_switches=2,
-                    scene=lambda sim, channel, rng: None)
-    with pytest.raises(FleetConfigError) as excinfo:
-        ensure_picklable(spec, "RoomSpec(room_id=0)")
-    message = str(excinfo.value)
-    assert "RoomSpec(room_id=0)" in message
-    assert "module-level" in message  # tells the user how to fix it
-
-
-def test_closure_scene_hook_fails_too():
-    noise = io.BytesIO()  # captured live object
-
-    def scene(sim, channel, rng):
-        noise.read()
-
-    with pytest.raises(FleetConfigError, match="not picklable"):
-        ensure_picklable(
-            RoomSpec(room_id=1, num_switches=2, scene=scene),
-            "RoomSpec(room_id=1)",
-        )

@@ -8,8 +8,9 @@ Each hop goes through :meth:`Simulator.schedule` (``delay`` relative to
 action types tested in declaration order, and ``_forward`` hands the
 packet to :meth:`Node.transmit`.  These classes count what that path
 counted and nothing more: a link failure drains the queue through
-``dequeue`` (so flushed packets read as dequeued), and there is no
-``lost``, ``packets_refused`` or ``packets_misdelivered`` bookkeeping.
+``dequeue`` (so flushed packets read as dequeued) and drops the packet
+being serialized, and there is no ``lost``, ``packets_refused`` or
+``packets_misdelivered`` bookkeeping.
 
 ``ReferenceLink`` wires two :class:`ReferenceLinkDirection` s the way
 :class:`repro.net.Link` wires two real ones, so a network built from
@@ -37,11 +38,15 @@ class ReferenceLinkDirection(LinkDirection):
         self.up = False
         while self.queue.dequeue() is not None:
             pass
+        if self.busy:
+            self.sim.cancel(self._serializing)
+            self.busy = False
 
     def _start_transmission(self, packet):
         self.busy = True
         serialization = packet.size_bits / self.bandwidth_bps
-        self.sim.schedule(serialization, self._finish_transmission, packet)
+        self._serializing = self.sim.schedule(
+            serialization, self._finish_transmission, packet)
 
     def _finish_transmission(self, packet):
         if self.up:

@@ -137,7 +137,7 @@ class TestFailure:
         sim.run(1.0)
         assert b.arrivals == []
         assert a.queue_length(1) == 0
-        # One on the wire (lost when its serialization ends), two queued.
+        # One on the wire (lost at the failure), two queued.
         queue = link.a_to_b.queue
         assert (queue.dequeued, queue.flushed) == (0, 2)
         assert link.a_to_b.lost.total == 1
@@ -161,6 +161,28 @@ class TestFailure:
         assert b.arrivals == []
         assert link.a_to_b.packets_sent.total == 1
         assert link.a_to_b.lost.total == 1
+
+    def test_flap_shorter_than_serialization_loses_the_packet(self, wired):
+        sim, a, b, link = wired
+        a.transmit(packet(), 1)   # serialized by 8 ms if healthy
+        sim.schedule_at(0.002, link.fail)
+        sim.schedule_at(0.004, link.restore)
+        sim.run(1.0)
+        assert b.arrivals == []
+        assert link.a_to_b.lost.total == 1
+        assert not link.a_to_b.busy
+
+    def test_send_after_restore_starts_at_once(self, wired):
+        sim, a, b, link = wired
+        a.transmit(packet(), 1)
+        sim.run(0.002)
+        link.fail()
+        sim.run(0.004)
+        link.restore()
+        a.transmit(packet(), 1)   # not behind the lost packet: 4 + 8 + 10 ms
+        sim.run(1.0)
+        assert [when for _pkt, _port, when in b.arrivals] == [
+            pytest.approx(0.022)]
 
     def test_restore_resumes(self, wired):
         sim, a, b, link = wired

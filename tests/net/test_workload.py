@@ -225,7 +225,7 @@ class TestDepartureModel:
             "src_ips", "dst_ips", "src_ports", "dst_ports", "protocols",
             "rates", "phases", "starts", "stops", "on_durations",
             "off_durations", "labels", "variation", "vary_base",
-            "vary_span", "vary_prefix", "packet_sizes")}
+            "vary_span", "packet_sizes")}
         columns[column] = ports
         with pytest.raises(ValueError, match=column):
             FlowPopulation(**columns)
