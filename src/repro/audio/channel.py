@@ -17,9 +17,9 @@ Rendering is pull-based: nothing is synthesized until a microphone asks
 for a window, and any window can be re-rendered bit-identically.
 
 Rendering is also the synthesis-side hot path (DESIGN.md §5): every
-``Microphone.record`` lands in :meth:`AcousticChannel.render_at`, and a
-50-switch fleet room calls it 30 times per simulated second.  The
-render therefore works on whole columns, not on tone objects:
+capture lands in :meth:`AcousticChannel.render_block`, and a 50-switch
+fleet room hears 30 windows per simulated second.  The render therefore
+works on whole columns, not on tone objects:
 
 * one **columnar tone index** (a float array with one column per
   scheduled tone, sorted by end time; :meth:`play_tones` queues whole
@@ -43,7 +43,15 @@ render therefore works on whole columns, not on tone objects:
   that no live tone uses;
 * a bounded **window render memo** keyed by ``(listener, start, end)``
   so repeated polls of the same window reuse the mixed buffer.
-  ``play_tones`` / ``add_noise`` / ``clear`` / ``prune`` invalidate it.
+  ``play_tones`` / ``add_noise`` / ``clear`` / ``prune`` invalidate it,
+  and each invalidation bumps :attr:`AcousticChannel.mutations`.
+
+:meth:`AcousticChannel.render_block` renders a run of equal-length
+windows in one pass: one ``np.bincount`` over every (window, tone, tap)
+segment, capped by :data:`BLOCK_SEGMENT_SAMPLES`.  :meth:`render_at` is
+its one-window call.  A listener that hears windows ahead of the clock
+(:class:`~repro.core.controller.MDNController`) stamps them with
+``mutations`` and re-hears them when it has moved.
 
 ``tests/audio/reference_render.py`` keeps the original per-tone scalar
 loop; ``tests/audio/test_channel_equivalence.py`` pins :meth:`render_at`
@@ -82,6 +90,13 @@ PRUNE_PROPAGATION_ALLOWANCE = 50.0 / SPEED_OF_SOUND
 #: microphone array's stations re-polling one shared window plus the
 #: look-back of a few co-located listeners.
 WINDOW_CACHE_SIZE = 128
+
+#: Cap on the samples of one :meth:`AcousticChannel.render_block`: its
+#: mix rows plus its candidate (window, tone, tap) segments, each
+#: counted as a whole window.  The gather holds ~32 bytes per segment
+#: sample, so this bounds a block's working set at a few MB whatever
+#: the load; a 50-switch room at 1/30 s windows fits about 7 windows.
+BLOCK_SEGMENT_SAMPLES = 1 << 17
 
 #: Geometry cache flush threshold: listeners, or (listener, noise bed)
 #: position pairs.
@@ -227,8 +242,6 @@ class AcousticChannel:
         # The wave bank: each wave type's sine (row 0) and envelope
         # (row 1) samples at [base, base + length).
         self._bank = np.empty((2, 0))
-        # Backs _arange: grows to the longest ramp asked for so far.
-        self._ramp = np.arange(0)
         # id(bed signal), positions -> (gain, delay_s); beds are few.
         self._bed_geometry: dict[tuple[Position, Position], tuple[float, float]] = {}
         # (listener, start, end) -> rendered mix (read-only ndarray).
@@ -238,6 +251,11 @@ class AcousticChannel:
         #: Optional fault model (repro.faults): consulted per rendered
         #: tone of a faulted emitter.
         self._fault_model = None
+        #: Bumped by every :meth:`invalidate_render_cache`, that is by
+        #: every change to what a window sounds like (scheduling, noise
+        #: beds, clear, prune, fault state).  Windows rendered under an
+        #: older value may be stale.
+        self.mutations = 0
         # Registry-backed, API-compatible memo stats (repro.obs).
         self._m_memo_hits = obs.counter("channel.memo_hits")
         self._m_memo_misses = obs.counter("channel.memo_misses")
@@ -268,6 +286,14 @@ class AcousticChannel:
     # ------------------------------------------------------------------
     # Scheduling
     # ------------------------------------------------------------------
+
+    @property
+    def faulted(self) -> bool:
+        """Whether the fault model may mute a tone (some emitter has a
+        fault scheduled).  A render then asks it about each candidate
+        tone of a faulted emitter, and it counts what it mutes."""
+        fault = self._fault_model
+        return fault is not None and bool(fault.faulted_positions())
 
     def set_fault_model(self, model) -> None:
         """Install (or clear, with ``None``) a fault model.
@@ -454,9 +480,11 @@ class AcousticChannel:
 
     def invalidate_render_cache(self) -> None:
         """Drop memoized window renders (geometry, envelope and wave
-        caches are pure and stay).  Scheduling operations call this
-        automatically; benchmarks use it to time cold renders."""
+        caches are pure and stay) and bump :attr:`mutations`.
+        Scheduling operations and fault edges call this automatically;
+        benchmarks use it to time cold renders."""
         self._window_cache.clear()
+        self.mutations += 1
 
     def _merge_pending(self) -> None:
         """Merge the queued tones into the end-time-sorted index, each
@@ -548,108 +576,198 @@ class AcousticChannel:
     # ------------------------------------------------------------------
 
     def render_at(self, listener: Position, start: float, end: float) -> AudioSignal:
-        """Pressure signal arriving at ``listener`` during ``[start, end)``.
+        """Pressure signal arriving at ``listener`` during ``[start, end)``:
+        the one-window call of :meth:`render_block`.
 
-        Served through the tone index, the wave bank and the window
-        memo; bit-identical to the scalar per-tone loop kept in
+        Bit-identical to the scalar per-tone loop kept in
         ``tests/audio/reference_render.py``.  Repeated renders of the
-        same ``(listener, start, end)`` return the same (read-only)
-        buffer.
+        same ``(listener, start, end)`` share one (read-only) buffer.
         """
         if end < start:
             raise ValueError(f"end ({end}) must be >= start ({start})")
-        key = (listener, start, end)
-        cached = self._window_cache.get(key)
-        if cached is not None:
-            self._window_cache.move_to_end(key)
-            self._m_memo_hits.inc()
-            return AudioSignal(cached, self.sample_rate)
-        self._m_memo_misses.inc()
-        observed = self._obs is not None
-        wall_start = _time.perf_counter() if observed else 0.0
-        count = int(round((end - start) * self.sample_rate))
-        mix = self._render_tones(listener, start, count) if count else np.zeros(0)
-        for bed in self._noise_beds:
-            gain, delay = self._bed_geometry_for(listener, bed)
-            self._mix_noise(mix, bed, start, gain, delay)
-        if observed:
-            self._m_render_ms.observe((_time.perf_counter() - wall_start) * 1e3)
-        mix.setflags(write=False)
-        self._window_cache[key] = mix
-        if len(self._window_cache) > WINDOW_CACHE_SIZE:
-            self._window_cache.popitem(last=False)
-        return AudioSignal(mix, self.sample_rate)
+        rows, _block = self._render_rows(listener, (start,), (end,))
+        return AudioSignal(rows[0], self.sample_rate)
 
-    def _render_tones(
-        self, listener: Position, window_start: float, count: int
-    ) -> np.ndarray:
-        """The mix of every audible (tone, echo tap) segment over the
-        ``count`` samples from ``window_start``.
+    def render_block(self, listener: Position, starts, ends) -> np.ndarray:
+        """The mixes arriving at ``listener`` during the windows
+        ``[starts[i], ends[i])``, one read-only row each, for a prefix of
+        the windows: those with the first window's sample count whose
+        candidate segments fit :data:`BLOCK_SEGMENT_SAMPLES` (the first
+        window always does).
 
-        Segment geometry is array math over the index columns, in the
-        scalar per-tone loop's IEEE operations; samples are gathered from
-        the wave bank, scaled by amplitude and then envelope, and summed
-        by ``np.bincount``, which adds each sample's contributions one by
-        one to 0.0 in (schedule sequence, tap) order, as the scalar loop
-        does.  Its output is the mix itself: it never holds -0.0, so it
-        equals a zeroed buffer plus the sum.
+        Row ``i`` is what :meth:`render_at` gives for window ``i``: the
+        windows are rendered together, but each one's segments are
+        found, muted and mixed as if it were alone.  Rows are served
+        from, and stored in, the window memo.
         """
-        rate = self.sample_rate
-        window_end = window_start + count / rate
-        geometry, worst = self._geometry_columns(listener)
-        # Candidate horizon: a tone whose *emission* ended more than the
-        # worst-case (propagation + echo) delay before the window opens
-        # cannot reach it; everything older bisects away.  Only tones
-        # that started before the window closes can reach it (delays
-        # only push arrivals later), and such a tone ends by
-        # ``window_end + _max_duration`` (rounded addition is
-        # monotone), so everything later bisects away too.
-        max_delay = self._max_echo_delay + worst
+        rows, block = self._render_rows(listener, starts, ends)
+        if block is None:
+            block = np.stack(rows)
+            block.setflags(write=False)
+        return block
+
+    def _render_rows(self, listener: Position, starts,
+                     ends) -> tuple[list[np.ndarray], np.ndarray | None]:
+        """:meth:`render_block`'s rows as the memo holds them, and the
+        block array itself when every row was rendered afresh."""
+        starts = np.asarray(starts, dtype=float).reshape(-1)
+        ends = np.asarray(ends, dtype=float).reshape(-1)
+        if (ends < starts).any():
+            raise ValueError("every window must end at or after its start")
+        count = round((ends[0] - starts[0]) * self.sample_rate)
+        windows = len(starts)
+        if windows > 1:
+            same = np.rint((ends - starts) * self.sample_rate) == count
+            windows = self._block_size(
+                listener, starts[: int(same.argmin()) or windows], count)
+        keys = [(listener, start, end) for start, end in
+                zip(starts[:windows].tolist(), ends[:windows].tolist())]
+        memo = self._window_cache
+        rows = [memo.get(key) for key in keys]
+        missing = [at for at, row in enumerate(rows) if row is None]
+        hits = windows - len(missing)
+        if hits:
+            self._m_memo_hits.inc(hits)
+            for key, row in zip(keys, rows):
+                if row is not None:
+                    memo.move_to_end(key)
+        if missing:
+            self._m_memo_misses.inc(len(missing))
+            observed = self._obs is not None
+            wall_start = _time.perf_counter() if observed else 0.0
+            fresh = self._render(listener, starts.take(missing), count)
+            if observed:
+                self._m_render_ms.observe_many(np.full(
+                    len(missing),
+                    (_time.perf_counter() - wall_start) * 1e3 / len(missing),
+                ))
+            fresh.setflags(write=False)
+            for at, row in zip(missing, fresh):
+                rows[at] = memo[keys[at]] = row
+            while len(memo) > WINDOW_CACHE_SIZE:
+                memo.popitem(last=False)
+            if not hits:
+                return rows, fresh
+        return rows, None
+
+    def _block_size(self, listener: Position, starts: np.ndarray,
+                    count: int) -> int:
+        """How many of the ``count``-sample windows from ``starts`` one
+        block renders: the longest prefix (at least one) whose mix rows
+        and candidate (tone, tap) segments, each counted as a whole
+        window, total at most :data:`BLOCK_SEGMENT_SAMPLES`."""
+        if len(starts) == 1:
+            return 1
+        _geometry, worst = self._geometry_columns(listener)
+        first, last = self._candidate_spans(
+            starts, starts + count / self.sample_rate,
+            self._max_echo_delay + worst,
+        )
+        samples = (1 + (last - first) * self._taps.shape[1]).cumsum()
+        samples *= max(count, 1)
+        return max(1, int(samples.searchsorted(BLOCK_SEGMENT_SAMPLES, "right")))
+
+    def _candidate_spans(self, starts: np.ndarray, window_ends: np.ndarray,
+                         max_delay: float) -> tuple[np.ndarray, np.ndarray]:
+        """Per window, the tone index range ``[first, last)`` that can
+        reach it.  A tone whose *emission* ended more than the worst-case
+        (propagation + echo) delay before the window opens cannot reach
+        it; everything older bisects away.  Only tones that started
+        before the window closes can reach it (delays only push arrivals
+        later), and such a tone ends by ``window_end + _max_duration``
+        (rounded addition is monotone), so everything later bisects away
+        too."""
         if self._pending:
             self._merge_pending()
         ends = self._index[_END, : self._count]
-        first = int(ends.searchsorted(window_start - max_delay))
-        last = int(ends.searchsorted(window_end + self._max_duration, "right"))
-        tail = self._index[:, first:last]
-        candidates = (tail[_START] < window_end).nonzero()[0]
-        # Schedule order.
-        order = candidates.take(tail[_SEQ].take(candidates).argsort())
-        tones = tail.take(order, axis=1)
+        return (ends.searchsorted(starts - max_delay),
+                ends.searchsorted(window_ends + self._max_duration, "right"))
+
+    def _render(self, listener: Position, starts: np.ndarray,
+                count: int) -> np.ndarray:
+        """The tones and noise beds of the ``count``-sample windows from
+        ``starts``, one row each."""
+        mix = (self._render_tones(listener, starts, count) if count
+               else np.zeros((len(starts), 0)))
+        for bed in self._noise_beds:
+            gain, delay = self._bed_geometry_for(listener, bed)
+            for row, start in zip(mix, starts.tolist()):
+                self._mix_noise(row, bed, start, gain, delay)
+        return mix
+
+    def _render_tones(
+        self, listener: Position, starts: np.ndarray, count: int
+    ) -> np.ndarray:
+        """The mix of every audible (window, tone, echo tap) segment, one
+        row of ``count`` samples per window start.
+
+        Segment geometry is array math over the index columns, in the
+        scalar per-tone loop's IEEE operations with each segment's own
+        window bounds; samples are gathered from the wave bank, scaled
+        by amplitude and then envelope, and summed by ``np.bincount``,
+        which adds each sample's contributions one by one to 0.0 in
+        (window, schedule sequence, tap) order, as the scalar loop does
+        window by window.  Its output is the mix itself: it never holds
+        -0.0, so it equals a zeroed buffer plus the sum.
+        """
+        rate = self.sample_rate
+        blocks = len(starts)
+        window_ends = starts + count / rate
+        geometry, worst = self._geometry_columns(listener)
+        first, last = self._candidate_spans(
+            starts, window_ends, self._max_echo_delay + worst
+        )
+        # The index entries some window can hear, in schedule order;
+        # each window hears those in its own span that start before it
+        # closes.  Row-major, the pairs come in (window, sequence) order.
+        lo = int(first.min())
+        union = self._index[:, lo : int(last.max())]
+        order = union[_SEQ].argsort()
+        union = union.take(order, axis=1)
+        heard = union[_START] < window_ends[:, None]
+        if blocks > 1:
+            order += lo
+            heard &= (order >= first[:, None]) & (order < last[:, None])
+        window, column = heard.nonzero()
+        tones = union.take(column, axis=1)
         if self._obs is not None:
-            self._m_bisected.inc(first + self._count - last)
+            self._m_bisected.inc(int((first + self._count - last).sum()))
             self._m_scanned.inc(tones.shape[1])
-        fault = self._fault_model
-        faulted = fault.faulted_positions() if fault is not None else ()
-        if faulted:
+        if self.faulted:
             # Only a faulted emitter's tones can be muted.
-            ids = [self._position_ids[p] for p in faulted
+            fault = self._fault_model
+            ids = [self._position_ids[p] for p in fault.faulted_positions()
                    if p in self._position_ids]
             rows = np.isin(tones[_POS], ids).nonzero()[0]
             muted = np.zeros(tones.shape[1], dtype=bool)
             muted[rows] = list(map(fault.mutes,
                                    self._records(tones.take(rows, axis=1))))
-            tones = tones[:, ~muted]
+            tones, window = tones[:, ~muted], window[~muted]
         if not tones.shape[1]:
-            return np.zeros(count)
+            return np.zeros((blocks, count))
         positions, wave_ids = tones[_POS : _WAVE + 1].astype(np.intp)
         base = self._wave_base.take(wave_ids)
         delay, loss = geometry.take(positions, axis=1)
         level = tones[_LEVEL] - loss
 
-        # One entry per (tone, tap) segment, in (sequence, tap) order;
-        # the direct path (tap 0) adds no delay and no loss.
+        # One entry per (window, tone, tap) segment, in (window,
+        # sequence, tap) order; the direct path (tap 0) adds no delay
+        # and no loss.
         taps = self._taps.shape[1]
         if taps > 1:
             tones, base = tones.repeat(taps, axis=1), base.repeat(taps)
+            window = window.repeat(taps)
             tap_delay, tap_loss = np.tile(self._taps, len(base) // taps)
             delay = delay.repeat(taps) + tap_delay
             level = level.repeat(taps) - tap_loss
+        window_start = starts.take(window)
         arrival = tones[_START] + delay
-        # Rows: where the segment's overlap with the window opens and
+        # Rows: where the segment's overlap with its window opens and
         # closes, and how far into the tone it opens -- in samples.
         edges = np.empty((3, len(base)))
         np.maximum(arrival, window_start, out=edges[0])
-        np.minimum(arrival + tones[_DURATION], window_end, out=edges[1])
+        np.minimum(arrival + tones[_DURATION], window_ends.take(window),
+                   out=edges[1])
         np.subtract(edges[0], arrival, out=edges[2])
         edges[:2] -= window_start
         edges *= rate
@@ -660,30 +778,29 @@ class AcousticChannel:
         # it closes has hi <= lo, so it has no length either.
         audible = length > 0
         amplitude = np.array(list(map(_tone_amplitude, level[audible].tolist())))
-        # Rows: mix bin, bank position and length of each audible segment.
+        # Rows: bin in the flat (window, sample) mix, bank position and
+        # length of each audible segment.
+        lo += window * count
         np.add(offset, base, out=hi)
         offset[:] = length
         segments = edges.compress(audible, axis=1).astype(np.intp)
         length = segments[2]
 
         # Sample k of segment s sits at flat position heads[s] + k, at
-        # mix bin lo[s] + k and bank position base[s] + offset[s] + k.
+        # bank position base[s] + offset[s] + k and mix bin lo[s] + k.
+        # One index column serves both, in turn.
         heads = length.cumsum()
         heads -= length
-        bins, at = (segments[:2] - heads).repeat(length, axis=1)
-        ramp = self._arange(len(at))
-        bins += ramp
-        at += ramp
-        sine, envelope = self._bank.take(at, axis=1)
+        at = (segments[1] - heads).repeat(length)
+        at += np.arange(len(at))
+        sine = self._bank[0].take(at)
         sine *= amplitude.repeat(length)
-        sine *= envelope
-        return np.bincount(bins, weights=sine, minlength=count)
-
-    def _arange(self, count: int) -> np.ndarray:
-        """``np.arange(count)``, as a view of one growing ramp."""
-        if len(self._ramp) < count:
-            self._ramp = np.arange(2 * count)
-        return self._ramp[:count]
+        sine *= self._bank[1].take(at)
+        bins = at
+        bins += (segments[0] - segments[1]).repeat(length)
+        # With no audible sample at all, bincount answers in integers.
+        mix = np.bincount(bins, weights=sine, minlength=blocks * count)
+        return mix.astype(float, copy=False).reshape(blocks, count)
 
     def _synthesize(self) -> None:
         """Add the whole-tone sine and envelope of every wave type that
@@ -725,7 +842,7 @@ class AcousticChannel:
         count = len(mix)
         if bed.loop:
             start_index = int(round((window_start - bed.start) * self.sample_rate))
-            indices = (start_index + self._arange(count)) % source_len
+            indices = np.arange(start_index, start_index + count) % source_len
             mix += gain * source[indices]
         else:
             start_index = int(

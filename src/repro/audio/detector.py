@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .. import obs
-from .fft import SpectrumAnalyzer, median, spectral_peaks
+from .fft import SpectrumAnalyzer, row_medians, spectral_peak_rows
 from .signal import AudioSignal, amplitude_to_db
 
 #: The paper's empirical separability limit between adjacent tones.
@@ -112,20 +112,17 @@ class FrequencyDetector:
             self._m_events = self._obs.counter("detector.events")
 
     def detect(self, window: AudioSignal, time: float = 0.0) -> list[DetectionEvent]:
-        """Watched frequencies present in one capture window.
+        """Watched frequencies present in one capture window: the
+        one-row call of :meth:`detect_frames`, counted.
 
         Returns at most one event per watched frequency, sorted by
         ascending frequency.
         """
         if len(window) == 0:
             return []
-        if self._obs is None:
-            return self._detect(window, time)
-        wall_start = _time.perf_counter()
-        events = self._detect(window, time)
-        self._m_detect_ms.observe((_time.perf_counter() - wall_start) * 1e3)
-        self._m_windows.inc()
-        self._m_events.inc(len(events))
+        events = self.detect_frames(window.samples, window.sample_rate,
+                                    (time,))[0]
+        self.tally(len(events))
         return events
 
     def detect_stream(
@@ -139,43 +136,86 @@ class FrequencyDetector:
 
         The streaming counterpart of framing ``signal`` yourself and
         calling :meth:`detect` per frame — same events, same order —
-        but all frames are analyzed in one batch: a strided frame
-        matrix feeds one 2-D rfft, and the analysis plan is shared
-        across the whole stream.  Event times are ``start_time`` plus
+        but all frames are analyzed in one batch: the frame-matrix call
+        of :meth:`detect_frames`.  Event times are ``start_time`` plus
         each frame's offset; the trailing partial frame is dropped,
         like :meth:`AudioSignal.frames`.
         """
         times, frames = signal.frame_matrix(frame_duration, hop_duration)
         if len(times) == 0 or frames.shape[1] == 0:
             return []
-        plan = self._analyzer.plan(frames.shape[1], signal.sample_rate)
-        events: list[DetectionEvent] = []
-        for offset, magnitudes in zip(times.tolist(), plan.magnitudes(frames)):
-            events += self._events(plan.frequencies, plan.bin_width,
-                                   magnitudes, start_time + offset)
+        heard = self.detect_frames(
+            frames, signal.sample_rate,
+            [start_time + offset for offset in times.tolist()],
+        )
+        events = [event for window in heard for event in window]
+        self.tally(len(events), len(heard))
         return events
 
-    def _detect(self, window: AudioSignal, time: float) -> list[DetectionEvent]:
-        plan = self._analyzer.plan(len(window), window.sample_rate)
-        return self._events(plan.frequencies, plan.bin_width,
-                            plan.magnitudes(window.samples), time)
+    def detect_frames(self, frames: np.ndarray, sample_rate: int,
+                      times) -> list[list[DetectionEvent]]:
+        """The events of each row of ``frames`` (one capture window per
+        row; a 1-D array is one row), row ``i`` stamped ``times[i]``.
 
-    def _events(self, frequencies: np.ndarray, bin_width: float,
-                magnitudes: np.ndarray, time: float) -> list[DetectionEvent]:
-        """The events of one window's magnitude spectrum: the peaks of
-        :func:`~repro.audio.fft.spectral_peaks` (those of
+        One batched detect: one rfft over the rows, one axis-1
+        partition for the noise floors, one 2-D peak search; only the
+        matching tail runs per peak.  Row ``i`` equals :meth:`detect` of
+        that row alone.  Nothing is counted here: a caller counts the
+        windows it uses with :meth:`tally`.
+        """
+        frames = frames.reshape(-1, frames.shape[-1])
+        if not frames.shape[1]:
+            return [[] for _row in frames]
+        observed = self._obs is not None
+        wall_start = _time.perf_counter() if observed else 0.0
+        plan = self._analyzer.plan(frames.shape[1], sample_rate)
+        heard = self._row_events(plan.frequencies, plan.bin_width,
+                                 plan.magnitudes(frames), times)
+        if observed:
+            self._m_detect_ms.observe_many(np.full(
+                len(heard),
+                (_time.perf_counter() - wall_start) * 1e3 / len(heard),
+            ))
+        return heard
+
+    def tally(self, events: int, windows: int = 1) -> None:
+        """Count ``windows`` detected windows holding ``events`` events
+        in all (a listener that detects windows ahead of use counts
+        each when it uses it)."""
+        if self._obs is not None:
+            self._m_windows.inc(windows)
+            self._m_events.inc(events)
+
+    def _row_events(self, frequencies: np.ndarray, bin_width: float,
+                    magnitudes: np.ndarray,
+                    times) -> list[list[DetectionEvent]]:
+        """The events of each row's magnitude spectrum: the peaks of
+        :func:`~repro.audio.fft.spectral_peak_rows` (those of
         :meth:`SpectrumAnalyzer.find_peaks`, loudest first) less the
-        quiet ones and the sidelobes, matched to the watch list.  This
+        quiet ones and the sidelobes, matched to the watch list.  The
+        floors and peaks are array math over all rows; the matching
         tail is plain Python over the ~20 peaks a window holds, in the
         IEEE operations of the array pipeline it replaced
         (``tests/audio/reference_detect.py``), so the events are equal.
         """
-        if len(magnitudes) < 3:
-            return []
-        floor = max(median(magnitudes), 1e-12)
-        peaks = spectral_peaks(frequencies, bin_width, magnitudes,
-                               floor * 10.0 ** (self.threshold_db / 20.0),
-                               1, len(magnitudes) - 1)
+        rows, size = magnitudes.shape
+        if size < 3:
+            return [[] for _ in times]
+        floors = np.maximum(row_medians(magnitudes), 1e-12)
+        row, frequency, magnitude = spectral_peak_rows(
+            frequencies, bin_width, magnitudes,
+            floors * 10.0 ** (self.threshold_db / 20.0), 1, size - 1,
+        )
+        bounds = row.searchsorted(np.arange(rows + 1)).tolist()
+        frequency, magnitude = frequency.tolist(), magnitude.tolist()
+        return [
+            self._match(zip(frequency[lo:hi], magnitude[lo:hi]), time)
+            for lo, hi, time in zip(bounds, bounds[1:], times)
+        ]
+
+    def _match(self, peaks, time: float) -> list[DetectionEvent]:
+        """The events of one window's ``(frequency, magnitude)`` peaks,
+        loudest first."""
         # Peaks below the level cut are skipped outright: they could
         # only shadow quieter peaks, which the cut drops too.
         kept: list[tuple[float, float]] = []  # (level, frequency), loudest first

@@ -10,7 +10,6 @@ higher layers can validate Music Protocol messages against them.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -95,47 +94,42 @@ class Microphone:
     sample_rate: int = DEFAULT_SAMPLE_RATE
     self_noise_db: float = 15.0
     seed: int = 0
-    #: Memoized unit-variance self-noise per (start sample, length).
-    #: Self-noise is already deterministic per (seed, start), so the
-    #: cache only skips the generator when the same window is
-    #: re-captured (array stations, repeated controller polls) — it
-    #: cannot change what a capture sounds like.
-    _noise_cache: OrderedDict = field(
-        default_factory=OrderedDict, init=False, repr=False, compare=False
-    )
-
-    #: Bound on the per-microphone self-noise memo (windows).
-    NOISE_CACHE_SIZE = 32
 
     def record(
         self, channel: AcousticChannel, start: float, end: float
     ) -> AudioSignal:
-        """Capture the channel mixture over ``[start, end)``.
+        """Capture the channel mixture over ``[start, end)``: the
+        one-window call of :meth:`record_block`."""
+        if end < start:
+            raise ValueError(f"end ({end}) must be >= start ({start})")
+        return AudioSignal(self.record_block(channel, (start,), (end,))[0],
+                           self.sample_rate)
+
+    def record_block(self, channel: AcousticChannel, starts,
+                     ends) -> np.ndarray:
+        """Capture the windows ``[starts[i], ends[i])``, one row each, for
+        the prefix of them that :meth:`AcousticChannel.render_block`
+        renders.
 
         Adds the capsule's own noise floor on top of whatever arrives
-        through the air.  Self-noise is seeded per (seed, start) so
-        repeated captures of the same window are identical but distinct
-        windows are independent.  The clean mixture comes from the
-        channel's vectorized (and window-memoized) render path.
+        through the air.  Self-noise is seeded per (seed, start sample)
+        so repeated captures of the same window are identical but
+        distinct windows are independent.
         """
         if channel.sample_rate != self.sample_rate:
             raise ValueError(
                 f"microphone rate {self.sample_rate} != channel rate "
                 f"{channel.sample_rate}"
             )
-        clean = channel.render_at(self.position, start, end)
-        if len(clean) == 0:
+        clean = channel.render_block(self.position, starts, ends)
+        if not clean.shape[1]:
             return clean
-        key = (int(round(start * self.sample_rate)), len(clean))
-        unit_noise = self._noise_cache.get(key)
-        if unit_noise is None:
-            rng = np.random.default_rng((self.seed, key[0]))
-            unit_noise = rng.standard_normal(len(clean))
-            unit_noise.setflags(write=False)
-            self._noise_cache[key] = unit_noise
-            if len(self._noise_cache) > self.NOISE_CACHE_SIZE:
-                self._noise_cache.popitem(last=False)
-        else:
-            self._noise_cache.move_to_end(key)
-        noise = unit_noise * db_to_amplitude(self.self_noise_db)
-        return AudioSignal(clean.samples + noise, self.sample_rate)
+        captures = np.empty_like(clean)
+        for row, start in zip(captures, np.asarray(
+                starts, dtype=float).reshape(-1).tolist()):
+            np.random.default_rng(
+                (self.seed, round(start * self.sample_rate))
+            ).standard_normal(out=row)
+        captures *= db_to_amplitude(self.self_noise_db)
+        captures += clean
+        return captures

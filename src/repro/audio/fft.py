@@ -14,7 +14,6 @@ import math
 import time
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import itemgetter
 
 import numpy as np
 
@@ -123,21 +122,28 @@ class SpectralPeak:
 
 
 def median(values: np.ndarray) -> float:
-    """``float(np.median(values))`` of a 1-D array, bit for bit, from
-    one ``np.partition``: the middle value, or for an even count the
-    mean of the two middle values, summed and halved as ``np.mean``
-    does; NaN if any value is NaN; 0.0 when ``values`` is empty."""
-    size = len(values)
-    if size == 0:
+    """``float(np.median(values))`` of a 1-D array, bit for bit: the
+    one-row call of :func:`row_medians`; 0.0 when ``values`` is empty."""
+    if len(values) == 0:
         return 0.0
+    return float(row_medians(values.reshape(1, -1))[0])
+
+
+def row_medians(values: np.ndarray) -> np.ndarray:
+    """``np.median`` of each row of a 2-D array with at least one
+    column, bit for bit, from one axis-1 ``np.partition``: the middle
+    value, or for an even count the mean of the two middle values,
+    summed and halved as ``np.mean`` does; NaN where the row holds a
+    NaN."""
+    size = values.shape[1]
     half = size // 2
     if size % 2:
-        part = np.partition(values, (half, size - 1))
-        middle = float(part[half])
+        part = np.partition(values, (half, size - 1), axis=1)
+        middle = part[:, half]
     else:
-        part = np.partition(values, (half - 1, half, size - 1))
-        middle = (float(part[half - 1]) + float(part[half])) / 2
-    return math.nan if math.isnan(part[-1]) else middle
+        part = np.partition(values, (half - 1, half, size - 1), axis=1)
+        middle = (part[:, half - 1] + part[:, half]) / 2
+    return np.where(np.isnan(part[:, -1]), math.nan, middle)
 
 
 @dataclass(frozen=True, eq=False)
@@ -189,31 +195,39 @@ def _analysis_plan(window: str, zero_pad_factor: int, count: int,
     return AnalysisPlan(taper, n_fft, scale, frequencies, bin_width)
 
 
-def spectral_peaks(frequencies: np.ndarray, bin_width: float,
-                   magnitudes: np.ndarray, min_magnitude: float, lo: int,
-                   hi: int) -> list[tuple[float, float]]:
-    """``(frequency, magnitude)`` of each local maximum of at least
-    ``min_magnitude`` among interior bins ``[lo, hi)``, loudest first
-    (ties in ascending frequency): found by array math over the bins,
-    then refined by clamped three-point parabolic interpolation in
-    plain Python over the few peaks."""
-    left, centre, right = (magnitudes[lo + shift : hi + shift]
+def spectral_peak_rows(
+    frequencies: np.ndarray, bin_width: float, magnitudes: np.ndarray,
+    min_magnitudes: np.ndarray, lo: int, hi: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The local maxima of each row of ``magnitudes`` (one spectrum per
+    row) among interior bins ``[lo, hi)`` that reach the row's
+    ``min_magnitudes`` entry, as columns ``(row, frequency, magnitude)``
+    sorted by row and then loudest first (ties in ascending frequency).
+    Frequencies are refined by clamped three-point parabolic
+    interpolation, in the IEEE operations of the scalar formula
+    ``frequency + clamp(0.5 * (below - above) / denominator) *
+    bin_width`` (offset 0 where the denominator is 0)."""
+    left, centre, right = (magnitudes[:, lo + shift : hi + shift]
                            for shift in (-1, 0, 1))
-    index = ((centre > left)
-             & (centre >= np.maximum(right, min_magnitude))).nonzero()[0]
-    peaks = sorted(
-        zip(centre.take(index).tolist(), left.take(index).tolist(),
-            right.take(index).tolist(), frequencies[lo:hi].take(index).tolist()),
-        key=itemgetter(0), reverse=True,
-    )
-    refined = []
-    for magnitude, below, above, frequency in peaks:
-        denominator = below - 2.0 * magnitude + above
-        offset = (0.5 * (below - above) / denominator
-                  if denominator != 0.0 else 0.0)
-        offset = -0.5 if offset < -0.5 else 0.5 if offset > 0.5 else offset
-        refined.append((frequency + offset * bin_width, magnitude))
-    return refined
+    found = ((centre > left) & (
+        centre >= np.maximum(right, min_magnitudes[:, None]))).nonzero()
+    # Flat positions of the peaks, in (row, bin) order.
+    at = found[0] * magnitudes.shape[1] + (found[1] + lo)
+    flat = magnitudes.ravel()
+    peak = flat.take(at)
+    # Stable: equal peaks of a row keep ascending frequency order.
+    order = np.lexsort((-peak, found[0]))
+    at, peak = at.take(order), peak.take(order)
+    below, above = flat.take(at - 1), flat.take(at + 1)
+    offset = np.zeros(len(peak))
+    denominator = below - 2.0 * peak + above
+    np.divide(0.5 * (below - above), denominator, out=offset,
+              where=denominator != 0.0)
+    np.maximum(offset, -0.5, out=offset)
+    np.minimum(offset, 0.5, out=offset)
+    columns = magnitudes.shape[1]
+    return (at // columns, frequencies.take(at % columns) + offset * bin_width,
+            peak)
 
 
 class SpectrumAnalyzer:
@@ -294,10 +308,10 @@ class SpectrumAnalyzer:
         # Interior bins inside [min_frequency, high_limit] (ascending).
         lo = max(int(np.searchsorted(freqs, min_frequency)), 1)
         hi = min(int(np.searchsorted(freqs, high_limit, "right")), len(mags) - 1)
-        peaks = spectral_peaks(freqs, spectrum.bin_width, mags,
-                               floor * 10.0 ** (threshold_db / 20.0),
-                               lo, max(hi, lo))
-        frequencies, magnitudes = np.array(peaks).reshape(-1, 2).T
+        _rows, frequencies, magnitudes = spectral_peak_rows(
+            freqs, spectrum.bin_width, mags.reshape(1, -1),
+            np.array([floor * 10.0 ** (threshold_db / 20.0)]), lo, max(hi, lo),
+        )
         return frequencies, magnitudes, floor
 
     def timed_analyze(self, signal: AudioSignal) -> tuple[Spectrum, float]:

@@ -122,20 +122,6 @@ class MusicAgent:
             MusicProtocolMessage(frequency, duration, intensity_db)
         )
 
-    def play_schedule(
-        self,
-        starts: Sequence[float],
-        frequency: float,
-        duration: float = 0.05,
-        intensity_db: float = 70.0,
-    ) -> None:
-        """Play one tone at each of ``starts`` (ascending sim times):
-        the batch form of calling :meth:`play` at each start."""
-        play_schedules([
-            (self, starts, MusicProtocolMessage(frequency, duration,
-                                                intensity_db)),
-        ])
-
     def _checked_schedule(self, starts, spec) -> np.ndarray:
         """``starts`` as an array, once ``spec`` passes the speaker and
         every row passes the busy rule."""

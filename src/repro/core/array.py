@@ -15,6 +15,8 @@ audible again through their local station.
 
 from __future__ import annotations
 
+import numpy as np
+
 from ..audio.channel import AcousticChannel
 from ..audio.detector import DetectionEvent
 from ..audio.devices import Microphone
@@ -67,18 +69,49 @@ class MicrophoneArray(MDNController):
         #: station-name order.
         self.heard_by: dict[float, list[str]] = {}
 
-    def _hear(self, start: float, end: float) -> list[DetectionEvent]:
-        """Record every station and keep the loudest event per
-        frequency; ties go to the first station name in sorted order."""
-        loudest: dict[float, DetectionEvent] = {}
-        heard_by: dict[float, list[str]] = {}
-        for name in sorted(self.stations):
-            capture = self.stations[name].record(self.channel, start, end)
-            for event in self._detector.detect(capture, start):
-                heard_by.setdefault(event.frequency, []).append(name)
-                best = loudest.get(event.frequency)
-                if best is None or event.level_db > best.level_db:
-                    loudest[event.frequency] = event
-                    self.coverage[event.frequency] = name
-        self.heard_by = heard_by
-        return [loudest[frequency] for frequency in sorted(loudest)]
+    def _hear(self, starts: list[float], ends: list[float]) -> list:
+        """Record every station and keep the loudest event per frequency
+        and window; ties go to the first station name in sorted order.
+        Each window's hearing also says which stations heard each
+        frequency and which won it, for :meth:`_accept`."""
+        names = sorted(self.stations)
+        captures = []
+        for name in names:
+            frames = self.stations[name].record_block(self.channel, starts,
+                                                      ends)
+            # A station nearer the tones may take a shorter block.
+            starts, ends = starts[: len(frames)], ends[: len(frames)]
+            captures.append(frames)
+        windows = len(starts)
+        heard = self._detector.detect_frames(
+            np.concatenate([frames[:windows] for frames in captures]),
+            self.channel.sample_rate, starts * len(names),
+        )
+        hearings = []
+        for window in range(windows):
+            loudest: dict[float, DetectionEvent] = {}
+            heard_by: dict[float, list[str]] = {}
+            winners: dict[float, str] = {}
+            raw = 0
+            for station, name in enumerate(names):
+                events = heard[station * windows + window]
+                raw += len(events)
+                for event in events:
+                    heard_by.setdefault(event.frequency, []).append(name)
+                    best = loudest.get(event.frequency)
+                    if best is None or event.level_db > best.level_db:
+                        loudest[event.frequency] = event
+                        winners[event.frequency] = name
+            hearings.append((
+                [loudest[frequency] for frequency in sorted(loudest)],
+                heard_by, winners, raw,
+            ))
+        return hearings
+
+    def _accept(self, heard) -> list[DetectionEvent]:
+        """Take in one window at its turn: publish who heard and who won
+        each frequency, and count every station's capture."""
+        events, self.heard_by, winners, raw = heard
+        self.coverage.update(winners)
+        self._detector.tally(raw, len(self.stations))
+        return events

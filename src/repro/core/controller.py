@@ -21,8 +21,10 @@ from __future__ import annotations
 import time as _time
 from typing import Callable
 
+import numpy as np
+
 from .. import obs
-from ..audio.channel import AcousticChannel
+from ..audio.channel import BLOCK_SEGMENT_SAMPLES, AcousticChannel
 from ..audio.detector import DetectionEvent, FrequencyDetector
 from ..audio.devices import Microphone
 from ..net.controlplane import ControlChannel, ControllerBase, FlowMod, PacketIn
@@ -55,11 +57,17 @@ class MDNController(ControllerBase):
         drop a tone whose reflections are still audible.  0 disables
         pruning (e.g. when another listener needs deep look-back).
 
-    Each window is heard by :meth:`_hear` (record + detect) and then
-    dispatched by the one listen loop below; listeners with other ears
-    (:class:`~repro.core.array.MicrophoneArray`) override only
-    :meth:`_hear`.  Co-located listeners share the channel's per-window
-    render memo: the air is mixed once per ``(position, window)``.
+    Windows are heard by :meth:`_hear` (record + detect) and each is
+    then taken in by :meth:`_accept` and dispatched by the one listen
+    loop below, at its own sim event; listeners with other ears
+    (:class:`~repro.core.array.MicrophoneArray`) override only those
+    two.  When a listen event fires, the controller hears a block of
+    windows in one pass: this window and the next windows of its timer
+    grid that end before any other event is due (DESIGN.md §5).  The
+    block is stamped with the channel's mutation count, so a window
+    whose air changed before its turn (say, a subscriber played a
+    tone) is heard again; a live deployment, with other events always
+    due, hears blocks of one.
     """
 
     def __init__(
@@ -94,6 +102,10 @@ class MDNController(ControllerBase):
         self._detector: FrequencyDetector | None = None
         self._timer: PeriodicTimer | None = None
         self._previous_window: set[float] = set()
+        # Windows heard ahead of their turn, as (end, heard) pairs with
+        # the next one last, and the channel mutation count they heard.
+        self._ahead: list[tuple[float, object]] = []
+        self._ahead_stamp = -1
         #: Failover history, appended by the graceful-degradation layer
         #: (:class:`repro.core.apps.failover.FailoverManager`): each
         #: entry records this controller handing a device to the
@@ -201,12 +213,49 @@ class MDNController(ControllerBase):
             self._timer.stop()
             self._timer = None
         self._previous_window = set()
+        self._ahead = []
 
-    def _hear(self, start: float, end: float) -> list[DetectionEvent]:
-        """Record ``[start, end)`` and detect: the window's events,
-        sorted by frequency."""
-        window = self.microphone.record(self.channel, start, end)
-        return self._detector.detect(window, start)
+    def _hear(self, starts: list[float], ends: list[float]) -> list:
+        """Record and detect the windows ``[starts[i], ends[i])``: what
+        was heard in each window of the prefix that one capture block
+        takes, for :meth:`_accept`.  Here, each window's events, sorted
+        by frequency."""
+        frames = self.microphone.record_block(self.channel, starts, ends)
+        return self._detector.detect_frames(
+            frames, self.microphone.sample_rate, starts[: len(frames)]
+        )
+
+    def _accept(self, heard) -> list[DetectionEvent]:
+        """Take in one window :meth:`_hear` heard, at its turn: count it
+        and return its events."""
+        self._detector.tally(len(heard))
+        return heard
+
+    def _block(self, start: float, end: float) -> tuple[list[float], list[float]]:
+        """The windows to hear now: ``[start, end)``, then the next
+        windows of the timer grid that end before the earliest other
+        queued event and by the running ``Simulator.run``'s ``until``,
+        up to the next prune and as many as one capture block can
+        take.  Only this controller's callbacks run before they are
+        heard, and the channel's mutation count catches any change they
+        make to the air.  A faulted channel is heard one window at a
+        time: its fault model counts every tone it mutes, so a window
+        heard twice would count twice."""
+        most = BLOCK_SEGMENT_SAMPLES // max(
+            round((end - start) * self.channel.sample_rate), 1)
+        if self.prune_every:
+            most = min(most, self.prune_every
+                       - self.windows_processed % self.prune_every)
+        later, until = self.sim.horizon()
+        fired = self._timer.fire_count
+        following = self._timer.firing_time(fired + 1)
+        if (most < 2 or not following < later or following > until
+                or self.channel.faulted):
+            return [start], [end]
+        ends = self._timer.firing_time(np.arange(fired, fired + most))
+        ends = ends[: max(1, min(int(ends.searchsorted(later)),
+                                 int(ends.searchsorted(until, "right"))))]
+        return (ends - self.listen_interval).tolist(), ends.tolist()
 
     def _listen_once(self) -> None:
         """Hear the window that just elapsed and dispatch events."""
@@ -216,7 +265,14 @@ class MDNController(ControllerBase):
         start = end - self.listen_interval
         with obs.span("controller.window", start=start):
             assert self._detector is not None
-            events = self._hear(start, end)
+            ahead = self._ahead
+            if not (ahead and ahead[-1][0] == end
+                    and self._ahead_stamp == self.channel.mutations):
+                self._ahead_stamp = self.channel.mutations
+                starts, ends = self._block(start, end)
+                ahead[:] = zip(ends, self._hear(starts, ends))
+                ahead.reverse()
+            events = self._accept(ahead.pop()[1])
             self._m_windows.inc()
             self._m_detections.inc(len(events))
             present = {event.frequency for event in events}

@@ -63,6 +63,8 @@ class Simulator:
         self.now = 0.0
         self._heap: list[list] = []
         self._sequence = itertools.count()
+        # The ``until`` of the dispatch loop that is running.
+        self._until = -math.inf
         self._events = obs.counter("sim.events_processed")
         self._obs = obs.get_registry()
         if self._obs is not None:
@@ -149,6 +151,16 @@ class Simulator:
             self._dispatch(until, math.inf)
             self.now = until
 
+    def horizon(self) -> tuple[float, float]:
+        """``(next, until)`` for the event being dispatched: the time of
+        the earliest queued entry (``inf`` when none is queued) and the
+        ``until`` of the running :meth:`run` (``inf`` under
+        :meth:`run_to_completion`).  Before ``next``, and no later than
+        ``until``, nothing runs but what the running callback schedules,
+        so a callback may work ahead on the times up to then."""
+        heap = self._heap
+        return (heap[0][0] if heap else math.inf), self._until
+
     def run_to_completion(self, max_events: int = 1_000_000) -> None:
         """Drain the event heap entirely (bounded by ``max_events``)."""
         self._dispatch(math.inf, max_events)
@@ -164,6 +176,7 @@ class Simulator:
         heap = self._heap
         observed = self._obs is not None
         count = 0
+        outer, self._until = self._until, until
         try:
             while count < budget and heap and heap[0][0] <= until:
                 time, _sequence, callback, args = heappop(heap)
@@ -177,6 +190,7 @@ class Simulator:
                     callback(*args)
         finally:
             self._events.value += count
+            self._until = outer
 
     def _dispatch_observed(self, callback: Callable[..., None],
                            args: tuple) -> None:
@@ -232,6 +246,12 @@ class PeriodicTimer:
         self._origin: float | None = None
         self.fire_count = 0
 
+    def firing_time(self, n):
+        """When firing ``n`` (1-based; an int, or an integer array for
+        several) lands: ``origin + (n - 1) * interval``, the time the
+        timer arms it for."""
+        return self._origin + (n - 1) * self.interval
+
     def _arm(self, time: float) -> None:
         if self._origin is None:
             self._origin = time
@@ -244,7 +264,7 @@ class PeriodicTimer:
         self._callback(*self._args)
         if not self._stopped:
             assert self._origin is not None
-            self._arm(self._origin + self.fire_count * self.interval)
+            self._arm(self.firing_time(self.fire_count + 1))
 
     def stop(self) -> None:
         """Cancel all future firings."""

@@ -147,18 +147,21 @@ class TestPartitionMedian:
 
 
 def test_every_window_of_a_dense_room_matches_reference(monkeypatch):
-    """Each listening window of a 50-switch, 3 s room: ``detect`` and
-    the reference give equal events, window by window."""
-    detect = FrequencyDetector.detect
+    """Each listening window of a 50-switch, 3 s room: the batched
+    detect and the reference give equal events, window by window."""
+    detect_frames = FrequencyDetector.detect_frames
     windows = []
 
-    def checked_detect(self, window, time=0.0):
-        events = detect(self, window, time)
-        assert events == reference_detect(self, window, time)
-        windows.append(len(events))
-        return events
+    def checked_detect_frames(self, frames, sample_rate, times):
+        rows = detect_frames(self, frames, sample_rate, times)
+        for row, time, events in zip(frames, times, rows):
+            assert events == reference_detect(
+                self, AudioSignal(row, sample_rate), time)
+            windows.append(len(events))
+        return rows
 
-    monkeypatch.setattr(FrequencyDetector, "detect", checked_detect)
+    monkeypatch.setattr(FrequencyDetector, "detect_frames",
+                        checked_detect_frames)
     run_room(RoomSpec(room_id=0, num_switches=50, horizon=3.0))
     assert len(windows) >= 80
     assert sum(windows) > 0

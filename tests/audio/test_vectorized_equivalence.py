@@ -108,7 +108,7 @@ def reference_match(detector, measured):
 
 
 def reference_events_from_spectrum(detector, spectrum, time):
-    """The scalar form of ``FrequencyDetector._events``."""
+    """The scalar form of ``FrequencyDetector._row_events`` on one row."""
     peaks = reference_find_peaks(spectrum, detector.threshold_db)
     peaks = reference_reject_sidelobes(peaks)
     events = {}
@@ -204,8 +204,9 @@ class TestDetectStreamEquivalence:
 
 def detector_events(detector, spectrum, time):
     """``FrequencyDetector``'s own events for a ready-made spectrum."""
-    return detector._events(spectrum.frequencies, spectrum.bin_width,
-                            spectrum.magnitudes, time)
+    return detector._row_events(spectrum.frequencies, spectrum.bin_width,
+                                spectrum.magnitudes.reshape(1, -1),
+                                (time,))[0]
 
 
 #: ``1.0`` just below: as a peak's left neighbour, with centre and right

@@ -81,15 +81,19 @@ class TestBusyPolicy:
             MusicAgent(sim, AcousticChannel(), Speaker(), busy_policy="mix")
 
 
+#: The tone most schedules below play.
+TONE = MusicProtocolMessage(1000, 0.05, 70)
+
+
 class TestSchedules:
     def test_schedule_plays_like_per_tone_calls(self, agent):
         sim, channel, music_agent = agent
-        music_agent.play_schedule([0.1, 0.3, 0.5], 1000, 0.05, 70)
+        play_schedules([(music_agent, [0.1, 0.3, 0.5], TONE)])
         assert music_agent.played.total == 3
         assert [t.start_time for t in channel.scheduled_tones] == \
             [0.1, 0.3, 0.5]
         assert {t.spec for t in channel.scheduled_tones} == \
-            {MusicProtocolMessage(1000, 0.05, 70).to_tone_spec()}
+            {TONE.to_tone_spec()}
         # The batch left nothing on the sim heap.
         assert sim.pending_events() == 0
 
@@ -97,30 +101,31 @@ class TestSchedules:
         sim, channel, music_agent = agent
         for starts in ([0.1, 0.12], [0.3, 0.1], [0.1, 0.1]):
             with pytest.raises(ValueError, match="free"):
-                music_agent.play_schedule(starts, 1000, 0.05, 70)
+                play_schedules([(music_agent, starts, TONE)])
         sim.run(1.0)
         with pytest.raises(ValueError, match="free"):
-            music_agent.play_schedule([0.5], 1000, 0.05, 70)  # in the past
+            play_schedules([(music_agent, [0.5], TONE)])  # in the past
         music_agent.play(1000, 0.2, 70)
         with pytest.raises(ValueError, match="free"):
-            music_agent.play_schedule([1.1], 1000, 0.05, 70)  # busy
+            play_schedules([(music_agent, [1.1], TONE)])  # busy
         assert len(channel.scheduled_tones) == 1
         assert music_agent.played.total == 1
 
     def test_back_to_back_rows_are_accepted(self, agent):
         _sim, channel, music_agent = agent
-        music_agent.play_schedule([0.0, 0.05, 0.1], 1000, 0.05, 70)
+        play_schedules([(music_agent, [0.0, 0.05, 0.1], TONE)])
         assert len(channel.scheduled_tones) == 3
 
     def test_speaker_envelope_enforced_once(self, agent):
         _sim, channel, music_agent = agent
         with pytest.raises(DeviceCapabilityError):
-            music_agent.play_schedule([0.1, 0.5], 1000, 0.001, 70)
+            play_schedules([(music_agent, [0.1, 0.5],
+                             MusicProtocolMessage(1000, 0.001, 70))])
         assert len(channel.scheduled_tones) == 0
 
     def test_a_schedule_reserves_the_speaker(self, agent):
         sim, _channel, music_agent = agent
-        music_agent.play_schedule([0.5, 1.0], 1000, 0.05, 70)
+        play_schedules([(music_agent, [0.5, 1.0], TONE)])
         assert music_agent.is_busy
         with pytest.raises(RuntimeError, match="reserved"):
             music_agent.play(2000, 0.05, 70)

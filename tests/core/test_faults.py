@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.audio import (
-    AcousticChannel, AudioSignal, Microphone, Position, Speaker,
+    AcousticChannel, Microphone, Position, Speaker,
 )
 from repro.audio.synth import ToneSpec
 from repro.core import MicrophoneArray, MusicAgent, PiBridge
@@ -163,11 +163,11 @@ class TestRandomDropouts:
 
 
 class DeadMicrophone(Microphone):
-    """A dead capsule: every capture is silence."""
+    """A dead capsule: every capture is silence (``record`` is the
+    one-window call of ``record_block``)."""
 
-    def record(self, channel, start, end):
-        capture = super().record(channel, start, end)
-        return AudioSignal(np.zeros_like(capture.samples), capture.sample_rate)
+    def record_block(self, channel, starts, ends):
+        return np.zeros_like(super().record_block(channel, starts, ends))
 
 
 class TestArrayWithDeadMics:

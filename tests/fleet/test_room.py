@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.audio import AcousticChannel, FrequencyDetector
+from repro.audio import AcousticChannel, AudioSignal, FrequencyDetector
 from repro.fleet import RoomSpec, run_room
 from repro.fleet import room as room_module
 from repro.fleet.room import _attribute_onsets, _peak_tones_per_window
@@ -151,28 +151,39 @@ def test_report_is_picklable(report):
 
 
 def test_listen_path_matches_the_reference_loops(monkeypatch):
-    """A dense room on the columnar render and plan detect path, then
+    """A dense room on the block render and batched detect path, then
     again with the reference render loop and array detect pipeline
-    patched in: every window's events, and so the identity signature,
-    must be equal."""
+    patched in, one window per block: every window's events, and so the
+    identity signature, must be equal."""
     spec = RoomSpec(room_id=0, num_switches=50, horizon=3.0)
     heard = []
 
-    def recording(detect):
-        def recording_detect(self, window, time=0.0):
-            events = detect(self, window, time)
-            heard.append(events)
-            return events
-        return recording_detect
+    def recording(detect_frames):
+        def recording_detect_frames(self, frames, sample_rate, times):
+            rows = detect_frames(self, frames, sample_rate, times)
+            heard.extend(rows)
+            return rows
+        return recording_detect_frames
 
-    monkeypatch.setattr(FrequencyDetector, "detect",
-                        recording(FrequencyDetector.detect))
+    def reference_detect_frames(self, frames, sample_rate, times):
+        return [reference_detect(self, AudioSignal(row, sample_rate), time)
+                for row, time in zip(frames.reshape(-1, frames.shape[-1]),
+                                     times)]
+
+    def reference_render_block(self, listener, starts, ends):
+        return render_reference(self, listener, starts[0],
+                                ends[0]).samples.reshape(1, -1)
+
+    monkeypatch.setattr(FrequencyDetector, "detect_frames",
+                        recording(FrequencyDetector.detect_frames))
     fast = run_room(spec)
     fast_events, heard[:] = list(heard), []
-    monkeypatch.setattr(AcousticChannel, "render_at", render_reference)
-    monkeypatch.setattr(FrequencyDetector, "detect",
-                        recording(reference_detect))
+    monkeypatch.setattr(AcousticChannel, "render_block",
+                        reference_render_block)
+    monkeypatch.setattr(FrequencyDetector, "detect_frames",
+                        recording(reference_detect_frames))
     reference = run_room(spec)
+    assert len(fast_events) == fast.windows
     assert sum(map(len, fast_events)) > 0
     assert heard == fast_events
     assert reference.identity_signature() == fast.identity_signature()
