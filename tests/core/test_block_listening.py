@@ -6,12 +6,14 @@ next windows hears those windows in one block (one render, one batched
 detect).  Each window is still dispatched at its own sim event, and a
 window whose air changed before its turn is heard again.  Random rooms
 (echo taps, speaker dropouts, a run split across several
-``Simulator.run`` calls with tones scheduled between them, and a
-subscriber that plays a tone on onset) run twice: once as they are,
+``Simulator.run`` calls with tones scheduled between them, a subscriber
+that plays a tone on onset, one microphone or a two-station array) run
+twice: once as they are,
 once with a no-op timer on the listen grid, which puts another event
 one window ahead of every listen event so that each window is heard
 alone.  Both runs must give equal onsets, detections, controller and
-detector counters, and fault-model mute counts.
+detector counters, fault-model mute counts and, for an array, the
+station that won and the stations that heard each onset.
 """
 
 import numpy as np
@@ -26,7 +28,7 @@ from repro.audio import (
     Position,
     ToneSpec,
 )
-from repro.core import MDNController
+from repro.core import MDNController, MicrophoneArray
 from repro.faults import AcousticFaults
 from repro.net.sim import Simulator
 
@@ -53,6 +55,7 @@ def rooms(draw):
         "interval": draw(st.sampled_from([0.05, 1.0 / 30.0, 0.1])),
         "prune_every": draw(st.sampled_from([0, 7, 25])),
         "reply": draw(st.booleans()),
+        "array": draw(st.booleans()),
         "splits": draw(st.lists(st.floats(0.1, 2.4), max_size=3)),
     }
 
@@ -84,15 +87,24 @@ def run_room(room, alone):
         faults = AcousticFaults(sim, channel, seed=room["seed"])
         for emitter, start, length in room["dropouts"]:
             faults.drop_speaker(positions[emitter], start, start + length)
-        controller = MDNController(
-            sim, channel, Microphone(Position(), seed=room["seed"]),
-            listen_interval=room["interval"],
-            prune_every=room["prune_every"], prune_margin=0.0,
-        )
+        timing = {"listen_interval": room["interval"],
+                  "prune_every": room["prune_every"], "prune_margin": 0.0}
+        if room["array"]:
+            controller = MicrophoneArray(sim, channel, {
+                "near": Microphone(Position(), seed=room["seed"]),
+                "far": Microphone(Position(3.0, 1.0, 0.0), seed=1),
+            }, **timing)
+        else:
+            controller = MDNController(
+                sim, channel, Microphone(Position(), seed=room["seed"]),
+                **timing)
         onsets, detections = [], []
 
         def on_onset(event):
             onsets.append((event.frequency, event.time))
+            if room["array"]:
+                onsets.append((controller.coverage[event.frequency],
+                               controller.heard_by[event.frequency]))
             if room["reply"] and event.frequency != REPLY:
                 channel.play_tone(sim.now, ToneSpec(REPLY, 0.05, 70.0),
                                   positions[0])
