@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import time as _time
 from bisect import bisect_left
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -47,9 +47,13 @@ SIDELOBE_REJECTION_DB = 15.0
 SIDELOBE_RADIUS_HZ = 120.0
 
 
-@dataclass(frozen=True)
-class DetectionEvent:
+class DetectionEvent(NamedTuple):
     """One watched frequency heard in one capture window.
+
+    An immutable record compared and hashed by value.  It is a named
+    tuple, not a dataclass, because listen windows and the telemetry
+    bus build one per heard tone: a tuple costs about a third of a
+    frozen dataclass to build.
 
     Attributes
     ----------
