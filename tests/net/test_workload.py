@@ -43,7 +43,7 @@ from repro.net.flowpop import (
     LABEL_SCAN,
     VARY_DST_PORT,
 )
-from repro.net.workload import DEFAULT_SCAN_PORTS
+from repro.net.workload import DEFAULT_SCAN_PORTS, _columns
 
 SEED = 16
 
@@ -427,6 +427,30 @@ class TestWindowedDepartures:
             assert_departures_match_reference(population, float(start),
                                               float(start) + 0.25)
         assert_departures_match_reference(population, 0.0, 4.0)
+
+    def test_equal_times_order_by_flow_then_ordinal(self):
+        """Flows that depart at the same instants come out in flow
+        order, then ordinal order, however the sort breaks ties."""
+        n = 300
+        columns = _columns(n)
+        columns["rates"] = np.full(n, 8.0)
+        columns["phases"] = np.where(np.arange(n) % 3 == 0, 0.0, 0.0625)
+        population = FlowPopulation(**columns)
+        times, flow_idx, _ks = population.departures_between(0.0, 1.0)
+        assert (np.diff(times) == 0).sum() > n
+        for t0, t1 in [(0.0, 1.0), (1.0, 2.0), (0.5, 3.0)]:
+            assert_departures_match_reference(population, t0, t1)
+
+    def test_expands_only_departing_candidates(self):
+        """Without duty cycles or thinning, every candidate expanded
+        departs: each due flow's run ends exactly at the window edge."""
+        population = build_workload("scan-churn", num_flows=2_000,
+                                    seed=SEED, duration=4.0).build()
+        departures = sum(
+            len(population.departures_between(start, start + 0.25)[0])
+            for start in np.arange(0.0, 4.0, 0.25).tolist())
+        assert departures > 0
+        assert population.candidates_expanded == departures
 
 
 class TestSinks:
