@@ -621,6 +621,7 @@ def test_perf_departures_between():
     total = sum(len(population.departures_between(t0, t1)[0])
                 for t0, t1 in windows)
     assert total == 365_490
+    candidates_per_departure = population.candidates_expanded / total
     per_window_s = []
     for _ in range(3):
         for t0, t1 in windows:
@@ -640,10 +641,96 @@ def test_perf_departures_between():
         "reseek_p50_us": reseek_p50_us,
         "windows": len(per_window_s),
         "departures": total,
+        "candidates_per_departure": candidates_per_departure,
     })
     print(f"\nFlowPopulation.departures_between 100k flows/0.25 s: "
           f"p50 {p50_us:.1f} us, p90 {p90_us:.1f} us, re-seek p50 "
-          f"{reseek_p50_us:.1f} us, {total} departures")
+          f"{reseek_p50_us:.1f} us, {total} departures, "
+          f"{candidates_per_departure:.3f} candidates expanded each")
+
+
+@pytest.mark.perf
+def test_perf_presence_dispatch():
+    """Per-presence cost from departure batches to the detector apps on
+    the ``telemetry-flows`` bench population (``scan-churn``, 10^5
+    flows, seed 11, 20 s in 80 batches of 0.25 s): both presence taps
+    over every batch, then one ``ToneEventBus.dispatch`` into the real
+    heavy-hitter and port-scan apps.  The per-presence reference loop
+    (``tests/core/reference_bus.py``) dispatches the same presences in
+    alternating rounds.  Record only; pins the bench's
+    ``telemetry.events`` and equal alerts on both sides."""
+    from repro.core.apps import (
+        FlowToneMapper,
+        HeavyHitterDetectorApp,
+        PortScanDetectorApp,
+        PortToneMapper,
+    )
+    from repro.core.frequency_plan import Allocation
+    from repro.core.telemetry import ToneEventBus
+    from repro.experiments.xext16 import NUM_BUCKETS, PRESENCE_PERIOD
+    from repro.net import BucketPresenceTap, PortPresenceTap, build_workload
+    from repro.net.workload import DEFAULT_SCAN_PORTS
+    from tests.core.reference_bus import ReferenceToneEventBus
+
+    population = build_workload("scan-churn", num_flows=100_000, seed=11,
+                                duration=20.0).build()
+    batches = [population.departures_between(index * 0.25,
+                                             (index + 1) * 0.25)
+               for index in range(80)]
+    buckets = Allocation("micro-hh", tuple(
+        1_000.0 + 20.0 * i for i in range(NUM_BUCKETS)))
+    ports = Allocation("micro-scan", tuple(
+        1_000.0 + 20.0 * (NUM_BUCKETS + i)
+        for i in range(len(DEFAULT_SCAN_PORTS))))
+
+    def run(bus_class):
+        bus = bus_class(window=PRESENCE_PERIOD)
+        heavy = HeavyHitterDetectorApp(bus, FlowToneMapper(buckets))
+        scan = PortScanDetectorApp(bus,
+                                   PortToneMapper(ports, DEFAULT_SCAN_PORTS))
+        taps = [BucketPresenceTap(list(buckets.frequencies), PRESENCE_PERIOD),
+                PortPresenceTap(DEFAULT_SCAN_PORTS, list(ports.frequencies),
+                                PRESENCE_PERIOD)]
+        start = time.perf_counter()
+        for times, flow_idx, ks in batches:
+            for tap in taps:
+                tap.observe(times, flow_idx, ks, population, bus)
+        tapped = time.perf_counter()
+        presences = bus.dispatch()
+        done = time.perf_counter()
+        return (tapped - start, done - tapped, presences,
+                (heavy.alerts, scan.alerts))
+
+    tap_s, dispatch_s, reference_s = [], [], []
+    for round_index in range(6):
+        sides = (ToneEventBus, ReferenceToneEventBus)
+        results = {}
+        for bus_class in sides if round_index % 2 == 0 else sides[::-1]:
+            results[bus_class] = run(bus_class)
+        columnar, reference = results[ToneEventBus], \
+            results[ReferenceToneEventBus]
+        assert columnar[2:] == reference[2:]
+        tap_s.append(columnar[0])
+        dispatch_s.append(columnar[1])
+        reference_s.append(reference[1])
+    presences = columnar[2]
+    assert presences == 52_268
+    per_presence = {
+        name: float(np.median(values)) / presences * 1e6
+        for name, values in (("tap_us", tap_s), ("dispatch_us", dispatch_s),
+                             ("reference_dispatch_us", reference_s))
+    }
+    _record_perf("presence_dispatch_100k_flows", {
+        **per_presence,
+        "us_per_presence": per_presence["tap_us"]
+        + per_presence["dispatch_us"],
+        "presences": presences,
+    })
+    print(f"\ntelemetry presence path 100k flows: taps "
+          f"{per_presence['tap_us']:.2f} us + dispatch "
+          f"{per_presence['dispatch_us']:.2f} us per presence "
+          f"(reference dispatch {per_presence['reference_dispatch_us']:.2f} "
+          f"us), {presences} presences")
 
 
 @pytest.mark.perf
