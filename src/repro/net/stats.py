@@ -3,13 +3,26 @@
 Every figure in the paper is a series over time (bytes sent/received,
 queue length, spectrogram frames).  :class:`TimeSeries` is the shared
 recorder; :class:`Counter` wraps monotonically growing totals with a
-sampling helper.
+sampling helper; :func:`distinct_sorted` dedupes packed integer keys.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+
+import numpy as np
+
+
+def distinct_sorted(packed: np.ndarray) -> np.ndarray:
+    """The distinct values of a non-empty integer array, ascending.
+
+    One sort and an adjacent-difference mask: ``np.unique`` (numpy 2.4)
+    hashes integer input before sorting and costs several times more
+    on the packed (slot, key) pairs the presence paths dedupe.
+    """
+    packed = np.sort(packed)
+    return packed[np.insert(packed[1:] != packed[:-1], 0, True)]
 
 
 @dataclass
