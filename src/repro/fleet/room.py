@@ -28,6 +28,7 @@ from ..core import FrequencyPlan, MDNController, MusicProtocolMessage
 from ..core.agent import MusicAgent, play_schedules
 from ..faults import seeded_rng
 from ..net.sim import Simulator
+from ..net.stats import distinct_sorted
 from ..obs import MetricsRegistry
 from .specs import RoomSpec
 
@@ -242,6 +243,5 @@ def _peak_tones_per_window(onsets, spec: RoomSpec) -> float:
         return 0.0
     window = np.rint(heard_at / spec.listen_interval).astype(np.int64)
     tones, tone = np.unique(frequency, return_inverse=True)
-    pairs = np.unique(window * len(tones) + tone)
-    _windows, distinct = np.unique(pairs // len(tones), return_counts=True)
-    return float(distinct.max())
+    pairs = distinct_sorted(window * len(tones) + tone)
+    return float(np.bincount(pairs // len(tones)).max())
