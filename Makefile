@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test golden bench bench-micro bench-fleet bench-workload bench-chaos obs examples figures render-all clean
+.PHONY: install test golden bench bench-micro bench-fleet bench-workload bench-chaos obs examples figures render-all census clean
 
 install:
 	$(PYTHON) -m pip install -e . || $(PYTHON) setup.py develop
@@ -80,6 +80,13 @@ render-all:
 	@for scene in knock chirps fan song; do \
 		PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} $(PYTHON) -m repro render $$scene renders/$$scene.wav; \
 	done
+
+# Call census: runs every scenario CI or this Makefile runs (plus
+# full-size xext16 and one bench/run.py set) under a profile hook and
+# lists each src/repro function no process called.  A report, not a
+# gate (see tests/tools/census.py).
+census:
+	$(PYTHON) tests/tools/census.py
 
 clean:
 	rm -rf renders .pytest_cache .benchmarks
