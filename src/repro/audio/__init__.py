@@ -21,7 +21,6 @@ from .detector import (
 )
 from .devices import DeviceCapabilityError, Microphone, Speaker
 from .fft import (
-    SpectralPeak,
     Spectrum,
     SpectrumAnalyzer,
     hann_taper,
@@ -65,12 +64,9 @@ from .synth import (
     DEFAULT_RAMP,
     MAX_SIGNALLING_RAMP,
     ToneSpec,
-    chirp,
-    harmonic_tone,
     raised_cosine_envelope,
     signalling_ramp,
     sine_tone,
-    tone_sequence,
 )
 
 __all__ = [
@@ -96,21 +92,18 @@ __all__ = [
     "ScheduledTone",
     "SongNoise",
     "Speaker",
-    "SpectralPeak",
     "Spectrum",
     "SpectrumAnalyzer",
     "ToneSpec",
     "amplitude_to_db",
     "band_noise",
     "brown_noise",
-    "chirp",
     "datacenter_ambience",
     "db_to_amplitude",
     "default_modem_config",
     "dominant_mel_track",
     "goertzel_magnitude",
     "hann_taper",
-    "harmonic_tone",
     "hvac_hum",
     "hz_to_mel",
     "mel_filterbank",
@@ -124,7 +117,6 @@ __all__ = [
     "read_wav",
     "signalling_ramp",
     "sine_tone",
-    "tone_sequence",
     "white_noise",
     "write_wav",
 ]

@@ -86,9 +86,9 @@ MIN_DISTANCE = 0.1
 #: still crossing the room cannot be dropped mid-capture.
 PRUNE_PROPAGATION_ALLOWANCE = 50.0 / SPEED_OF_SOUND
 
-#: Window render memo capacity (windows).  128 comfortably covers a
-#: microphone array's stations re-polling one shared window plus the
-#: look-back of a few co-located listeners.
+#: Window render memo capacity (windows).  The memo stays only until
+#: the next benchmark change: the benchmark's per-layer trace reads
+#: ``render_cache_hits`` (ROADMAP item 3 removes both).
 WINDOW_CACHE_SIZE = 128
 
 #: Cap on the samples of one :meth:`AcousticChannel.render_block`: its

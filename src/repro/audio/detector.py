@@ -194,9 +194,10 @@ class FrequencyDetector:
                     magnitudes: np.ndarray,
                     times) -> list[list[DetectionEvent]]:
         """The events of each row's magnitude spectrum: the peaks of
-        :func:`~repro.audio.fft.spectral_peak_rows` (those of
-        :meth:`SpectrumAnalyzer.find_peaks`, loudest first) less the
-        quiet ones and the sidelobes, matched to the watch list.  The
+        :func:`~repro.audio.fft.spectral_peak_rows` standing
+        ``threshold_db`` above the row's noise floor, loudest first,
+        less the quiet ones and the sidelobes, matched to the watch
+        list.  The
         floors and peaks are array math over all rows; the matching
         tail is plain Python over the ~20 peaks a window holds, in the
         IEEE operations of the array pipeline it replaced

@@ -98,29 +98,6 @@ class Spectrum:
         return amplitude_to_db(floor) if floor > 0 else SILENCE_DB
 
 
-@dataclass(frozen=True)
-class SpectralPeak:
-    """A detected spectral peak.
-
-    Attributes
-    ----------
-    frequency:
-        Interpolated peak frequency, Hz.
-    magnitude:
-        Linear magnitude at the peak.
-    prominence_db:
-        Height of the peak above the spectrum's noise floor, dB.
-    """
-
-    frequency: float
-    magnitude: float
-    prominence_db: float
-
-    @property
-    def level_db(self) -> float:
-        return amplitude_to_db(self.magnitude)
-
-
 def median(values: np.ndarray) -> float:
     """``float(np.median(values))`` of a 1-D array, bit for bit: the
     one-row call of :func:`row_medians`; 0.0 when ``values`` is empty."""
@@ -231,7 +208,7 @@ def spectral_peak_rows(
 
 
 class SpectrumAnalyzer:
-    """Windowed-FFT analyzer with Hann weighting and peak picking.
+    """Windowed-FFT analyzer with Hann weighting.
 
     Parameters
     ----------
@@ -268,51 +245,6 @@ class SpectrumAnalyzer:
         of frame ``t``."""
         return _analysis_plan(self.window, self.zero_pad_factor, count,
                               sample_rate)
-
-    def find_peaks(
-        self,
-        spectrum: Spectrum,
-        threshold_db: float = 10.0,
-        min_frequency: float = 0.0,
-        max_frequency: float | None = None,
-        max_peaks: int | None = None,
-    ) -> list[SpectralPeak]:
-        """Locate tonal peaks standing ``threshold_db`` above the noise floor.
-
-        Peaks are local maxima refined with three-point parabolic
-        interpolation, returned sorted by descending magnitude.
-        """
-        frequencies, magnitudes, floor = self.peak_arrays(
-            spectrum, threshold_db, min_frequency, max_frequency
-        )
-        prominences = 20.0 * np.log10(magnitudes / floor)
-        peaks = zip(frequencies.tolist(), magnitudes.tolist(), prominences.tolist())
-        return [SpectralPeak(*peak) for peak in peaks][:max_peaks]
-
-    def peak_arrays(
-        self,
-        spectrum: Spectrum,
-        threshold_db: float = 10.0,
-        min_frequency: float = 0.0,
-        max_frequency: float | None = None,
-    ) -> tuple[np.ndarray, np.ndarray, float]:
-        """:meth:`find_peaks` as parallel arrays ``(frequencies,
-        magnitudes)`` in the same order, plus the noise floor.  The sort
-        is stable: equal magnitudes keep ascending frequency order."""
-        mags = spectrum.magnitudes
-        freqs = spectrum.frequencies
-        floor = max(spectrum.noise_floor(), 1e-12)
-        if len(mags) < 3:
-            return np.zeros(0), np.zeros(0), floor
-        high_limit = max_frequency if max_frequency is not None else freqs[-1]
-        # Interior bins inside [min_frequency, high_limit] (ascending).
-        lo = max(int(np.searchsorted(freqs, min_frequency)), 1)
-        hi = min(int(np.searchsorted(freqs, high_limit, "right")), len(mags) - 1)
-        _rows, frequencies, magnitudes = spectral_peak_rows(
-            freqs, spectrum.bin_width, mags.reshape(1, -1),
-            np.array([floor * 10.0 ** (threshold_db / 20.0)]), lo, max(hi, lo),
-        )
-        return frequencies, magnitudes, floor
 
     def timed_analyze(self, signal: AudioSignal) -> tuple[Spectrum, float]:
         """Analyze a window and report elapsed wall-clock seconds.

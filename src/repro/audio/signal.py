@@ -148,17 +148,6 @@ class AudioSignal:
         """Reduce the level by ``loss_db`` decibels."""
         return self.scale(10.0 ** (-loss_db / 20.0))
 
-    def concat(self, other: "AudioSignal") -> "AudioSignal":
-        """Append another signal after this one."""
-        if other.sample_rate != self.sample_rate:
-            raise ValueError(
-                f"cannot concat signals with sample rates "
-                f"{self.sample_rate} and {other.sample_rate}"
-            )
-        return AudioSignal(
-            np.concatenate([self.samples, other.samples]), self.sample_rate
-        )
-
     def slice_time(self, start: float, end: float) -> "AudioSignal":
         """Extract the sub-signal between ``start`` and ``end`` seconds.
 
@@ -173,48 +162,17 @@ class AudioSignal:
             return AudioSignal(np.zeros(0), self.sample_rate)
         return AudioSignal(self.samples[lo:hi], self.sample_rate)
 
-    def frames(self, frame_duration: float, hop_duration: float | None = None):
-        """Iterate over successive analysis frames.
-
-        Parameters
-        ----------
-        frame_duration:
-            Frame length in seconds.
-        hop_duration:
-            Stride between frame starts; defaults to ``frame_duration``
-            (non-overlapping frames).
-
-        Yields
-        ------
-        tuple[float, AudioSignal]
-            ``(start_time, frame)`` pairs.  The trailing partial frame
-            is dropped, matching fixed-size capture buffers.
-        """
-        if frame_duration <= 0:
-            raise ValueError("frame_duration must be positive")
-        hop = frame_duration if hop_duration is None else hop_duration
-        if hop <= 0:
-            raise ValueError("hop_duration must be positive")
-        frame_len = int(round(frame_duration * self.sample_rate))
-        hop_len = int(round(hop * self.sample_rate))
-        start = 0
-        while start + frame_len <= len(self.samples):
-            yield (
-                start / self.sample_rate,
-                AudioSignal(self.samples[start : start + frame_len], self.sample_rate),
-            )
-            start += hop_len
-
     def frame_matrix(
         self, frame_duration: float, hop_duration: float | None = None
     ) -> tuple[np.ndarray, np.ndarray]:
         """All analysis frames at once, as a strided matrix.
 
-        The vectorized counterpart of :meth:`frames`: the same frame
-        boundaries (trailing partial frame dropped), but returned as a
-        zero-copy ``(T, N)`` view built with ``sliding_window_view`` so
-        batch analysis (one 2-D FFT) can process every frame without a
-        Python loop.
+        Frames are ``frame_duration`` long and start every
+        ``hop_duration`` (default: ``frame_duration``, non-overlapping);
+        the trailing partial frame is dropped, matching fixed-size
+        capture buffers.  They come as a zero-copy ``(T, N)`` view built
+        with ``sliding_window_view``, so batch analysis (one 2-D FFT)
+        can process every frame without a Python loop.
 
         Returns
         -------
@@ -239,6 +197,6 @@ class AudioSignal:
             self.samples, frame_len
         )[::hop_len]
         # (i * hop_len) / rate, not i * (hop_len / rate): bit-identical
-        # to the start times :meth:`frames` yields.
+        # to the start times a frame-by-frame loop computes.
         times = (np.arange(len(frames)) * hop_len) / self.sample_rate
         return times, frames

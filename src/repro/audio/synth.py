@@ -130,67 +130,6 @@ def sine_tone(
     return AudioSignal(samples, sample_rate)
 
 
-def harmonic_tone(
-    fundamental: float,
-    duration: float,
-    level_db: float = 60.0,
-    harmonic_rolloff_db: float = 6.0,
-    num_harmonics: int = 4,
-    sample_rate: int = DEFAULT_SAMPLE_RATE,
-    ramp: float = DEFAULT_RAMP,
-) -> AudioSignal:
-    """A tone with a harmonic series, as produced by real small speakers.
-
-    Harmonic ``k`` sits at ``k * fundamental`` and is attenuated by
-    ``(k - 1) * harmonic_rolloff_db`` dB relative to the fundamental.
-    Harmonics above Nyquist are skipped.
-    """
-    if num_harmonics < 1:
-        raise ValueError("num_harmonics must be >= 1")
-    parts = []
-    for k in range(1, num_harmonics + 1):
-        freq = fundamental * k
-        if freq >= sample_rate / 2:
-            break
-        parts.append(
-            sine_tone(
-                freq,
-                duration,
-                level_db - (k - 1) * harmonic_rolloff_db,
-                sample_rate,
-                ramp=ramp,
-            )
-        )
-    return AudioSignal.from_components(parts, sample_rate)
-
-
-def chirp(
-    start_frequency: float,
-    end_frequency: float,
-    duration: float,
-    level_db: float = 60.0,
-    sample_rate: int = DEFAULT_SAMPLE_RATE,
-    ramp: float = DEFAULT_RAMP,
-) -> AudioSignal:
-    """A linear frequency sweep between two frequencies.
-
-    Used by tests as a worst-case interferer that crosses every band.
-    """
-    for freq in (start_frequency, end_frequency):
-        if freq <= 0 or freq >= sample_rate / 2:
-            raise ValueError(f"chirp frequency {freq} out of range")
-    if duration <= 0:
-        raise ValueError("duration must be positive")
-    count = int(round(duration * sample_rate))
-    t = np.arange(count) / sample_rate
-    sweep_rate = (end_frequency - start_frequency) / duration
-    phase = 2.0 * np.pi * (start_frequency * t + 0.5 * sweep_rate * t * t)
-    amplitude = db_to_amplitude(level_db) * np.sqrt(2.0)
-    samples = amplitude * np.sin(phase)
-    samples *= raised_cosine_envelope(count, sample_rate, ramp)
-    return AudioSignal(samples, sample_rate)
-
-
 @dataclass(frozen=True)
 class ToneSpec:
     """A tone request: what a Music Protocol message asks a speaker to play.
@@ -214,40 +153,3 @@ class ToneSpec:
             raise ValueError(f"frequency must be positive, got {self.frequency}")
         if self.duration <= 0:
             raise ValueError(f"duration must be positive, got {self.duration}")
-
-    def render(
-        self, sample_rate: int = DEFAULT_SAMPLE_RATE, ramp: float | None = None
-    ) -> AudioSignal:
-        """Synthesize the tone this spec describes.
-
-        Uses the adaptive signalling ramp by default (see
-        :func:`signalling_ramp`); pass ``ramp`` to override.
-        """
-        return sine_tone(
-            self.frequency, self.duration, self.level_db, sample_rate,
-            ramp=signalling_ramp(self.duration) if ramp is None else ramp,
-        )
-
-
-def tone_sequence(
-    specs: list[ToneSpec],
-    gap: float = 0.01,
-    sample_rate: int = DEFAULT_SAMPLE_RATE,
-) -> AudioSignal:
-    """Render a melody: tones played back-to-back with ``gap`` seconds
-    of silence between them.  This is the "music" in Music-Defined
-    Networking — e.g. the three-knock authentication sequence of §4."""
-    if gap < 0:
-        raise ValueError("gap must be non-negative")
-    if not specs:
-        return AudioSignal(np.zeros(0), sample_rate)
-    pieces = []
-    silence = AudioSignal.silence(gap, sample_rate)
-    for index, spec in enumerate(specs):
-        if index > 0 and gap > 0:
-            pieces.append(silence)
-        pieces.append(spec.render(sample_rate))
-    result = pieces[0]
-    for piece in pieces[1:]:
-        result = result.concat(piece)
-    return result

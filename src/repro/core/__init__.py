@@ -3,7 +3,6 @@ controller, state machines and the six paper applications."""
 
 from .agent import MusicAgent
 from .arq import ArqConfig, ArqStats, MpArqSender
-from .array import MicrophoneArray
 from .controller import MDNController
 from .health import (
     ChannelHealth,
@@ -50,7 +49,6 @@ __all__ = [
     "MDNController",
     "MP_ACK_PORT",
     "MP_PORT",
-    "MicrophoneArray",
     "MusicAgent",
     "PiBridge",
     "RaspberryPi",

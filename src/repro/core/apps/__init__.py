@@ -13,7 +13,6 @@ from .failover import FailoverEvent, FailoverManager, InbandFallback
 from .fan_watchdog import (
     FanAlert,
     FanWatchdog,
-    amplitude_difference,
     log_amplitude_difference,
     signature_bins,
 )
@@ -84,7 +83,6 @@ __all__ = [
     "SpreaderAlert",
     "SuperspreaderDetectorApp",
     "VictimAlert",
-    "amplitude_difference",
     "build_liveness_mesh",
     "log_amplitude_difference",
     "signature_bins",

@@ -104,13 +104,6 @@ class FailoverManager:
         self._m_to_acoustic = obs.counter("failover.to_acoustic")
         health_monitor.on_transition(self._on_transition)
 
-    def active_fallbacks(self) -> list[str]:
-        """Devices currently monitored in-band."""
-        return sorted(
-            name for name, fallback in self.fallbacks.items()
-            if fallback.active
-        )
-
     def _on_transition(self, transition: HealthTransition) -> None:
         fallback = self.fallbacks.get(transition.emitter)
         if fallback is None:

@@ -36,27 +36,6 @@ class FanAlert:
     threshold: float
 
 
-def amplitude_difference(
-    reference: np.ndarray,
-    sample: np.ndarray,
-    band: "slice | np.ndarray | None" = None,
-) -> float:
-    """The paper's comparison metric: total absolute amplitude
-    difference between two FFT profiles.
-
-    ``band`` restricts the comparison — a slice, or an index array of
-    the bins to compare (the watchdog passes the fan's signature bins:
-    "the difference in amplitude for *certain frequencies* is
-    considerably larger", §7).
-    """
-    if reference.shape != sample.shape:
-        raise ValueError(
-            f"profile shapes differ: {reference.shape} vs {sample.shape}"
-        )
-    region = band if band is not None else slice(None)
-    return float(np.sum(np.abs(reference[region] - sample[region])))
-
-
 def log_amplitude_difference(
     reference: np.ndarray,
     sample: np.ndarray,
@@ -226,13 +205,6 @@ class FanWatchdog:
             log_amplitude_difference(self._reference, profile, self._signature)
             for profile in self._baseline_profiles
         ]
-
-    @property
-    def signature_bin_indices(self) -> np.ndarray:
-        """The FFT bins the watchdog actually compares (post-baseline)."""
-        if self._signature is None:
-            return np.zeros(0, dtype=int)
-        return self._signature
 
     def run(self, start: float, end: float) -> None:
         """Process samples at ``start, start+period, ...`` up to ``end``.

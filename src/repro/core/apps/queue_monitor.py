@@ -155,13 +155,3 @@ class QueueMonitorApp:
     @property
     def is_congested(self) -> bool:
         return self.current_band == "high"
-
-    def band_at(self, time: float) -> str | None:
-        """The band the controller believed at a given time."""
-        band = None
-        for when, value in self.band_history:
-            if when <= time:
-                band = value
-            else:
-                break
-        return band

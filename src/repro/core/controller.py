@@ -58,16 +58,13 @@ class MDNController(ControllerBase):
         pruning (e.g. when another listener needs deep look-back).
 
     Windows are heard by :meth:`_hear` (record + detect) and each is
-    then taken in by :meth:`_accept` and dispatched by the one listen
-    loop below, at its own sim event; listeners with other ears
-    (:class:`~repro.core.array.MicrophoneArray`) override only those
-    two.  When a listen event fires, the controller hears a block of
-    windows in one pass: this window and the next windows of its timer
-    grid that end before any other event is due (DESIGN.md §5).  The
-    block is stamped with the channel's mutation count, so a window
-    whose air changed before its turn (say, a subscriber played a
-    tone) is heard again; a live deployment, with other events always
-    due, hears blocks of one.
+    dispatched by the listen loop below, at its own sim event.  When a
+    listen event fires, the controller hears a block of windows in one
+    pass: this window and the next windows of its timer grid that end
+    before any other event is due (DESIGN.md §5).  The block is stamped
+    with the channel's mutation count, so a window whose air changed
+    before its turn (say, a subscriber played a tone) is heard again; a
+    live deployment, with other events always due, hears blocks of one.
     """
 
     def __init__(
@@ -102,9 +99,9 @@ class MDNController(ControllerBase):
         self._detector: FrequencyDetector | None = None
         self._timer: PeriodicTimer | None = None
         self._previous_window: set[float] = set()
-        # Windows heard ahead of their turn, as (end, heard) pairs with
+        # Windows heard ahead of their turn, as (end, events) pairs with
         # the next one last, and the channel mutation count they heard.
-        self._ahead: list[tuple[float, object]] = []
+        self._ahead: list[tuple[float, list[DetectionEvent]]] = []
         self._ahead_stamp = -1
         #: Failover history, appended by the graceful-degradation layer
         #: (:class:`repro.core.apps.failover.FailoverManager`): each
@@ -215,21 +212,15 @@ class MDNController(ControllerBase):
         self._previous_window = set()
         self._ahead = []
 
-    def _hear(self, starts: list[float], ends: list[float]) -> list:
-        """Record and detect the windows ``[starts[i], ends[i])``: what
-        was heard in each window of the prefix that one capture block
-        takes, for :meth:`_accept`.  Here, each window's events, sorted
-        by frequency."""
+    def _hear(self, starts: list[float],
+              ends: list[float]) -> list[list[DetectionEvent]]:
+        """Record and detect the windows ``[starts[i], ends[i])``: the
+        events of each window of the prefix that one capture block
+        takes, sorted by frequency."""
         frames = self.microphone.record_block(self.channel, starts, ends)
         return self._detector.detect_frames(
             frames, self.microphone.sample_rate, starts[: len(frames)]
         )
-
-    def _accept(self, heard) -> list[DetectionEvent]:
-        """Take in one window :meth:`_hear` heard, at its turn: count it
-        and return its events."""
-        self._detector.tally(len(heard))
-        return heard
 
     def _block(self, start: float, end: float) -> tuple[list[float], list[float]]:
         """The windows to hear now: ``[start, end)``, then the next
@@ -272,7 +263,8 @@ class MDNController(ControllerBase):
                 starts, ends = self._block(start, end)
                 ahead[:] = zip(ends, self._hear(starts, ends))
                 ahead.reverse()
-            events = self._accept(ahead.pop()[1])
+            events = ahead.pop()[1]
+            self._detector.tally(len(events))
             self._m_windows.inc()
             self._m_detections.inc(len(events))
             present = {event.frequency for event in events}

@@ -13,8 +13,7 @@ to named devices, with reverse lookup so a detected tone can be traced
 back to (device, index).
 
 A plan is static once its blocks are handed out, as in the paper's
-testbed; a device can :meth:`~FrequencyPlan.release` its block, and
-later allocations reuse the freed slots.
+testbed.
 """
 
 from __future__ import annotations
@@ -118,7 +117,6 @@ class FrequencyPlan:
         self.guard_hz = guard_hz
         self._allocations: dict[str, Allocation] = {}
         self._owner_by_frequency: dict[float, str] = {}
-        self._slot_owner: dict[int, str] = {}
 
     # ------------------------------------------------------------------
     # Capacity
@@ -135,7 +133,7 @@ class FrequencyPlan:
 
     @property
     def allocated_count(self) -> int:
-        return len(self._slot_owner)
+        return len(self._owner_by_frequency)
 
     @property
     def remaining(self) -> int:
@@ -149,16 +147,6 @@ class FrequencyPlan:
             )
         return self.low_hz + slot * self.guard_hz
 
-    def slot_of(self, frequency: float) -> int:
-        """The grid slot whose centre is nearest ``frequency``."""
-        slot = int(round((float(frequency) - self.low_hz) / self.guard_hz))
-        if not 0 <= slot < self.capacity:
-            raise FrequencyPlanError(
-                f"{frequency} Hz is outside the plan band "
-                f"[{self.low_hz}, {self.high_hz}]"
-            )
-        return slot
-
     # ------------------------------------------------------------------
     # Allocation
     # ------------------------------------------------------------------
@@ -166,10 +154,9 @@ class FrequencyPlan:
     def allocate(self, device: str, count: int) -> Allocation:
         """Assign ``count`` fresh frequencies to ``device``.
 
-        Each device may hold exactly one block (call once per device,
-        or :meth:`release` first); blocks never overlap, and all
+        Each device may hold exactly one block (call once per device);
+        blocks take the lowest free slots, never overlap, and all
         frequencies in all blocks are at least ``guard_hz`` apart.
-        Slots freed by :meth:`release` are reused, lowest first.
         """
         if count < 1:
             raise FrequencyPlanError(f"count must be >= 1, got {count}")
@@ -179,43 +166,20 @@ class FrequencyPlan:
             raise FrequencyPlanError(
                 f"band exhausted: need {count} slots, {self.remaining} left"
             )
-        slots = []
-        slot = 0
-        while len(slots) < count:
-            if slot not in self._slot_owner:
-                slots.append(slot)
-            slot += 1
-        frequencies = tuple(self.slot_frequency(taken) for taken in slots)
+        first = self.allocated_count
+        frequencies = tuple(self.slot_frequency(slot)
+                            for slot in range(first, first + count))
         allocation = Allocation(device, frequencies)
         self._allocations[device] = allocation
-        for taken, frequency in zip(slots, frequencies):
-            self._slot_owner[taken] = device
+        for frequency in frequencies:
             self._owner_by_frequency[frequency] = device
         return allocation
-
-    def release(self, device: str) -> None:
-        """Return ``device``'s block to the free pool.
-
-        The freed slots become eligible for later :meth:`allocate`
-        calls.  Releasing an unknown device raises
-        :class:`FrequencyPlanError`.
-        """
-        allocation = self._allocations.pop(device, None)
-        if allocation is None:
-            raise FrequencyPlanError(f"no allocation for device {device!r}")
-        for frequency in allocation.frequencies:
-            self._owner_by_frequency.pop(frequency, None)
-            self._slot_owner.pop(self.slot_of(frequency), None)
 
     def allocation_of(self, device: str) -> Allocation:
         allocation = self._allocations.get(device)
         if allocation is None:
             raise FrequencyPlanError(f"no allocation for device {device!r}")
         return allocation
-
-    def devices(self) -> list[str]:
-        """Every device holding a block, sorted."""
-        return sorted(self._allocations)
 
     def owner_of(self, frequency: float,
                  tolerance_hz: float | None = None) -> str | None:
@@ -242,14 +206,3 @@ class FrequencyPlan:
         """Every allocated frequency, ascending — the controller's
         watch list."""
         return sorted(self._owner_by_frequency)
-
-    def validate_disjoint(self) -> None:
-        """Invariant check: every pair of allocated frequencies is at
-        least ``guard_hz`` apart (used by property tests)."""
-        frequencies = self.all_frequencies()
-        for first, second in zip(frequencies, frequencies[1:]):
-            if second - first < self.guard_hz - 1e-9:
-                raise FrequencyPlanError(
-                    f"guard violation: {first} and {second} are "
-                    f"{second - first} Hz apart"
-                )

@@ -119,17 +119,6 @@ class ToneCounter:
     # Rules
     # ------------------------------------------------------------------
 
-    def frequencies_over(self, threshold: int) -> list[tuple[float, float]]:
-        """``(interval_start, frequency)`` pairs where a frequency was
-        heard more than ``threshold`` times in one interval — the heavy
-        hitter rule."""
-        hits = []
-        for interval in self.closed:
-            for frequency, count in sorted(interval.counts.items()):
-                if count > threshold:
-                    hits.append((interval.start, frequency))
-        return hits
-
     def intervals_with_distinct_over(self, threshold: int) -> list[IntervalCounts]:
         """Intervals where more than ``threshold`` distinct frequencies
         were heard — the scan/superspreader rule."""

@@ -71,16 +71,6 @@ class FanModel:
         """Shaft rotation frequency (one tone per revolution)."""
         return self.rpm / 60.0
 
-    def signature_frequencies(self, sample_rate: int = DEFAULT_SAMPLE_RATE) -> list[float]:
-        """The narrowband frequencies this fan radiates (below Nyquist)."""
-        nyquist = sample_rate / 2
-        freqs = [self.shaft_hz]
-        for k in range(1, self.num_harmonics + 1):
-            freq = self.blade_pass_hz * k
-            if freq < nyquist:
-                freqs.append(freq)
-        return freqs
-
     def render(
         self,
         duration: float,

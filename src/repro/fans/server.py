@@ -85,15 +85,6 @@ class Server:
     def is_failed(self, fan_index: int) -> bool:
         return fan_index in self._fan_stop_times
 
-    def signature_frequencies(
-        self, sample_rate: int = DEFAULT_SAMPLE_RATE
-    ) -> list[float]:
-        """All narrowband lines the chassis radiates when healthy."""
-        freqs: list[float] = []
-        for fan in self.fans:
-            freqs.extend(fan.signature_frequencies(sample_rate))
-        return sorted(freqs)
-
     def render(
         self,
         duration: float,

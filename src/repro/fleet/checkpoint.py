@@ -153,19 +153,8 @@ class CheckpointStore:
             shard_dir.rmdir()
 
 
-def checkpoint_roundtrip_exact(room: RoomReport) -> bool:
-    """Whether a room report survives the spill byte-exactly — the
-    invariant the exactness contract leans on (used by tests and the
-    supervisor's paranoia asserts)."""
-    clone = pickle.loads(
-        _unframe(_frame(pickle.dumps(room, pickle.HIGHEST_PROTOCOL)), "probe")
-    )
-    return clone.identity_signature() == room.identity_signature()
-
-
 __all__ = [
     "MAGIC",
     "CheckpointError",
     "CheckpointStore",
-    "checkpoint_roundtrip_exact",
 ]

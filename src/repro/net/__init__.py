@@ -12,7 +12,6 @@ from .controlplane import (
     FlowMod,
     FlowModCommand,
     PacketIn,
-    PortStats,
 )
 from .flowpop import (
     LABEL_CHURN,
@@ -26,12 +25,6 @@ from .host import ByteCounterSampler, Host
 from .link import Link, LinkDirection, Node
 from .packet import FlowKey, Packet, Protocol
 from .queueing import DEFAULT_CAPACITY, PacketQueue, QueueBands
-from .routing import (
-    install_all_routes,
-    leaf_spine_topology,
-    shortest_path,
-    star_topology,
-)
 from .sim import PeriodicTimer, Simulator
 from .stats import Counter, TimeSeries
 from .switch import Switch
@@ -50,7 +43,6 @@ from .traffic import (
     FlowMixWorkload,
     FlowSpec,
     OnOffSource,
-    PoissonSource,
     PortScanSource,
     RampSource,
     TrafficSource,
@@ -127,9 +119,7 @@ __all__ = [
     "PacketIn",
     "PacketQueue",
     "PeriodicTimer",
-    "PoissonSource",
     "PortScanSource",
-    "PortStats",
     "Protocol",
     "QueueBands",
     "RampSource",
@@ -141,8 +131,4 @@ __all__ = [
     "linear_topology",
     "rhombus_topology",
     "single_switch_topology",
-    "install_all_routes",
-    "leaf_spine_topology",
-    "shortest_path",
-    "star_topology",
 ]

@@ -5,7 +5,7 @@ Network controller" (abstract).  When an SDN controller is present, the
 MDN controller reacts to sounds by pushing OpenFlow Flow-MOD messages
 (Figures 1, 3, 5).  This module provides that southbound channel for
 the simulated switches: an asynchronous message pipe with configurable
-latency, carrying the three message types the paper's use cases need.
+latency, carrying the two message types the paper's use cases need.
 """
 
 from __future__ import annotations
@@ -52,16 +52,6 @@ class PacketIn:
     packet: Packet
     in_port: int
     time: float
-
-
-@dataclass(frozen=True)
-class PortStats:
-    """Per-port counters returned by a stats request."""
-
-    port: int
-    queue_length: int
-    bytes_sent: float
-    packets_sent: float
 
 
 class ControllerBase:
@@ -140,16 +130,3 @@ class ControlChannel:
             return
         self.flow_mods_sent += 1
         self.sim.schedule(self.latency, switch.apply_flow_mod, flow_mod)
-
-    def request_port_stats(self, switch_name: str, port: int) -> PortStats:
-        """Synchronous stats read (test/diagnostic convenience)."""
-        switch = self._switches.get(switch_name)
-        if switch is None:
-            raise ValueError(f"unknown switch {switch_name!r}")
-        direction = switch.ports[port]
-        return PortStats(
-            port=port,
-            queue_length=len(direction.queue),
-            bytes_sent=direction.bytes_sent.total,
-            packets_sent=direction.packets_sent.total,
-        )

@@ -14,7 +14,7 @@ import itertools
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .packet import FlowKey, Packet, Protocol
+from .packet import Packet, Protocol
 
 
 @dataclass(frozen=True)
@@ -46,17 +46,6 @@ class Match:
         if self.dst_port is not None and self.dst_port != flow.dst_port:
             return False
         return self.protocol is None or self.protocol == flow.protocol
-
-    @classmethod
-    def for_flow(cls, flow: FlowKey) -> "Match":
-        """An exact match on one flow's 5-tuple."""
-        return cls(
-            src_ip=flow.src_ip,
-            dst_ip=flow.dst_ip,
-            src_port=flow.src_port,
-            dst_port=flow.dst_port,
-            protocol=flow.protocol,
-        )
 
     def specificity(self) -> int:
         """Number of non-wildcard fields (used as a tiebreaker)."""

@@ -57,14 +57,6 @@ class PacketQueue:
     def __len__(self) -> int:
         return len(self._items)
 
-    @property
-    def is_empty(self) -> bool:
-        return not self._items
-
-    @property
-    def is_full(self) -> bool:
-        return len(self._items) >= self.capacity
-
     def enqueue(self, packet: Packet) -> bool:
         """Append a packet; returns False (and counts a drop) when full."""
         items = self._items

@@ -28,8 +28,7 @@ Two layout notes for the event core:
   exists.  ``sequence`` is unique, so every sift is a C-level list
   compare that settles on ``(time, sequence)`` (ties fire in scheduling
   order).  :meth:`Simulator.cancel` clears the callback and args, and
-  dispatch skips an entry whose callback is ``None``.  ``run`` and
-  ``run_to_completion`` share one dispatch loop.
+  dispatch skips an entry whose callback is ``None``.
 * :meth:`Simulator.schedule` and the per-packet callers (link, host
   sink, traffic sources) call :meth:`Simulator.schedule_at` directly
   rather than pushing onto the heap.  It is the one public boundary
@@ -148,37 +147,28 @@ class Simulator:
         if until < self.now:
             raise ValueError(f"cannot run backwards (now={self.now}, until={until})")
         with obs.span("sim.run", until=until):
-            self._dispatch(until, math.inf)
+            self._dispatch(until)
             self.now = until
 
     def horizon(self) -> tuple[float, float]:
         """``(next, until)`` for the event being dispatched: the time of
         the earliest queued entry (``inf`` when none is queued) and the
-        ``until`` of the running :meth:`run` (``inf`` under
-        :meth:`run_to_completion`).  Before ``next``, and no later than
-        ``until``, nothing runs but what the running callback schedules,
-        so a callback may work ahead on the times up to then."""
+        ``until`` of the running :meth:`run`.  Before ``next``, and no
+        later than ``until``, nothing runs but what the running callback
+        schedules, so a callback may work ahead on the times up to
+        then."""
         heap = self._heap
         return (heap[0][0] if heap else math.inf), self._until
 
-    def run_to_completion(self, max_events: int = 1_000_000) -> None:
-        """Drain the event heap entirely (bounded by ``max_events``)."""
-        self._dispatch(math.inf, max_events)
-        if self._heap:
-            raise RuntimeError(
-                f"simulation exceeded {max_events} events; likely a "
-                "timer loop that never stops"
-            )
-
-    def _dispatch(self, until: float, budget: float) -> None:
-        """Execute events due by ``until``, at most ``budget`` of them;
-        cancelled events are dropped without using the budget."""
+    def _dispatch(self, until: float) -> None:
+        """Execute events due by ``until``; cancelled events are
+        dropped uncounted."""
         heap = self._heap
         observed = self._obs is not None
         count = 0
         outer, self._until = self._until, until
         try:
-            while count < budget and heap and heap[0][0] <= until:
+            while heap and heap[0][0] <= until:
                 time, _sequence, callback, args = heappop(heap)
                 if callback is None:
                     continue

@@ -77,17 +77,6 @@ class TimeSeries:
         result.values = self.values[lo:hi]
         return result
 
-    def rate_series(self) -> "TimeSeries":
-        """Discrete derivative: per-interval increase between samples."""
-        result = TimeSeries(f"{self.name}.rate")
-        for index in range(1, len(self.times)):
-            dt = self.times[index] - self.times[index - 1]
-            if dt <= 0:
-                continue
-            delta = self.values[index] - self.values[index - 1]
-            result.record(self.times[index], delta / dt)
-        return result
-
 
 @dataclass
 class Counter:

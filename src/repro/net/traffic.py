@@ -154,21 +154,6 @@ class RampSource(TrafficSource):
         return 1.0 / self.current_rate()
 
 
-class PoissonSource(TrafficSource):
-    """Memoryless arrivals at a mean rate (background cross-traffic)."""
-
-    def __init__(self, host: Host, dst_ip: str, dst_port: int,
-                 rate_pps: float, seed: int = 0, **kwargs) -> None:
-        if rate_pps <= 0:
-            raise ValueError(f"rate_pps must be positive, got {rate_pps}")
-        super().__init__(host, dst_ip, dst_port, **kwargs)
-        self.rate_pps = rate_pps
-        self._rng = np.random.default_rng(seed)
-
-    def next_gap(self) -> float | None:
-        return float(self._rng.exponential(1.0 / self.rate_pps))
-
-
 class OnOffSource(TrafficSource):
     """Bursts at ``rate_pps`` for ``on_duration``, silent for
     ``off_duration``, repeating (Figure 5c's fill-then-drain burst)."""

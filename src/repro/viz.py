@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .net.stats import TimeSeries
-
 #: Intensity ramp used by sparklines and heatmaps, quiet to loud.
 RAMP = " .:-=+*#%@"
 
@@ -34,40 +32,6 @@ def sparkline(values, width: int = 60, peak: float | None = None) -> str:
         level = int(min(max(values[index] / top, 0.0), 1.0) * (len(RAMP) - 1))
         chars.append(RAMP[level])
     return "".join(chars)
-
-
-def series_plot(
-    series: TimeSeries,
-    height: int = 8,
-    width: int = 60,
-    label: str | None = None,
-) -> str:
-    """A small multi-line plot of a time series.
-
-    Rows run from the maximum value (top) to zero (bottom); the left
-    gutter carries the scale.
-    """
-    if len(series) == 0:
-        return "(empty series)"
-    values = series.values
-    top = max(max(values), 1e-12)
-    step = max(1, len(values) // width)
-    sampled = values[::step][:width]
-    rows = []
-    title = label if label is not None else series.name
-    if title:
-        rows.append(title)
-    for row in range(height, 0, -1):
-        threshold = top * (row - 0.5) / height
-        line = "".join("#" if value >= threshold else " "
-                       for value in sampled)
-        gutter = f"{top * row / height:>8.1f} |"
-        rows.append(gutter + line)
-    axis = " " * 8 + " +" + "-" * len(sampled)
-    rows.append(axis)
-    rows.append(" " * 10 + f"t = {series.times[0]:.1f} s ... "
-                f"{series.times[-1]:.1f} s")
-    return "\n".join(rows)
 
 
 def spectrogram_heatmap(
@@ -104,18 +68,4 @@ def spectrogram_heatmap(
         lines.append(f"{frequency:>7.0f} Hz |{cells}")
     lines.append(" " * 11 + "+" + "-" * normalized.shape[0])
     lines.append(" " * 12 + f"t = {times[0]:.1f} s ... {times[-1]:.1f} s")
-    return "\n".join(lines)
-
-
-def cdf_plot(values, width: int = 50, quantiles=(10, 25, 50, 75, 90, 99)) -> str:
-    """A textual CDF: one bar per requested percentile."""
-    data = np.asarray(list(values), dtype=float)
-    if data.size == 0:
-        return "(no samples)"
-    top = float(np.percentile(data, max(quantiles)))
-    lines = []
-    for quantile in quantiles:
-        point = float(np.percentile(data, quantile))
-        bar = "#" * int(round((point / top) * width)) if top > 0 else ""
-        lines.append(f"p{quantile:<3} {point:>10.4f} |{bar}")
     return "\n".join(lines)

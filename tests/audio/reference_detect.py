@@ -86,8 +86,8 @@ def events_from_spectrum(
 def array_peaks(
     spectrum: Spectrum, threshold_db: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """``SpectrumAnalyzer.find_peaks`` over the whole spectrum as
-    parallel arrays ``(frequencies, magnitudes)``, by array masks: the
+    """The peaks of the whole spectrum as parallel arrays
+    ``(frequencies, magnitudes)``, by array masks: the
     local maxima standing ``threshold_db`` above the ``np.median``
     noise floor, sorted (stably) by descending magnitude and refined by
     three-point parabolic interpolation."""

@@ -104,9 +104,10 @@ class TestDetectStream:
         """A capture with two consecutive tones yields events for each
         tone stamped with the right frame times."""
         detector = FrequencyDetector([500, 2000])
-        signal = sine_tone(500, 0.5, level_db=65.0).concat(
-            sine_tone(2000, 0.5, level_db=65.0)
-        )
+        signal = AudioSignal(np.concatenate([
+            sine_tone(500, 0.5, level_db=65.0).samples,
+            sine_tone(2000, 0.5, level_db=65.0).samples,
+        ]))
         events = detector.detect_stream(signal, frame_duration=0.1)
         early = {e.frequency for e in events if e.time < 0.4}
         late = {e.frequency for e in events if e.time >= 0.6}

@@ -5,7 +5,6 @@ import pytest
 
 from repro.audio import (
     AudioSignal,
-    chirp,
     dominant_mel_track,
     hz_to_mel,
     mel_filterbank,
@@ -13,6 +12,7 @@ from repro.audio import (
     mel_to_hz,
     sine_tone,
 )
+from tests.audio.signals import linear_sweep
 
 
 class TestMelConversion:
@@ -110,7 +110,7 @@ class TestMelSpectrogram:
 
 class TestDominantTrack:
     def test_chirp_track_is_monotonic(self):
-        sweep = chirp(500, 4000, 2.0, level_db=70.0)
+        sweep = linear_sweep(500, 4000, 2.0, level_db=70.0)
         times, centers, mags = mel_spectrogram(sweep, num_filters=64,
                                                frame_duration=0.1)
         track = dominant_mel_track(times, centers, mags)

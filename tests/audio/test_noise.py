@@ -14,6 +14,7 @@ from repro.audio import (
     pink_noise,
     white_noise,
 )
+from tests.audio.test_fft import peaks
 
 
 class TestLevels:
@@ -88,8 +89,7 @@ class TestSongNoise:
         not broadband noise."""
         song = SongNoise(seed=2018).render(2.0)
         spectrum = analyzer.analyze(song)
-        peaks = analyzer.find_peaks(spectrum, threshold_db=15.0)
-        assert len(peaks) >= 3
+        assert len(peaks(spectrum, threshold_db=15.0)) >= 3
 
     def test_nonstationary(self):
         """Energy moves over time: different windows differ in content."""

@@ -111,19 +111,6 @@ class TestTransformations:
         signal = AudioSignal(np.ones(4)).attenuate_db(20.0)
         assert signal.rms() == pytest.approx(0.1)
 
-    def test_concat(self):
-        a = AudioSignal(np.ones(3))
-        b = AudioSignal(np.zeros(2))
-        joined = a.concat(b)
-        assert len(joined) == 5
-        assert joined.samples[-1] == 0.0
-
-    def test_concat_rejects_rate_mismatch(self):
-        a = AudioSignal(np.ones(3), sample_rate=8000)
-        b = AudioSignal(np.ones(3), sample_rate=16000)
-        with pytest.raises(ValueError, match="concat"):
-            a.concat(b)
-
     def test_slice_time(self):
         signal = AudioSignal(np.arange(16000, dtype=float))
         part = signal.slice_time(0.25, 0.5)
@@ -148,24 +135,24 @@ class TestTransformations:
 class TestFrames:
     def test_non_overlapping_frames(self):
         signal = AudioSignal(np.arange(16000, dtype=float))
-        frames = list(signal.frames(0.25))
-        assert len(frames) == 4
-        starts = [start for start, _frame in frames]
-        assert starts == pytest.approx([0.0, 0.25, 0.5, 0.75])
+        starts, frames = signal.frame_matrix(0.25)
+        assert frames.shape == (4, 4000)
+        assert starts.tolist() == pytest.approx([0.0, 0.25, 0.5, 0.75])
+        assert frames[1, 0] == 4000.0
 
     def test_partial_trailing_frame_dropped(self):
         signal = AudioSignal(np.zeros(15000))
-        frames = list(signal.frames(0.25))
-        assert len(frames) == 3
+        starts, frames = signal.frame_matrix(0.25)
+        assert len(starts) == len(frames) == 3
 
     def test_overlapping_frames(self):
         signal = AudioSignal(np.zeros(16000))
-        frames = list(signal.frames(0.5, hop_duration=0.25))
-        assert len(frames) == 3
+        starts, frames = signal.frame_matrix(0.5, hop_duration=0.25)
+        assert len(starts) == len(frames) == 3
 
     def test_invalid_frame_params(self):
         signal = AudioSignal(np.zeros(100))
         with pytest.raises(ValueError):
-            list(signal.frames(0.0))
+            signal.frame_matrix(0.0)
         with pytest.raises(ValueError):
-            list(signal.frames(0.1, hop_duration=0.0))
+            signal.frame_matrix(0.1, hop_duration=0.0)

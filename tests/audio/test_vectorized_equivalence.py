@@ -26,7 +26,7 @@ from repro.audio import (
     DetectionEvent,
     FrequencyDetector,
     SpectrumAnalyzer,
-    chirp,
+    amplitude_to_db,
     power_spectrogram,
     sine_tone,
     white_noise,
@@ -36,13 +36,18 @@ from repro.audio.detector import (
     SIDELOBE_REJECTION_DB,
     _shadowed,
 )
-from repro.audio.fft import SpectralPeak, Spectrum
+from repro.audio.fft import Spectrum
 from tests.audio.reference_detect import (
     events_from_spectrum,
     match,
     unshadowed,
 )
-from tests.audio.reference_spectrogram import power_spectrogram_reference
+from tests.audio.reference_spectrogram import (
+    frames as reference_frames,
+    power_spectrogram_reference,
+)
+from tests.audio.signals import linear_sweep
+from tests.audio.test_fft import peaks
 
 TOLERANCE = 1e-9
 
@@ -51,15 +56,21 @@ TOLERANCE = 1e-9
 # Scalar references: the per-peak loops the array detect path replaced.
 # ---------------------------------------------------------------------
 
-def reference_find_peaks(spectrum, threshold_db=10.0, min_frequency=0.0,
-                         max_frequency=None, max_peaks=None):
+class ScalarPeak(namedtuple("ScalarPeak", "frequency magnitude")):
+    @property
+    def level_db(self):
+        return amplitude_to_db(self.magnitude)
+
+
+def reference_peaks(spectrum, threshold_db):
+    """The local maxima standing ``threshold_db`` above the noise
+    floor, refined by clamped parabolic interpolation, loudest first."""
     mags = spectrum.magnitudes
     freqs = spectrum.frequencies
     if len(mags) < 3:
         return []
     floor = max(spectrum.noise_floor(), 1e-12)
     min_magnitude = floor * 10.0 ** (threshold_db / 20.0)
-    high_limit = max_frequency if max_frequency is not None else freqs[-1]
     candidates = np.where(
         (mags[1:-1] > mags[:-2])
         & (mags[1:-1] >= mags[2:])
@@ -67,9 +78,6 @@ def reference_find_peaks(spectrum, threshold_db=10.0, min_frequency=0.0,
     )[0] + 1
     peaks = []
     for index in candidates:
-        freq = freqs[index]
-        if not min_frequency <= freq <= high_limit:
-            continue
         left, centre, right = mags[index - 1], mags[index], mags[index + 1]
         denominator = left - 2.0 * centre + right
         if denominator != 0.0:
@@ -77,14 +85,16 @@ def reference_find_peaks(spectrum, threshold_db=10.0, min_frequency=0.0,
             offset = float(np.clip(offset, -0.5, 0.5))
         else:
             offset = 0.0
-        refined = freq + offset * spectrum.bin_width
-        prominence = 20.0 * np.log10(centre / floor)
-        peaks.append(SpectralPeak(float(refined), float(centre),
-                                  float(prominence)))
+        refined = freqs[index] + offset * spectrum.bin_width
+        peaks.append(ScalarPeak(float(refined), float(centre)))
     peaks.sort(key=lambda p: p.magnitude, reverse=True)
-    if max_peaks is not None:
-        peaks = peaks[:max_peaks]
     return peaks
+
+
+def peak_rows(spectrum, threshold_db):
+    """The peaks :func:`~tests.audio.test_fft.peaks` finds, as
+    ``ScalarPeak`` tuples."""
+    return [ScalarPeak(*peak) for peak in peaks(spectrum, threshold_db)]
 
 
 def reference_reject_sidelobes(peaks):
@@ -109,7 +119,7 @@ def reference_match(detector, measured):
 
 def reference_events_from_spectrum(detector, spectrum, time):
     """The scalar form of ``FrequencyDetector._row_events`` on one row."""
-    peaks = reference_find_peaks(spectrum, detector.threshold_db)
+    peaks = reference_peaks(spectrum, detector.threshold_db)
     peaks = reference_reject_sidelobes(peaks)
     events = {}
     for peak in peaks:
@@ -132,7 +142,7 @@ def busy_signal():
     return AudioSignal.from_components([
         sine_tone(500, 1.0, level_db=62.0),
         sine_tone(940, 1.0, level_db=58.0),
-        chirp(1200, 2400, 1.0, level_db=55.0),
+        linear_sweep(1200, 2400, 1.0, level_db=55.0),
         white_noise(1.0, level_db=45.0, rng=rng),
     ])
 
@@ -170,7 +180,7 @@ class TestSpectrogramEquivalence:
 
     def test_frame_matrix_matches_frames_iterator(self, busy_signal):
         times, frames = busy_signal.frame_matrix(0.05, 0.037)
-        reference = list(busy_signal.frames(0.05, 0.037))
+        reference = list(reference_frames(busy_signal, 0.05, 0.037))
         assert len(times) == len(reference)
         for index, (start, frame) in enumerate(reference):
             assert times[index] == start
@@ -185,7 +195,8 @@ class TestDetectStreamEquivalence:
         stream = detector.detect_stream(busy_signal, 0.05, hop_duration)
         manual = [
             event
-            for start, frame in busy_signal.frames(0.05, hop_duration)
+            for start, frame in reference_frames(busy_signal, 0.05,
+                                                 hop_duration)
             for event in detector.detect(frame, start)
         ]
         assert len(stream) == len(manual)
@@ -237,24 +248,17 @@ def spectra(draw):
 class TestArrayDetectEquivalence:
     @settings(max_examples=300, deadline=None)
     @given(spectrum=spectra(),
-           threshold_db=st.sampled_from([0.0, 3.0, 10.0, 20.0]),
-           min_frequency=st.sampled_from([0.0, 40.0, 300.0, 355.0]),
-           max_frequency=st.sampled_from([None, 100.0, 400.0, 500.0]),
-           max_peaks=st.sampled_from([None, 0, 1, 3]))
-    def test_find_peaks_matches_scalar_loop(self, spectrum, threshold_db,
-                                            min_frequency, max_frequency,
-                                            max_peaks):
-        args = (spectrum, threshold_db, min_frequency, max_frequency,
-                max_peaks)
-        assert (SpectrumAnalyzer().find_peaks(*args)
-                == reference_find_peaks(*args))
+           threshold_db=st.sampled_from([0.0, 3.0, 10.0, 20.0]))
+    def test_peak_rows_match_scalar_loop(self, spectrum, threshold_db):
+        assert (peak_rows(spectrum, threshold_db)
+                == reference_peaks(spectrum, threshold_db))
 
     def test_zero_parabolic_denominator_keeps_the_bin_centre(self):
         assert ONE_BELOW - 2.0 * 1.0 + 1.0 == 0.0
         mags = np.array([0.0, ONE_BELOW, 1.0, 1.0] + [1e-3] * 8)
         spectrum = Spectrum(10.0 * np.arange(len(mags)), mags, 48000, 0.05)
-        peaks = SpectrumAnalyzer().find_peaks(spectrum, 10.0)
-        assert peaks == reference_find_peaks(spectrum, 10.0)
+        peaks = peak_rows(spectrum, 10.0)
+        assert peaks == reference_peaks(spectrum, 10.0)
         assert peaks[0].frequency == 20.0
 
     @settings(max_examples=300, deadline=None)
@@ -263,7 +267,7 @@ class TestArrayDetectEquivalence:
         """Exact event lists, with the min-level cut placed on a peak's
         own level and watched tones placed on, between and around the
         peaks (equidistant ties, the tolerance boundary)."""
-        peaks = reference_find_peaks(spectrum, 0.0)
+        peaks = reference_peaks(spectrum, 0.0)
         low = spectrum.frequencies[0] if len(spectrum.frequencies) else 100.0
         tones = st.sampled_from([low + 5.0 * k for k in range(-4, 200)])
         if peaks:
@@ -334,9 +338,9 @@ class TestArrayDetectEquivalence:
         mags = np.full(120, 1e-3)
         mags[1::2] = np.resize([1.0, 0.5, 0.25], 60)
         spectrum = Spectrum(10.0 * np.arange(len(mags)), mags, 48000, 0.05)
-        peaks = SpectrumAnalyzer().find_peaks(spectrum, 0.0)
+        peaks = peak_rows(spectrum, 0.0)
         assert len(peaks) == 59
-        assert peaks == reference_find_peaks(spectrum, 0.0)
+        assert peaks == reference_peaks(spectrum, 0.0)
         assert peaks == sorted(peaks, key=lambda p: (-p.magnitude, p.frequency))
 
     @pytest.mark.parametrize("second", [0.5, 1.0])
@@ -357,7 +361,6 @@ class TestArrayDetectEquivalence:
         for bins in range(3):
             spectrum = Spectrum(10.0 * np.arange(bins), np.ones(bins),
                                 48000, 0.05)
-            assert SpectrumAnalyzer().find_peaks(spectrum) == []
             assert detector_events(detector, spectrum, 0.0) == []
             assert events_from_spectrum(detector, spectrum, 0.0) == []
         assert match(detector, np.zeros(0)).tolist() == []

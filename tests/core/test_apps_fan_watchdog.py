@@ -3,23 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.core.apps import FanWatchdog, amplitude_difference
+from repro.core.apps import FanWatchdog
 from repro.fans import Server, datacenter_scene, office_scene
-
-
-class TestAmplitudeDifference:
-    def test_identical_profiles_zero(self):
-        profile = np.array([1.0, 2.0, 3.0])
-        assert amplitude_difference(profile, profile) == 0.0
-
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            amplitude_difference(np.zeros(3), np.zeros(4))
-
-    def test_band_limiting(self):
-        reference = np.array([0.0, 0.0, 5.0, 0.0])
-        sample = np.array([9.0, 0.0, 0.0, 0.0])
-        assert amplitude_difference(reference, sample, slice(2, 4)) == 5.0
 
 
 class TestValidation:

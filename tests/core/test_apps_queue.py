@@ -116,12 +116,6 @@ class TestQueueMonitorApp:
         assert chirper.queue_series.max() > 75
         assert chirper.queue_series.final() < 25
 
-    def test_band_at_history_lookup(self):
-        rig, _chirper, app = self.build()
-        rig.sim.run(1.5)
-        assert app.band_at(0.0) is None
-        assert app.band_at(1.4) == "low"
-
 
 class TestLoadBalancerApp:
     def build(self, max_rate=350):

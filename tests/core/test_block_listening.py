@@ -7,13 +7,11 @@ detect).  Each window is still dispatched at its own sim event, and a
 window whose air changed before its turn is heard again.  Random rooms
 (echo taps, speaker dropouts, a run split across several
 ``Simulator.run`` calls with tones scheduled between them, a subscriber
-that plays a tone on onset, one microphone or a two-station array) run
-twice: once as they are,
-once with a no-op timer on the listen grid, which puts another event
-one window ahead of every listen event so that each window is heard
-alone.  Both runs must give equal onsets, detections, controller and
-detector counters, fault-model mute counts and, for an array, the
-station that won and the stations that heard each onset.
+that plays a tone on onset) run twice: once as they are, once with a
+no-op timer on the listen grid, which puts another event one window
+ahead of every listen event so that each window is heard alone.  Both
+runs must give equal onsets, detections, controller and detector
+counters and fault-model mute counts.
 """
 
 import numpy as np
@@ -28,7 +26,7 @@ from repro.audio import (
     Position,
     ToneSpec,
 )
-from repro.core import MDNController, MicrophoneArray
+from repro.core import MDNController
 from repro.faults import AcousticFaults
 from repro.net.sim import Simulator
 
@@ -55,7 +53,6 @@ def rooms(draw):
         "interval": draw(st.sampled_from([0.05, 1.0 / 30.0, 0.1])),
         "prune_every": draw(st.sampled_from([0, 7, 25])),
         "reply": draw(st.booleans()),
-        "array": draw(st.booleans()),
         "splits": draw(st.lists(st.floats(0.1, 2.4), max_size=3)),
     }
 
@@ -89,22 +86,12 @@ def run_room(room, alone):
             faults.drop_speaker(positions[emitter], start, start + length)
         timing = {"listen_interval": room["interval"],
                   "prune_every": room["prune_every"], "prune_margin": 0.0}
-        if room["array"]:
-            controller = MicrophoneArray(sim, channel, {
-                "near": Microphone(Position(), seed=room["seed"]),
-                "far": Microphone(Position(3.0, 1.0, 0.0), seed=1),
-            }, **timing)
-        else:
-            controller = MDNController(
-                sim, channel, Microphone(Position(), seed=room["seed"]),
-                **timing)
+        controller = MDNController(
+            sim, channel, Microphone(Position(), seed=room["seed"]), **timing)
         onsets, detections = [], []
 
         def on_onset(event):
             onsets.append((event.frequency, event.time))
-            if room["array"]:
-                onsets.append((controller.coverage[event.frequency],
-                               controller.heard_by[event.frequency]))
             if room["reply"] and event.frequency != REPLY:
                 channel.play_tone(sim.now, ToneSpec(REPLY, 0.05, 70.0),
                                   positions[0])

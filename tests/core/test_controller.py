@@ -3,7 +3,7 @@
 import pytest
 
 from repro.audio import AcousticChannel, Microphone, Position, Speaker
-from repro.core import MDNController, MicrophoneArray
+from repro.core import MDNController
 from repro.core.agent import MusicAgent
 from repro.net import Simulator
 
@@ -71,17 +71,12 @@ class TestDispatch:
         # A 350 ms tone spans 3-4 consecutive 100 ms windows.
         assert 3 <= len(hits) <= 4
 
-    @pytest.mark.parametrize("listener", ["controller", "array"])
-    def test_stop_start_round_trip_fires_fresh_onset(self, rig, listener):
+    def test_stop_start_round_trip_fires_fresh_onset(self, rig):
         """Regression: ``stop()`` must clear the onset-suppression set.
         A tone sustained across a stop/restart is news to the restarted
         listener and must fire an onset on the first post-restart
-        window — the stale ``_previous_window`` used to swallow it.  A
-        one-station array runs the same loop and must behave the same."""
+        window — the stale ``_previous_window`` used to swallow it."""
         sim, agent, controller = rig
-        if listener == "array":
-            controller = MicrophoneArray(sim, controller.channel,
-                                         {"m": controller.microphone})
         onsets = []
         controller.watch([1000], on_onset=onsets.append)
         controller.start()

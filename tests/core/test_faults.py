@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from repro.audio import (
-    AcousticChannel, Microphone, Position, Speaker,
+    AcousticChannel, Position, Speaker,
 )
 from repro.audio.synth import ToneSpec
-from repro.core import MicrophoneArray, MusicAgent, PiBridge
+from repro.core import MusicAgent, PiBridge
 from repro.core import MusicProtocolMessage
 from repro.core.pi import MP_PORT
 from repro.faults import FaultHarness, seeded_rng
@@ -160,46 +160,6 @@ class TestRandomDropouts:
         channel = AcousticChannel()
         air = FaultHarness(sim, seed=9).acoustic(channel)
         assert air.random_dropouts(SPEAKER_AT, 0.0, 60.0, rate=0.0) == []
-
-
-class DeadMicrophone(Microphone):
-    """A dead capsule: every capture is silence (``record`` is the
-    one-window call of ``record_block``)."""
-
-    def record_block(self, channel, starts, ends):
-        return np.zeros_like(super().record_block(channel, starts, ends))
-
-
-class TestArrayWithDeadMics:
-    def _array(self, fail_stations):
-        sim = Simulator()
-        channel = AcousticChannel()
-        positions = {"near": Position(), "far": Position(3.0, 0.0, 0.0)}
-        stations = {
-            name: (DeadMicrophone if name in fail_stations else Microphone)(
-                position, seed=seed)
-            for seed, (name, position) in enumerate(positions.items(), 1)
-        }
-        agent = MusicAgent(sim, channel, Speaker(SPEAKER_AT))
-        array = MicrophoneArray(sim, channel, stations)
-        heard = []  # the winning station of each detection
-        array.watch([TONE.frequency], on_detection=lambda event: heard.append(
-            array.coverage[event.frequency]))
-        array.start()
-        sim.every(0.5, lambda: agent.play(TONE.frequency, TONE.duration,
-                                          TONE.level_db), start=0.25)
-        sim.run(3.0)
-        return array, heard
-
-    def test_zero_working_mics_yields_no_detections(self):
-        array, heard = self._array(fail_stations=("near", "far"))
-        assert heard == []
-        assert array.windows_processed > 0  # kept polling, no crash
-
-    def test_one_dead_station_falls_back_to_the_other(self):
-        array, heard = self._array(fail_stations=("near",))
-        assert heard
-        assert set(heard) == {"far"}
 
 
 class TestMpLinkFaults:

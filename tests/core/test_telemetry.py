@@ -90,15 +90,6 @@ class TestIntervals:
 
 
 class TestRules:
-    def test_frequencies_over_threshold(self):
-        counter = ToneCounter(interval=1.0)
-        for index in range(8):
-            counter.observe(event(500, 0.1 + index * 0.1))
-        counter.observe(event(600, 0.5))
-        counter.flush(2.0)
-        hits = counter.frequencies_over(5)
-        assert hits == [(0.0, 500)]
-
     def test_distinct_over_threshold(self):
         counter = ToneCounter(interval=1.0)
         for index in range(7):

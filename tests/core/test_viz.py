@@ -1,10 +1,8 @@
 """Tests for the terminal visualization helpers."""
 
 import numpy as np
-import pytest
 
-from repro.net import TimeSeries
-from repro.viz import RAMP, cdf_plot, series_plot, sparkline, spectrogram_heatmap
+from repro.viz import RAMP, sparkline, spectrogram_heatmap
 
 
 class TestSparkline:
@@ -27,28 +25,6 @@ class TestSparkline:
         half = sparkline([50], peak=100)
         full = sparkline([50], peak=50)
         assert RAMP.index(half) < RAMP.index(full)
-
-
-class TestSeriesPlot:
-    def test_empty(self):
-        assert "empty" in series_plot(TimeSeries("x"))
-
-    def test_contains_label_and_axis(self):
-        series = TimeSeries("queue")
-        for t in range(10):
-            series.record(float(t), float(t * t))
-        plot = series_plot(series, label="queue occupancy")
-        assert "queue occupancy" in plot
-        assert "t = 0.0 s" in plot
-        assert "#" in plot
-
-    def test_height_respected(self):
-        series = TimeSeries("x")
-        series.record(0.0, 1.0)
-        series.record(1.0, 2.0)
-        plot = series_plot(series, height=5, label="")
-        # 5 data rows + axis + time footer.
-        assert len(plot.splitlines()) == 7
 
 
 class TestSpectrogramHeatmap:
@@ -77,18 +53,3 @@ class TestSpectrogramHeatmap:
         art = spectrogram_heatmap(times, freqs, mags, height=8, width=40)
         data_lines = [line for line in art.splitlines() if "Hz" in line]
         assert len(data_lines) == 8
-
-
-class TestCdfPlot:
-    def test_empty(self):
-        assert "no samples" in cdf_plot([])
-
-    def test_percentile_rows(self):
-        plot = cdf_plot(range(100))
-        assert "p50" in plot
-        assert "p99" in plot
-
-    def test_bars_monotone(self):
-        plot = cdf_plot(range(1, 1000))
-        lengths = [line.count("#") for line in plot.splitlines()]
-        assert lengths == sorted(lengths)

@@ -19,12 +19,6 @@ class TestGeometry:
         with pytest.raises(ValueError):
             FanModel(num_blades=1)
 
-    def test_signature_frequencies_below_nyquist(self):
-        fan = FanModel(rpm=30000, num_blades=9, num_harmonics=8)
-        freqs = fan.signature_frequencies(sample_rate=16000)
-        assert all(f < 8000 for f in freqs)
-        assert fan.shaft_hz in freqs
-
 
 class TestSpectrum:
     def test_blade_pass_line_dominates(self):

@@ -19,13 +19,6 @@ class TestFanBank:
 
 
 class TestServer:
-    def test_signature_includes_all_fans(self):
-        server = Server("s", fans=default_fan_bank(3))
-        freqs = server.signature_frequencies()
-        per_fan = len(server.fans[0].signature_frequencies())
-        assert len(freqs) == 3 * per_fan
-        assert freqs == sorted(freqs)
-
     def test_render_mixes_fans(self):
         loud = Server("s", fans=default_fan_bank(4, seed=1))
         quiet = Server("q", fans=default_fan_bank(1, seed=1))

@@ -4,7 +4,8 @@ Section 3: "it is possible to support multiple MDN applications
 simultaneously, as long as each task uses a different set of
 frequencies and the listening application knows the frequency
 mappings."  This test runs port knocking AND queue monitoring at the
-same time over one air channel and one controller.
+same time over one air channel and one controller.  Two full
+experiments, each run twice, must also give identical results.
 """
 
 import pytest
@@ -19,6 +20,7 @@ from repro.core.apps import (
 )
 from repro.net import Action, Match, OnOffSource
 from tests.core.rig import build_rig
+from tests.core.test_frequency_plan import assert_guarded
 
 
 class TestConcurrentApplications:
@@ -70,7 +72,7 @@ class TestConcurrentApplications:
         first = rig.plan.allocate("s1/knock", 3)
         second = rig.plan.allocate("s1/bands", 3)
         assert set(first.frequencies).isdisjoint(second.frequencies)
-        rig.plan.validate_disjoint()
+        assert_guarded(rig.plan)
 
 
 class TestControlChannelIndependence:
@@ -98,3 +100,25 @@ class TestControlChannelIndependence:
         h1.send_to("10.0.0.2", 8080)
         rig.sim.run(7.0)
         assert rig.topo.hosts["h2"].port_bytes.get(8080) is None
+
+
+class TestDeterminism:
+    def test_identical_runs_produce_identical_results(self):
+        """The reproducibility invariant: two runs of the same
+        experiment are bit-identical (no hidden wall-clock or
+        unordered iteration anywhere in the stack)."""
+        from repro.experiments import queue_monitor_experiment
+
+        first = queue_monitor_experiment()
+        second = queue_monitor_experiment()
+        assert first.queue_series.values == second.queue_series.values
+        assert first.band_history == second.band_history
+
+    def test_fig4_determinism(self):
+        from repro.experiments import heavy_hitter_experiment
+
+        first = heavy_hitter_experiment()
+        second = heavy_hitter_experiment()
+        assert first.per_interval_heavy_counts.values == \
+            second.per_interval_heavy_counts.values
+        assert first.alerts == second.alerts

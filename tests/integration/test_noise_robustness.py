@@ -17,10 +17,10 @@ from repro.audio import (
     SongNoise,
     Speaker,
     ToneSpec,
-    chirp,
     datacenter_ambience,
     white_noise,
 )
+from tests.audio.signals import linear_sweep
 
 TONE_HZ = 2000.0
 TONE_DB = 70.0
@@ -55,7 +55,7 @@ class TestInterferenceTypes:
     def test_sweeping_chirp_interferer(self):
         """A chirp crossing the watched band: worst-case tonal
         interference, still survivable at moderate level."""
-        sweep = chirp(500, 4000, 1.0, level_db=55.0)
+        sweep = linear_sweep(500, 4000, 1.0, level_db=55.0)
         assert detect_with_noise(sweep)
 
     def test_overwhelming_noise_honestly_fails(self):

@@ -29,19 +29,11 @@ class TestMatch:
         assert match.matches(packet(), 1)
         assert not match.matches(packet(protocol=Protocol.UDP), 1)
 
-    def test_for_flow_is_exact(self):
-        flow = FlowKey("10.0.0.1", "10.0.0.2", 1234, 80)
-        match = Match.for_flow(flow)
-        assert match.matches(Packet(flow), 7)
-        other = FlowKey("10.0.0.1", "10.0.0.2", 9999, 80)
-        assert not match.matches(Packet(other), 7)
-
     def test_specificity(self):
         assert Match().specificity() == 0
         assert Match(dst_port=80).specificity() == 1
-        assert Match.for_flow(
-            FlowKey("a", "b", 1, 2)
-        ).specificity() == 5
+        assert Match(src_ip="a", dst_ip="b", src_port=1, dst_port=2,
+                     protocol=Protocol.TCP).specificity() == 5
 
 
 class TestAction:

@@ -179,27 +179,6 @@ class TestPeriodicTimer:
         assert worst < 1e-12
 
 
-class TestRunToCompletion:
-    def test_drains_heap(self):
-        sim = Simulator()
-        log = []
-        sim.schedule(1.0, log.append, "a")
-        sim.schedule(2.0, log.append, "b")
-        sim.run_to_completion()
-        assert log == ["a", "b"]
-        assert sim.now == 2.0
-
-    def test_runaway_guard(self):
-        sim = Simulator()
-
-        def forever():
-            sim.schedule(0.001, forever)
-
-        sim.schedule(0.0, forever)
-        with pytest.raises(RuntimeError, match="exceeded"):
-            sim.run_to_completion(max_events=100)
-
-
 class _ReferenceEvent:
     def __init__(self, time, order, callback, args):
         self.time, self.order = time, order

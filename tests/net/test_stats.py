@@ -78,14 +78,6 @@ class TestTimeSeries:
         assert list(zip(sub.times, sub.values)) == expected
         assert sub.name == series.name
 
-    def test_rate_series(self):
-        series = TimeSeries("bytes")
-        series.record(0.0, 0.0)
-        series.record(1.0, 100.0)
-        series.record(3.0, 300.0)
-        rate = series.rate_series()
-        assert rate.values == pytest.approx([100.0, 100.0])
-
 
 class TestCounter:
     def test_add_and_increment(self):

@@ -186,14 +186,3 @@ class TestControlPlane:
         channel.register_switch(switch)
         with pytest.raises(ValueError):
             channel.register_switch(switch)
-
-    def test_port_stats(self, fabric):
-        sim, switch, _sinks = fabric
-        channel = ControlChannel(sim)
-        channel.register_switch(switch)
-        switch.flow_table.install(Match(), Action.forward(2))
-        switch.receive(packet(), in_port=1)
-        sim.run(0.1)
-        stats = channel.request_port_stats("s1", 2)
-        assert stats.packets_sent == 1
-        assert stats.queue_length == 0

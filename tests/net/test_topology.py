@@ -1,4 +1,4 @@
-"""Unit tests for topology builders and routing."""
+"""Unit tests for topology builders."""
 
 import pytest
 

@@ -6,7 +6,6 @@ from repro.net import (
     ConstantRateSource,
     FlowMixWorkload,
     OnOffSource,
-    PoissonSource,
     PortScanSource,
     RampSource,
     Simulator,
@@ -93,27 +92,6 @@ class TestRamp:
         with pytest.raises(ValueError):
             RampSource(h1, "10.0.0.2", 80, initial_rate_pps=1,
                        slope_pps_per_s=-1)
-
-
-class TestPoisson:
-    def test_mean_rate(self, net):
-        sim, h1, _h2 = net
-        src = PoissonSource(h1, "10.0.0.2", 80, rate_pps=200, seed=1)
-        src.launch()
-        sim.run(5.0)
-        assert src.packets_emitted == pytest.approx(1000, rel=0.15)
-
-    def test_deterministic_with_seed(self):
-        counts = []
-        for _ in range(2):
-            sim = Simulator()
-            topo = single_switch_topology(sim, 2)
-            src = PoissonSource(topo.hosts["h1"], "10.0.0.2", 80,
-                                rate_pps=50, seed=9)
-            src.launch()
-            sim.run(2.0)
-            counts.append(src.packets_emitted)
-        assert counts[0] == counts[1]
 
 
 class TestOnOff:
