@@ -247,22 +247,16 @@ def test_perf_channel_render_vectorized_speedup(num_devices, min_speedup):
         )
         np.testing.assert_array_equal(fast.samples, reference.samples)
 
-    def fast_sweep():
-        channel.invalidate_render_cache()  # time cold renders, not memo hits
-        _render_sweep(channel, channel.render_at, first_tick, num_windows)
-
-    vectorized_s = _best_of(fast_sweep, repeats=5)
+    vectorized_s = _best_of(
+        lambda: _render_sweep(channel, channel.render_at, first_tick,
+                              num_windows),
+        repeats=5,
+    )
     reference_s = _best_of(
         lambda: _render_sweep(channel, partial(render_reference, channel),
                               first_tick, num_windows),
         repeats=2,
     )
-    # The memo path: a co-located second listener re-polling windows
-    # that are still in the (bounded) cache.
-    warm = lambda: _render_sweep(channel, channel.render_at,
-                                 first_tick + 500, 100)
-    warm()
-    memoized_s = _best_of(warm, repeats=5)
 
     speedup = reference_s / vectorized_s
     _record_channel_bench(f"channel_render_{num_devices}emitters_600win", {
@@ -272,17 +266,12 @@ def test_perf_channel_render_vectorized_speedup(num_devices, min_speedup):
         "vectorized_ms": vectorized_s * 1e3,
         "reference_us_per_window": reference_s / num_windows * 1e6,
         "vectorized_us_per_window": vectorized_s / num_windows * 1e6,
-        "memoized_100win_ms": memoized_s * 1e3,
-        # Registry-backed memo accounting (repro.obs counters).
-        "memo_hits": channel.render_cache_hits,
-        "memo_misses": channel.render_cache_misses,
         "speedup": speedup,
     })
     print(f"\nchannel render {num_devices} emitters / {num_windows} windows "
           f"({len(channel.scheduled_tones)} tones history): "
           f"reference {reference_s*1e3:.1f} ms, "
           f"vectorized {vectorized_s*1e3:.1f} ms, "
-          f"memoized(100win) {memoized_s*1e3:.2f} ms, "
           f"speedup {speedup:.1f}x")
     if min_speedup is not None:
         assert speedup >= min_speedup
@@ -316,7 +305,6 @@ def test_perf_obs_disabled_overhead():
     channel = _chirping_channel(200)
 
     def sweep():
-        channel.invalidate_render_cache()
         _render_sweep(channel, channel.render_at, first_tick, num_windows)
 
     sweep()  # warm numpy/caches before timing
@@ -329,7 +317,6 @@ def test_perf_obs_disabled_overhead():
         observed = _chirping_channel(200)
 
         def observed_sweep():
-            observed.invalidate_render_cache()
             _render_sweep(observed, observed.render_at, first_tick,
                           num_windows)
 
@@ -477,7 +464,7 @@ def test_perf_detector_fft():
     50 ms captures of 30 ms chirps, ten per second per tone.  Records
     the per-window p50/p90 beside the paper's Fig 2b budget (90% of
     windows within 0.35 ms), and the p90 of a full listen window: a
-    cold capture (render plus microphone self-noise) and its detect.
+    capture (render plus microphone self-noise) and its detect.
     Beside them, the amortized per-window cost of hearing the 40
     windows as blocks; Fig 2b itself stays a per-window metric."""
     plan = FrequencyPlan(low_hz=420.0, high_hz=420.0 + 120.0 * 52,
@@ -508,7 +495,6 @@ def test_perf_detector_fft():
     listen_s = []
     for _ in range(10):
         for tick in range(len(windows)):
-            channel.invalidate_render_cache()
             start = time.perf_counter()
             detector.detect(microphone.record(channel, tick * 0.05,
                                               (tick + 1) * 0.05))
@@ -520,7 +506,6 @@ def test_perf_detector_fft():
     ends = [(tick + 1) * 0.05 for tick in range(len(windows))]
 
     def hear_blocks() -> list:
-        channel.invalidate_render_cache()
         heard_rows = []
         while len(heard_rows) < len(starts):
             done = len(heard_rows)

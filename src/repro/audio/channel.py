@@ -40,18 +40,17 @@ works on whole columns, not on tone objects:
   bank slices end to end, scales them by amplitude and then envelope,
   and sums them into the mix with one ``np.bincount`` in (schedule
   sequence, tap) order.  :meth:`prune` drops wave types and positions
-  that no live tone uses;
-* a bounded **window render memo** keyed by ``(listener, start, end)``
-  so repeated polls of the same window reuse the mixed buffer.
-  ``play_tones`` / ``add_noise`` / ``clear`` / ``prune`` invalidate it,
-  and each invalidation bumps :attr:`AcousticChannel.mutations`.
+  that no live tone uses.
 
 :meth:`AcousticChannel.render_block` renders a run of equal-length
 windows in one pass: one ``np.bincount`` over every (window, tone, tap)
 segment, capped by :data:`BLOCK_SEGMENT_SAMPLES`.  :meth:`render_at` is
-its one-window call.  A listener that hears windows ahead of the clock
-(:class:`~repro.core.controller.MDNController`) stamps them with
-``mutations`` and re-hears them when it has moved.
+its one-window call.  Every window asked for is rendered afresh: a
+controller hears each window once.  ``play_tones`` / ``add_noise`` /
+``clear`` / ``prune`` and fault-state changes bump
+:attr:`AcousticChannel.mutations`; a listener that hears windows ahead
+of the clock (:class:`~repro.core.controller.MDNController`) stamps
+them with it and re-hears them when it has moved.
 
 ``tests/audio/reference_render.py`` keeps the original per-tone scalar
 loop; ``tests/audio/test_channel_equivalence.py`` pins :meth:`render_at`
@@ -62,7 +61,6 @@ from __future__ import annotations
 
 import math
 import time as _time
-from collections import OrderedDict
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
@@ -85,11 +83,6 @@ MIN_DISTANCE = 0.1
 #: tone whose *emission* ended before the cutoff but whose wavefront is
 #: still crossing the room cannot be dropped mid-capture.
 PRUNE_PROPAGATION_ALLOWANCE = 50.0 / SPEED_OF_SOUND
-
-#: Window render memo capacity (windows).  The memo stays only until
-#: the next benchmark change: the benchmark's per-layer trace reads
-#: ``render_cache_hits`` (ROADMAP item 3 removes both).
-WINDOW_CACHE_SIZE = 128
 
 #: Cap on the samples of one :meth:`AcousticChannel.render_block`: its
 #: mix rows plus its candidate (window, tone, tap) segments, each
@@ -244,21 +237,14 @@ class AcousticChannel:
         self._bank = np.empty((2, 0))
         # id(bed signal), positions -> (gain, delay_s); beds are few.
         self._bed_geometry: dict[tuple[Position, Position], tuple[float, float]] = {}
-        # (listener, start, end) -> rendered mix (read-only ndarray).
-        self._window_cache: OrderedDict[
-            tuple[Position, float, float], np.ndarray
-        ] = OrderedDict()
         #: Optional fault model (repro.faults): consulted per rendered
         #: tone of a faulted emitter.
         self._fault_model = None
-        #: Bumped by every :meth:`invalidate_render_cache`, that is by
-        #: every change to what a window sounds like (scheduling, noise
-        #: beds, clear, prune, fault state).  Windows rendered under an
-        #: older value may be stale.
+        #: Bumped by every :meth:`mark_changed`, that is by every
+        #: change to what a window sounds like (scheduling, noise beds,
+        #: clear, prune, fault state).  Windows rendered under an older
+        #: value may be stale.
         self.mutations = 0
-        # Registry-backed, API-compatible memo stats (repro.obs).
-        self._m_memo_hits = obs.counter("channel.memo_hits")
-        self._m_memo_misses = obs.counter("channel.memo_misses")
         self._m_pruned = obs.counter("channel.tones_pruned")
         self._obs = obs.get_registry()
         if self._obs is not None:
@@ -272,16 +258,6 @@ class AcousticChannel:
                 obs.Counter("channel.tones_bisected_past")
             )
             self._obs.gauge_fn("channel.scheduled_tones", self._tone_count)
-
-    @property
-    def render_cache_hits(self) -> int:
-        """Window-memo hits served by :meth:`render_at`."""
-        return self._m_memo_hits.value
-
-    @property
-    def render_cache_misses(self) -> int:
-        """Window renders that had to be synthesized cold."""
-        return self._m_memo_misses.value
 
     # ------------------------------------------------------------------
     # Scheduling
@@ -303,11 +279,11 @@ class AcousticChannel:
         mutes (speaker dropout); no other tone can be muted.  It asks
         once per such candidate, so it stays equal to the scalar
         reference loop under any fault state.
-        Installing, clearing, and every fault state change must
-        invalidate the window memo.
+        Installing, clearing, and every fault state change must call
+        :meth:`mark_changed`.
         """
         self._fault_model = model
-        self.invalidate_render_cache()
+        self.mark_changed()
 
     def play_tone(
         self, start_time: float, spec: ToneSpec, position: Position = Position()
@@ -363,7 +339,7 @@ class AcousticChannel:
         np.add(starts, block[_DURATION], out=block[_END])
         self._sequence += count
         self._pending.append(block)
-        self.invalidate_render_cache()
+        self.mark_changed()
 
     def _position_id(self, position: Position) -> int:
         position_id = self._position_ids.get(position)
@@ -424,7 +400,7 @@ class AcousticChannel:
             raise ValueError("noise bed must not be empty")
         bed = NoiseBed(signal, position, loop, start)
         self._noise_beds.append(bed)
-        self.invalidate_render_cache()
+        self.mark_changed()
         return bed
 
     @property
@@ -440,7 +416,7 @@ class AcousticChannel:
         self._pending.clear()
         self._count = 0
         self._drop_unused()
-        self.invalidate_render_cache()
+        self.mark_changed()
 
     @property
     def echo_tail(self) -> float:
@@ -475,15 +451,13 @@ class AcousticChannel:
             self._count = live - dropped
             self._drop_unused()
             self._m_pruned.inc(dropped)
-        self.invalidate_render_cache()
+        self.mark_changed()
         return dropped
 
-    def invalidate_render_cache(self) -> None:
-        """Drop memoized window renders (geometry, envelope and wave
-        caches are pure and stay) and bump :attr:`mutations`.
-        Scheduling operations and fault edges call this automatically;
-        benchmarks use it to time cold renders."""
-        self._window_cache.clear()
+    def mark_changed(self) -> None:
+        """Bump :attr:`mutations`, and nothing else: what some window
+        sounds like may have changed.  Scheduling, noise beds,
+        :meth:`clear`, :meth:`prune` and fault-state changes call it."""
         self.mutations += 1
 
     def _merge_pending(self) -> None:
@@ -580,36 +554,24 @@ class AcousticChannel:
         the one-window call of :meth:`render_block`.
 
         Bit-identical to the scalar per-tone loop kept in
-        ``tests/audio/reference_render.py``.  Repeated renders of the
-        same ``(listener, start, end)`` share one (read-only) buffer.
+        ``tests/audio/reference_render.py``.
         """
         if end < start:
             raise ValueError(f"end ({end}) must be >= start ({start})")
-        rows, _block = self._render_rows(listener, (start,), (end,))
-        return AudioSignal(rows[0], self.sample_rate)
+        return AudioSignal(self.render_block(listener, (start,), (end,))[0],
+                           self.sample_rate)
 
     def render_block(self, listener: Position, starts, ends) -> np.ndarray:
         """The mixes arriving at ``listener`` during the windows
-        ``[starts[i], ends[i])``, one read-only row each, for a prefix of
-        the windows: those with the first window's sample count whose
+        ``[starts[i], ends[i])``, one row each, for a prefix of the
+        windows: those with the first window's sample count whose
         candidate segments fit :data:`BLOCK_SEGMENT_SAMPLES` (the first
         window always does).
 
         Row ``i`` is what :meth:`render_at` gives for window ``i``: the
         windows are rendered together, but each one's segments are
-        found, muted and mixed as if it were alone.  Rows are served
-        from, and stored in, the window memo.
+        found, muted and mixed as if it were alone.
         """
-        rows, block = self._render_rows(listener, starts, ends)
-        if block is None:
-            block = np.stack(rows)
-            block.setflags(write=False)
-        return block
-
-    def _render_rows(self, listener: Position, starts,
-                     ends) -> tuple[list[np.ndarray], np.ndarray | None]:
-        """:meth:`render_block`'s rows as the memo holds them, and the
-        block array itself when every row was rendered afresh."""
         starts = np.asarray(starts, dtype=float).reshape(-1)
         ends = np.asarray(ends, dtype=float).reshape(-1)
         if (ends < starts).any():
@@ -620,35 +582,13 @@ class AcousticChannel:
             same = np.rint((ends - starts) * self.sample_rate) == count
             windows = self._block_size(
                 listener, starts[: int(same.argmin()) or windows], count)
-        keys = [(listener, start, end) for start, end in
-                zip(starts[:windows].tolist(), ends[:windows].tolist())]
-        memo = self._window_cache
-        rows = [memo.get(key) for key in keys]
-        missing = [at for at, row in enumerate(rows) if row is None]
-        hits = windows - len(missing)
-        if hits:
-            self._m_memo_hits.inc(hits)
-            for key, row in zip(keys, rows):
-                if row is not None:
-                    memo.move_to_end(key)
-        if missing:
-            self._m_memo_misses.inc(len(missing))
-            observed = self._obs is not None
-            wall_start = _time.perf_counter() if observed else 0.0
-            fresh = self._render(listener, starts.take(missing), count)
-            if observed:
-                self._m_render_ms.observe_many(np.full(
-                    len(missing),
-                    (_time.perf_counter() - wall_start) * 1e3 / len(missing),
-                ))
-            fresh.setflags(write=False)
-            for at, row in zip(missing, fresh):
-                rows[at] = memo[keys[at]] = row
-            while len(memo) > WINDOW_CACHE_SIZE:
-                memo.popitem(last=False)
-            if not hits:
-                return rows, fresh
-        return rows, None
+        observed = self._obs is not None
+        wall_start = _time.perf_counter() if observed else 0.0
+        block = self._render(listener, starts[:windows], count)
+        if observed:
+            self._m_render_ms.observe_many(np.full(
+                windows, (_time.perf_counter() - wall_start) * 1e3 / windows))
+        return block
 
     def _block_size(self, listener: Position, starts: np.ndarray,
                     count: int) -> int:

@@ -142,8 +142,8 @@ class FrequencyDetector:
         calling :meth:`detect` per frame — same events, same order —
         but all frames are analyzed in one batch: the frame-matrix call
         of :meth:`detect_frames`.  Event times are ``start_time`` plus
-        each frame's offset; the trailing partial frame is dropped,
-        like :meth:`AudioSignal.frames`.
+        each frame's offset; the trailing partial frame is dropped, as
+        :meth:`AudioSignal.frame_matrix` drops it.
         """
         times, frames = signal.frame_matrix(frame_duration, hop_duration)
         if len(times) == 0 or frames.shape[1] == 0:

@@ -175,8 +175,10 @@ class MDNController(ControllerBase):
     def on_window(
         self, callback: Callable[[list[DetectionEvent], float], None]
     ) -> None:
-        """Subscribe to every processed window: ``callback(events, time)``.
-        Used by telemetry apps that reason about whole windows."""
+        """Subscribe to every processed window: ``callback(events, time)``
+        with the window's *start* time (``ToneEventBus.on_window`` passes
+        the window's end).  Used by telemetry apps that reason about
+        whole windows."""
         self._any_window_subscribers.append(callback)
 
     @property

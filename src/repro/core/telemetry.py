@@ -150,9 +150,10 @@ class ToneEventBus:
     :meth:`dispatch`, grouped into capture windows of ``window``
     seconds: per-event detection callbacks, onset callbacks with the
     controller's suppression rule (a tone present in the immediately
-    preceding window is not a new onset), then whole-window callbacks
-    with the window's *end* time — matching ``MDNController``'s
-    dispatch order and timing.
+    preceding window is not a new onset), then whole-window callbacks —
+    ``MDNController``'s dispatch order.  The whole-window callbacks get
+    the window's *end* time, where ``MDNController.on_window`` passes
+    its *start* time (see :meth:`on_window`).
     """
 
     def __init__(self, window: float = 0.1) -> None:
@@ -184,6 +185,9 @@ class ToneEventBus:
                 self._onset_subscribers.setdefault(key, []).append(on_onset)
 
     def on_window(self, callback) -> None:
+        """Subscribe to every dispatched window: ``callback(events,
+        time)`` with the window's *end* time (``MDNController.on_window``
+        passes the window's start)."""
         self._window_subscribers.append(callback)
 
     def start(self) -> None:

@@ -39,9 +39,7 @@ class ScalePoint:
     false_positives: int      #: inactive plan slots reported
     detect_ms: float          #: detector wall time for the window
     plan_utilization: float   #: fraction of plan capacity consumed
-    render_ms: float = 0.0    #: cold synthesis wall time for the window
-    cached_render_ms: float = 0.0  #: re-poll wall time (window memo hit)
-    memo_hits: int = 0        #: channel render-memo hits (registry-backed)
+    render_ms: float = 0.0    #: synthesis wall time for the window
 
 
 def monitoring_scale_sweep(
@@ -60,28 +58,6 @@ def monitoring_scale_sweep(
     """
     if not 0 < active_fraction <= 1:
         raise ValueError("active_fraction must be in (0, 1]")
-    # The sweep runs under the observability layer so per-point render/
-    # detect costs land in the shared registry (and memo-hit counts come
-    # from the channel's registry-backed counters rather than ad-hoc
-    # bookkeeping).  If the caller already enabled obs, reuse theirs.
-    was_enabled = obs.enabled()
-    obs.enable()
-    try:
-        return _sweep(device_counts, active_fraction, window_duration,
-                      guard_hz, level_db, seed)
-    finally:
-        if not was_enabled:
-            obs.disable()
-
-
-def _sweep(
-    device_counts: tuple[int, ...],
-    active_fraction: float,
-    window_duration: float,
-    guard_hz: float,
-    level_db: float,
-    seed: int,
-) -> list[ScalePoint]:
     results = []
     for count in device_counts:
         plan = FrequencyPlan(low_hz=400.0,
@@ -110,14 +86,6 @@ def _sweep(
                 channel, window_duration * 0.25, window_duration * 1.05
             )
             render_s = time.perf_counter() - start
-        # A second listener polling the same (position, window) hits the
-        # channel's render memo; measure that path too.
-        with obs.span("scaling.cached_render", devices=count):
-            start = time.perf_counter()
-            microphone.record(
-                channel, window_duration * 0.25, window_duration * 1.05
-            )
-            cached_render_s = time.perf_counter() - start
         detector = FrequencyDetector(frequencies)
         with obs.span("scaling.detect", devices=count):
             start = time.perf_counter()
@@ -135,7 +103,5 @@ def _sweep(
             detect_ms=elapsed * 1000.0,
             plan_utilization=count / plan.capacity,
             render_ms=render_s * 1000.0,
-            cached_render_ms=cached_render_s * 1000.0,
-            memo_hits=channel.render_cache_hits,
         ))
     return results

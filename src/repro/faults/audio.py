@@ -9,9 +9,10 @@ Outage windows are half-open intervals ``[start, end)`` on the shared
 simulation clock, with **emission-overlap** semantics: a tone whose
 emission interval overlaps an outage is fully muted (a driver cutting
 out mid-tone corrupts the whole gated emission), which keeps the fast
-and reference render paths trivially equivalent.  Every schedule call
-and every scheduled edge invalidates the channel's memoized window
-cache, so a cached render can never leak across a fault state change.
+and reference render paths trivially equivalent.  Whether a tone is
+muted therefore depends only on the dropout list, never on the clock,
+so only :meth:`AcousticFaults.drop_speaker` changes what a window
+sounds like; it calls the channel's ``mark_changed``.
 """
 
 from __future__ import annotations
@@ -55,8 +56,13 @@ class AcousticFaults:
         if end <= start:
             raise ValueError(f"dropout window [{start}, {end}) is empty")
         self._dropouts.setdefault(position, []).append((start, end))
-        self.channel.invalidate_render_cache()
-        self._schedule_edges(start, end)
+        self.channel.mark_changed()
+        # Count the outage when it activates on the sim clock.  Its
+        # edges change no render, so they need no event of their own.
+        if start <= self.sim.now:
+            self._m_dropouts.inc()
+        else:
+            self.sim.schedule_at(start, self._m_dropouts.inc)
 
     def random_dropouts(self, position: Position, start: float, end: float,
                         rate: float, mean_outage: float = 0.6,
@@ -98,24 +104,3 @@ class AcousticFaults:
                 self._m_muted.inc()
                 return True
         return False
-
-    # ------------------------------------------------------------------
-    # Internals
-    # ------------------------------------------------------------------
-
-    def _schedule_edges(self, start: float, end: float) -> None:
-        """Count the outage when it *activates* on the sim clock, and
-        invalidate the render memo at both edges so cached windows can
-        never straddle a state change."""
-        invalidate = self.channel.invalidate_render_cache
-
-        def activate() -> None:
-            self._m_dropouts.inc()
-            invalidate()
-
-        if start <= self.sim.now:
-            activate()
-        else:
-            self.sim.schedule_at(start, activate)
-        if end > self.sim.now:
-            self.sim.schedule_at(end, invalidate)

@@ -6,7 +6,7 @@ provides
 
 * a :class:`MetricsRegistry` of hierarchically named counters, gauges
   and histograms (p50/p90/p99 — the Fig 2b quantiles), e.g.
-  ``controller.window_ms`` or ``channel.memo_hits``.  Histograms count
+  ``controller.window_ms`` or ``channel.tones_pruned``.  Histograms count
   observations in exact integer bins of :data:`RESOLUTION` (1 µs for
   every ``*_ms`` histogram; sub-µs ``sim.callback_ms.*`` timings read
   in 1 µs steps), so merging them is addition and any partition of a

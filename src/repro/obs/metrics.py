@@ -3,7 +3,7 @@
 Three instrument kinds cover everything the experiments need to see:
 
 * :class:`Counter` — monotonically increasing totals (events processed,
-  memo hits, drops);
+  tones pruned, drops);
 * :class:`Gauge` — last-observed values, either pushed (``set``) or
   pulled at snapshot time (:class:`CallbackGauge`, e.g. heap depth);
 * :class:`Histogram` — exact distributions over fixed-width integer
@@ -13,7 +13,7 @@ Three instrument kinds cover everything the experiments need to see:
   that is integer addition.
 
 Instruments live in a :class:`MetricsRegistry` under hierarchical
-dotted names (``controller.window_ms``, ``channel.memo_hits``).  The
+dotted names (``controller.window_ms``, ``channel.tones_pruned``).  The
 registry renders a human-readable report and snapshots to plain dicts
 (which :func:`repro.artifact.export_json` writes to
 ``.benchmarks/OBS_*.json``).  Instruments can also float
@@ -311,7 +311,7 @@ class MetricsRegistry:
 
     def total(self, prefix: str) -> float:
         """Sum of counter/gauge values whose names start with ``prefix``
-        (a de-dup-suffix-tolerant aggregate, e.g. ``channel.memo_hits``)."""
+        (a de-dup-suffix-tolerant aggregate, e.g. ``channel.tones_pruned``)."""
         return sum(
             self._instruments[name].value
             for name in self.names(prefix)

@@ -94,17 +94,46 @@ class TestSpeakerDropout:
         assert _rms(channel.render_at(LISTENER, 0.0, 0.3)) > 1e-3
 
     def test_cache_invalidated_by_fault_state_change(self):
-        """A memoized window must be re-rendered — not served stale —
-        once a fault covering it is scheduled."""
+        """A window rendered before a fault covering it is scheduled
+        renders muted after it, and the change bumps ``mutations``."""
         sim, channel, harness, air = self._rig()
         channel.play_tone(1.1, TONE, SPEAKER_AT)
         loud = channel.render_at(LISTENER, 1.0, 1.3)
-        cached = channel.render_at(LISTENER, 1.0, 1.3)  # memo hit
-        assert (loud.samples == cached.samples).all()
+        again = channel.render_at(LISTENER, 1.0, 1.3)
+        assert (loud.samples == again.samples).all()
         assert _rms(loud) > 1e-3
-        air.drop_speaker(SPEAKER_AT, 1.0, 2.0)  # must evict the memo
+        mutations = channel.mutations
+        air.drop_speaker(SPEAKER_AT, 1.0, 2.0)
+        assert channel.mutations > mutations
         muted = channel.render_at(LISTENER, 1.0, 1.3)
         assert _rms(muted) < 1e-6
+
+    def test_render_does_not_depend_on_the_clock(self):
+        """Muting depends only on the dropout list: a window overlapping
+        a dropout renders bit-identically before the sim clock reaches
+        the dropout, between its edges and after its end, and only
+        ``drop_speaker`` moves ``mutations``."""
+        sim, channel, harness, air = self._rig()
+        channel.play_tone(1.1, TONE, SPEAKER_AT)
+        channel.play_tone(1.15, ToneSpec(1500.0, 0.08, 70.0),
+                          Position(0.0, 1.0, 0.0))
+        mutations = channel.mutations
+        air.drop_speaker(SPEAKER_AT, 1.0, 2.0)
+        assert channel.mutations == mutations + 1
+        renders, dropouts = [], []
+        for now in (0.5, 1.5, 2.5):
+            sim.run(now)
+            renders.append(channel.render_at(LISTENER, 1.0, 1.3).samples)
+            dropouts.append(harness.summary()["speaker_dropouts"])
+            assert channel.mutations == mutations + 1
+        assert renders[0].tobytes() == renders[1].tobytes()
+        assert renders[1].tobytes() == renders[2].tobytes()
+        # The other speaker is heard; the dropped one is not.
+        np.testing.assert_array_equal(
+            renders[0], render_reference(channel, LISTENER, 1.0, 1.3).samples)
+        assert _rms(channel.render_at(LISTENER, 1.0, 1.3)) > 1e-3
+        # The outage is counted when it activates.
+        assert dropouts == [0, 1, 1]
 
     def test_reference_path_equivalent_under_faults(self):
         sim, channel, harness, air = self._rig()
