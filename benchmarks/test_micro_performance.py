@@ -341,50 +341,6 @@ def test_perf_obs_disabled_overhead():
     assert overhead < 0.05
 
 
-@pytest.mark.perf
-def test_perf_faults_disabled_overhead():
-    """Acceptance gate for the fault-injection hooks: an attached
-    injector with nothing scheduled must render bit-identically to the
-    un-hooked channel and stay within 5% of its timing on the 200-
-    emitter render sweep (the fault path must be free when unused)."""
-    from repro.faults import FaultHarness
-
-    num_windows = 600
-    first_tick = 5400
-    # One channel, with and without the injector: two channels of equal
-    # content can differ by more than the gate in how their arrays sit
-    # in memory.
-    channel = _chirping_channel(200)
-    FaultHarness(Simulator(), seed=3).acoustic(channel)
-    idle_model = channel._fault_model
-
-    def sweep(model):
-        channel.set_fault_model(model)
-        _render_sweep(channel, channel.render_at, first_tick, num_windows)
-
-    listener = Position()
-    for tick in (first_tick, first_tick + 299):
-        channel.set_fault_model(None)
-        plain = channel.render_at(listener, tick * 0.1, (tick + 1) * 0.1)
-        channel.set_fault_model(idle_model)
-        faulty = channel.render_at(listener, tick * 0.1, (tick + 1) * 0.1)
-        assert (plain.samples == faulty.samples).all()
-
-    sweep(None)
-    sweep(idle_model)  # warm both before timing
-    bare_s, hooked_s, overhead = _interleaved(
-        lambda: sweep(None), lambda: sweep(idle_model), rounds=30)
-    _record_perf("faults_idle_overhead_200emitters_600win", {
-        "bare_ms": bare_s * 1e3,
-        "hooked_ms": hooked_s * 1e3,
-        "idle_overhead": overhead,
-    })
-    print(f"\nidle fault-model overhead 200 emitters / {num_windows} "
-          f"windows: bare {bare_s*1e3:.1f} ms, "
-          f"hooked {hooked_s*1e3:.1f} ms ({overhead:+.1%})")
-    assert overhead < 0.05
-
-
 def _steady_heap_run(pending: int, dispatches: int) -> Simulator:
     """Keep ``pending`` self-rescheduling events in the heap (one per
     slot of a 1 s period) and dispatch exactly ``dispatches`` of them."""

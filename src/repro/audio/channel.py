@@ -12,6 +12,11 @@ models that medium deterministically so experiments are reproducible:
   to 1 m) and speed-of-sound delay.
 * **Noise sources** are pre-rendered positioned signals (ambience,
   songs, fan wash) mixed into every capture.
+* **Outages** (:meth:`AcousticChannel.mute`, speaker dropout) take a
+  speaker off the air: every tone of that emitter whose emission
+  overlaps an outage leaves the schedule, whether it was scheduled
+  before the outage was recorded or after, and is counted once in
+  :attr:`AcousticChannel.tones_muted`.  A render never sees it.
 
 Rendering is pull-based: nothing is synthesized until a microphone asks
 for a window, and any window can be re-rendered bit-identically.
@@ -26,7 +31,8 @@ works on whole columns, not on tone objects:
   columns and the next render or :meth:`prune` merges them in) holds
   each tone's start, end, schedule sequence, level, position id,
   wave-type id, duration and length.  It is the only record of a tone:
-  :class:`ScheduledTone` objects are built from its columns on demand.
+  :attr:`~AcousticChannel.scheduled_tones` builds
+  :class:`ScheduledTone` objects from its columns on demand.
   A capture bisects on both sides straight to the tones that can
   overlap it, so neither the history nor a parked future schedule is
   scanned;
@@ -47,7 +53,7 @@ windows in one pass: one ``np.bincount`` over every (window, tone, tap)
 segment, capped by :data:`BLOCK_SEGMENT_SAMPLES`.  :meth:`render_at` is
 its one-window call.  Every window asked for is rendered afresh: a
 controller hears each window once.  ``play_tones`` / ``add_noise`` /
-``clear`` / ``prune`` and fault-state changes bump
+``clear`` / ``prune`` / ``mute`` bump
 :attr:`AcousticChannel.mutations`; a listener that hears windows ahead
 of the clock (:class:`~repro.core.controller.MDNController`) stamps
 them with it and re-hears them when it has moved.
@@ -237,12 +243,17 @@ class AcousticChannel:
         self._bank = np.empty((2, 0))
         # id(bed signal), positions -> (gain, delay_s); beds are few.
         self._bed_geometry: dict[tuple[Position, Position], tuple[float, float]] = {}
-        #: Optional fault model (repro.faults): consulted per rendered
-        #: tone of a faulted emitter.
-        self._fault_model = None
+        # Speaker outages, position -> [(start, end), ...]; they
+        # survive clear().
+        self._outages: dict[Position, list[tuple[float, float]]] = {}
+        #: Tones an outage took off the schedule, each counted once.
+        #: Registered only by the :class:`~repro.faults.AcousticFaults`
+        #: that reports it, so an unfaulted channel registers no fault
+        #: metric.
+        self.tones_muted = obs.Counter("faults.tones_muted")
         #: Bumped by every :meth:`mark_changed`, that is by every
         #: change to what a window sounds like (scheduling, noise beds,
-        #: clear, prune, fault state).  Windows rendered under an older
+        #: clear, prune, outages).  Windows rendered under an older
         #: value may be stale.
         self.mutations = 0
         self._m_pruned = obs.counter("channel.tones_pruned")
@@ -262,28 +273,6 @@ class AcousticChannel:
     # ------------------------------------------------------------------
     # Scheduling
     # ------------------------------------------------------------------
-
-    @property
-    def faulted(self) -> bool:
-        """Whether the fault model may mute a tone (some emitter has a
-        fault scheduled).  A render then asks it about each candidate
-        tone of a faulted emitter, and it counts what it mutes."""
-        fault = self._fault_model
-        return fault is not None and bool(fault.faulted_positions())
-
-    def set_fault_model(self, model) -> None:
-        """Install (or clear, with ``None``) a fault model.
-
-        The render asks ``mutes(tone)`` about every candidate tone from
-        an emitter in ``faulted_positions()`` and drops the tones it
-        mutes (speaker dropout); no other tone can be muted.  It asks
-        once per such candidate, so it stays equal to the scalar
-        reference loop under any fault state.
-        Installing, clearing, and every fault state change must call
-        :meth:`mark_changed`.
-        """
-        self._fault_model = model
-        self.mark_changed()
 
     def play_tone(
         self, start_time: float, spec: ToneSpec, position: Position = Position()
@@ -338,8 +327,43 @@ class AcousticChannel:
         block[_LEVEL:] = fields.take(voice, axis=1)
         np.add(starts, block[_DURATION], out=block[_END])
         self._sequence += count
+        if self._outages:
+            block = block.compress(~self._muted(block, self._outages), axis=1)
         self._pending.append(block)
         self.mark_changed()
+
+    def mute(self, position: Position, start: float, end: float) -> None:
+        """Take ``position`` off the air during ``[start, end)``: drop
+        every tone it emits whose emission ``[start_time, start_time +
+        duration)`` overlaps the outage, those already scheduled now
+        and later ones as :meth:`play_tones` schedules them."""
+        if end <= start:
+            raise ValueError(f"outage [{start}, {end}) is empty")
+        outage = {position: [(start, end)]}
+        self._outages.setdefault(position, []).append((start, end))
+        self._merge_pending()
+        live = self._index[:, : self._count]
+        muted = self._muted(live, outage)
+        if muted.any():
+            kept = live.compress(~muted, axis=1)
+            self._count = kept.shape[1]
+            self._index[:, : self._count] = kept
+        self.mark_changed()
+
+    def _muted(self, tones: np.ndarray, outages: dict) -> np.ndarray:
+        """Which columns of ``tones`` (tone index entries) an outage of
+        their emitter in ``outages`` overlaps; counts them in
+        :attr:`tones_muted`."""
+        muted = np.zeros(tones.shape[1], dtype=bool)
+        for position, spans in outages.items():
+            position_id = self._position_ids.get(position)
+            if position_id is None:
+                continue
+            emitted = tones[_POS] == position_id
+            for start, end in spans:
+                muted |= emitted & (tones[_START] < end) & (tones[_END] > start)
+        self.tones_muted.inc(int(muted.sum()))
+        return muted
 
     def _position_id(self, position: Position) -> int:
         position_id = self._position_ids.get(position)
@@ -359,20 +383,6 @@ class AcousticChannel:
             self._wave_base = np.append(self._wave_base, -1)
             self._synthesize()
         return wave_id
-
-    def _records(self, tones: np.ndarray) -> list[ScheduledTone]:
-        """The :class:`ScheduledTone` of each column of ``tones`` (tone
-        index entries), built from the index fields."""
-        positions, waves = self._positions, self._waves
-        return [
-            ScheduledTone(start, ToneSpec(*waves[wave], level),
-                          positions[position])
-            for start, level, position, wave in zip(
-                tones[_START].tolist(), tones[_LEVEL].tolist(),
-                tones[_POS].astype(np.intp).tolist(),
-                tones[_WAVE].astype(np.intp).tolist(),
-            )
-        ]
 
     def _tone_count(self) -> int:
         """Scheduled tones, merged or queued."""
@@ -408,10 +418,20 @@ class AcousticChannel:
         """The live tones in schedule order, built from the tone index."""
         self._merge_pending()
         live = self._index[:, : self._count]
-        return tuple(self._records(live.take(live[_SEQ].argsort(), axis=1)))
+        live = live.take(live[_SEQ].argsort(), axis=1)
+        positions, waves = self._positions, self._waves
+        return tuple(
+            ScheduledTone(start, ToneSpec(*waves[wave], level),
+                          positions[position])
+            for start, level, position, wave in zip(
+                live[_START].tolist(), live[_LEVEL].tolist(),
+                live[_POS].astype(np.intp).tolist(),
+                live[_WAVE].astype(np.intp).tolist(),
+            )
+        )
 
     def clear(self) -> None:
-        """Drop all scheduled tones and noise beds."""
+        """Drop all scheduled tones and noise beds (outages stay)."""
         self._noise_beds.clear()
         self._pending.clear()
         self._count = 0
@@ -457,7 +477,7 @@ class AcousticChannel:
     def mark_changed(self) -> None:
         """Bump :attr:`mutations`, and nothing else: what some window
         sounds like may have changed.  Scheduling, noise beds,
-        :meth:`clear`, :meth:`prune` and fault-state changes call it."""
+        :meth:`clear`, :meth:`prune` and :meth:`mute` call it."""
         self.mutations += 1
 
     def _merge_pending(self) -> None:
@@ -570,7 +590,7 @@ class AcousticChannel:
 
         Row ``i`` is what :meth:`render_at` gives for window ``i``: the
         windows are rendered together, but each one's segments are
-        found, muted and mixed as if it were alone.
+        found and mixed as if it were alone.
         """
         starts = np.asarray(starts, dtype=float).reshape(-1)
         ends = np.asarray(ends, dtype=float).reshape(-1)
@@ -673,16 +693,6 @@ class AcousticChannel:
         if self._obs is not None:
             self._m_bisected.inc(int((first + self._count - last).sum()))
             self._m_scanned.inc(tones.shape[1])
-        if self.faulted:
-            # Only a faulted emitter's tones can be muted.
-            fault = self._fault_model
-            ids = [self._position_ids[p] for p in fault.faulted_positions()
-                   if p in self._position_ids]
-            rows = np.isin(tones[_POS], ids).nonzero()[0]
-            muted = np.zeros(tones.shape[1], dtype=bool)
-            muted[rows] = list(map(fault.mutes,
-                                   self._records(tones.take(rows, axis=1))))
-            tones, window = tones[:, ~muted], window[~muted]
         if not tones.shape[1]:
             return np.zeros((blocks, count))
         positions, wave_ids = tones[_POS : _WAVE + 1].astype(np.intp)

@@ -231,9 +231,7 @@ class MDNController(ControllerBase):
         up to the next prune and as many as one capture block can
         take.  Only this controller's callbacks run before they are
         heard, and the channel's mutation count catches any change they
-        make to the air.  A faulted channel is heard one window at a
-        time: its fault model counts every tone it mutes, so a window
-        heard twice would count twice."""
+        make to the air, a speaker outage included."""
         most = BLOCK_SEGMENT_SAMPLES // max(
             round((end - start) * self.channel.sample_rate), 1)
         if self.prune_every:
@@ -242,8 +240,7 @@ class MDNController(ControllerBase):
         later, until = self.sim.horizon()
         fired = self._timer.fire_count
         following = self._timer.firing_time(fired + 1)
-        if (most < 2 or not following < later or following > until
-                or self.channel.faulted):
+        if most < 2 or not following < later or following > until:
             return [start], [end]
         ends = self._timer.firing_time(np.arange(fired, fired + most))
         ends = ends[: max(1, min(int(ends.searchsorted(later)),

@@ -12,10 +12,10 @@ package injects exactly those failures, **deterministically**:
 * every injected fault is counted through :mod:`repro.obs`
   (``faults.*`` counters), so an instrumented run shows exactly what
   was thrown at the system;
-* injectors plug into the existing components via first-class hook
-  points (``AcousticChannel.set_fault_model``,
-  ``LinkDirection.fault_model``) — experiment code keeps building the
-  same rigs and *adds* faults, it is never rewritten around them.
+* injectors act through the existing components' own interfaces
+  (``AcousticChannel.mute``, ``LinkDirection.fault_model``) —
+  experiment code keeps building the same rigs and *adds* faults, it
+  is never rewritten around them.
 
 Fault taxonomy
 --------------
@@ -23,7 +23,7 @@ Fault taxonomy
 ================  ==============================  =======================
 fault             injector                        plugs into
 ================  ==============================  =======================
-speaker dropout   :class:`AcousticFaults`         channel render path
+speaker dropout   :class:`AcousticFaults`         channel tone schedule
 MP frame loss     :class:`MpLinkFaults`           switch→Pi link delivery
 worker crash      :class:`ProcessFaultPlan`       fleet worker processes
 worker straggler  :class:`ProcessFaultPlan`       fleet worker processes

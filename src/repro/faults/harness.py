@@ -43,14 +43,20 @@ class FaultCounter:
 
     Injector code counts through this object unconditionally; the
     registry-backed counter makes the tally visible in obs exports and
-    the plain ``value`` makes it readable either way.
+    the plain ``value`` makes it readable either way.  Given a
+    ``counter`` some component already keeps, it reports and registers
+    that one instead.
     """
 
     __slots__ = ("name", "_counter")
 
-    def __init__(self, name: str) -> None:
+    def __init__(self, name: str, counter: obs.Counter | None = None) -> None:
         self.name = name
-        self._counter = obs.counter(f"faults.{name}")
+        if counter is None:
+            counter = obs.counter(f"faults.{name}")
+        elif (registry := obs.get_registry()) is not None:
+            registry.register(counter)
+        self._counter = counter
 
     def inc(self, amount: int = 1) -> None:
         self._counter.inc(amount)

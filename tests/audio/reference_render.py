@@ -71,9 +71,6 @@ def _mix_tone(
 ) -> None:
     """Add one (possibly partial) tone (or one of its echoes) into a
     capture buffer."""
-    fault_model = channel._fault_model
-    if fault_model is not None and fault_model.mutes(tone):
-        return
     sample_rate = channel.sample_rate
     distance = listener.distance_to(tone.position)
     delay = (distance / SPEED_OF_SOUND

@@ -3,8 +3,8 @@
 ``AcousticChannel.render_at`` (columnar tone index + wave bank) must
 reproduce ``render_reference`` (the original per-tone scalar loop,
 ``tests/audio/reference_render.py``) bit for bit across window seams,
-echo taps, partial overlaps, fault models, pruned histories, generated
-scenes, and loop/non-loop noise beds: both paths
+echo taps, partial overlaps, speaker outages, pruned histories,
+generated scenes, and loop/non-loop noise beds: both paths
 evaluate the same IEEE operations per sample and sum overlapping
 segments in the same (tone, tap) order.  The tone index and the wave
 bank must also stay bounded by the live tones over a long run.
@@ -136,8 +136,8 @@ class TestParkedSchedule:
 
 class TestBusyWindowIdentity:
     """Many overlapping segments of different lengths in one window,
-    each tone with two echo taps, under a fault model that mutes some
-    emitters: every sample of the fast path must equal the reference
+    each tone with two echo taps, with some emitters muted by an
+    outage: every sample of the fast path must equal the reference
     loop's."""
 
     def _faulted_busy_channel(self):
@@ -417,6 +417,79 @@ class TestGeneratedScenes:
             _kind, listener, start, span = step
             _assert_paths_match(channel, SCENE_POSITIONS[listener % listeners],
                                 start, start + span)
+
+
+mute_step_strategy = st.one_of(
+    st.tuples(st.just("play"), tone_strategy),
+    st.tuples(st.just("drop"), st.integers(0, 2),          # emitter
+              _times(0.0, 1.5), st.floats(0.01, 0.6)),      # start, span
+    # An outage that ends where a live tone starts, or starts where it
+    # ends: the half-open edges must keep that tone.
+    st.tuples(st.just("abut"), st.integers(0, 15),         # tone
+              st.floats(0.01, 0.6), st.booleans()),         # span, before
+    step_strategy,
+)
+
+
+class TestMuteAtEmission:
+    @settings(max_examples=60, deadline=None)
+    @given(steps=st.lists(mute_step_strategy, min_size=1, max_size=16),
+           echo_taps=st.lists(st.tuples(st.floats(0.001, 0.05),
+                                        st.floats(0.0, 20.0)), max_size=1))
+    def test_outages_take_exactly_the_overlapping_tones(self, steps,
+                                                        echo_taps):
+        """Twin channels get the same tones and prunes; one also gets
+        speaker outages, recorded before or after the tones they hit.
+        After every step the faulted twin schedules the unfaulted
+        twin's tones minus exactly those whose emission overlaps an
+        outage of their emitter, counts each such tone once, and
+        renders bit-identically to the scalar reference loop."""
+        plain = AcousticChannel(echo_taps=tuple(echo_taps))
+        faulted = AcousticChannel(echo_taps=tuple(echo_taps))
+        harness = FaultHarness(Simulator(), seed=3)
+        air = harness.acoustic(faulted)
+        outages = []
+        # Muted tones that a prune took from the plain twin only.
+        pruned_muted = 0
+        for step in steps:
+            if step[0] == "play":
+                start, frequency, duration, level, emitter = step[1]
+                for channel in (plain, faulted):
+                    channel.play_tone(start, ToneSpec(frequency, duration,
+                                                      level),
+                                      SCENE_POSITIONS[emitter])
+            elif step[0] in ("drop", "abut"):
+                if step[0] == "drop":
+                    _kind, emitter, start, span = step
+                    outage = (SCENE_POSITIONS[emitter], start, start + span)
+                else:
+                    _kind, pick, span, before = step
+                    live = plain.scheduled_tones
+                    if not live:
+                        continue
+                    tone = live[pick % len(live)]
+                    outage = ((tone.position, tone.start_time - span,
+                               tone.start_time) if before else
+                              (tone.position, tone.end_time,
+                               tone.end_time + span))
+                air.drop_speaker(*outage)
+                outages.append(outage)
+            elif step[0] == "prune":
+                pruned_muted += (plain.prune(before=step[1], margin=step[2])
+                                 - faulted.prune(before=step[1],
+                                                 margin=step[2]))
+            else:
+                _kind, listener, start, span = step
+                _assert_paths_match(faulted, SCENE_POSITIONS[listener],
+                                    start, start + span)
+            kept = tuple(
+                tone for tone in plain.scheduled_tones
+                if not any(tone.position == position
+                           and tone.start_time < end and tone.end_time > start
+                           for position, start, end in outages))
+            assert faulted.scheduled_tones == kept
+            assert harness.summary()["tones_muted"] == (
+                len(plain.scheduled_tones) - len(kept) + pruned_muted)
 
 
 class TestBoundedState:

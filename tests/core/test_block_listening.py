@@ -11,7 +11,9 @@ that plays a tone on onset) run twice: once as they are, once with a
 no-op timer on the listen grid, which puts another event one window
 ahead of every listen event so that each window is heard alone.  Both
 runs must give equal onsets, detections, controller and detector
-counters and fault-model mute counts.
+counters and mute counts.  An outage takes its tones off the schedule
+and counts each once, so the dropout rooms too are heard in blocks in
+the first run and window by window in the second.
 """
 
 import numpy as np
@@ -131,9 +133,11 @@ def test_block_listening_hears_what_one_window_listening_hears(room):
     assert ahead["windows"] >= round(3.0 / room["interval"]) - 1
 
 
-def test_a_quiet_room_hears_its_windows_in_blocks(monkeypatch):
-    """With only the listen timer on the heap, most windows are heard
-    ahead, yet each window is still one sim event."""
+def quiet_room(monkeypatch, dropout=None):
+    """Eight speakers chirping every 0.3 s for 3 s, heard by a
+    controller alone on the heap; ``dropout`` is an ``(emitter, start,
+    end)`` outage.  Returns the sim, the controller, the onsets, the
+    window count of each ``_hear`` call and the injector."""
     heard = []
     hear = MDNController._hear
 
@@ -144,20 +148,47 @@ def test_a_quiet_room_hears_its_windows_in_blocks(monkeypatch):
 
     monkeypatch.setattr(MDNController, "_hear", counting)
     sim, channel = Simulator(), AcousticChannel()
+    positions = [Position(1.0, 0.1 * index, 0.0)
+                 for index in range(len(FREQUENCIES))]
     for index, frequency in enumerate(FREQUENCIES):
         for start in np.arange(0.01 * index, 3.0, 0.3):
             channel.play_tone(float(start), ToneSpec(frequency, 0.05, 70.0),
-                              Position(1.0, 0.1 * index, 0.0))
+                              positions[index])
+    faults = AcousticFaults(sim, channel)
+    if dropout is not None:
+        emitter, start, end = dropout
+        faults.drop_speaker(positions[emitter], start, end)
     controller = MDNController(sim, channel, Microphone(),
                                listen_interval=1.0 / 30.0)
     onsets = []
     controller.watch(FREQUENCIES, on_onset=onsets.append)
     controller.start()
     sim.run(3.0)
+    return sim, controller, onsets, heard, faults
+
+
+def test_a_quiet_room_hears_its_windows_in_blocks(monkeypatch):
+    """With only the listen timer on the heap, most windows are heard
+    ahead, yet each window is still one sim event."""
+    sim, controller, onsets, heard, _faults = quiet_room(monkeypatch)
     assert sim.events_processed == controller.windows_processed == 90
     assert sum(heard) == 90
     assert len(heard) < 30
     assert len(onsets) == 80
+
+
+def test_a_faulted_quiet_room_hears_its_windows_in_blocks(monkeypatch):
+    """A speaker outage takes its tones off the schedule, so a faulted
+    room is heard in blocks too: the outage's activation is the only
+    other event, and the three chirps it covers count once each."""
+    sim, controller, onsets, heard, faults = quiet_room(
+        monkeypatch, dropout=(0, 1.0, 2.0))
+    assert controller.windows_processed == 90
+    assert sim.events_processed == 91
+    assert sum(heard) == 90
+    assert len(heard) < 30
+    assert len(onsets) == 77
+    assert [counter.value for counter in faults.counters] == [1, 3]
 
 
 @settings(max_examples=20, deadline=None)
